@@ -16,7 +16,7 @@ import numpy as np
 
 from .cones import Certificate, OperatorModel, is_order_isomorphism
 from .recovery import Decomposition, InternalContradictionError, decompose
-from .spaces import DEFAULT_TOL, FunctionFamily
+from .spaces import DEFAULT_TOL
 
 __all__ = [
     "NotAnIsometryError",
@@ -37,15 +37,6 @@ class NotAnIsometryError(ValueError):
     def __init__(self, detail: str, point: Optional[int] = None):
         self.point = point
         super().__init__(detail)
-
-
-def _as_point_operator(t: OperatorModel) -> OperatorModel:
-    if t.basis == "point":
-        return t
-    return OperatorModel(t.point_matrix(),
-                         domain=FunctionFamily.full(t.domain.space, exact=t.exact),
-                         codomain=FunctionFamily.full(t.codomain.space, exact=t.exact),
-                         basis="point")
 
 
 def _sample_vectors(rng: np.random.Generator, n: int, exact: bool, count: int):
@@ -71,7 +62,7 @@ def isometry_reduce(t: OperatorModel, samples: int = DEFAULT_SAMPLES, seed: int 
     must be preserved. Returns (g, reduced) with reduced = T scaled by 1/g
     rowwise; the caller certifies `reduced` with the cone test.
     """
-    t = _as_point_operator(t)
+    t = t.as_point()
     g = t.apply_values(t.domain.ones())
     n = t.size
     if t.exact:
@@ -118,7 +109,7 @@ def _lattice_residual(t: OperatorModel, samples: int, seed: int) -> float:
     for every f exactly when every weight is positive; the sampled sign
     patterns keep the screen honest on arbitrary input.
     """
-    t = _as_point_operator(t)
+    t = t.as_point()
     n = t.size
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -152,7 +143,7 @@ def _algebra_residual(t: OperatorModel, samples: int, seed: int) -> float:
     All basis pairs are checked (e_i e_j = 0 for i != j and e_i^2 = e_i, so the
     bilinear identity on the basis is the full identity), plus sampled pairs.
     """
-    t = _as_point_operator(t)
+    t = t.as_point()
     n = t.size
     mat = np.asarray(t.matrix, dtype=float) if not t.exact else None
     if t.exact:
@@ -232,7 +223,7 @@ def classify(t: OperatorModel, samples: int = DEFAULT_SAMPLES, seed: int = 0,
     the unimodular sign first, and is the only route for sign-flipping
     operators, which fail the plain cone test).
     """
-    t = _as_point_operator(t)
+    t = t.as_point()
     evidence = []
     sign = None
     d_iso = None

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -250,16 +249,8 @@ def _cmd_fuzz(args):
         raise ValueError("perturbed fuzzing runs in float mode")
     if args.perturbation > 0 and args.dim < 2:
         raise ValueError("perturbed fuzzing needs dimension at least 2")
-    rngs = fuzz.spawn_generators(args.seed, args.count)
-
-    def run(i: int) -> dict:
-        return _fuzz_instance(rngs[i], args.dim, args.mode, args.perturbation, args.tol)
-
-    if args.count >= 16:
-        with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-            results = list(pool.map(run, range(args.count)))
-    else:
-        results = [run(i) for i in range(args.count)]
+    results = [_fuzz_instance(rng, args.dim, args.mode, args.perturbation, args.tol)
+               for rng in fuzz.spawn_generators(args.seed, args.count)]
 
     accepted = sum(1 for r in results if r["accepted"])
     matched = sum(1 for r in results if r["matched"])

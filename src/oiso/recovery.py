@@ -4,7 +4,8 @@ For each domain anchor point the images of the nonnegative span functions
 vanishing there share a common zero in the codomain; collecting those zero
 sets and intersecting them pins down a unique codomain point. Running over all
 anchors yields a point bijection, and evaluating T on the constants yields the
-weight, so that T f = weight * (f o sigma) on the codomain model.
+weight, so that T f = weight * (f o sigma) on the codomain model. Generator-
+basis operators are recovered through their point matrix (`as_point()`).
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 from . import linalg
 from .linalg import mat_vec
 from .cones import Certificate, OperatorModel, is_order_isomorphism
-from .spaces import DEFAULT_TOL, FunctionFamily, ZeroSet
+from .spaces import DEFAULT_TOL, ZeroSet
 
 __all__ = [
     "NotOrderIsomorphismError",
@@ -150,9 +151,10 @@ def recover_map(t: OperatorModel, tol: float = DEFAULT_TOL,
                 margin_factor: float = MARGIN_FACTOR) -> np.ndarray:
     """recover_point at every anchor, returned as an index map h[x] = y.
 
-    Point-basis fast path: the anchor-x score of codomain point y is the
-    largest |T e_j|(y) over j != x, i.e. the row maximum of |M| excluding
-    column x, so one pass over max / second-max per row covers all anchors.
+    Works on the point matrix M (`as_point()`): the anchor-x score of codomain
+    point y is the largest |T e_j|(y) over j != x, i.e. the row maximum of |M|
+    excluding column x, so one pass over max / second-max per row covers all
+    anchors.
     """
     fam = t.domain
     if not fam.is_full:
@@ -160,12 +162,10 @@ def recover_map(t: OperatorModel, tol: float = DEFAULT_TOL,
     n = fam.space.size
     if n == 1:
         return np.zeros(1, dtype=int)
-    if t.basis == "point":
-        m = t.matrix
-        if t.exact:
-            return _recover_map_exact(m)
-        return _recover_map_float(np.abs(np.asarray(m, dtype=float)), tol, margin_factor)
-    return np.array([recover_point(t, x, tol, margin_factor) for x in range(n)], dtype=int)
+    m = t.as_point().matrix
+    if t.exact:
+        return _recover_map_exact(m)
+    return _recover_map_float(np.abs(np.asarray(m, dtype=float)), tol, margin_factor)
 
 
 def _recover_map_exact(m) -> np.ndarray:
@@ -244,9 +244,10 @@ def decompose(t: OperatorModel, tol: float = DEFAULT_TOL,
         cert = is_order_isomorphism(t, tol=tol)
     if not cert.accept:
         raise NotOrderIsomorphismError(cert)
-    if not t.domain.has_constants():
+    if not (t.domain.is_full or t.domain.has_constants()):  # a full family spans them
         raise ValueError("decompose needs the domain family to contain constants")
     h = recover_map(t, tol=tol, margin_factor=margin_factor)
+    t = t.as_point()
     n = h.shape[0]
     if sorted(h.tolist()) != list(range(n)):
         raise InternalContradictionError("anchor recovery map is not a bijection")
@@ -267,39 +268,22 @@ def decompose(t: OperatorModel, tol: float = DEFAULT_TOL,
 
 
 def _representation_residual(t: OperatorModel, sigma, weight) -> float:
-    """max over generators f and codomain points y of |Tf(y) - w(y) f(sigma(y))|."""
-    gens = t.domain.generators
+    """max over indicators f and codomain points y of |Tf(y) - w(y) f(sigma(y))|:
+    the entrywise gap between the point matrix and the monomial matrix it claims."""
     sig = np.asarray(sigma, dtype=int)
-    if t.basis == "point":
-        # The generators are the indicators, so the max over them is the
-        # entrywise gap between the matrix and the monomial matrix it claims.
-        m = t.matrix
-        if t.exact:
-            worst = Fraction(0)
-            for y in range(len(sig)):
-                row, sy, wy = m[y], int(sig[y]), weight[y]
-                for j in range(len(sig)):
-                    d = row[j] - wy if j == sy else row[j]
-                    if d and abs(d) > worst:
-                        worst = abs(d)
-            return float(worst)
-        expected = np.zeros(m.shape)
-        expected[np.arange(len(sig)), sig] = np.asarray(weight, dtype=float)
-        return float(np.max(np.abs(m - expected)))
-    worst = Fraction(0) if t.exact else 0.0
-    for i in range(gens.shape[0]):
-        f = gens[i]
-        img = t.apply_values(f)
-        if t.exact:
-            for y in range(len(sig)):
-                d = abs(img[y] - weight[y] * f[sig[y]])
-                if d > worst:
-                    worst = d
-        else:
-            d = np.max(np.abs(np.asarray(img, dtype=float)
-                              - np.asarray(weight, dtype=float) * np.asarray(f, dtype=float)[sig]))
-            worst = max(worst, float(d))
-    return float(worst)
+    m = t.matrix
+    if t.exact:
+        worst = Fraction(0)
+        for y in range(len(sig)):
+            row, sy, wy = m[y], int(sig[y]), weight[y]
+            for j in range(len(sig)):
+                d = row[j] - wy if j == sy else row[j]
+                if d and abs(d) > worst:
+                    worst = abs(d)
+        return float(worst)
+    expected = np.zeros(m.shape)
+    expected[np.arange(len(sig)), sig] = np.asarray(weight, dtype=float)
+    return float(np.max(np.abs(m - expected)))
 
 
 def verify_representation(t: OperatorModel, d: Decomposition, samples: int = 32,
@@ -346,11 +330,7 @@ class NormalizedOperator:
 
 def normalize(t: OperatorModel, tol: float = DEFAULT_TOL,
               cert: Optional[Certificate] = None) -> NormalizedOperator:
-    if t.basis != "point":
-        t = OperatorModel(t.point_matrix(),
-                          domain=FunctionFamily.full(t.domain.space, exact=t.exact),
-                          codomain=FunctionFamily.full(t.codomain.space, exact=t.exact),
-                          basis="point")
+    t = t.as_point()
     if cert is None:
         cert = is_order_isomorphism(t, tol=tol)
     if not cert.accept:

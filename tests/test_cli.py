@@ -294,7 +294,7 @@ class TestDeterminism:
         _, out2, _ = _run(capsys, ["classify", op, "--seed", "7"])
         assert out1 == out2
 
-    def test_threaded_fuzz_is_deterministic(self, capsys):
+    def test_fuzz_is_deterministic(self, capsys):
         argv = ["fuzz", "--dim", "5", "--count", "32", "--seed", "11"]
         _, out1, _ = _run(capsys, argv)
         _, out2, _ = _run(capsys, argv)

@@ -4,16 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oiso.cones import (
-    Certificate,
-    ConeRep,
-    ENUMERATION_CAP,
-    OperatorModel,
-    cone_rep,
-    is_order_isomorphism,
-)
+from oiso.cones import Certificate, OperatorModel, cone_rep, is_order_isomorphism
+from oiso.fuzz import random_metric_space
 from oiso.linalg import SingularMatrixError
-from oiso.spaces import FunctionFamily, PointSpace
+from oiso.recovery import decompose
+from oiso.spaces import FunctionFamily, PointSpace, build_lipschitz_family
 
 
 def _one_t_family(ts, exact=False):
@@ -29,37 +24,51 @@ def _one_t_family(ts, exact=False):
 
 class TestConeRep:
     def test_affine_family_rays(self):
-        # {a + b t >= 0 on {0, 1/2, 1}} has extreme rays t and 1 - t
+        # {a + b t >= 0 on {0, 1/2, 1}} has extreme rays t and 1 - t: both lie
+        # in the cone, and each is zero at one point evaluation
         fam = _one_t_family([0.0, 0.5, 1.0])
         rep = cone_rep(fam)
-        assert rep.mode == "exact"
         assert rep.dim == 2
-        rays = {tuple(np.round(r, 9)) for r in rep.extreme_rays}
-        assert rays == {(0.0, 1.0), (1.0, -1.0)}
+        assert rep.extreme_rays is None
+        assert np.array_equal(rep.facet_normals, [[1.0, 0.0], [1.0, 0.5], [1.0, 1.0]])
+        for ray in ((0.0, 1.0), (1.0, -1.0)):
+            assert rep.contains(ray)
+            assert np.min(rep.facet_normals @ np.asarray(ray)) == 0.0
+        assert not rep.contains((-1.0, 1.0))
 
     def test_affine_family_rays_exact(self):
         fam = _one_t_family([Fraction(0), Fraction(1, 2), Fraction(1)], exact=True)
         rep = cone_rep(fam)
-        rays = {tuple(r) for r in rep.extreme_rays}
-        assert rays == {(Fraction(0), Fraction(1)), (Fraction(1), Fraction(-1))}
+        assert rep.facet_normals.dtype == object
+        assert rep.contains(np.array([Fraction(0), Fraction(1)], dtype=object))
+        assert rep.contains(np.array([Fraction(1), Fraction(-1)], dtype=object))
+        assert not rep.contains(np.array([Fraction(1), Fraction(-1, 1) - Fraction(1, 10**9)],
+                                         dtype=object))
 
     def test_full_family_shortcut_is_orthant_image(self):
-        # the cone of a full family is the image of the positive orthant
+        # the cone of a full family is the image of the positive orthant, and
+        # a generator-basis operator between full families is certified
+        # through its point matrix
         fam = _one_t_family([0.0, 1.0])  # rank 2 on 2 points -> full
         assert fam.is_full
         rep = cone_rep(fam)
-        rays = {tuple(np.round(r, 9)) for r in rep.extreme_rays}
-        assert rays == {(0.0, 1.0), (1.0, -1.0)}
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            v = rng.uniform(-1, 1, size=2)
+            c = np.linalg.solve(fam.generators.T, v)
+            assert rep.contains(c) == bool(np.all(v >= 0))
+        t = OperatorModel(np.eye(2), fam, fam, basis="generator")
+        assert np.allclose(t.as_point().matrix, np.eye(2))
+        assert t.as_point() is t.as_point()
 
     def test_full_indicator_family_rays_are_indicators(self):
         fam = FunctionFamily.full(PointSpace.discrete(3), exact=True)
         rep = cone_rep(fam)
-        rays = sorted(tuple(r) for r in rep.extreme_rays)
-        assert rays == [
-            (Fraction(0), Fraction(0), Fraction(1)),
-            (Fraction(0), Fraction(1), Fraction(0)),
-            (Fraction(1), Fraction(0), Fraction(0)),
-        ]
+        assert np.array_equal(rep.facet_normals, fam.generators)
+        for j in range(3):
+            e = np.array([Fraction(int(i == j)) for i in range(3)], dtype=object)
+            assert rep.contains(e)
+            assert not rep.contains(-e)
 
     def test_contains_matches_pointwise_nonnegativity(self):
         fam = _one_t_family([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -72,10 +81,10 @@ class TestConeRep:
 
     def test_conic_hull_of_rays_equals_cone(self):
         # 2-d cross-check: c is in the cone iff it is a nonnegative
-        # combination of the two extreme rays
+        # combination of the two extreme rays t and 1 - t
         fam = _one_t_family([0.0, 0.5, 1.0])
         rep = cone_rep(fam)
-        rays = np.asarray(rep.extreme_rays, dtype=float)
+        rays = np.array([[0.0, 1.0], [1.0, -1.0]])
         rng = np.random.default_rng(11)
         for _ in range(200):
             c = rng.uniform(-2, 2, size=2)
@@ -83,23 +92,11 @@ class TestConeRep:
             hull = bool(np.all(ab >= -1e-9))
             assert rep.contains(c) == hull
 
-    def test_lp_mode_past_cap(self):
-        fam = _one_t_family([0.0, 0.5, 1.0])
-        rep = cone_rep(fam, cap=1)
-        assert rep.mode == "lp"
-        assert rep.extreme_rays is None
-        assert rep.facet_normals.shape[1] == 2
-
     def test_deterministic(self):
         fam = _one_t_family([0.0, 0.3, 0.7, 1.0])
-        r1 = cone_rep(fam)
-        r2 = cone_rep(fam)
-        assert np.array_equal(r1.extreme_rays, r2.extreme_rays)
-        assert np.array_equal(r1.facet_normals, r2.facet_normals)
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ConeRep(np.eye(2), None, "guess")
+        assert np.array_equal(cone_rep(fam).facet_normals, cone_rep(fam).facet_normals)
+        t = OperatorModel(np.array([[1.0, 0.5], [0.0, 1.0]]), fam, fam, basis="generator")
+        assert is_order_isomorphism(t) == is_order_isomorphism(t)
 
 
 class TestOperatorModel:
@@ -225,28 +222,6 @@ class TestCertificateGeneratorBasis:
         img = t.image_values(np.asarray(cert.witness_coeffs))
         assert float(np.min(np.asarray(img, dtype=float))) < 0
 
-    def test_lp_fallback_agrees_on_accept(self):
-        fam = _one_t_family([0.0, 0.5, 1.0])
-        t = OperatorModel(np.eye(2), fam, fam, basis="generator")
-        cert = is_order_isomorphism(t, cap=1)
-        assert cert.accept
-        assert cert.mode == "lp"
-
-    def test_lp_fallback_agrees_on_reject(self):
-        fam = _one_t_family([0.0, 0.5, 1.0])
-        t = OperatorModel(np.array([[1.0, 0.5], [0.0, 1.0]]), fam, fam,
-                          basis="generator")
-        cert = is_order_isomorphism(t, cap=1)
-        assert not cert.accept
-        assert cert.mode == "lp"
-        # LP witness lies in the source cone and maps negative at the point
-        side_fam = t.domain if cert.side == "domain" else t.codomain
-        w = np.asarray(cert.witness_coeffs, dtype=float)
-        assert np.all(side_fam.values(w) >= -1e-7)
-        op = t if cert.side == "domain" else t.inverse()
-        img = np.asarray(op.image_values(w), dtype=float)
-        assert img[cert.point] < 0
-
     def test_scaling_accepted(self):
         # (a, b) -> (2a, 2b) preserves nonnegativity both ways
         fam = _one_t_family([0.0, 0.5, 1.0])
@@ -255,10 +230,167 @@ class TestCertificateGeneratorBasis:
 
 
 class TestCap:
-    def test_default_cap_value(self):
-        assert ENUMERATION_CAP == 12
-
     def test_certificate_is_frozen(self):
         cert = Certificate(accept=True, mode="exact", arithmetic="float")
         with pytest.raises(AttributeError):
             cert.accept = False
+
+
+# ----------------------------------------------------------------------------
+# Farkas certificate on generator bases, checked against numpy / Fraction
+# arithmetic written here rather than against oiso's cone code.
+
+def _as_mode(m, exact):
+    if exact:
+        return np.array([[Fraction(x.item() if isinstance(x, np.generic) else x) for x in row]
+                         for row in np.asarray(m)], dtype=object)
+    return np.asarray(m, dtype=float)
+
+
+def _assert_witness(cert, g_dom, g_cod, m, m_inv, exact):
+    """The witness lies in the source cone and its image under T (side
+    "domain") or T^-1 (side "codomain") is negative at `point`."""
+    src, dst, op = ((g_dom, g_cod, m) if cert.side == "domain" else (g_cod, g_dom, m_inv))
+    c = list(cert.witness_coeffs)
+    k, n_src = len(src), len(src[0])
+    values = [sum(c[i] * src[i][x] for i in range(k)) for x in range(n_src)]
+    image_coeffs = [sum(op[i][j] * c[j] for j in range(k)) for i in range(k)]
+    image = [sum(image_coeffs[i] * dst[i][y] for i in range(k)) for y in range(len(dst[0]))]
+    if exact:
+        assert all(isinstance(v, Fraction) for v in cert.witness_values)
+        assert list(cert.witness_values) == values
+        assert min(values) >= 0 and any(values)
+        assert image[cert.point] < 0
+    else:
+        scale = max(1.0, max(abs(float(v)) for v in values))
+        assert np.allclose(cert.witness_values, values, atol=1e-12)
+        assert min(values) >= -1e-9 * scale and max(values) > 0
+        assert image[cert.point] < -1e-9
+
+
+def _grid_identity(ts, exact):
+    fam = _one_t_family([Fraction(t) for t in ts] if exact else ts, exact=exact)
+    return OperatorModel(_as_mode(np.eye(2, dtype=int), exact), fam, fam, basis="generator")
+
+
+class TestFarkasGeneratorBasis:
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_identity_on_span_1_t_over_1_2_accepted(self, exact):
+        # full family whose extreme ray t - 1 has a negative first
+        # coefficient: normalizing rays like lines turns it into 1 - t
+        t = _grid_identity([1, 2], exact)
+        assert t.domain.is_full
+        cert = is_order_isomorphism(t)
+        assert cert.accept
+        assert cert.arithmetic == ("rational" if exact else "float")
+        d = decompose(t)
+        assert d.sigma == (0, 1)
+        assert [float(w) for w in d.weight] == [1.0, 1.0]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_identity_on_span_1_t_over_1_2_3_accepted(self, exact):
+        t = _grid_identity([1, 2, 3], exact)
+        assert not t.domain.is_full
+        cert = is_order_isomorphism(t)
+        assert cert.accept
+        assert cert.mode == "exact"
+        assert cert.arithmetic == ("rational" if exact else "float")
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_shear_rejected_on_same_inputs(self, exact):
+        # the inputs of the former LP-fallback tests: identity accepted,
+        # shear (a, b) -> (a + b/2, b) rejected with a checked witness
+        fam = _one_t_family([Fraction(0), Fraction(1, 2), Fraction(1)] if exact
+                            else [0.0, 0.5, 1.0], exact=exact)
+        eye = _as_mode([[1, 0], [0, 1]], exact)
+        assert is_order_isomorphism(OperatorModel(eye, fam, fam, basis="generator")).accept
+        shear = _as_mode([[1, Fraction(1, 2)], [0, 1]], exact)
+        t = OperatorModel(shear, fam, fam, basis="generator")
+        cert = is_order_isomorphism(t)
+        assert not cert.accept
+        assert cert.mode == "exact"
+        _assert_witness(cert, fam.generators, fam.generators, shear, t.inverse_matrix, exact)
+
+
+def _unimodular(rng, k):
+    while True:
+        lower = np.tril(rng.integers(-1, 2, size=(k, k)) * (rng.random((k, k)) < 0.3), -1)
+        upper = np.triu(rng.integers(-1, 2, size=(k, k)) * (rng.random((k, k)) < 0.3), 1)
+        b = (lower + np.eye(k, dtype=np.int64)) @ (upper + np.eye(k, dtype=np.int64))
+        if np.linalg.cond(b) <= 1e3:
+            return b, np.rint(np.linalg.inv(b)).astype(np.int64)
+
+
+def _int_generators(rng, k, m):
+    while True:
+        g = np.vstack([np.ones((1, m), dtype=np.int64), rng.integers(-3, 4, size=(k - 1, m))])
+        if np.linalg.matrix_rank(g) == k:
+            return g
+
+
+def _generators(rng, kind, k, m):
+    if kind == "lipschitz":
+        fam = build_lipschitz_family(random_metric_space(rng, max_points=m, min_points=m))
+        return fam.generators
+    return _int_generators(rng, k, m)
+
+
+# (family, rank, points): full integer and Lipschitz families, and proper
+# subfamilies of rank 3-5 and 13
+CONSTRUCTIONS = [("int", 3, 3), ("int", 5, 5), ("lipschitz", 4, 4), ("lipschitz", 6, 6),
+                 ("int", 3, 7), ("int", 4, 9), ("int", 5, 8), ("int", 13, 16)]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("kind,k,m", CONSTRUCTIONS)
+def test_weighted_composition_construction(kind, k, m, exact):
+    """Codomain generators B (g o sigma) diag(w) with B unimodular and matrix
+    B^-T give T f = w (f o sigma): accepted for w > 0, with sigma and w
+    recovered on full families, and rejected when one weight is negative."""
+    rng = np.random.default_rng(1000 * k + m + (7 if exact else 0))
+    g = _as_mode(_generators(rng, kind, k, m), exact)
+    b, b_inv = _unimodular(rng, k)
+    sigma = rng.permutation(m)
+    if exact:
+        weight = [Fraction(int(v)) for v in rng.integers(1, 6, size=m)]
+    else:
+        weight = [float(v) for v in np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=m))]
+    for y0 in (None, int(rng.integers(m))):
+        w = list(weight)
+        if y0 is not None:
+            w[y0] = -w[y0]
+        h = np.array([[g[i, sigma[y]] * w[y] for y in range(m)] for i in range(k)],
+                     dtype=object if exact else float)
+        g_cod = _as_mode(b, exact) @ h
+        matrix = _as_mode(b_inv.T, exact)
+        dom = FunctionFamily(PointSpace.discrete(m, "x"), g)
+        cod = FunctionFamily(PointSpace.discrete(m, "y"), g_cod)
+        t = OperatorModel(matrix, dom, cod, basis="generator")
+        cert = is_order_isomorphism(t)
+        assert cert.arithmetic == ("rational" if exact else "float")
+        assert cert.mode == "exact"
+        if y0 is not None:
+            assert not cert.accept
+            _assert_witness(cert, g, g_cod, matrix, _as_mode(b.T, exact), exact)
+            continue
+        assert cert.accept
+        if k == m:
+            d = decompose(t, cert=cert)
+            assert d.sigma == tuple(int(s) for s in sigma)
+            if exact:
+                assert list(d.weight) == w
+            else:
+                assert np.allclose(d.weight_array(), w, rtol=1e-9, atol=0.0)
+
+
+def test_exact_rank_13_proper_subfamily_stays_rational():
+    rng = np.random.default_rng(13)
+    g = _as_mode(_int_generators(rng, 13, 15), True)
+    fam = FunctionFamily(PointSpace.discrete(15), g)
+    eye = _as_mode(np.eye(13, dtype=int), True)
+    for matrix, accept in ((eye, True), (-eye, False)):
+        cert = is_order_isomorphism(OperatorModel(matrix, fam, fam, basis="generator"))
+        assert cert.accept is accept
+        assert cert.arithmetic == "rational"
+        if not accept:
+            _assert_witness(cert, g, g, matrix, matrix, True)
