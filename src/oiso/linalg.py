@@ -19,14 +19,12 @@ __all__ = [
     "mat_vec",
     "mat_mat",
     "exact_inv",
-    "exact_solve",
     "exact_rank",
     "exact_solve_unique",
     "exact_nullspace",
     "float_nullspace",
     "rank",
     "inv",
-    "solve",
 ]
 
 
@@ -110,17 +108,9 @@ def mat_mat(a, b):
 def exact_inv(a) -> np.ndarray:
     """Gauss-Jordan inverse over the rationals. Raises SingularMatrixError."""
     n = a.shape[0]
-    return exact_solve(a, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
-
-def exact_solve(a, b) -> np.ndarray:
-    """Gauss-Jordan solution X of a @ X = b over the rationals, for square `a`
-    and a matrix `b`. Raises SingularMatrixError."""
-    n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
-    aug = [list(a[i]) + list(b[i]) for i in range(n)]
-    width = len(aug[0]) if n else 0
+    aug = [list(a[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = None
         for r in range(col, n):
@@ -141,7 +131,7 @@ def exact_solve(a, b) -> np.ndarray:
             f = aug[r][col]
             if f:
                 row = aug[r]
-                for j in range(col, width):
+                for j in range(col, 2 * n):
                     if prow[j]:
                         row[j] -= f * prow[j]
     return np.array([row[n:] for row in aug], dtype=object)
@@ -256,19 +246,9 @@ def rank(a, tol: float = 1e-10) -> int:
 def inv(a):
     if is_exact(a):
         return exact_inv(a)
-    return _float_solve(np.linalg.inv, a)
-
-
-def solve(a, b):
-    """X with a @ X = b, for square `a` and a matrix `b`."""
-    if is_exact(a) or is_exact(b):
-        return exact_solve(a, b)
-    return _float_solve(np.linalg.solve, a, b)
-
-
-def _float_solve(fn, *args):
+    a = np.asarray(a, dtype=float)
     try:
-        out = fn(*(np.asarray(x, dtype=float) for x in args))
+        out = np.linalg.inv(a)
     except np.linalg.LinAlgError as e:
         raise SingularMatrixError(str(e)) from e
     if not np.all(np.isfinite(out)):

@@ -67,6 +67,17 @@ class TestDecompose:
         assert rep["result"]["weight"] == ["1/2", "3"]
         assert rep["result"]["arithmetic"] == "rational"
 
+    def test_exact_generator_basis_sees_1e_12_violation(self, tmp_path, capsys):
+        # span{1, t} on {0, 1/2, 1}: the shear maps 1 - t to -10^-12 at t = 1
+        fam = {"space": ["x0", "x1", "x2"], "generators": [[1, 1, 1], [0, "1/2", 1]]}
+        op = _write(tmp_path, "op.json", {"basis": "generator", "domain": fam, "codomain": fam,
+                                          "matrix": [[1, "1/1000000000000"], [0, 1]]})
+        code, out, _ = _run(capsys, ["decompose", op, "--mode", "exact"])
+        assert code == EXIT_REJECTED
+        cert = _report(out)["result"]["certificate"]
+        assert cert["witness"] == ["1", "1/2", "0"]
+        assert (cert["witness_side"], cert["witness_point"]) == ("domain", 2)
+
     def test_exact_mode_refuses_float_entries(self, tmp_path, capsys):
         op = _write(tmp_path, "op.json", {"matrix": [[0.5, 0], [0, 1]]})
         code, out, err = _run(capsys, ["decompose", op, "--mode", "exact"])

@@ -312,6 +312,26 @@ class TestFarkasGeneratorBasis:
         _assert_witness(cert, fam.generators, fam.generators, shear, t.inverse_matrix, exact)
 
 
+    @pytest.mark.parametrize("tol", [1e-9, 0.5])
+    def test_exact_decision_sees_1e_12_and_reads_no_tol(self, tol):
+        # each case sits inside HiGHS's feasibility tolerances; the rational
+        # decision is made all the same, and `tol` does not change it
+        fam = _one_t_family([Fraction(0), Fraction(1, 2), Fraction(1)], exact=True)
+        eps = Fraction(1, 10**12)
+        cases = (([[1, eps], [0, 1]], "domain"),  # 1 - t maps to -eps at t = 1
+                 ([[1, 0], [0, 1 - eps]], "codomain"),  # the inverse stretches t
+                 ([[eps, 0], [0, eps]], None))  # accepted with multipliers eps
+        for rows, side in cases:
+            m = _as_mode(rows, True)
+            t = OperatorModel(m, fam, fam, basis="generator")
+            cert = is_order_isomorphism(t, tol=tol)
+            assert cert.arithmetic == "rational"
+            assert cert.accept is (side is None)
+            if side is not None:
+                assert cert.side == side
+                _assert_witness(cert, fam.generators, fam.generators, m, t.inverse_matrix, True)
+
+
 def _unimodular(rng, k):
     while True:
         lower = np.tril(rng.integers(-1, 2, size=(k, k)) * (rng.random((k, k)) < 0.3), -1)
