@@ -21,7 +21,7 @@ from .adequacy import (
     check_adequate,
     clamp,
 )
-from .classify import ClassificationReport, NotAnIsometryError, classify, isometry_reduce
+from .classify import ClassificationReport, classify, isometry_reduce
 from .compactify import (
     AmbiguousBoundaryError,
     BoundaryDecomposition,
@@ -108,7 +108,6 @@ __all__ = [
     "LocalForm",
     "NonconvergentNetError",
     "NormalizedOperator",
-    "NotAnIsometryError",
     "NotOrderIsomorphismError",
     "OperatorModel",
     "PointSpace",

@@ -86,9 +86,9 @@ def _cmd_decompose(args):
 def _cmd_classify(args):
     doc = load_json(args.operator)
     t = parse_operator(doc, args.mode)
-    rep = classify(t, samples=args.samples, seed=args.seed, tol=args.tol)
+    rep = classify(t, tol=args.tol)
     inputs = {"operator": _input_echo(args.operator)}
-    settings = _common_settings(args, "mode", "tol", "samples", "seed")
+    settings = _common_settings(args, "mode", "tol")
     code = EXIT_OK if rep.kind != "rejected" else EXIT_REJECTED
     return rep.to_json_dict(), code, inputs, settings
 
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify",
                        help="decide which classical isomorphism classes an operator lands in")
     p.add_argument("operator", help="operator JSON file")
-    add_common(p, seed=True, samples=True)
+    add_common(p)
     p.set_defaults(func=_cmd_classify, command_path="classify")
 
     p = sub.add_parser("adequacy",
@@ -367,7 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse exits 0 after --help/--version, 2 on a usage error
+        return EXIT_USAGE if e.code else EXIT_OK
     started = time.perf_counter()
     try:
         result, code, inputs, settings = args.func(args)

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .linalg import SingularMatrixError, mat_mat, mat_vec
+from .linalg import mat_mat, mat_vec
 from .spaces import DEFAULT_TOL, DimensionMismatchError, FunctionFamily, values_of
 
 __all__ = [
@@ -103,16 +103,8 @@ class OperatorModel:
         self.basis = basis
         self.domain = domain
         self.codomain = codomain
-        self._inv_matrix = None
+        self._inv_matrix = linalg.inv(m)  # raises SingularMatrixError
         self._point = None
-        if exact:
-            self._inv_matrix = linalg.exact_inv(m)  # raises if singular
-            self.condition = float("nan")
-        else:
-            self.condition = float(np.linalg.cond(m))
-            if not np.isfinite(self.condition):
-                raise SingularMatrixError("operator matrix is numerically singular")
-            self._inv_matrix = linalg.inv(m)
 
     @property
     def exact(self) -> bool:
@@ -373,8 +365,9 @@ def _rational_farkas(a, b_y):
     m, k = a.shape
     zero, one = Fraction(0), Fraction(1)
     sign = [-1 if v < 0 else 1 for v in b_y]
-    rows = [[sign[i] * v for v in a[:, i]] + [one if r == i else zero for r in range(k)]
-            + [sign[i] * b_y[i]] for i in range(k)]
+    rows = [[Fraction(sign[i] * v) for v in a[:, i]]
+            + [one if r == i else zero for r in range(k)] + [sign[i] * b_y[i]]
+            for i in range(k)]
     # reduced costs of min sum(s) in the basis s; the last entry is -sum(s)
     obj = [-sum(col) for col in zip(*rows)]
     obj[m:m + k] = [zero] * k

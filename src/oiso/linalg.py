@@ -1,8 +1,9 @@
 """Dual-mode linear algebra: float64 via numpy, exact rationals via Fraction.
 
-Exact matrices are numpy object arrays holding fractions.Fraction entries.
-The elimination routines skip zero multipliers, so sparse inputs (weighted
-permutations in particular) stay cheap.
+Exact matrices are numpy object arrays holding fractions.Fraction entries
+(Python ints are accepted and promoted to Fraction before any division). The
+elimination routines skip zero multipliers; weighted permutations (monomial
+matrices) skip elimination altogether in `rank` and `inv`.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ __all__ = [
     "exact_solve_unique",
     "exact_nullspace",
     "float_nullspace",
+    "monomial",
     "rank",
     "inv",
 ]
@@ -110,36 +112,19 @@ def exact_inv(a) -> np.ndarray:
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
-    aug = [list(a[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise SingularMatrixError("matrix is singular in exact arithmetic")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        if pv != 1:
-            aug[col] = [x / pv for x in aug[col]]
-        prow = aug[col]
-        for r in range(n):
-            if r == col:
-                continue
-            f = aug[r][col]
-            if f:
-                row = aug[r]
-                for j in range(col, 2 * n):
-                    if prow[j]:
-                        row[j] -= f * prow[j]
-    return np.array([row[n:] for row in aug], dtype=object)
+    aug = [list(a[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    rref, pivots = _exact_rref(aug)
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrixError("matrix is singular in exact arithmetic")
+    return np.array([row[n:] for row in rref], dtype=object)
 
 
 def _exact_rref(rows):
-    """Reduced row echelon form over the rationals; returns (rref, pivot_cols)."""
-    mat = [list(r) for r in rows]
+    """Reduced row echelon form over the rationals; returns (rref, pivot_cols).
+
+    Every entry is promoted to Fraction first, so int input divides exactly.
+    """
+    mat = [[Fraction(x) for x in r] for r in rows]
     m = len(mat)
     n = len(mat[0]) if m else 0
     pivots = []
@@ -234,23 +219,56 @@ def float_nullspace(a, tol: float = 1e-10) -> list:
     return [vt[i] for i in range(vt.shape[0]) if null_mask[i]]
 
 
+def monomial(a):
+    """Read a square matrix as a weighted permutation: exactly one nonzero
+    entry per row, in distinct columns. Returns (columns, entries), with
+    entries[y] = a[y, columns[y]], or None when `a` is not monomial."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return None
+    rows, cols = np.nonzero(a)
+    n = a.shape[0]
+    if rows.shape[0] != n or np.any(rows != np.arange(n)) or np.any(
+            np.bincount(cols, minlength=n) != 1):
+        return None
+    return cols, a[rows, cols]
+
+
 def rank(a, tol: float = 1e-10) -> int:
+    """Rank of `a`; in float mode singular values up to
+    tol * max(shape) * max(1, max|a|) count as zero. A monomial matrix's
+    singular values are its entries' magnitudes, so it is read, not factored."""
     if is_exact(a):
-        return exact_rank(a)
+        return a.shape[0] if monomial(a) is not None else exact_rank(a)
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return 0
-    return int(np.linalg.matrix_rank(a, tol=tol * max(a.shape) * max(1.0, float(np.abs(a).max()))))
+    cutoff = tol * max(a.shape) * max(1.0, float(np.abs(a).max()))
+    read = monomial(a)
+    if read is not None:
+        return int(np.count_nonzero(np.abs(read[1]) > cutoff))
+    return int(np.linalg.matrix_rank(a, tol=cutoff))
 
 
 def inv(a):
-    if is_exact(a):
+    """Inverse in the matrix's own arithmetic. A monomial matrix's inverse is
+    its transpose with reciprocal entries; any other goes through elimination
+    (exact) or LU (float). Raises SingularMatrixError."""
+    exact = is_exact(a)
+    if not exact:
+        a = np.asarray(a, dtype=float)
+    read = monomial(a)
+    if read is not None:
+        cols, entries = read
+        out = zeros_like_mode(a.shape, exact)
+        out[cols, np.arange(len(cols))] = (
+            [Fraction(1) / e for e in entries] if exact else 1.0 / entries)
+    elif exact:
         return exact_inv(a)
-    a = np.asarray(a, dtype=float)
-    try:
-        out = np.linalg.inv(a)
-    except np.linalg.LinAlgError as e:
-        raise SingularMatrixError(str(e)) from e
-    if not np.all(np.isfinite(out)):
+    else:
+        try:
+            out = np.linalg.inv(a)
+        except np.linalg.LinAlgError as e:
+            raise SingularMatrixError(str(e)) from e
+    if not exact and not np.all(np.isfinite(out)):
         raise SingularMatrixError("inverse overflow; matrix numerically singular")
     return out

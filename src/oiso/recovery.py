@@ -164,27 +164,17 @@ def recover_map(t: OperatorModel, tol: float = DEFAULT_TOL,
         return np.zeros(1, dtype=int)
     m = t.as_point().matrix
     if t.exact:
-        return _recover_map_exact(m)
-    return _recover_map_float(np.abs(np.asarray(m, dtype=float)), tol, margin_factor)
-
-
-def _recover_map_exact(m) -> np.ndarray:
-    # anchor x sees codomain point y iff every nonzero of row y sits in column x,
-    # so only rows with a single nonzero ever match, bucketed by that column
-    n = m.shape[0]
-    buckets = [[] for _ in range(n)]
-    for y in range(n):
-        nz = [j for j in range(n) if m[y, j]]
-        if len(nz) == 1:
-            buckets[nz[0]].append(y)
-    h = np.empty(n, dtype=int)
-    for x in range(n):
-        hits = buckets[x]
-        if len(hits) != 1:
+        # anchor x sees codomain point y iff every nonzero of row y sits in
+        # column x, so every anchor sees exactly one point iff M is monomial
+        read = linalg.monomial(m)
+        if read is None:
             raise AmbiguousIntersectionError(
-                f"zero-set intersection has {len(hits)} points, expected 1")
-        h[x] = hits[0]
-    return h
+                "some zero-set intersection is not a single point: "
+                "the point matrix is not monomial")
+        h = np.empty(n, dtype=int)
+        h[read[0]] = np.arange(n)
+        return h
+    return _recover_map_float(np.abs(np.asarray(m, dtype=float)), tol, margin_factor)
 
 
 def _recover_map_float(absm: np.ndarray, tol: float, margin_factor: float) -> np.ndarray:

@@ -2,18 +2,17 @@
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from oiso.classify import (
-    NotAnIsometryError,
     algebra_check,
     classify,
     isometry_reduce,
     lattice_check,
 )
-from oiso.cones import OperatorModel
+from oiso.cones import OperatorModel, is_order_isomorphism
 from oiso.fuzz import (
     random_monomial,
+    random_nonneg_nonmonomial,
     random_permutation_operator,
     random_signed_monomial,
     spawn_generators,
@@ -37,14 +36,21 @@ class TestIsometryReduce:
 
     def test_non_unimodular_weight_refused(self):
         t = _point_op([[0.0, 2.0], [3.0, 0.0]])
-        with pytest.raises(NotAnIsometryError, match=r"\|T\(1\)\|"):
-            isometry_reduce(t)
+        assert isometry_reduce(t) is None
+        assert classify(t).evidence[0] == {
+            "screen": "isometry", "passed": False,
+            "detail": "|T(1)| differs from 1 by 2.000e+00 at point 1"}
 
     def test_sup_norm_violation_refused(self):
-        # T(1) = (1, 1) but the operator inflates sup norms
+        # T(1) = (1, 1) but the operator inflates sup norms: the reduced
+        # operator (T itself) fails the cone test
         t = _point_op([[2.0, -1.0], [-1.0, 2.0]])
-        with pytest.raises(NotAnIsometryError, match="sup norm"):
-            isometry_reduce(t)
+        g, reduced = isometry_reduce(t)
+        assert not is_order_isomorphism(reduced).accept
+        assert not _sup_norm_oracle(t)
+        rep = classify(t)
+        assert rep.kind == "rejected"
+        assert rep.evidence[0]["detail"] == "reduced operator failed the cone test"
 
     def test_exact_mode(self):
         m = np.array([[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]],
@@ -181,3 +187,169 @@ class TestReportJson:
         doc = classify(_point_op([[0.0, -1.0], [1.0, 0.0]])).to_json_dict()
         assert doc["kind"] == "isometry"
         assert doc["unimodular_sign"] == [-1.0, 1.0]
+
+
+class TestClosedFormRegressions:
+    def test_tiny_shear_is_algebra_iso(self):
+        # the sampled screens made this lattice-iso, isometry or algebra-iso
+        # depending on the seed and the sample count
+        rep = classify(_point_op([[1.0, 2e-10], [0.0, 1.0]]))
+        assert rep.kind == "algebra-iso"
+        assert all(e["passed"] for e in rep.evidence)
+        assert rep.unimodular_sign == (1.0 + 2e-10, 1.0)
+
+    def test_accepted_near_monomials_never_isometry_or_rejected(self):
+        tol = 1e-9
+        accepted = 0
+        for rng in spawn_generators(41, 60):
+            n = int(rng.integers(2, 17))
+            make = random_permutation_operator if rng.integers(2) else random_monomial
+            t, sigma, _ = make(rng, n)
+            m = np.array(t.matrix, dtype=float)
+            for _ in range(int(rng.integers(1, n + 1))):
+                y, x = int(rng.integers(n)), int(rng.integers(n))
+                if x != int(sigma[y]):
+                    m[y, x] = rng.uniform(-tol / 2, tol / 2)
+            t = OperatorModel(m, t.domain, t.codomain)
+            if not is_order_isomorphism(t, tol=tol).accept:
+                continue
+            accepted += 1
+            rep = classify(t, tol=tol)
+            assert rep.kind in ("lattice-iso", "algebra-iso")
+            assert rep.decomposition.sigma == tuple(int(s) for s in sigma)
+        assert accepted >= 30
+
+    def test_evidence_has_one_shape(self):
+        for m in ([[0.0, 1.0], [1.0, 0.0]], [[0.0, 2.0], [3.0, 0.0]],
+                  [[0.0, -1.0], [1.0, 0.0]], [[1.0, 1.0], [0.0, 1.0]]):
+            for e in classify(_point_op(m)).evidence:
+                assert set(e) == {"screen", "passed", "detail"}
+                assert e["passed"] == (e["detail"] == "")
+
+
+# --------------------------------------------------------- reference screens
+# The sampled screens classify ran before it decided in closed form, kept as
+# oracles: on exact instances every closed-form verdict must agree with them.
+
+def _sample_vectors(rng, n, exact, count):
+    for _ in range(count):
+        if exact:
+            ints = rng.integers(-9, 10, size=n)
+            yield np.array([Fraction(int(x)) for x in ints], dtype=object)
+        else:
+            yield rng.standard_normal(n)
+
+
+def _sup_norm_oracle(t, samples=64, seed=0, tol=1e-9) -> bool:
+    """|T(1)| = 1 at every point and sup norms preserved on sampled functions."""
+    t = t.as_point()
+    g = t.apply_values(t.domain.ones())
+    if t.exact and any(abs(x) != 1 for x in g):
+        return False
+    if not t.exact and np.max(np.abs(np.abs(g) - 1.0)) > tol:
+        return False
+    rng = np.random.default_rng(seed)
+    for v in _sample_vectors(rng, t.size, t.exact, samples):
+        lhs = max(abs(x) for x in t.apply_values(v))
+        rhs = max(abs(x) for x in v)
+        if (lhs != rhs) if t.exact else abs(lhs - rhs) > tol * max(1.0, rhs):
+            return False
+    return True
+
+
+def _lattice_residual(t, samples=64, seed=0) -> float:
+    """Worst |(|Tf|) - T(|f|)| over indicators and sampled sign patterns."""
+    t = t.as_point()
+    n = t.size
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    probes = [np.eye(n)[j] for j in range(n)]
+    probes += list(_sample_vectors(rng, n, False, samples))
+    probes += [rng.choice([-1.0, 1.0], size=n) for _ in range(min(samples, 4 * n))]
+    mat = np.asarray(t.matrix, dtype=float) if not t.exact else None
+    for v in probes:
+        if t.exact:
+            fv = np.array([Fraction(x) for x in np.round(v * 8).astype(int)], dtype=object)
+            lhs = np.array([abs(x) for x in t.apply_values(fv)], dtype=object)
+            rhs = t.apply_values(np.array([abs(x) for x in fv], dtype=object))
+            res = float(max(abs(a - b) for a, b in zip(lhs, rhs)))
+        else:
+            res = float(np.max(np.abs(np.abs(mat @ v) - mat @ np.abs(v))))
+        worst = max(worst, res)
+    return worst
+
+
+def _algebra_residual(t, samples=64, seed=0) -> float:
+    """Worst violation of T1 = 1 and T(fg) = Tf Tg over all basis pairs
+    (the full bilinear identity) and sampled pairs."""
+    t = t.as_point()
+    n = t.size
+    if t.exact:
+        one = t.apply_values(t.domain.ones())
+        worst = float(max(abs(x - 1) for x in one))
+        cols = [t.apply_values(np.array([Fraction(int(i == j)) for i in range(n)],
+                                        dtype=object)) for j in range(n)]
+        for i in range(n):
+            for j in range(n):
+                prod = np.array([cols[i][y] * cols[j][y] for y in range(n)], dtype=object)
+                expect = cols[i] if i == j else np.array([Fraction(0)] * n, dtype=object)
+                worst = max(worst, float(max(abs(a - b) for a, b in zip(prod, expect))))
+        return worst
+    mat = np.asarray(t.matrix, dtype=float)
+    worst = float(np.max(np.abs(mat @ np.ones(n) - 1.0)))
+    for i in range(n):
+        for j in range(n):
+            expect = mat[:, i] if i == j else 0.0
+            worst = max(worst, float(np.max(np.abs(mat[:, i] * mat[:, j] - expect))))
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        f, g = rng.standard_normal(n), rng.standard_normal(n)
+        worst = max(worst, float(np.max(np.abs(mat @ (f * g) - (mat @ f) * (mat @ g)))))
+    return worst
+
+
+def _oracle_kind(t) -> str:
+    """The sampled kind ladder: algebra > lattice > isometry > order-iso-only."""
+    accept = is_order_isomorphism(t).accept
+    if accept and _algebra_residual(t) == 0:
+        return "algebra-iso"
+    if accept and _lattice_residual(t) == 0:
+        return "lattice-iso"
+    if _sup_norm_oracle(t):
+        return "isometry"
+    return "order-iso-only" if accept else "rejected"
+
+
+def _row_stochastic(rng, n):
+    """A nonnegative non-monomial with T(1) = 1: a non-isometry that only the
+    sup-norm samples (not |T(1)|) refuse."""
+    m = random_nonneg_nonmonomial(rng, n).matrix
+    m = np.array([[x / sum(row) for x in row] for row in m], dtype=object)
+    dom = FunctionFamily.full(PointSpace.discrete(n, "x"), exact=True)
+    return OperatorModel(m, dom, FunctionFamily.full(PointSpace.discrete(n, "y"), exact=True))
+
+
+class TestClosedFormMatchesSampledScreens:
+    def test_exact_instances(self):
+        makers = {
+            "positive monomial": lambda rng, n: random_monomial(rng, n, exact=True)[0],
+            "signed monomial": lambda rng, n: random_signed_monomial(rng, n, exact=True)[0],
+            "signed weights": lambda rng, n: random_monomial(
+                rng, n, exact=True, signs=-np.ones(n))[0],
+            "permutation": lambda rng, n: random_permutation_operator(rng, n, exact=True)[0],
+            "nonneg nonmonomial": lambda rng, n: random_nonneg_nonmonomial(rng, n),
+            "row stochastic": _row_stochastic,
+        }
+        kinds = set()
+        for n, rng in zip(range(2, 13), spawn_generators(17, 11)):
+            for name, make in makers.items():
+                t = make(rng, n)
+                red = isometry_reduce(t)
+                iso = red is not None and is_order_isomorphism(red[1]).accept
+                assert iso == _sup_norm_oracle(t), (name, n)
+                assert lattice_check(t) == (_lattice_residual(t) == 0), (name, n)
+                assert algebra_check(t) == (_algebra_residual(t) == 0), (name, n)
+                kind = classify(t).kind
+                assert kind == _oracle_kind(t), (name, n)
+                kinds.add(kind)
+        assert kinds == {"algebra-iso", "lattice-iso", "isometry", "rejected"}

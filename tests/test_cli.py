@@ -119,6 +119,23 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "error:" in err
 
+    def test_parser_errors_exit_usage(self, tmp_path, capsys):
+        op = _write(tmp_path, "op.json", {"matrix": [[0, 1], [1, 0]]})
+        for argv in (["classify", op, "--bogus"], ["decompose"], [],
+                     ["classify", op, "--seed", "7"], ["classify", op, "--samples", "16"],
+                     ["decompose", op, "--mode", "rational"]):
+            code, out, err = _run(capsys, argv)
+            assert (code, out) == (EXIT_USAGE, ""), argv
+            assert "error:" in err
+
+    def test_help_and_version_exit_ok(self, capsys):
+        code, out, _ = _run(capsys, ["--help"])
+        assert code == EXIT_OK and out.startswith("usage: oiso")
+        code, out, _ = _run(capsys, ["classify", "--help"])
+        assert code == EXIT_OK and "--seed" not in out and "--samples" not in out
+        code, out, _ = _run(capsys, ["--version"])
+        assert code == EXIT_OK and out.startswith("oiso ")
+
     def test_fuzz_flag_validation(self, capsys):
         assert _run(capsys, ["fuzz", "--dim", "0", "--count", "1"])[0] == EXIT_USAGE
         assert _run(capsys, ["fuzz", "--dim", "2", "--count", "0"])[0] == EXIT_USAGE
@@ -152,6 +169,14 @@ class TestClassify:
         rep = _report(out)
         assert rep["result"]["kind"] == "isometry"
         assert rep["result"]["unimodular_sign"] == [-1.0, 1.0]
+
+    def test_settings_carry_no_sampling(self, tmp_path, capsys):
+        op = _write(tmp_path, "op.json", {"matrix": [[1, 2e-10], [0, 1]]})
+        code, out, _ = _run(capsys, ["classify", op])
+        rep = _report(out)
+        assert code == EXIT_OK
+        assert rep["settings"] == {"mode": "float", "tol": 1e-9}
+        assert rep["result"]["kind"] == "algebra-iso"
 
 
 class TestAdequacy:
@@ -301,8 +326,8 @@ class TestFuzz:
 class TestDeterminism:
     def test_same_seed_same_bytes(self, tmp_path, capsys):
         op = _write(tmp_path, "op.json", {"matrix": [[0, 2], [3, 0]]})
-        _, out1, _ = _run(capsys, ["classify", op, "--seed", "7"])
-        _, out2, _ = _run(capsys, ["classify", op, "--seed", "7"])
+        _, out1, _ = _run(capsys, ["classify", op])
+        _, out2, _ = _run(capsys, ["classify", op])
         assert out1 == out2
 
     def test_fuzz_is_deterministic(self, capsys):

@@ -145,6 +145,53 @@ class TestOperatorModel:
         t = OperatorModel(np.eye(2), fam, fam, basis="generator")
         assert np.allclose(t.point_matrix(), np.eye(2))
 
+    def test_weighted_permutation_runs_no_factorization(self, monkeypatch):
+        # a monomial's rank and inverse are read from its pattern
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense factorization on a monomial")
+
+        for name in ("svd", "matrix_rank", "cond", "inv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        rng = np.random.default_rng(4)
+        sigma = rng.permutation(50)
+        t = OperatorModel.weighted_permutation(sigma, rng.uniform(1, 2, 50))
+        assert is_order_isomorphism(t).accept
+        assert decompose(t).sigma == tuple(int(s) for s in sigma)
+
+
+class TestIntObjectInput:
+    """Exact models built from object arrays of Python ints decide exactly as
+    the same models built from Fractions."""
+
+    @staticmethod
+    def _pair(m, gen=None):
+        out = []
+        for conv in (int, Fraction):
+            mm = np.array([[conv(v) for v in row] for row in m], dtype=object)
+            if gen is None:
+                n = len(m)
+                fams = [FunctionFamily.full(PointSpace.discrete(n, p), exact=True) for p in "xy"]
+                out.append(OperatorModel(mm, *fams))
+            else:
+                g = np.array([[conv(v) for v in row] for row in gen], dtype=object)
+                fam = FunctionFamily(PointSpace.discrete(len(gen[0])), g)
+                out.append(OperatorModel(mm, fam, fam, basis="generator"))
+        return out
+
+    def test_certificates_equal(self):
+        cases = [([[2, 1], [1, 1]], None), ([[0, 2], [3, 0]], None),
+                 ([[1, 0], [0, -1]], None),
+                 ([[1, 0], [0, 1]], [[1, 1, 1], [0, 1, 2]]),
+                 ([[1, 1], [0, 1]], [[1, 1, 1], [0, 1, 2]]),
+                 ([[2, 1], [1, 1]], [[1, 1, 1], [0, 1, 2]])]
+        for m, gen in cases:
+            t_int, t_frac = self._pair(m, gen)
+            cert = is_order_isomorphism(t_int)
+            assert cert == is_order_isomorphism(t_frac), (m, gen)
+            for v in (cert.witness_coeffs or ()) + (cert.witness_values or ()):
+                assert type(v) is Fraction, (m, gen)
+            assert all(type(v) is Fraction for v in t_int.inverse_matrix.ravel())
+
 
 class TestCertificatePointBasis:
     def test_weighted_permutation_accepted(self):

@@ -47,6 +47,65 @@ class TestExactInv:
         assert inv[0, 0] == 0 and inv[1, 1] == 0
 
 
+    def test_int_object_input_stays_rational(self):
+        inv = linalg.exact_inv(np.array([[2, 1], [1, 1]], dtype=object))
+        assert all(type(x) is Fraction for x in inv.ravel())
+        assert inv.tolist() == [[1, -1], [-1, 2]]
+        mono = linalg.inv(np.array([[0, 2], [3, 0]], dtype=object))
+        assert all(type(x) is Fraction for x in mono.ravel())
+        assert mono.tolist() == [[0, Fraction(1, 3)], [Fraction(1, 2), 0]]
+        x = linalg.exact_solve_unique(np.array([[2, 0], [0, 4]], dtype=object), [1, 1])
+        assert all(type(v) is Fraction for v in x)
+
+
+def _seeded_monomials(seed, count, signed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 40))
+        m = np.zeros((n, n))
+        w = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), size=n))
+        if signed:
+            w *= rng.choice([-1.0, 1.0], size=n)
+        m[np.arange(n), rng.permutation(n)] = w
+        yield m
+
+
+class TestMonomial:
+    def test_reads_pattern(self):
+        cols, entries = linalg.monomial(np.array([[0.0, 2.0, 0.0], [0.0, 0.0, -3.0],
+                                                  [5.0, 0.0, 0.0]]))
+        assert cols.tolist() == [1, 2, 0]
+        assert entries.tolist() == [2.0, -3.0, 5.0]
+        cols, entries = linalg.monomial(frac_matrix([[0, "1/2"], [3, 0]]))
+        assert cols.tolist() == [1, 0] and entries.tolist() == [Fraction(1, 2), 3]
+
+    def test_refuses_non_monomials(self):
+        for a in ([[1.0, 1.0], [0.0, 1.0]],   # two nonzeros in a row
+                  [[1.0, 0.0], [1.0, 0.0]],   # one column twice
+                  [[1.0, 0.0], [0.0, 0.0]],   # a zero row
+                  [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]):  # not square
+            assert linalg.monomial(np.array(a)) is None
+        assert linalg.monomial(frac_matrix([[1, 1], [0, 1]])) is None
+
+    def test_inverse_matches_lu(self):
+        # LAPACK leaves -0.0 at some off-pattern positions of a signed
+        # monomial's inverse; adding +0.0 maps those to +0.0 and nothing else
+        for signed in (False, True):
+            for m in _seeded_monomials(7, 150, signed):
+                ours = linalg.inv(m)
+                assert ours.tobytes() == (np.linalg.inv(m) + 0.0).tobytes()
+
+    def test_rank_counts_entries_above_the_svd_cutoff(self):
+        for m in _seeded_monomials(8, 100, True):
+            n = m.shape[0]
+            for tol in (1e-10, 1e-4):
+                cutoff = tol * n * max(1.0, float(np.abs(m).max()))
+                assert linalg.rank(m, tol=tol) == np.linalg.matrix_rank(m, tol=cutoff)
+        tiny = np.array([[0.0, 1.0], [1e-20, 0.0]])
+        assert linalg.rank(tiny) == 1
+        assert linalg.rank(frac_matrix([[0, 1], ["1/100000000000000000000", 0]])) == 2
+
+
 class TestRankAndNullspace:
     def test_exact_rank(self):
         assert linalg.exact_rank(frac_matrix([[1, 2], [2, 4]])) == 1
