@@ -42,6 +42,8 @@ __all__ = [
 
 CONVERGENCE_TOL = 1e-3
 DEDUPE_TOL = 1e-6
+TAIL_FRAC = 0.25  # share of a sequence prefix that the limit is read from
+MATCH_MARGIN_FACTOR = 10.0  # boundary matches must win by this many dedupe_tol
 
 
 def compactify_value(x: float) -> float:
@@ -209,7 +211,7 @@ class AmbiguousBoundaryError(RuntimeError):
     """Added-point matching found no candidate or no clear margin."""
 
 
-def _tail_limit(comp: np.ndarray, tail_frac: float = 0.25) -> float:
+def _tail_limit(comp: np.ndarray) -> float:
     """Limit estimate for a convergent compactified coordinate sequence.
 
     Fits a cubic in 1/k (k the 1-based sequence index) over the tail window
@@ -220,7 +222,7 @@ def _tail_limit(comp: np.ndarray, tail_frac: float = 0.25) -> float:
     float-noise level after one pass, far above the added-point tolerance.
     """
     n = comp.shape[0]
-    kcount = max(8, int(math.ceil(tail_frac * n)))
+    kcount = max(8, int(math.ceil(TAIL_FRAC * n)))
     idx = np.arange(n - kcount, n)
     k = idx + 1.0
     x = np.asarray(comp[idx], dtype=float)
@@ -239,32 +241,31 @@ def _tail_limit(comp: np.ndarray, tail_frac: float = 0.25) -> float:
     return float(np.clip(limit, -1.0, 1.0))
 
 
-def _screen_tail(comp: np.ndarray, conv_tol: float, tail_frac: float,
-                 seq_name: str, coord_name: str) -> None:
-    k = max(8, int(math.ceil(tail_frac * comp.shape[0])))
+def _screen_tail(comp: np.ndarray, conv_tol: float, seq_name: str,
+                 coord_name: str) -> None:
+    k = max(8, int(math.ceil(TAIL_FRAC * comp.shape[0])))
     tail = comp[-k:]
     variation = float(np.max(tail) - np.min(tail))
     if variation > conv_tol:
         raise NonconvergentNetError(seq_name, coord_name, variation, conv_tol)
 
 
-def _sequence_limit_coords(seq: SequenceSpec, gens, conv_tol: float,
-                           tail_frac: float) -> tuple:
-    pts = seq.prefix()
+def _sequence_limit_coords(seq: SequenceSpec, pts: np.ndarray, gens,
+                           conv_tol: float) -> tuple:
     coords = []
     for g in gens:
         vals = np.asarray(g(pts), dtype=float)
         if np.any(np.isnan(vals)):
             raise NonconvergentNetError(seq.name, g.text, math.inf, conv_tol)
         comp = _compactify_array(vals)
-        _screen_tail(comp, conv_tol, tail_frac, seq.name, g.text)
-        coords.append(_tail_limit(comp, tail_frac))
+        _screen_tail(comp, conv_tol, seq.name, g.text)
+        coords.append(_tail_limit(comp))
     return tuple(coords)
 
 
 def limit_points(seqs: Sequence, generators: Sequence, interior: Sequence = (),
                  conv_tol: float = CONVERGENCE_TOL, dedupe_tol: float = DEDUPE_TOL,
-                 tail_frac: float = 0.25, name: str = "X") -> list:
+                 name: str = "X") -> list:
     """Added boundary points discovered along the sequences.
 
     Each coordinate is compactified, screened for tail convergence,
@@ -273,10 +274,18 @@ def limit_points(seqs: Sequence, generators: Sequence, interior: Sequence = (),
     point are rediscoveries, not boundary; among the rest, duplicates collapse
     onto the earliest sequence.
     """
+    return [b for b, _, _ in _sourced_limit_points(seqs, generators, interior, conv_tol,
+                                                   dedupe_tol, name)]
+
+
+def _sourced_limit_points(seqs, generators, interior, conv_tol, dedupe_tol, name) -> list:
+    """limit_points as (point, source sequence, its prefix) triples; each
+    sequence's prefix is evaluated once."""
     gens = [_as_symfn(g) for g in generators]
     added = []
     for idx, seq in enumerate(seqs):
-        comp_coords = _sequence_limit_coords(seq, gens, conv_tol, tail_frac)
+        pts = seq.prefix()
+        comp_coords = _sequence_limit_coords(seq, pts, gens, conv_tol)
         raw = []
         for c in comp_coords:
             if abs(abs(c) - 1.0) <= dedupe_tol:
@@ -287,9 +296,9 @@ def limit_points(seqs: Sequence, generators: Sequence, interior: Sequence = (),
                             label=seq.name or f"{name.lower()}+#{idx}")
         if any(cand.distance(p) <= dedupe_tol for p in interior):
             continue
-        if any(cand.distance(p) <= dedupe_tol for p in added):
+        if any(cand.distance(p) <= dedupe_tol for p, _, _ in added):
             continue
-        added.append(cand)
+        added.append((cand, seq, pts))
     return added
 
 
@@ -360,8 +369,7 @@ def _bounded_screen(weight: np.ndarray) -> dict:
 def compactified_decompose(op: WeightedCompositionSpec, x_space: SampledSpace,
                            y_space: SampledSpace, seqs_x: Sequence, seqs_y: Sequence,
                            tol: float = 1e-9, conv_tol: float = CONVERGENCE_TOL,
-                           dedupe_tol: float = DEDUPE_TOL,
-                           margin_factor: float = 10.0) -> BoundaryDecomposition:
+                           dedupe_tol: float = DEDUPE_TOL) -> BoundaryDecomposition:
     """Interior decomposition plus boundary matching for a sampled operator.
 
     The operator must restrict to an accepted order isomorphism on the sample
@@ -388,24 +396,21 @@ def compactified_decompose(op: WeightedCompositionSpec, x_space: SampledSpace,
 
     added_x = limit_points(seqs_x, x_space.generators, interior=interior_x,
                            conv_tol=conv_tol, dedupe_tol=dedupe_tol, name=x_space.name)
-    added_y = limit_points(seqs_y, y_space.generators, interior=interior_y,
-                           conv_tol=conv_tol, dedupe_tol=dedupe_tol, name=y_space.name)
+    sourced_y = _sourced_limit_points(seqs_y, y_space.generators, interior_y,
+                                      conv_tol, dedupe_tol, y_space.name)
 
     # normalized image coordinates of each added codomain point, along its sequence
     matching = []
     residual_added = 0.0
     added_weights = []
     gens_x = [_as_symfn(g) for g in x_space.generators]
-    seqs_y = list(seqs_y)
-    matched_y = _added_with_sources(seqs_y, y_space, added_y, conv_tol, dedupe_tol)
-    for b, seq in matched_y:
-        ys = seq.prefix()
+    for b, seq, ys in sourced_y:
         tone = op.one_values(ys)
         norm_coords = []
         for f in gens_x:
             ratio = op.image_values(f, ys) / tone
             comp = _compactify_array(ratio)
-            _screen_tail(comp, conv_tol, 0.25, seq.name, f"T-image/{f.text}")
+            _screen_tail(comp, conv_tol, seq.name, f"T-image/{f.text}")
             norm_coords.append(_tail_limit(comp))
         dists = []
         for a in added_x:
@@ -419,7 +424,8 @@ def compactified_decompose(op: WeightedCompositionSpec, x_space: SampledSpace,
         if dists[best] > conv_tol:
             raise AmbiguousBoundaryError(
                 f"boundary point {b.label!r}: best candidate at distance {dists[best]:.3e}")
-        if len(dists) > 1 and dists[int(order[1])] - dists[best] < margin_factor * dedupe_tol:
+        if (len(dists) > 1
+                and dists[int(order[1])] - dists[best] < MATCH_MARGIN_FACTOR * dedupe_tol):
             raise AmbiguousBoundaryError(
                 f"boundary point {b.label!r}: matching margin too small")
         matching.append((b.label, added_x[best].label))
@@ -436,29 +442,10 @@ def compactified_decompose(op: WeightedCompositionSpec, x_space: SampledSpace,
         interior_labels=interior_pairs,
         added_matching=tuple(matching),
         added_domain=tuple(added_x),
-        added_codomain=tuple(added_y),
+        added_codomain=tuple(b for b, _, _ in sourced_y),
         added_weights=tuple(added_weights),
         residual_interior=interior.residual,
         residual_added=residual_added,
         bounded_screen=_bounded_screen(np.asarray(interior.weight, dtype=float)),
     )
 
-
-def _added_with_sources(seqs, space: SampledSpace, added, conv_tol, dedupe_tol):
-    """Pair each added point with the earliest sequence that produced it."""
-    gens = [_as_symfn(g) for g in space.generators]
-    out = []
-    for b in added:
-        src = None
-        for seq in seqs:
-            coords = _sequence_limit_coords(seq, gens, conv_tol, 0.25)
-            raw = tuple(
-                (math.inf if c > 0 else -math.inf) if abs(abs(c) - 1.0) <= dedupe_tol
-                else uncompactify_value(c) for c in coords)
-            if CompactPoint(raw, "added").distance(b) <= dedupe_tol:
-                src = seq
-                break
-        if src is None:  # pragma: no cover - added points always have a source
-            raise AmbiguousBoundaryError(f"no source sequence for {b.label!r}")
-        out.append((b, src))
-    return out

@@ -238,9 +238,14 @@ def _nonneg_violation(m, tol: float):
                 if row[j].numerator < 0 and (worst is None or row[j] < m[worst]):
                     worst = (i, j)
         return worst
-    scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
     i, j = np.unravel_index(np.argmin(m), m.shape)
-    return (int(i), int(j)) if m[i, j] < -tol * scale else None
+    return (int(i), int(j)) if m[i, j] < _negative_below(m, tol) else None
+
+
+def _negative_below(m, tol: float) -> float:
+    """The float cone test's one rule: a value computed from the matrix `m`
+    counts as negative below -tol * max|m|, so T and alpha*T get one verdict."""
+    return -tol * float(np.max(np.abs(m))) if m.size else 0.0
 
 
 def _indicator(n: int, j: int, exact: bool):
@@ -259,9 +264,11 @@ def is_order_isomorphism(t: OperatorModel, tol: float = DEFAULT_TOL) -> Certific
     subfamilies: each side (T, then its inverse) is decided by the Farkas
     alternative, either Lambda >= 0 with Lambda A = B or a source-cone
     function c whose image is negative at some target point. In float mode
-    one HiGHS LP looks for c with |c| <= 1 and the `tol` rule of the point
-    basis decides; in exact mode the decision is made in rational arithmetic
-    (HiGHS only proposes the multiplier supports) and does not read `tol`.
+    one HiGHS LP looks for c with |c| <= 1; in exact mode the decision is made
+    in rational arithmetic (HiGHS only proposes the multiplier supports) and
+    does not read `tol`. Float mode's one rule, on either basis: a value is
+    negative below -tol * max|.| of the matrix it is read from (the point
+    matrix, its inverse, or B), so alpha*T gets T's verdict.
     """
     arith = "rational" if t.exact else "float"
     if t.basis == "generator" and t.domain.is_full and t.codomain.is_full:
@@ -307,20 +314,21 @@ def is_order_isomorphism(t: OperatorModel, tol: float = DEFAULT_TOL) -> Certific
 def _farkas_witness(a, b, tol: float):
     """One HiGHS LP over every target point y: min b_y . c_y with A c_y >= 0
     and |c_y| <= 1. Returns (y, c_y) for the most negative value when it is
-    below -tol * max(1, max|B|), else None."""
+    below -tol * max|B|, else None. The LP's costs are B / max|B|, since
+    HiGHS judges optimality against absolute tolerances."""
     from scipy.optimize import linprog
     from scipy.sparse import identity, kron
 
     n, k = b.shape
-    res = linprog(c=b.ravel(), A_ub=-kron(identity(n), a, format="csr"),
-                  b_ub=np.zeros(n * a.shape[0]), bounds=(-1.0, 1.0), method="highs")
+    res = linprog(c=(b / np.max(np.abs(b))).ravel(),
+                  A_ub=-kron(identity(n), a, format="csr"), b_ub=np.zeros(n * a.shape[0]),
+                  bounds=(-1.0, 1.0), method="highs")
     if res.status != 0:  # pragma: no cover - bounded and feasible (c = 0) by construction
         raise RuntimeError(f"LP solver failed: {res.message}")
     cs = res.x.reshape(n, k)
     vals = np.einsum("yk,yk->y", b, cs)
     y = int(np.argmin(vals))
-    scale = max(1.0, float(np.max(np.abs(b)))) if b.size else 1.0
-    return (y, cs[y]) if vals[y] < -tol * scale else None
+    return (y, cs[y]) if vals[y] < _negative_below(b, tol) else None
 
 
 def _exact_witness(a, b):

@@ -242,19 +242,16 @@ def interval_eval(e: Expr, box: IntervalBox) -> IntervalBox:
                                min(_up(sin_ramp(inner.hi)), 1.0))
         return IntervalBox(-1.0, 1.0)
     if isinstance(e, LinComb):
+        # round-to-nearest errs by at most half an ulp, so stepping every
+        # product and every partial sum one ulp outward keeps the exact value
         lo = 0.0
         hi = 0.0
         for c, ch in zip(e.coeffs, e.children):
             inner = interval_eval(ch, box)
-            if c >= 0:
-                lo += c * inner.lo
-                hi += c * inner.hi
-            else:
-                lo += c * inner.hi
-                hi += c * inner.lo
-        if lo == hi:
-            return IntervalBox(lo, hi)
-        return IntervalBox(_down(lo), _up(hi))
+            a, b = (inner.lo, inner.hi) if c >= 0 else (inner.hi, inner.lo)
+            lo = _down(lo + _down(c * a, 1), 1)
+            hi = _up(hi + _up(c * b, 1), 1)
+        return IntervalBox(lo, hi)
     raise TypeError(f"not an expression: {e!r}")
 
 

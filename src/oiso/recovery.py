@@ -4,8 +4,12 @@ For each domain anchor point the images of the nonnegative span functions
 vanishing there share a common zero in the codomain; collecting those zero
 sets and intersecting them pins down a unique codomain point. Running over all
 anchors yields a point bijection, and evaluating T on the constants yields the
-weight, so that T f = weight * (f o sigma) on the codomain model. Generator-
-basis operators are recovered through their point matrix (`as_point()`).
+weight, so that T f = weight * (f o sigma) on the codomain model. On a finite
+model an accepted operator's point matrix is a positive monomial matrix, so
+`recover_map` and `decompose` read that bijection from the matrix in one pass,
+with no tolerance; `zero_family` and `recover_point` keep the per-anchor
+construction. Generator-basis operators are recovered through their point
+matrix (`as_point()`).
 """
 from __future__ import annotations
 
@@ -147,54 +151,44 @@ def recover_point(t: OperatorModel, x0, tol: float = DEFAULT_TOL,
     return best
 
 
-def recover_map(t: OperatorModel, tol: float = DEFAULT_TOL,
-                margin_factor: float = MARGIN_FACTOR) -> np.ndarray:
+def recover_map(t: OperatorModel, tol: float = DEFAULT_TOL) -> np.ndarray:
     """recover_point at every anchor, returned as an index map h[x] = y.
 
-    Works on the point matrix M (`as_point()`): the anchor-x score of codomain
-    point y is the largest |T e_j|(y) over j != x, i.e. the row maximum of |M|
-    excluding column x, so one pass over max / second-max per row covers all
-    anchors.
+    An accepted operator's anchor-x intersection is the one codomain point
+    whose row of the point matrix is supported on column x, so h is the
+    inverse of the map `_read_sigma` reads. `tol` is not read: the cone test
+    is the only float decision.
     """
-    fam = t.domain
-    if not fam.is_full:
+    sigma = _read_sigma(t)
+    h = np.empty_like(sigma)
+    h[sigma] = np.arange(sigma.shape[0])
+    return h
+
+
+def _read_sigma(t: OperatorModel) -> np.ndarray:
+    """sigma[y]: the column of row y's nonzero entry (exact mode, which needs
+    a monomial point matrix) or of its largest entry (float mode).
+
+    An accepted point matrix is a positive monomial matrix, so neither reading
+    needs a tolerance; one that is not a bijection of points raises
+    AmbiguousIntersectionError.
+    """
+    if not t.domain.is_full:
         raise ValueError("recovery needs a full-rank family")
-    n = fam.space.size
-    if n == 1:
-        return np.zeros(1, dtype=int)
     m = t.as_point().matrix
     if t.exact:
-        # anchor x sees codomain point y iff every nonzero of row y sits in
-        # column x, so every anchor sees exactly one point iff M is monomial
         read = linalg.monomial(m)
         if read is None:
             raise AmbiguousIntersectionError(
                 "some zero-set intersection is not a single point: "
                 "the point matrix is not monomial")
-        h = np.empty(n, dtype=int)
-        h[read[0]] = np.arange(n)
-        return h
-    return _recover_map_float(np.abs(np.asarray(m, dtype=float)), tol, margin_factor)
-
-
-def _recover_map_float(absm: np.ndarray, tol: float, margin_factor: float) -> np.ndarray:
-    n = absm.shape[0]
-    idx = np.argsort(-absm, axis=1, kind="stable")
-    max1 = absm[np.arange(n), idx[:, 0]]
-    arg1 = idx[:, 0]
-    max2 = absm[np.arange(n), idx[:, 1]]
-    # score[y, x]: worst member-image magnitude at y for anchor x
-    scores = np.where(arg1[:, None] == np.arange(n)[None, :], max2[:, None], max1[:, None])
-    h = np.empty(n, dtype=int)
-    for x in range(n):
-        col = scores[:, x]
-        order = np.argsort(col, kind="stable")
-        best = int(order[0])
-        if col[order[1]] - col[best] < margin_factor * tol:
-            raise AmbiguousIntersectionError(
-                f"anchor {x}: runner-up within margin")
-        h[x] = best
-    return h
+        sigma = np.asarray(read[0], dtype=int)
+    else:
+        sigma = np.argmax(m, axis=1)
+    if np.unique(sigma).shape[0] != sigma.shape[0]:
+        raise AmbiguousIntersectionError(
+            "the largest entries of the point matrix's rows share a column")
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -221,14 +215,13 @@ def _ones_image(t: OperatorModel):
 
 
 def decompose(t: OperatorModel, tol: float = DEFAULT_TOL,
-              cert: Optional[Certificate] = None,
-              margin_factor: float = MARGIN_FACTOR) -> Decomposition:
+              cert: Optional[Certificate] = None) -> Decomposition:
     """Recover (sigma, weight) for an accepted operator with constants.
 
     Raises NotOrderIsomorphismError when the cone certificate rejects, and
-    InternalContradictionError when recovery contradicts acceptance (non
-    bijective anchor map or nonpositive weight), which cannot happen for a
-    genuinely accepted operator.
+    AmbiguousIntersectionError when the point matrix does not read as a
+    bijection with positive weight T1 (float operators accepted within `tol`
+    only; exact acceptance makes the point matrix positive monomial).
     """
     if cert is None:
         cert = is_order_isomorphism(t, tol=tol)
@@ -236,21 +229,11 @@ def decompose(t: OperatorModel, tol: float = DEFAULT_TOL,
         raise NotOrderIsomorphismError(cert)
     if not (t.domain.is_full or t.domain.has_constants()):  # a full family spans them
         raise ValueError("decompose needs the domain family to contain constants")
-    h = recover_map(t, tol=tol, margin_factor=margin_factor)
+    sigma = _read_sigma(t)
     t = t.as_point()
-    n = h.shape[0]
-    if sorted(h.tolist()) != list(range(n)):
-        raise InternalContradictionError("anchor recovery map is not a bijection")
-    sigma = np.empty(n, dtype=int)
-    for x in range(n):
-        sigma[h[x]] = x
     weight = _ones_image(t)
-    if t.exact:
-        if any(w <= 0 for w in weight):
-            raise InternalContradictionError("nonpositive weight on an accepted operator")
-    else:
-        if np.any(np.asarray(weight, dtype=float) <= tol):
-            raise InternalContradictionError("nonpositive weight on an accepted operator")
+    if not all(w > 0 for w in weight):
+        raise AmbiguousIntersectionError("the weight T1 is not positive at every point")
     residual = _representation_residual(t, sigma, weight)
     return Decomposition(sigma=tuple(int(v) for v in sigma),
                          weight=tuple(weight),

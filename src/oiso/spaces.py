@@ -232,14 +232,8 @@ class FunctionFamily:
     @classmethod
     def full(cls, space: PointSpace, exact: bool = False) -> "FunctionFamily":
         """The full family in point coordinates: indicator generators."""
-        n = space.size
-        if exact:
-            gen = np.empty((n, n), dtype=object)
-            for i in range(n):
-                for j in range(n):
-                    gen[i, j] = Fraction(int(i == j))
-        else:
-            gen = np.eye(n)
+        gen = linalg.zeros_like_mode((space.size, space.size), exact)
+        np.fill_diagonal(gen, Fraction(1) if exact else 1.0)
         return cls(space, gen, names=tuple(f"e_{lbl}" for lbl in space.labels))
 
 

@@ -1,9 +1,15 @@
 """End-to-end tests of the command-line interface and its report contract."""
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oiso.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 from oiso.serialize import report_digest
@@ -98,6 +104,46 @@ class TestDecompose:
         rep = _report(out)
         assert rep["inputs"]["operator"]["file"] == "op.json"
         assert len(rep["inputs"]["operator"]["sha256"]) == 64
+
+
+class TestScaledOperators:
+    @pytest.mark.parametrize("matrix, sigma, weight", [
+        ([[0, 2e-12], [3e-12, 0]], [1, 0], [2e-12, 3e-12]),
+        ([[1e-10, 0], [0, 1]], [0, 1], [1e-10, 1.0]),
+        ([[1e-10]], [0], [1e-10]),
+    ])
+    def test_tiny_weights_decompose(self, tmp_path, capsys, matrix, sigma, weight):
+        op = _write(tmp_path, "op.json", {"matrix": matrix})
+        code, out, _ = _run(capsys, ["decompose", op])
+        assert code == EXIT_OK
+        rep = _report(out)["result"]
+        assert (rep["sigma"], rep["weight"]) == (sigma, weight)
+
+
+_ENTRY = st.one_of(st.just(0.0), st.builds(lambda sign, k: sign * 10.0 ** k,
+                                           st.sampled_from((-1.0, 1.0)),
+                                           st.integers(-12, 12)))
+
+
+@st.composite
+def _square(draw):
+    n = draw(st.integers(1, 4))
+    return draw(st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix=_square())
+@example(matrix=[[1e-10]])
+def test_any_float_point_operator_exits_0_1_or_2(matrix):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "op.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"matrix": matrix}, fh)
+        for command in ("decompose", "classify"):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, path])
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_REJECTED)
 
 
 class TestUsageErrors:

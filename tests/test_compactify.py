@@ -281,6 +281,20 @@ class TestCompactifiedDecompose:
         with pytest.raises(AmbiguousBoundaryError, match="no added domain"):
             compactified_decompose(op, x_space, y_space, [], seqs_y)
 
+    def test_each_sequence_prefix_is_evaluated_once(self, monkeypatch):
+        calls = []
+        prefix = SequenceSpec.prefix
+
+        def counted(seq):
+            calls.append(seq.name)
+            return prefix(seq)
+
+        monkeypatch.setattr(SequenceSpec, "prefix", counted)
+        op, x_space, y_space, seqs_x, seqs_y = _swap_setup()
+        bd = compactified_decompose(op, x_space, y_space, seqs_x, seqs_y)
+        assert bd.added_matching == (("y-to0", "x-to1"), ("y-to1", "x-to0"))
+        assert sorted(calls) == sorted(s.name for s in seqs_x + seqs_y)
+
     def test_identity_without_sequences(self):
         samples = tuple((i + 0.5) / 4 for i in range(4))
         x_space = SampledSpace(samples, ("t",), name="X")

@@ -248,6 +248,28 @@ class TestCertificatePointBasis:
         assert doc == {"schema": "oiso/1", "accept": True, "mode": "exact"}
 
 
+class TestScaleRelativeTolerance:
+    @pytest.mark.parametrize("alpha", [1.0, 1000.0])
+    def test_small_negative_entry_rejected_at_every_scale(self, alpha):
+        # -1e-10 is below -tol * max|M| = -1e-12 at alpha = 1; a tolerance
+        # clamped to max(1, max|M|) used to accept it there and reject 1000x
+        sp = FunctionFamily.full(PointSpace.discrete(2))
+        t = OperatorModel(alpha * np.array([[1e-3, -1e-10], [0.0, 1e-3]]), sp, sp)
+        cert = is_order_isomorphism(t)
+        assert not cert.accept
+        assert (cert.side, cert.point) == ("domain", 0)
+
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    def test_generator_basis_verdicts_follow_the_operator_scale(self, alpha):
+        fam = _one_t_family([0.0, 0.5, 1.0])
+        shear = OperatorModel(alpha * np.array([[1.0, 1e-6], [0.0, 1.0]]), fam, fam,
+                              basis="generator")
+        cert = is_order_isomorphism(shear)
+        assert (cert.accept, cert.side, cert.point) == (False, "domain", 2)
+        scaling = OperatorModel(alpha * np.eye(2), fam, fam, basis="generator")
+        assert is_order_isomorphism(scaling).accept
+
+
 class TestCertificateGeneratorBasis:
     def test_identity_on_affine_family_accepted(self):
         fam = _one_t_family([0.0, 0.5, 1.0])

@@ -1,8 +1,11 @@
 """Tests for the symbolic expression space, interval certification, and decay."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oiso.exprs import (
     Clamp,
@@ -94,6 +97,24 @@ class TestExprNodes:
         assert not Clamp(Ident()).is_analytic
 
 
+_FLOATS = st.floats(-1e3, 1e3, allow_nan=False)
+_AFFINE = st.recursive(
+    st.one_of(st.builds(Const, _FLOATS), st.just(Ident())),
+    lambda kids: st.lists(st.tuples(_FLOATS, kids), min_size=1, max_size=4).map(
+        lambda terms: LinComb(tuple(c for c, _ in terms), tuple(k for _, k in terms))),
+    max_leaves=12)
+
+
+def _exact_value(e, t: Fraction) -> Fraction:
+    """The real value of a Const/Ident/LinComb tree at t, in rationals."""
+    if isinstance(e, Const):
+        return Fraction(e.value)
+    if isinstance(e, Ident):
+        return t
+    return sum((Fraction(c) * _exact_value(ch, t) for c, ch in zip(e.coeffs, e.children)),
+               Fraction(0))
+
+
 class TestIntervalEval:
     def test_identity_passthrough(self):
         box = IntervalBox(0.125, 0.5)
@@ -133,6 +154,27 @@ class TestIntervalEval:
             vals = eval_expr(e, box.sample(33))
             assert np.all(vals >= env.lo - 1e-12)
             assert np.all(vals <= env.hi + 1e-12)
+
+    def test_lincomb_point_box_encloses_exact_value(self):
+        # 0.1 + 0.2 - 0.3 rounds to 5.55e-17; the exact sum of the three
+        # doubles is 2.78e-17, so a point result misses it
+        t = Ident()
+        env = interval_eval(LinComb((0.1, 0.2, -0.3), (t, t, t)), IntervalBox(0.7, 0.7))
+        exact = (Fraction(0.1) + Fraction(0.2) - Fraction(0.3)) * Fraction(0.7)
+        assert Fraction(env.lo) <= exact <= Fraction(env.hi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(e=_AFFINE, ends=st.tuples(_FLOATS, _FLOATS), point=st.booleans())
+    @example(e=LinComb((0.1, 0.2, -0.3), (Ident(), Ident(), Ident())), ends=(0.7, 0.7),
+             point=True)
+    def test_affine_enclosure_contains_exact_value(self, e, ends, point):
+        lo, hi = sorted(ends)
+        if point:
+            hi = lo
+        env = interval_eval(e, IntervalBox(lo, hi))
+        # an affine expression's range over the box lies between its end values
+        for t in (lo, hi):
+            assert Fraction(env.lo) <= _exact_value(e, Fraction(t)) <= Fraction(env.hi)
 
     def test_halves_and_sample(self):
         box = IntervalBox(0.0, 1.0)

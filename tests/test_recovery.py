@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oiso.cones import OperatorModel
+from oiso.cones import OperatorModel, is_order_isomorphism
 from oiso.fuzz import random_monomial, spawn_generators
 from oiso.recovery import (
     AmbiguousIntersectionError,
@@ -19,7 +21,7 @@ from oiso.recovery import (
     verify_representation,
     zero_family,
 )
-from oiso.spaces import FunctionFamily, PointSpace
+from oiso.spaces import DEFAULT_TOL, FunctionFamily, PointSpace
 
 
 def _monomial(sigma, weight):
@@ -92,10 +94,18 @@ class TestRecoverMap:
     def test_fast_path_matches_per_anchor_loop(self):
         for rng in spawn_generators(42, 20):
             n = int(rng.integers(2, 9))
-            t, _, _ = random_monomial(rng, n)
-            fast = recover_map(t)
-            slow = np.array([recover_point(t, x) for x in range(n)])
-            assert np.array_equal(fast, slow)
+            t, _, weight = random_monomial(rng, n)
+            alpha = 10.0 ** rng.uniform(-3.0, 3.0)
+            # off-pattern noise the cone test accepts: below tol * max|M|, and
+            # small enough that the inverse's negative entries are too
+            noise = np.where(t.matrix == 0, rng.uniform(size=(n, n)), 0.0)
+            noise *= 0.1 * DEFAULT_TOL * alpha * float(np.min(weight))
+            for m in (t.matrix, alpha * t.matrix, alpha * t.matrix + noise):
+                op = OperatorModel(m, t.domain, t.codomain)
+                assert is_order_isomorphism(op).accept
+                fast = recover_map(op)
+                slow = np.array([recover_point(op, x) for x in range(n)])
+                assert np.array_equal(fast, slow)
 
     def test_exact_fast_path(self):
         t = OperatorModel.weighted_permutation(
@@ -167,6 +177,25 @@ class TestDecompose:
             sig_inv = np.asarray(d_inv.sigma)
             assert np.array_equal(sig[sig_inv], np.arange(n))
             assert np.array_equal(sig_inv[sig], np.arange(n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           exponent=st.floats(-12.0, 12.0))
+    def test_scaled_operator_gives_sigma_and_scaled_weight(self, n, seed, exponent):
+        alpha = 10.0 ** exponent
+        t, sigma, weight = random_monomial(np.random.default_rng(seed), n)
+        d = decompose(OperatorModel(alpha * t.matrix, t.domain, t.codomain))
+        assert d.sigma == tuple(int(s) for s in sigma)
+        assert d.weight == tuple(alpha * weight)
+
+    def test_unreadable_accepted_matrix_is_ambiguous(self):
+        # accepted within tol * max|inverse| = 1000, but both entries of the
+        # second row are equal, so no bijection can be read
+        fam = FunctionFamily.full(PointSpace.discrete(2))
+        t = OperatorModel(np.array([[1.0, 0.0], [1e-12, 1e-12]]), fam, fam)
+        assert is_order_isomorphism(t).accept
+        with pytest.raises(AmbiguousIntersectionError):
+            decompose(t)
 
     def test_random_monomials_recover_exactly(self):
         for rng in spawn_generators(99, 25):

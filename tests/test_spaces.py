@@ -58,6 +58,8 @@ class TestFunctionFamily:
         fam = FunctionFamily.full(PointSpace.discrete(3), exact=True)
         assert fam.exact
         assert fam.generators[1, 1] == Fraction(1)
+        assert all(type(v) is Fraction for v in fam.generators.ravel())
+        assert fam.generators.tolist() == np.eye(3).tolist()
 
     def test_values_and_coefficients_roundtrip(self):
         sp = PointSpace.grid([0.0, 0.5, 1.0])
