@@ -3,9 +3,13 @@
 A family is adequate when it separates points from closed sets together with
 the constants, is invariant under the piecewise-linear clamp (0 below 0,
 identity on [0,1], 1 above 1), and its positivity cone generates the span.
-On a finite discrete model every subset is closed, so separating an anchor
-from its complement (the maximal closed set) settles every smaller closed set
-with the same witness.
+On a finite model each flag is read from the generator matrix G. Every subset
+is closed, so separation needs every indicator in the span: full rank. A
+clamp-invariant span is a vector sublattice (s*clamp(f/s) = f+ for large s),
+whose disjoint positive basis the clamp (small s) turns into indicators; so it
+is invariant exactly when its rank is the number of distinct nonzero point
+columns of G. The cone generates the span exactly when some span element is
+positive wherever G's column is nonzero (f = (f + s*u) - s*u for large s).
 """
 from __future__ import annotations
 
@@ -52,7 +56,7 @@ class AdequacyReport:
     g_invariant: bool
     g_residual: float
     cone_generates: bool
-    cone_witness: Optional[dict]
+    cone_witness: Optional[tuple]  # coefficients of a span element > 0 off G's zero columns
     adequate: bool
 
     def to_json_dict(self) -> dict:
@@ -75,96 +79,89 @@ def _indicator_vec(fam: FunctionFamily, j: int):
 
 def check_adequate(fam: FunctionFamily, tol: float = DEFAULT_TOL,
                    samples: int = 64, seed: int = 0) -> AdequacyReport:
-    """Evaluate all four adequacy flags with witnesses.
+    """The four adequacy flags in closed form (see the module docstring).
 
-    Separation is decided against the maximal closed set per anchor (see the
-    module docstring); clamp invariance is probed on every generator plus
-    seeded random span elements; cone generation uses the explicit shift
-    f = c*1 - (c*1 - f) when constants are present and an LP otherwise.
+    A full family passes all four with separation witnesses the columns of
+    inv(G^T). A proper family's per-point loop reports which anchors it does
+    separate. `samples` clamped probes, seeded by `seed`, only measure
+    `g_residual` of a float family that is not clamp invariant (exact: inf).
     """
-    n = fam.space.size
+    if fam.is_full:
+        inv_t = linalg.inv(fam.generators.T)
+        witnesses = tuple(tuple(inv_t[:, x]) for x in range(fam.space.size))
+        return AdequacyReport(separates=True, separation_witnesses=witnesses,
+                              has_constants=True, g_invariant=True, g_residual=0.0,
+                              cone_generates=True,
+                              cone_witness=tuple(linalg.mat_vec(inv_t, fam.ones())),
+                              adequate=True)
     witnesses = []
-    for x in range(n):
+    for x in range(fam.space.size):
         ok, c = span_membership(fam, _indicator_vec(fam, x), tol=tol)
         witnesses.append(tuple(c) if ok else None)
-    separates = all(w is not None for w in witnesses)
+    has_const, c_one = span_membership(fam, fam.ones(), tol=tol)
+    nonzero, classes = _point_columns(fam, tol)
+    g_invariant = fam.rank == classes
+    g_residual = (0.0 if g_invariant else float("inf") if fam.exact
+                  else _clamp_residual(fam, tol, samples, seed))
+    cone_witness = tuple(c_one) if has_const else _positive_element(fam, nonzero)
+    return AdequacyReport(separates=False, separation_witnesses=tuple(witnesses),
+                          has_constants=has_const, g_invariant=g_invariant,
+                          g_residual=g_residual, cone_generates=cone_witness is not None,
+                          cone_witness=cone_witness, adequate=False)
 
-    has_const = fam.has_constants(tol=tol)
 
+def _point_columns(fam: FunctionFamily, tol: float):
+    """Mask of the points with a nonzero column of G, and the number of
+    distinct nonzero columns; float columns are zero or equal within
+    tol * max|G|, the cone test's scale-relative rule."""
+    cols = fam.generators.T
+    if fam.exact:
+        nonzero = np.array([any(col) for col in cols], dtype=bool)
+        return nonzero, len({tuple(col) for col in cols[nonzero]})
+    cols = np.asarray(cols, dtype=float)
+    cut = tol * float(np.abs(cols).max(initial=0.0))
+    nonzero = np.abs(cols).max(axis=1, initial=0.0) > cut
+    reps = np.empty((0, cols.shape[1]))
+    for col in cols[nonzero]:
+        if not np.any(np.abs(reps - col).max(axis=1, initial=0.0) <= cut):
+            reps = np.vstack([reps, col])
+    return nonzero, reps.shape[0]
+
+
+def _clamp_residual(fam: FunctionFamily, tol: float, samples: int, seed: int) -> float:
+    """Largest lstsq distance above tol from the span to a clamped probe: each
+    generator, then `samples` seeded standard normal span elements."""
+    a = np.asarray(fam.generators, dtype=float).T
     rng = np.random.default_rng(seed)
-    probes = [fam.generators[i] for i in range(fam.rank)]
-    for _ in range(samples):
-        if fam.exact:
-            ints = rng.integers(-3, 4, size=fam.rank)
-            coeffs = np.array([Fraction(int(v)) for v in ints], dtype=object)
-        else:
-            coeffs = rng.standard_normal(fam.rank)
-        probes.append(fam.values(coeffs))
-    g_residual = 0.0
-    g_invariant = True
+    probes = list(fam.generators) + [fam.values(rng.standard_normal(fam.rank))
+                                     for _ in range(samples)]
+    worst = 0.0
     for v in probes:
-        ok, _ = span_membership(fam, clamp(v), tol=tol)
-        if not ok:
-            g_invariant = False
-            if not fam.exact:
-                a = np.asarray(fam.generators, dtype=float).T
-                cv = np.asarray(clamp(np.asarray(v, dtype=float)), dtype=float)
-                c, *_ = np.linalg.lstsq(a, cv, rcond=None)
-                g_residual = max(g_residual, float(np.max(np.abs(a @ c - cv))))
-            else:
-                g_residual = float("inf")
-
-    cone_ok, cone_witness = _cone_generates(fam, tol)
-    adequate = separates and has_const and g_invariant and cone_ok
-    return AdequacyReport(separates=separates,
-                          separation_witnesses=tuple(witnesses),
-                          has_constants=has_const,
-                          g_invariant=g_invariant,
-                          g_residual=g_residual,
-                          cone_generates=cone_ok,
-                          cone_witness=cone_witness,
-                          adequate=adequate)
+        cv = clamp(v)
+        c, *_ = np.linalg.lstsq(a, cv, rcond=None)
+        resid = float(np.max(np.abs(a @ c - cv)))
+        if resid > tol:
+            worst = max(worst, resid)
+    return worst
 
 
-def _cone_generates(fam: FunctionFamily, tol: float):
-    """Each generator as a difference of two nonnegative span elements."""
-    if fam.has_constants(tol=tol):
-        ones = fam.ones()
-        _, c_one = span_membership(fam, ones, tol=tol)
-        worst = None
-        for i in range(fam.rank):
-            f = fam.generators[i]
-            if fam.exact:
-                shift = max(max(f), Fraction(0))
-            else:
-                shift = max(float(np.max(np.asarray(f, dtype=float))), 0.0)
-            level = float(shift)
-            if worst is None or level > worst["shift"]:
-                worst = {"generator": fam.names[i], "shift": level,
-                         "form": "f = shift*1 - (shift*1 - f)"}
-        return True, worst
-    try:
-        from scipy.optimize import linprog
-    except ImportError:  # pragma: no cover
-        return False, None
-    a = linalg.as_float(fam.generators).T
-    n, k = a.shape
-    worst = None
-    gens_f = linalg.as_float(fam.generators)
-    for i in range(fam.rank):
-        f = gens_f[i]
-        a_eq = np.hstack([a, -a])  # (c1 - c2) evaluated at each point
-        a_ub = np.vstack([np.hstack([-a, np.zeros((n, k))]),
-                          np.hstack([np.zeros((n, k)), -a])])  # both parts nonneg
-        res = linprog(c=np.zeros(2 * k), A_eq=a_eq, b_eq=f,
-                      A_ub=a_ub, b_ub=np.zeros(2 * n),
-                      bounds=[(None, None)] * (2 * k), method="highs")
-        if not res.success:
-            return False, {"generator": fam.names[i], "infeasible": True}
-        mass = float(np.sum(np.abs(res.x)))
-        if worst is None or mass > worst["shift"]:
-            worst = {"generator": fam.names[i], "shift": mass, "form": "lp"}
-    return True, worst
+def _positive_element(fam: FunctionFamily, nonzero) -> Optional[tuple]:
+    """Coefficients c with G^T c >= 1 on `nonzero`, or None if no span element
+    is positive there. One HiGHS LP on G / max|G|: max t, G^T c >= t there,
+    t <= 1. Scaling lifts any t > 0 to 1 and c = 0 gives 0, so the optimum is
+    1 or 0; accept above 1/2, reading no tolerance."""
+    from scipy.optimize import linprog
+    g = linalg.as_float(fam.generators)
+    scale = float(np.abs(g).max(initial=0.0))
+    a = g.T[nonzero] / scale
+    k = fam.rank
+    res = linprog(c=np.r_[np.zeros(k), -1.0],
+                  A_ub=np.hstack([-a, np.ones((a.shape[0], 1))]),
+                  b_ub=np.zeros(a.shape[0]),
+                  bounds=[(None, None)] * k + [(None, 1.0)], method="highs")
+    if res.status != 0 or -res.fun <= 0.5:
+        return None
+    return tuple(res.x[:k] / scale)
 
 
 def build_subbasic_bump(fam: FunctionFamily, x0, f, eps, tol: float = DEFAULT_TOL) -> FunctionVec:

@@ -296,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         if samples:
             p.add_argument("--samples", type=int, default=256,
-                           help="probe count for sampled screens (default 256)")
+                           help="clamped probes measuring g_residual of a family "
+                                "that is not clamp invariant (default 256)")
 
     p = sub.add_parser("decompose",
                        help="certify an operator and recover its point map and weight")

@@ -94,7 +94,8 @@ def zero_family(t: OperatorModel, x0, tol: float = DEFAULT_TOL) -> ZeroSetFamily
     On a full family the generating set is the coordinate indicators e_j,
     j != x0 (on a one-point space it is empty and the intersection is the
     whole codomain). Rank-deficient families cannot separate points on a
-    finite model, so no generating set exists and recovery is refused.
+    finite model, so no generating set exists and recovery is refused. Float
+    image values count as zero within tol * max|T e_j| over every j.
     """
     x0 = _resolve_anchor(t, x0)
     fam = t.domain
@@ -102,18 +103,15 @@ def zero_family(t: OperatorModel, x0, tol: float = DEFAULT_TOL) -> ZeroSetFamily
         raise ValueError("recovery needs a family that separates points "
                          "(full rank on a finite model)")
     n = fam.space.size
-    members = []
-    for j in range(n):
-        if j == x0:
-            continue
-        e = linalg.zeros_like_mode((n,), fam.exact)
-        e[j] = Fraction(1) if fam.exact else 1.0
-        img = t.apply_values(e)
-        members.append(ZeroFamilyMember(
-            description=f"indicator({fam.space.labels[j]})",
-            preimage_values=tuple(e),
-            image_values=tuple(img),
-            image_zeros=ZeroSet.of(img, tol)))
+    indicators = linalg.zeros_like_mode((n, n), fam.exact)
+    np.fill_diagonal(indicators, Fraction(1) if fam.exact else 1.0)
+    images = [t.apply_values(e) for e in indicators]
+    cut = tol * float(np.max(np.abs(linalg.as_float(images))))
+    members = [ZeroFamilyMember(description=f"indicator({fam.space.labels[j]})",
+                                preimage_values=tuple(indicators[j]),
+                                image_values=tuple(images[j]),
+                                image_zeros=ZeroSet.of(images[j], cut))
+               for j in range(n) if j != x0]
     return ZeroSetFamily(anchor=x0, members=tuple(members))
 
 
@@ -123,7 +121,7 @@ def recover_point(t: OperatorModel, x0, tol: float = DEFAULT_TOL,
 
     Exact mode demands a unique exact common zero. Float mode scores each
     codomain point by the worst member-image magnitude and requires the best
-    score to beat the runner-up by margin_factor * tol.
+    score to beat the runner-up by more than margin_factor * tol * max score.
     """
     zf = zero_family(t, x0, tol=tol)
     n_cod = t.codomain.space.size
@@ -145,9 +143,10 @@ def recover_point(t: OperatorModel, x0, tol: float = DEFAULT_TOL,
     best = int(order[0])
     if n_cod > 1:
         margin = scores[order[1]] - scores[best]
-        if margin < margin_factor * tol:
+        bound = margin_factor * tol * float(scores.max())
+        if margin <= bound:
             raise AmbiguousIntersectionError(
-                f"runner-up within margin ({margin:.3e} < {margin_factor * tol:.3e})")
+                f"runner-up within margin ({margin:.3e} <= {bound:.3e})")
     return best
 
 

@@ -3,6 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from oiso.adequacy import (
     SeparationInfeasibleError,
@@ -12,7 +16,9 @@ from oiso.adequacy import (
     clamp,
 )
 from oiso.fuzz import random_metric_space, spawn_generators
-from oiso.spaces import FunctionFamily, PointSpace, build_lipschitz_family
+from oiso.linalg import as_float, exact_rank
+from oiso.spaces import (DEFAULT_TOL, FunctionFamily, PointSpace, build_lipschitz_family,
+                         span_membership)
 
 
 class TestClamp:
@@ -81,25 +87,25 @@ class TestCheckAdequate:
 
     def test_cone_generation_without_constants_uses_lp(self):
         # difference generators: the only nonnegative span element is 0, so
-        # the cone cannot generate and the LP reports infeasibility
+        # the cone cannot generate and the LP finds no positive element
         gen = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
         fam = FunctionFamily(PointSpace.discrete(3), gen, names=("a", "b"))
         rep = check_adequate(fam)
         assert not rep.has_constants
         assert not rep.cone_generates
-        assert rep.cone_witness == {"generator": "a", "infeasible": True}
+        assert rep.cone_witness is None
         assert not rep.adequate
 
     def test_cone_generation_without_constants_feasible_case(self):
-        # span{t, t(1-t)} on (0,1) samples: both generators nonnegative there,
-        # so each is trivially a difference of cone elements (LP route)
+        # span{t, t(1-t)} on (0,1) samples: both generators positive there, so
+        # the LP finds a strictly positive span element
         ts = np.array([0.2, 0.5, 0.8])
         gen = np.array([ts, ts * (1 - ts)])
         fam = FunctionFamily(PointSpace.grid(list(ts)), gen, names=("t", "t(1-t)"))
         rep = check_adequate(fam)
         assert not rep.has_constants
         assert rep.cone_generates
-        assert rep.cone_witness["form"] == "lp"
+        assert np.all(fam.values(np.array(rep.cone_witness)) > 0)
 
     def test_exact_full_family(self):
         fam = FunctionFamily.full(PointSpace.discrete(3), exact=True)
@@ -112,6 +118,215 @@ class TestCheckAdequate:
         assert doc["schema"] == "oiso/1"
         assert set(doc) == {"schema", "separates", "has_constants", "g_invariant",
                             "g_residual", "cone_generates", "adequate"}
+
+
+    def test_invariant_proper_family_reports_zero_residual(self):
+        # 2*1_{x1,x2} - 1_{x3} and 1_{x3} over four points, x4 a zero column
+        gen = np.array([[2.0, 2.0, -1.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+        rep = check_adequate(FunctionFamily(PointSpace.discrete(4), gen))
+        assert rep.g_invariant and rep.g_residual == 0.0
+        assert not rep.has_constants and rep.cone_generates
+        assert not rep.separates
+        assert [w is not None for w in rep.separation_witnesses] == [False, False, True, False]
+
+    def test_exact_family_not_invariant_reports_inf(self):
+        gen = np.array([[Fraction(1)] * 3, [Fraction(0), Fraction(1, 2), Fraction(1)]],
+                       dtype=object)
+        rep = check_adequate(FunctionFamily(PointSpace.discrete(3), gen))
+        assert rep.has_constants and not rep.g_invariant
+        assert rep.g_residual == float("inf")
+        assert rep.cone_witness == (Fraction(1), Fraction(0))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_full_family_runs_no_solve_or_lp(self, monkeypatch, exact):
+        space = random_metric_space(np.random.default_rng(5), min_points=6, max_points=6)
+        fam = build_lipschitz_family(space)
+        if exact:
+            fam = FunctionFamily(space, _exact(fam.generators))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a full family needs no least squares or LP")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+        rep = check_adequate(fam)
+        assert rep.adequate and rep.g_residual == 0.0
+        for x, w in enumerate(rep.separation_witnesses):
+            vals = as_float([fam.values(np.array(w))])[0]
+            assert np.allclose(vals, np.eye(6)[x], atol=1e-9)
+        assert np.allclose(as_float([fam.values(np.array(rep.cone_witness))])[0], 1.0)
+
+
+# --------------------------------------------------------- reference oracle
+# check_adequate as it ran before it decided in closed form: one solve per
+# indicator, clamped probes for invariance and one LP per generator for cone
+# generation. The closed-form flags must agree with it.
+
+def _exact(g):
+    return np.array([[Fraction(float(x)) for x in row] for row in g], dtype=object)
+
+
+def _indicator(fam, x):
+    v = np.array([Fraction(int(i == x)) for i in range(fam.space.size)], dtype=object)
+    return v if fam.exact else np.asarray(v, dtype=float)
+
+
+def _lp_cone_generates(fam) -> bool:
+    """Every generator is c1 - c2 with both parts nonnegative at every point."""
+    a = as_float(fam.generators).T
+    n, k = a.shape
+    for f in as_float(fam.generators):
+        res = linprog(c=np.zeros(2 * k), A_eq=np.hstack([a, -a]), b_eq=f,
+                      A_ub=np.vstack([np.hstack([-a, np.zeros((n, k))]),
+                                      np.hstack([np.zeros((n, k)), -a])]),
+                      b_ub=np.zeros(2 * n), bounds=[(None, None)] * (2 * k),
+                      method="highs")
+        if not res.success:
+            return False
+    return True
+
+
+def _sampled_adequacy(fam, tol=DEFAULT_TOL, samples=64, seed=0, scales=(1,)):
+    """(separates, has_constants, g_invariant, cone_generates, g_residual),
+    probing each multiple s * v, s in `scales`, of the generators and sampled
+    span elements v (the parent probed s = 1 only)."""
+    separates = all(span_membership(fam, _indicator(fam, x), tol=tol)[0]
+                    for x in range(fam.space.size))
+    has_const = fam.has_constants(tol=tol)
+    rng = np.random.default_rng(seed)
+    probes = [fam.generators[i] for i in range(fam.rank)]
+    for _ in range(samples):
+        if fam.exact:
+            ints = rng.integers(-3, 4, size=fam.rank)
+            coeffs = np.array([Fraction(int(v)) for v in ints], dtype=object)
+        else:
+            coeffs = rng.standard_normal(fam.rank)
+        probes.append(fam.values(coeffs))
+    g_invariant, g_residual = True, 0.0
+    for v in [s * v for s in scales for v in probes]:
+        if not span_membership(fam, clamp(v), tol=tol)[0]:
+            g_invariant = False
+            if fam.exact:
+                g_residual = float("inf")
+            else:
+                a = np.asarray(fam.generators, dtype=float).T
+                cv = clamp(np.asarray(v, dtype=float))
+                c, *_ = np.linalg.lstsq(a, cv, rcond=None)
+                g_residual = max(g_residual, float(np.max(np.abs(a @ c - cv))))
+    return separates, has_const, g_invariant, has_const or _lp_cone_generates(fam), g_residual
+
+
+def _flags(rep):
+    return rep.separates, rep.has_constants, rep.g_invariant, rep.cone_generates
+
+
+def _unimodular(rng, r):
+    lower = np.tril(rng.integers(-2, 3, size=(r, r)), -1) + np.eye(r, dtype=int)
+    upper = np.triu(rng.integers(-2, 3, size=(r, r)), 1) + np.eye(r, dtype=int)
+    return lower @ upper
+
+
+def _family(space, g, exact):
+    return FunctionFamily(space, _exact(g) if exact else np.asarray(g, dtype=float))
+
+
+def _full_lipschitz(rng, exact):
+    fam = build_lipschitz_family(random_metric_space(rng, max_points=7))
+    return _family(fam.space, fam.generators, exact)
+
+
+def _dropped_rows(rng, exact):
+    # build_lipschitz_family puts the constants row first; it may be dropped
+    fam = build_lipschitz_family(random_metric_space(rng, min_points=3, max_points=7))
+    n = fam.rank
+    keep = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+    return _family(fam.space, fam.generators[keep], exact)
+
+
+def _disjoint_indicators(rng, exact):
+    # C . [1_{S_1}; ...; 1_{S_r}] over disjoint nonempty S_k; class 0 is zero
+    n = int(rng.integers(3, 10))
+    r = int(rng.integers(1, n))
+    labels = np.concatenate([np.arange(1, r + 1), rng.integers(0, r + 1, size=n - r)])
+    rng.shuffle(labels)
+    ind = np.array([[int(lab == k) for lab in labels] for k in range(1, r + 1)])
+    return _family(PointSpace.discrete(n), _unimodular(rng, r) @ ind, exact)
+
+
+def _independent_rows(rng, make):
+    while True:
+        g = make()
+        if exact_rank(_exact(g)) == g.shape[0]:
+            return g
+
+
+def _nonnegative(rng, exact):
+    # nonnegative generators without the constants: the cone generates
+    n = int(rng.integers(3, 10))
+    r = int(rng.integers(1, n))
+    while True:
+        g = _independent_rows(rng, lambda: rng.integers(0, 4, size=(r, n)))
+        if exact_rank(_exact(np.vstack([g, np.ones((1, n), dtype=int)]))) == r + 1:
+            return _family(PointSpace.discrete(n), g, exact)
+
+
+def _differences(rng, exact):
+    # every span element sums to 0, so the only nonnegative one is 0
+    n = int(rng.integers(3, 10))
+    r = int(rng.integers(1, n))
+
+    def make():
+        g = rng.integers(-3, 4, size=(r, n))
+        g[:, -1] = -g[:, :-1].sum(axis=1)
+        return g
+
+    return _family(PointSpace.discrete(n), _independent_rows(rng, make), exact)
+
+
+FAMILIES = {"full lipschitz": _full_lipschitz, "dropped rows": _dropped_rows,
+            "disjoint indicators": _disjoint_indicators, "nonnegative": _nonnegative,
+            "differences": _differences}
+
+
+class TestClosedFormMatchesSampledOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(sorted(FAMILIES)), seed=st.integers(0, 2**32 - 1),
+           exact=st.booleans())
+    def test_flags_and_residual_equal_the_oracle(self, kind, seed, exact):
+        fam = FAMILIES[kind](np.random.default_rng(seed), exact)
+        rep = check_adequate(fam)
+        want = _sampled_adequacy(fam)
+        # unscaled probes can miss a clamp that leaves the span only once it
+        # saturates (span{g} with 0 < g < 1 and two distinct positive values),
+        # so invariance is checked against probes at 1000x as well
+        wide = _sampled_adequacy(fam, scales=(1, 1000))
+        assert _flags(rep) == want[:2] + wide[2:3] + want[3:4]
+        assert rep.adequate == (all(want[:2]) and wide[2] and want[3])
+        # float: the parent's number from the unscaled probes; exact: inf
+        # exactly when the span is not invariant
+        assert rep.g_residual == (wide[4] if fam.exact else want[4])
+        if kind == "disjoint indicators":
+            assert rep.g_invariant
+        if kind == "nonnegative":
+            assert rep.cone_generates and not rep.has_constants
+        if kind == "differences":
+            assert not rep.cone_generates and rep.cone_witness is None
+        if rep.cone_generates:
+            nonzero = np.any(as_float(fam.generators) != 0, axis=0)
+            vals = as_float([fam.values(np.array(rep.cone_witness))])[0]
+            assert np.all(vals[nonzero] > 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(FAMILIES)), seed=st.integers(0, 2**32 - 1),
+           exponent=st.floats(-12.0, 12.0))
+    def test_scaled_generators_get_the_same_flags(self, kind, seed, exponent):
+        fam = FAMILIES[kind](np.random.default_rng(seed), False)
+        alpha = 10.0 ** exponent
+        # the family's own rank check is not scale-relative yet, so its
+        # cutoff follows alpha below 1; check_adequate runs at its default tol
+        scaled = FunctionFamily(fam.space, alpha * fam.generators,
+                                tol=DEFAULT_TOL * min(1.0, alpha))
+        assert _flags(check_adequate(scaled)) == _flags(check_adequate(fam))
 
 
 class TestSubbasicBump:

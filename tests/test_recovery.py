@@ -89,6 +89,12 @@ class TestRecoverPoint:
         with pytest.raises(AmbiguousIntersectionError, match="margin"):
             recover_point(t, 0)
 
+    def test_margin_follows_the_operator_scale(self):
+        # the runner-up margin 2e-12 was below the absolute 10 * tol
+        t = _monomial((1, 2, 0), 1e-12 * np.array([2.0, 3.0, 5.0]))
+        h = [recover_point(t, x) for x in range(3)]
+        assert h == [2, 0, 1] == recover_map(t).tolist()
+
 
 class TestRecoverMap:
     def test_fast_path_matches_per_anchor_loop(self):
@@ -284,6 +290,15 @@ class TestFipCheck:
         sp_y = FunctionFamily.full(PointSpace.discrete(2, "y"))
         t = OperatorModel(np.array([[1.0, 1.0], [1.0, 2.0]]), sp_x, sp_y)
         assert not fip_check(t, 0)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1e-12])
+    def test_dense_matrix_fails_at_every_scale(self, alpha):
+        # alpha * (J + I) is no order isomorphism; at 1e-12 every image value
+        # was below the absolute tol, so every zero set was the whole space
+        sp = FunctionFamily.full(PointSpace.discrete(3))
+        t = OperatorModel(alpha * (np.ones((3, 3)) + np.eye(3)), sp, sp)
+        assert not fip_check(t, 0)
+        assert not zero_family(t, 0).intersection_mask(3).any()
 
     def test_single_point_trivially_true(self):
         t = OperatorModel.weighted_permutation((0,), np.array([2.0]))
