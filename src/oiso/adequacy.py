@@ -113,13 +113,13 @@ def check_adequate(fam: FunctionFamily, tol: float = DEFAULT_TOL,
 def _point_columns(fam: FunctionFamily, tol: float):
     """Mask of the points with a nonzero column of G, and the number of
     distinct nonzero columns; float columns are zero or equal within
-    tol * max|G|, the cone test's scale-relative rule."""
+    linalg.cutoff(G, tol)."""
     cols = fam.generators.T
     if fam.exact:
         nonzero = np.array([any(col) for col in cols], dtype=bool)
         return nonzero, len({tuple(col) for col in cols[nonzero]})
     cols = np.asarray(cols, dtype=float)
-    cut = tol * float(np.abs(cols).max(initial=0.0))
+    cut = linalg.cutoff(cols, tol)
     nonzero = np.abs(cols).max(axis=1, initial=0.0) > cut
     reps = np.empty((0, cols.shape[1]))
     for col in cols[nonzero]:
@@ -243,38 +243,21 @@ def _separating_function(fam: FunctionFamily, x0: int, z: int, tol: float):
     if fam.exact:
         a = np.array([list(fam.generators[:, x0]), list(fam.generators[:, z])],
                      dtype=object)
-        sol = _exact_particular(a, [Fraction(1), Fraction(0)])
+        sol = linalg.exact_solve_unique(a, [Fraction(1), Fraction(0)])
         if sol is None:
             raise SeparationInfeasibleError(
                 f"cannot separate {fam.space.labels[x0]} from {fam.space.labels[z]}")
         return fam.values(sol)
     a = np.asarray(fam.generators, dtype=float)[:, [x0, z]].T
-    c, *_ = np.linalg.lstsq(a, np.array([1.0, 0.0]), rcond=None)
-    if np.max(np.abs(a @ c - np.array([1.0, 0.0]))) > tol:
+    rhs = np.array([1.0, 0.0])
+    c, *_ = np.linalg.lstsq(a, rhs, rcond=None)
+    if np.max(np.abs(a @ c - rhs)) > linalg.cutoff(rhs, tol):
         raise SeparationInfeasibleError(
             f"cannot separate {fam.space.labels[x0]} from {fam.space.labels[z]}")
     return fam.values(c)
 
 
-def _exact_particular(a, b):
-    """Particular rational solution of a @ x = b (free variables zero)."""
-    rows = [list(a[i]) + [b[i]] for i in range(a.shape[0])]
-    rref, pivots = linalg._exact_rref(rows)
-    k = a.shape[1]
-    x = [Fraction(0)] * k
-    for r, col in enumerate(pivots):
-        if col == k:
-            return None
-        x[col] = rref[r][k]
-    xv = np.array(x, dtype=object)
-    chk = linalg.mat_vec(a, xv)
-    for i in range(a.shape[0]):
-        if chk[i] != b[i]:
-            return None
-    return xv
-
-
 def _assert_bump_in_family(fam: FunctionFamily, h, tol: float):
-    ok, _ = span_membership(fam, h, tol=max(tol, 10 * tol))
+    ok, _ = span_membership(fam, h, tol=10 * tol)
     if not ok:
         raise ValueError("bump left the family span; family is not clamp-invariant")

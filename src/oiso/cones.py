@@ -51,10 +51,11 @@ class ConeRep:
         return self.facet_normals.shape[1]
 
     def contains(self, coeffs, tol: float = DEFAULT_TOL) -> bool:
+        """Float values count as negative below -linalg.cutoff(values, tol)."""
         vals = mat_vec(self.facet_normals, np.asarray(coeffs))
         if vals.dtype == object:
             return all(x >= 0 for x in vals)
-        return bool(np.all(vals >= -tol))
+        return bool(np.all(vals >= -linalg.cutoff(vals, tol)))
 
 
 def cone_rep(fam: FunctionFamily, tol: float = DEFAULT_TOL) -> ConeRep:
@@ -121,12 +122,6 @@ class OperatorModel:
     def inverse(self) -> "OperatorModel":
         return OperatorModel(self._inv_matrix, domain=self.codomain,
                              codomain=self.domain, basis=self.basis)
-
-    def apply_coeffs(self, coeffs) -> np.ndarray:
-        """Codomain coefficients of T f for domain coefficients of f."""
-        if self.basis == "point":
-            return self.apply_values(coeffs)
-        return mat_vec(self.matrix, np.asarray(coeffs))
 
     def apply_values(self, v) -> np.ndarray:
         """Values of T f at the codomain points, from the values of f."""
@@ -239,13 +234,7 @@ def _nonneg_violation(m, tol: float):
                     worst = (i, j)
         return worst
     i, j = np.unravel_index(np.argmin(m), m.shape)
-    return (int(i), int(j)) if m[i, j] < _negative_below(m, tol) else None
-
-
-def _negative_below(m, tol: float) -> float:
-    """The float cone test's one rule: a value computed from the matrix `m`
-    counts as negative below -tol * max|m|, so T and alpha*T get one verdict."""
-    return -tol * float(np.max(np.abs(m))) if m.size else 0.0
+    return (int(i), int(j)) if m[i, j] < -linalg.cutoff(m, tol) else None
 
 
 def _indicator(n: int, j: int, exact: bool):
@@ -267,7 +256,7 @@ def is_order_isomorphism(t: OperatorModel, tol: float = DEFAULT_TOL) -> Certific
     one HiGHS LP looks for c with |c| <= 1; in exact mode the decision is made
     in rational arithmetic (HiGHS only proposes the multiplier supports) and
     does not read `tol`. Float mode's one rule, on either basis: a value is
-    negative below -tol * max|.| of the matrix it is read from (the point
+    negative below -linalg.cutoff of the matrix it is read from (the point
     matrix, its inverse, or B), so alpha*T gets T's verdict.
     """
     arith = "rational" if t.exact else "float"
@@ -314,12 +303,15 @@ def is_order_isomorphism(t: OperatorModel, tol: float = DEFAULT_TOL) -> Certific
 def _farkas_witness(a, b, tol: float):
     """One HiGHS LP over every target point y: min b_y . c_y with A c_y >= 0
     and |c_y| <= 1. Returns (y, c_y) for the most negative value when it is
-    below -tol * max|B|, else None. The LP's costs are B / max|B|, since
-    HiGHS judges optimality against absolute tolerances."""
+    below -linalg.cutoff(B, tol), else None. HiGHS judges optimality and
+    feasibility against absolute tolerances, so its costs are B / max|B| and
+    its constraints A scaled by the power of two that brings max|A| into
+    [1/2, 1), which leaves the feasible set unchanged and is exact."""
     from scipy.optimize import linprog
     from scipy.sparse import identity, kron
 
     n, k = b.shape
+    a = np.ldexp(a, -np.frexp(np.max(np.abs(a)))[1])
     res = linprog(c=(b / np.max(np.abs(b))).ravel(),
                   A_ub=-kron(identity(n), a, format="csr"), b_ub=np.zeros(n * a.shape[0]),
                   bounds=(-1.0, 1.0), method="highs")
@@ -328,7 +320,7 @@ def _farkas_witness(a, b, tol: float):
     cs = res.x.reshape(n, k)
     vals = np.einsum("yk,yk->y", b, cs)
     y = int(np.argmin(vals))
-    return (y, cs[y]) if vals[y] < _negative_below(b, tol) else None
+    return (y, cs[y]) if vals[y] < -linalg.cutoff(b, tol) else None
 
 
 def _exact_witness(a, b):

@@ -22,8 +22,7 @@ __all__ = [
     "exact_inv",
     "exact_rank",
     "exact_solve_unique",
-    "exact_nullspace",
-    "float_nullspace",
+    "cutoff",
     "monomial",
     "rank",
     "inv",
@@ -166,7 +165,9 @@ def exact_rank(a) -> int:
 
 
 def exact_solve_unique(a, b):
-    """Solve a @ x = b when `a` has full column rank; None if inconsistent."""
+    """Solve a @ x = b over the rationals; None if inconsistent. The solution
+    has every free variable (non-pivot column of `a`) set to zero, so it is
+    the unique one when `a` has full column rank."""
     m, k = a.shape
     aug = [list(a[i]) + [Fraction(b[i]) if not isinstance(b[i], Fraction) else b[i]]
            for i in range(m)]
@@ -176,11 +177,7 @@ def exact_solve_unique(a, b):
         if col == k:
             return None  # a zero row equals a nonzero rhs
         x[col] = rref[r][k]
-    # full column rank expected: all columns pivotal unless inconsistent input rank
-    if len([c for c in pivots if c < k]) < exact_rank(a):
-        return None
     xv = np.array(x, dtype=object)
-    # verify (guards callers passing rank-deficient a)
     res = mat_vec(a, xv)
     for i in range(m):
         bi = b[i] if isinstance(b[i], Fraction) else Fraction(b[i])
@@ -189,34 +186,11 @@ def exact_solve_unique(a, b):
     return xv
 
 
-def exact_nullspace(a) -> list:
-    """Basis of the exact nullspace of `a` (list of object vectors)."""
-    m, k = a.shape
-    if m == 0:
-        return [np.array([Fraction(int(i == j)) for j in range(k)], dtype=object)
-                for i in range(k)]
-    rref, pivots = _exact_rref(_tolists(a))
-    free = [c for c in range(k) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * k
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        basis.append(np.array(v, dtype=object))
-    return basis
-
-
-def float_nullspace(a, tol: float = 1e-10) -> list:
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.shape[0] == 0 or a.size == 0:
-        k = a.shape[1]
-        return [np.eye(k)[i] for i in range(k)]
-    _, s, vt = np.linalg.svd(a)
-    null_mask = np.zeros(vt.shape[0], dtype=bool)
-    null_mask[len(s):] = True
-    null_mask[: len(s)] |= s <= tol * max(a.shape) * (s[0] if len(s) else 1.0)
-    return [vt[i] for i in range(vt.shape[0]) if null_mask[i]]
+def cutoff(a, tol: float) -> float:
+    """The float zero rule: a value computed from or tested in `a` counts as
+    zero when its magnitude is at most tol * max|a|, so alpha * a gets the
+    decisions of a for every alpha > 0. An empty `a` gives 0."""
+    return tol * float(np.abs(np.asarray(a, dtype=float)).max(initial=0.0))
 
 
 def monomial(a):
@@ -234,19 +208,19 @@ def monomial(a):
 
 
 def rank(a, tol: float = 1e-10) -> int:
-    """Rank of `a`; in float mode singular values up to
-    tol * max(shape) * max(1, max|a|) count as zero. A monomial matrix's
-    singular values are its entries' magnitudes, so it is read, not factored."""
+    """Rank of `a`; in float mode singular values up to cutoff(a, tol) count
+    as zero. A monomial matrix's singular values are its entries' magnitudes,
+    so it is read, not factored."""
     if is_exact(a):
         return a.shape[0] if monomial(a) is not None else exact_rank(a)
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return 0
-    cutoff = tol * max(a.shape) * max(1.0, float(np.abs(a).max()))
+    cut = cutoff(a, tol)
     read = monomial(a)
     if read is not None:
-        return int(np.count_nonzero(np.abs(read[1]) > cutoff))
-    return int(np.linalg.matrix_rank(a, tol=cutoff))
+        return int(np.count_nonzero(np.abs(read[1]) > cut))
+    return int(np.linalg.matrix_rank(a, tol=cut))
 
 
 def inv(a):

@@ -95,7 +95,8 @@ def zero_family(t: OperatorModel, x0, tol: float = DEFAULT_TOL) -> ZeroSetFamily
     j != x0 (on a one-point space it is empty and the intersection is the
     whole codomain). Rank-deficient families cannot separate points on a
     finite model, so no generating set exists and recovery is refused. Float
-    image values count as zero within tol * max|T e_j| over every j.
+    image values count as zero within linalg.cutoff(images, tol), the images
+    being every T e_j.
     """
     x0 = _resolve_anchor(t, x0)
     fam = t.domain
@@ -106,7 +107,7 @@ def zero_family(t: OperatorModel, x0, tol: float = DEFAULT_TOL) -> ZeroSetFamily
     indicators = linalg.zeros_like_mode((n, n), fam.exact)
     np.fill_diagonal(indicators, Fraction(1) if fam.exact else 1.0)
     images = [t.apply_values(e) for e in indicators]
-    cut = tol * float(np.max(np.abs(linalg.as_float(images))))
+    cut = linalg.cutoff(images, tol)
     members = [ZeroFamilyMember(description=f"indicator({fam.space.labels[j]})",
                                 preimage_values=tuple(indicators[j]),
                                 image_values=tuple(images[j]),
@@ -115,13 +116,13 @@ def zero_family(t: OperatorModel, x0, tol: float = DEFAULT_TOL) -> ZeroSetFamily
     return ZeroSetFamily(anchor=x0, members=tuple(members))
 
 
-def recover_point(t: OperatorModel, x0, tol: float = DEFAULT_TOL,
-                  margin_factor: float = MARGIN_FACTOR) -> int:
+def recover_point(t: OperatorModel, x0, tol: float = DEFAULT_TOL) -> int:
     """The codomain point where every zero-family image vanishes.
 
     Exact mode demands a unique exact common zero. Float mode scores each
     codomain point by the worst member-image magnitude and requires the best
-    score to beat the runner-up by more than margin_factor * tol * max score.
+    score to beat the runner-up by more than
+    MARGIN_FACTOR * linalg.cutoff(scores, tol).
     """
     zf = zero_family(t, x0, tol=tol)
     n_cod = t.codomain.space.size
@@ -143,7 +144,7 @@ def recover_point(t: OperatorModel, x0, tol: float = DEFAULT_TOL,
     best = int(order[0])
     if n_cod > 1:
         margin = scores[order[1]] - scores[best]
-        bound = margin_factor * tol * float(scores.max())
+        bound = MARGIN_FACTOR * linalg.cutoff(scores, tol)
         if margin <= bound:
             raise AmbiguousIntersectionError(
                 f"runner-up within margin ({margin:.3e} <= {bound:.3e})")

@@ -270,7 +270,9 @@ class ZeroSet:
 
 
 def span_membership(fam: FunctionFamily, f, tol: float = DEFAULT_TOL):
-    """Is `f` in the span of the family? Returns (bool, coefficients-or-None)."""
+    """Is `f` in the span of the family? Returns (bool, coefficients-or-None).
+    A float `f` is in the span when the least-squares residual is at most
+    linalg.cutoff(f, tol), so alpha * f gets the answer of f."""
     v = values_of(f)
     if v.shape != (fam.space.size,):
         raise DimensionMismatchError("value vector must match the point count")
@@ -284,16 +286,17 @@ def span_membership(fam: FunctionFamily, f, tol: float = DEFAULT_TOL):
         return (c is not None), c
     a = np.asarray(fam.generators, dtype=float).T
     c, *_ = np.linalg.lstsq(a, v, rcond=None)
-    resid = float(np.max(np.abs(a @ c - v))) if v.size else 0.0
-    return (resid <= tol), (c if resid <= tol else None)
+    ok = float(np.abs(a @ c - v).max(initial=0.0)) <= linalg.cutoff(v, tol)
+    return ok, (c if ok else None)
 
 
 def cone_membership(fam: FunctionFamily, coeffs, tol: float = DEFAULT_TOL) -> bool:
-    """Is the span element with these coefficients nonnegative at every point?"""
+    """Is the span element with these coefficients nonnegative at every point?
+    Float values count as negative below -linalg.cutoff(values, tol)."""
     v = fam.values(coeffs)
     if v.dtype == object:
         return all(x >= 0 for x in v)
-    return bool(np.all(v >= -tol))
+    return bool(np.all(v >= -linalg.cutoff(v, tol)))
 
 
 def _independent_subset(rows, names, n, tol):

@@ -321,11 +321,7 @@ class TestClosedFormMatchesSampledOracle:
            exponent=st.floats(-12.0, 12.0))
     def test_scaled_generators_get_the_same_flags(self, kind, seed, exponent):
         fam = FAMILIES[kind](np.random.default_rng(seed), False)
-        alpha = 10.0 ** exponent
-        # the family's own rank check is not scale-relative yet, so its
-        # cutoff follows alpha below 1; check_adequate runs at its default tol
-        scaled = FunctionFamily(fam.space, alpha * fam.generators,
-                                tol=DEFAULT_TOL * min(1.0, alpha))
+        scaled = FunctionFamily(fam.space, 10.0 ** exponent * fam.generators)
         assert _flags(check_adequate(scaled)) == _flags(check_adequate(fam))
 
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oiso.cones import Certificate, OperatorModel, cone_rep, is_order_isomorphism
 from oiso.fuzz import random_metric_space
@@ -483,3 +485,39 @@ def test_exact_rank_13_proper_subfamily_stays_rational():
         assert cert.arithmetic == "rational"
         if not accept:
             _assert_witness(cert, g, g, matrix, matrix, True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(construction=st.sampled_from(CONSTRUCTIONS), seed=st.integers(0, 2**32 - 1),
+       variant=st.sampled_from(["positive", "negative weight", "mixed"]),
+       exponents=st.tuples(*(st.floats(-12.0, 12.0),) * 3))
+def test_scaled_operator_gets_the_same_verdict(construction, seed, variant, exponents):
+    """(alpha G_X, beta G_Y, gamma M) gets the verdict, side and point of
+    (G_X, G_Y, M). Codomain generators B (g Lambda^T) and matrix B^-T give
+    G_Y^T M = Lambda G_X^T: Lambda a positive weighted permutation (accepted),
+    with one weight negated (rejected on the domain side), or plus a
+    nonnegative mixing (T maps the cone into, usually not onto, itself)."""
+    kind, k, m = construction
+    rng = np.random.default_rng(seed)
+    g = np.asarray(_generators(rng, kind, k, m), dtype=float)
+    b, b_inv = _unimodular(rng, k)
+    w = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=m))
+    lam = np.zeros((m, m))
+    lam[np.arange(m), rng.permutation(m)] = w
+    if variant == "negative weight":
+        lam[int(rng.integers(m))] *= -1.0
+    elif variant == "mixed":
+        # each row's mixing stays below half its weight, so Lambda is invertible
+        lam += w[:, None] * rng.uniform(0.0, 0.5 / m, size=(m, m)) * (rng.random((m, m)) < 0.3)
+    g_cod = b @ g @ lam.T
+
+    def verdict(alpha, beta, gamma):
+        dom = FunctionFamily(PointSpace.discrete(m, "x"), alpha * g)
+        cod = FunctionFamily(PointSpace.discrete(m, "y"), beta * g_cod)
+        cert = is_order_isomorphism(OperatorModel(gamma * b_inv.T, dom, cod, basis="generator"))
+        return cert.accept, cert.side, cert.point
+
+    base = verdict(1.0, 1.0, 1.0)
+    if variant != "mixed":
+        assert base[0] is (variant == "positive")
+    assert verdict(*(10.0 ** e for e in exponents)) == base

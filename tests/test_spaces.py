@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oiso import (
     DimensionMismatchError,
@@ -13,6 +15,7 @@ from oiso import (
     cone_membership,
     span_membership,
 )
+from oiso.fuzz import random_metric_space
 
 
 class TestPointSpace:
@@ -115,6 +118,60 @@ class TestSpanMembership:
         fam2 = FunctionFamily(PointSpace.grid(list(ts)), np.array([np.ones(3), ts]))
         assert cone_membership(fam2, np.array([2.0, -1.0]))
         assert not cone_membership(fam2, np.array([0.0, -1.0]))
+
+
+def _lipschitz(rng):
+    return build_lipschitz_family(random_metric_space(rng, max_points=7))
+
+
+def _polynomials(rng):
+    # {1, t, ..., t^(k-1)} on m > k grid points: a proper family with constants
+    m = int(rng.integers(3, 9))
+    ts = np.linspace(0.0, 1.0, m)
+    return FunctionFamily(PointSpace.grid(list(ts)),
+                          np.vander(ts, int(rng.integers(1, m)), increasing=True).T)
+
+
+def _integer_rows(rng):
+    m = int(rng.integers(2, 9))
+    k = int(rng.integers(1, m + 1))
+    while True:
+        g = rng.integers(-3, 4, size=(k, m)).astype(float)
+        if np.linalg.matrix_rank(g) == k:
+            return FunctionFamily(PointSpace.discrete(m), g)
+
+
+class TestScaledFamilies:
+    @settings(max_examples=80, deadline=None)
+    @given(make=st.sampled_from([_lipschitz, _polynomials, _integer_rows]),
+           seed=st.integers(0, 2**32 - 1), exponent=st.floats(-12.0, 12.0))
+    def test_scaled_generators_get_the_same_answers(self, make, seed, exponent):
+        rng = np.random.default_rng(seed)
+        fam = make(rng)
+        alpha = 10.0 ** exponent
+        scaled = FunctionFamily(fam.space, alpha * fam.generators)
+        assert scaled.has_constants() == fam.has_constants()
+        c = rng.standard_normal(fam.rank)
+        coeffs = [c]
+        if fam.has_constants():
+            # c shifted by constants until its minimum value is 1
+            coeffs.append(c + (1.0 - fam.values(c).min()) * fam.coefficients_of(fam.ones()))
+        for cc in coeffs:
+            assert cone_membership(scaled, cc) == cone_membership(fam, cc)
+        for v in (fam.values(c), rng.standard_normal(fam.space.size)):
+            ok, got = span_membership(scaled, alpha * v)
+            want_ok, want = span_membership(fam, v)
+            assert ok == want_ok
+            if ok:
+                assert np.allclose(got, want, rtol=1e-6, atol=1e-9 * np.abs(want).max())
+
+    @pytest.mark.parametrize("alpha", [1.0, 1e-6])
+    def test_small_negative_element_is_outside_the_cone_at_every_scale(self, alpha):
+        # -1e-3 at every point is below -tol * 1e-3; an absolute cutoff
+        # judged alpha * -1e-3 = -1e-9 nonnegative at alpha = 1e-6
+        ts = np.array([0.0, 0.5, 1.0])
+        fam = FunctionFamily(PointSpace.grid(list(ts)), alpha * np.array([np.ones(3), ts]))
+        assert not cone_membership(fam, np.array([-1e-3, 0.0]))
 
 
 class TestZeroSet:
