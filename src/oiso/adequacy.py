@@ -77,14 +77,13 @@ def _indicator_vec(fam: FunctionFamily, j: int):
     return v
 
 
-def check_adequate(fam: FunctionFamily, tol: float = DEFAULT_TOL,
-                   samples: int = 64, seed: int = 0) -> AdequacyReport:
+def check_adequate(fam: FunctionFamily, tol: float = DEFAULT_TOL) -> AdequacyReport:
     """The four adequacy flags in closed form (see the module docstring).
 
     A full family passes all four with separation witnesses the columns of
     inv(G^T). A proper family's per-point loop reports which anchors it does
-    separate. `samples` clamped probes, seeded by `seed`, only measure
-    `g_residual` of a float family that is not clamp invariant (exact: inf).
+    separate. `g_residual` is 0 for a clamp-invariant family; otherwise it is
+    the distance from the span to its clamp closure (float) or inf (exact).
     """
     if fam.is_full:
         inv_t = linalg.inv(fam.generators.T)
@@ -100,9 +99,9 @@ def check_adequate(fam: FunctionFamily, tol: float = DEFAULT_TOL,
         witnesses.append(tuple(c) if ok else None)
     has_const, c_one = span_membership(fam, fam.ones(), tol=tol)
     nonzero, classes = _point_columns(fam, tol)
-    g_invariant = fam.rank == classes
+    g_invariant = fam.rank == len(classes)
     g_residual = (0.0 if g_invariant else float("inf") if fam.exact
-                  else _clamp_residual(fam, tol, samples, seed))
+                  else _closure_residual(fam, classes))
     cone_witness = tuple(c_one) if has_const else _positive_element(fam, nonzero)
     return AdequacyReport(separates=False, separation_witnesses=tuple(witnesses),
                           has_constants=has_const, g_invariant=g_invariant,
@@ -111,38 +110,42 @@ def check_adequate(fam: FunctionFamily, tol: float = DEFAULT_TOL,
 
 
 def _point_columns(fam: FunctionFamily, tol: float):
-    """Mask of the points with a nonzero column of G, and the number of
-    distinct nonzero columns; float columns are zero or equal within
-    linalg.cutoff(G, tol)."""
+    """Mask of the points with a nonzero column of G, and the classes of
+    points with equal nonzero columns (lists of point indices); float columns
+    are zero or equal within linalg.cutoff(G, tol)."""
     cols = fam.generators.T
     if fam.exact:
         nonzero = np.array([any(col) for col in cols], dtype=bool)
-        return nonzero, len({tuple(col) for col in cols[nonzero]})
+        classes = {}
+        for x in np.flatnonzero(nonzero):
+            classes.setdefault(tuple(cols[x]), []).append(int(x))
+        return nonzero, list(classes.values())
     cols = np.asarray(cols, dtype=float)
     cut = linalg.cutoff(cols, tol)
     nonzero = np.abs(cols).max(axis=1, initial=0.0) > cut
     reps = np.empty((0, cols.shape[1]))
-    for col in cols[nonzero]:
-        if not np.any(np.abs(reps - col).max(axis=1, initial=0.0) <= cut):
-            reps = np.vstack([reps, col])
-    return nonzero, reps.shape[0]
+    classes = []
+    for x in np.flatnonzero(nonzero):
+        hit = np.flatnonzero(np.abs(reps - cols[x]).max(axis=1, initial=0.0) <= cut)
+        if hit.size:
+            classes[hit[0]].append(int(x))
+        else:
+            reps = np.vstack([reps, cols[x]])
+            classes.append([int(x)])
+    return nonzero, classes
 
 
-def _clamp_residual(fam: FunctionFamily, tol: float, samples: int, seed: int) -> float:
-    """Largest lstsq distance above tol from the span to a clamped probe: each
-    generator, then `samples` seeded standard normal span elements."""
+def _closure_residual(fam: FunctionFamily, classes) -> float:
+    """Largest sup-norm lstsq distance from the span to the indicator of a
+    class of equal nonzero columns, in one lstsq. The indicators span the
+    clamp closure of the span, so this is > 0 exactly when the family is not
+    clamp invariant."""
     a = np.asarray(fam.generators, dtype=float).T
-    rng = np.random.default_rng(seed)
-    probes = list(fam.generators) + [fam.values(rng.standard_normal(fam.rank))
-                                     for _ in range(samples)]
-    worst = 0.0
-    for v in probes:
-        cv = clamp(v)
-        c, *_ = np.linalg.lstsq(a, cv, rcond=None)
-        resid = float(np.max(np.abs(a @ c - cv)))
-        if resid > tol:
-            worst = max(worst, resid)
-    return worst
+    ind = np.zeros((a.shape[0], len(classes)))
+    for k, members in enumerate(classes):
+        ind[members, k] = 1.0
+    c, *_ = np.linalg.lstsq(a, ind, rcond=None)
+    return float(np.max(np.abs(a @ c - ind)))
 
 
 def _positive_element(fam: FunctionFamily, nonzero) -> Optional[tuple]:

@@ -1,15 +1,17 @@
 """Command-line front end: JSON in, canonical JSON report out.
 
-Exit codes: 0 for accepted/successful runs, 2 for mathematically rejected
-inputs (a report with the certificate or diagnostic is still emitted), 1 for
-usage and I/O errors. Reports are canonical (sorted keys, fixed indentation,
-sha256 digest of the payload) and contain nothing run-dependent; elapsed time
-goes to stderr.
+Exit codes: 0 when the input is accepted or the property holds; 2 when it is
+rejected, by a handler's own verdict or by an outcome exception listed in
+REJECTED, with a report that carries the reason; 1 for usage and input errors,
+with a message on stderr and no report. Each subcommand declares the inputs
+and settings its report echoes, so `main` can report a rejection raised
+mid-handler. Reports are canonical (sorted keys, fixed indentation, sha256
+digest of the payload) and contain nothing run-dependent; elapsed time goes to
+stderr.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -37,7 +39,8 @@ from .exprs import (
     separation_witness,
     to_sexpr,
 )
-from .recovery import NotOrderIsomorphismError, decompose
+from .linalg import SingularMatrixError
+from .recovery import AmbiguousIntersectionError, NotOrderIsomorphismError, decompose
 from .serialize import (
     build_report,
     canonical_json,
@@ -57,19 +60,31 @@ def _input_echo(path: str) -> dict:
     return {"file": os.path.basename(path), "sha256": file_digest(path)}
 
 
-def _common_settings(args, *names) -> dict:
-    return {n.replace("_", "-"): getattr(args, n) for n in names}
+# Each outcome exception a handler may raise, and the result it reports
+# with exit 2. Any other error is a usage or input error (exit 1).
+REJECTED = {
+    NotOrderIsomorphismError: lambda e: {
+        "accepted": False, "reason": "not-order-isomorphism",
+        "certificate": e.certificate.to_json_dict()},
+    SingularMatrixError: lambda e: {
+        "accepted": False, "reason": "singular", "detail": str(e)},
+    AmbiguousIntersectionError: lambda e: {
+        "accepted": False, "reason": "ambiguous-reading", "detail": str(e)},
+    NonconvergentNetError: lambda e: {
+        "accepted": False, "reason": "nonconvergent-net", "sequence": e.seq_name,
+        "coordinate": e.generator, "tail_variation": e.variation, "detail": str(e)},
+    AmbiguousBoundaryError: lambda e: {
+        "accepted": False, "reason": "ambiguous-boundary", "detail": str(e)},
+    InconclusiveError: lambda e: {
+        "succeeded": False, "reason": "inconclusive", "detail": str(e)},
+}
 
 
 def _cmd_decompose(args):
-    doc = load_json(args.operator)
-    t = parse_operator(doc, args.mode)
+    t = parse_operator(load_json(args.operator), args.mode)
     cert = is_order_isomorphism(t, tol=args.tol)
-    inputs = {"operator": _input_echo(args.operator)}
-    settings = _common_settings(args, "mode", "tol")
     if not cert.accept:
-        result = {"accepted": False, "certificate": cert.to_json_dict()}
-        return result, EXIT_REJECTED, inputs, settings
+        return {"accepted": False, "certificate": cert.to_json_dict()}, EXIT_REJECTED
     d = decompose(t, tol=args.tol, cert=cert)
     result = {
         "accepted": True,
@@ -80,27 +95,17 @@ def _cmd_decompose(args):
         "residual": d.residual,
         "arithmetic": "rational" if d.exact else "float",
     }
-    return result, EXIT_OK, inputs, settings
+    return result, EXIT_OK
 
 
 def _cmd_classify(args):
-    doc = load_json(args.operator)
-    t = parse_operator(doc, args.mode)
-    rep = classify(t, tol=args.tol)
-    inputs = {"operator": _input_echo(args.operator)}
-    settings = _common_settings(args, "mode", "tol")
-    code = EXIT_OK if rep.kind != "rejected" else EXIT_REJECTED
-    return rep.to_json_dict(), code, inputs, settings
+    rep = classify(parse_operator(load_json(args.operator), args.mode), tol=args.tol)
+    return rep.to_json_dict(), EXIT_OK if rep.kind != "rejected" else EXIT_REJECTED
 
 
 def _cmd_adequacy(args):
-    doc = load_json(args.family)
-    fam = parse_family(doc, exact=False)
-    rep = check_adequate(fam, tol=args.tol, samples=args.samples, seed=args.seed)
-    inputs = {"family": _input_echo(args.family)}
-    settings = _common_settings(args, "tol", "samples", "seed")
-    code = EXIT_OK if rep.adequate else EXIT_REJECTED
-    return rep.to_json_dict(), code, inputs, settings
+    rep = check_adequate(parse_family(load_json(args.family), exact=False), tol=args.tol)
+    return rep.to_json_dict(), EXIT_OK if rep.adequate else EXIT_REJECTED
 
 
 def _point_dict(p) -> dict:
@@ -109,102 +114,72 @@ def _point_dict(p) -> dict:
 
 
 def _cmd_compactify(args):
-    doc = load_json(args.spec)
-    x_space, y_space, seqs_x, seqs_y, op = parse_compactify_spec(doc)
-    inputs = {"spec": _input_echo(args.spec)}
-    settings = _common_settings(args, "tol", "conv_tol", "dedupe_tol")
-    try:
-        if op is None:
-            result = {}
-            for key, space, seqs in (("domain", x_space, seqs_x),
-                                     ("codomain", y_space, seqs_y)):
-                interior = embed(space.samples, space.generators, name=space.name)
-                added = limit_points(seqs, space.generators, interior=interior,
-                                     conv_tol=args.conv_tol, dedupe_tol=args.dedupe_tol,
-                                     name=space.name)
-                result[key] = {"interior": [_point_dict(p) for p in interior],
-                               "added": [_point_dict(p) for p in added]}
-                if y_space is x_space:
-                    result = {"domain": result["domain"]}
-                    break
-            return result, EXIT_OK, inputs, settings
-        bd = compactified_decompose(op, x_space, y_space, seqs_x, seqs_y,
-                                    tol=args.tol, conv_tol=args.conv_tol,
-                                    dedupe_tol=args.dedupe_tol)
-        result = {
-            "accepted": True,
-            "interior": {
-                "sigma": list(bd.interior.sigma),
-                "sigma_labels": [list(p) for p in bd.interior_labels],
-                "weight": list(bd.interior.weight),
-                "residual": bd.residual_interior,
-            },
-            "added": {
-                "domain": [_point_dict(p) for p in bd.added_domain],
-                "codomain": [_point_dict(p) for p in bd.added_codomain],
-                "matching": [list(p) for p in bd.added_matching],
-                "weights": list(bd.added_weights),
-                "residual": bd.residual_added,
-            },
-            "bounded_screen": bd.bounded_screen,
-        }
-        return result, EXIT_OK, inputs, settings
-    except NonconvergentNetError as e:
-        result = {"accepted": False, "reason": "nonconvergent-net",
-                  "sequence": e.seq_name, "coordinate": e.generator,
-                  "tail_variation": e.variation, "detail": str(e)}
-        return result, EXIT_REJECTED, inputs, settings
-    except AmbiguousBoundaryError as e:
-        result = {"accepted": False, "reason": "ambiguous-boundary", "detail": str(e)}
-        return result, EXIT_REJECTED, inputs, settings
-    except NotOrderIsomorphismError as e:
-        result = {"accepted": False, "reason": "not-order-isomorphism",
-                  "certificate": e.certificate.to_json_dict()}
-        return result, EXIT_REJECTED, inputs, settings
+    x_space, y_space, seqs_x, seqs_y, op = parse_compactify_spec(load_json(args.spec))
+    if op is None:
+        result = {}
+        for key, space, seqs in (("domain", x_space, seqs_x),
+                                 ("codomain", y_space, seqs_y)):
+            interior = embed(space.samples, space.generators, name=space.name)
+            added = limit_points(seqs, space.generators, interior=interior,
+                                 conv_tol=args.conv_tol, dedupe_tol=args.dedupe_tol,
+                                 name=space.name)
+            result[key] = {"interior": [_point_dict(p) for p in interior],
+                           "added": [_point_dict(p) for p in added]}
+            if y_space is x_space:
+                break
+        return result, EXIT_OK
+    bd = compactified_decompose(op, x_space, y_space, seqs_x, seqs_y,
+                                tol=args.tol, conv_tol=args.conv_tol,
+                                dedupe_tol=args.dedupe_tol)
+    result = {
+        "accepted": True,
+        "interior": {
+            "sigma": list(bd.interior.sigma),
+            "sigma_labels": [list(p) for p in bd.interior_labels],
+            "weight": list(bd.interior.weight),
+            "residual": bd.residual_interior,
+        },
+        "added": {
+            "domain": [_point_dict(p) for p in bd.added_domain],
+            "codomain": [_point_dict(p) for p in bd.added_codomain],
+            "matching": [list(p) for p in bd.added_matching],
+            "weights": list(bd.added_weights),
+            "residual": bd.residual_added,
+        },
+        "bounded_screen": bd.bounded_screen,
+    }
+    return result, EXIT_OK
 
 
-def _parse_interval(text: str) -> IntervalBox:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError("interval must be 'lo,hi'")
-    return IntervalBox(float(parts[0]), float(parts[1]))
+def _interval(text: str) -> list:
+    """'lo,hi' -> [lo, hi], validated as an IntervalBox."""
+    box = IntervalBox(*(float(part) for part in text.split(",")))
+    return [box.lo, box.hi]
 
 
 def _cmd_example_local_form(args):
-    expr = parse_sexpr(args.expr)
-    box = _parse_interval(args.interval)
-    settings = _common_settings(args, "depth_cap", "tol")
-    inputs = {"expr": args.expr, "interval": [box.lo, box.hi]}
-    try:
-        lf = local_form(expr, box, depth_cap=args.depth_cap, tol=args.tol)
-    except InconclusiveError as e:
-        result = {"succeeded": False, "reason": "inconclusive", "detail": str(e)}
-        return result, EXIT_REJECTED, inputs, settings
+    lf = local_form(parse_sexpr(args.expr), IntervalBox(*args.interval),
+                    depth_cap=args.depth_cap, tol=args.tol)
     result = {"succeeded": True,
               "interval": [lf.interval.lo, lf.interval.hi],
               "expr": to_sexpr(lf.expr),
               "residual": lf.residual}
-    return result, EXIT_OK, inputs, settings
+    return result, EXIT_OK
 
 
 def _cmd_example_decay(args):
-    expr = parse_sexpr(args.expr)
-    passes = decay_check(expr, t_max=args.t_max, grid=args.grid)
-    inputs = {"expr": args.expr}
-    settings = {"t-max": args.t_max, "grid": args.grid}
-    result = {"passes": passes}
-    return result, EXIT_OK if passes else EXIT_REJECTED, inputs, settings
+    passes = decay_check(parse_sexpr(args.expr), t_max=args.t_max, grid=args.grid)
+    return {"passes": passes}, EXIT_OK if passes else EXIT_REJECTED
 
 
 def _cmd_example_witness(args):
     expr = separation_witness(args.a, args.b)
-    inputs = {"a": args.a, "b": args.b}
     result = {"expr": to_sexpr(expr),
               "value_at_a": float(eval_expr(expr, args.a)),
               "value_at_b": float(eval_expr(expr, args.b))}
     if args.at is not None:
         result["value_at"] = [args.at, float(eval_expr(expr, args.at))]
-    return result, EXIT_OK, inputs, {}
+    return result, EXIT_OK
 
 
 def _fuzz_instance(rng, dim: int, mode: str, perturbation: float, tol: float) -> dict:
@@ -272,19 +247,20 @@ def _cmd_fuzz(args):
         "max_residual": max_residual,
         "failures": failures,
     }
-    settings = _common_settings(args, "mode", "tol", "seed")
-    code = EXIT_OK if not failures else EXIT_REJECTED
-    return result, code, {}, settings
+    return result, EXIT_OK if not failures else EXIT_REJECTED
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The subcommands. Each declares its handler, the file arguments echoed
+    by name and digest (`files`), the arguments echoed verbatim (`inputs`)
+    and the options reported as settings (`settings`)."""
     parser = argparse.ArgumentParser(
         prog="oiso",
         description="Certify and decompose order isomorphisms on finite function-space models.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, mode=True, seed=False, samples=False):
+    def add_common(p, mode=True, seed=False):
         p.add_argument("--tol", type=float, default=1e-9,
                        help="numerical tolerance (default 1e-9)")
         p.add_argument("--json-out", metavar="PATH",
@@ -294,28 +270,27 @@ def build_parser() -> argparse.ArgumentParser:
                            help="arithmetic mode; exact refuses float entries")
         if seed:
             p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        if samples:
-            p.add_argument("--samples", type=int, default=256,
-                           help="clamped probes measuring g_residual of a family "
-                                "that is not clamp invariant (default 256)")
 
     p = sub.add_parser("decompose",
                        help="certify an operator and recover its point map and weight")
     p.add_argument("operator", help="operator JSON file")
     add_common(p)
-    p.set_defaults(func=_cmd_decompose, command_path="decompose")
+    p.set_defaults(func=_cmd_decompose, command_path="decompose",
+                   files=("operator",), inputs=(), settings=("mode", "tol"))
 
     p = sub.add_parser("classify",
                        help="decide which classical isomorphism classes an operator lands in")
     p.add_argument("operator", help="operator JSON file")
     add_common(p)
-    p.set_defaults(func=_cmd_classify, command_path="classify")
+    p.set_defaults(func=_cmd_classify, command_path="classify",
+                   files=("operator",), inputs=(), settings=("mode", "tol"))
 
     p = sub.add_parser("adequacy",
                        help="check the four adequacy flags of a function family")
     p.add_argument("family", help="family JSON file")
-    add_common(p, mode=False, seed=True, samples=True)
-    p.set_defaults(func=_cmd_adequacy, command_path="adequacy")
+    add_common(p, mode=False)
+    p.set_defaults(func=_cmd_adequacy, command_path="adequacy",
+                   files=("family",), inputs=(), settings=("tol",))
 
     p = sub.add_parser("compactify",
                        help="explore boundary points of sampled spaces, optionally through an operator")
@@ -325,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tail-variation convergence screen (default 1e-3)")
     p.add_argument("--dedupe-tol", type=float, default=1e-6,
                    help="added-point deduplication tolerance (default 1e-6)")
-    p.set_defaults(func=_cmd_compactify, command_path="compactify")
+    p.set_defaults(func=_cmd_compactify, command_path="compactify",
+                   files=("spec",), inputs=(), settings=("tol", "conv_tol", "dedupe_tol"))
 
     p = sub.add_parser("example", help="symbolic example-space utilities")
     esub = p.add_subparsers(dest="example_command", required=True)
@@ -333,27 +309,30 @@ def build_parser() -> argparse.ArgumentParser:
     q = esub.add_parser("local-form",
                         help="certify a clamp-free analytic form on a subinterval")
     q.add_argument("--expr", required=True, help="s-expression, e.g. '(clamp (lin (0 2) ((const 1) t)))'")
-    q.add_argument("--interval", required=True, help="'lo,hi' within [0,1]")
+    q.add_argument("--interval", required=True, type=_interval, help="'lo,hi' within [0,1]")
     q.add_argument("--depth-cap", type=int, default=40,
                    help="bisection depth cap (default 40)")
     q.add_argument("--tol", type=float, default=1e-10,
                    help="pointwise verification tolerance (default 1e-10)")
     q.add_argument("--json-out", metavar="PATH")
-    q.set_defaults(func=_cmd_example_local_form, command_path="example.local-form")
+    q.set_defaults(func=_cmd_example_local_form, command_path="example.local-form",
+                   files=(), inputs=("expr", "interval"), settings=("depth_cap", "tol"))
 
     q = esub.add_parser("decay", help="grid check of quadratic decay for analytic expressions")
     q.add_argument("--expr", required=True, help="s-expression over (sinramp ...) nodes")
     q.add_argument("--t-max", type=float, default=1e6)
     q.add_argument("--grid", type=int, default=257)
     q.add_argument("--json-out", metavar="PATH")
-    q.set_defaults(func=_cmd_example_decay, command_path="example.decay")
+    q.set_defaults(func=_cmd_example_decay, command_path="example.decay",
+                   files=(), inputs=("expr",), settings=("t_max", "grid"))
 
     q = esub.add_parser("witness", help="clamped ramp separating two points of [0,1]")
     q.add_argument("--a", type=float, required=True)
     q.add_argument("--b", type=float, required=True)
     q.add_argument("--at", type=float, default=None, help="also evaluate at this point")
     q.add_argument("--json-out", metavar="PATH")
-    q.set_defaults(func=_cmd_example_witness, command_path="example.witness")
+    q.set_defaults(func=_cmd_example_witness, command_path="example.witness",
+                   files=(), inputs=("a", "b"), settings=())
 
     p = sub.add_parser("fuzz", help="seeded round-trip fuzzing of decompose")
     p.add_argument("--dim", type=int, required=True, help="point count per instance")
@@ -361,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturbation", type=float, default=0.0,
                    help="off-pattern noise magnitude; should exceed --tol to be informative")
     add_common(p, seed=True)
-    p.set_defaults(func=_cmd_fuzz, command_path="fuzz")
+    p.set_defaults(func=_cmd_fuzz, command_path="fuzz",
+                   files=(), inputs=(), settings=("mode", "tol", "seed"))
 
     return parser
 
@@ -374,11 +354,14 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code else EXIT_OK
     started = time.perf_counter()
     try:
-        result, code, inputs, settings = args.func(args)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError, TypeError) as e:
+        inputs = {name: _input_echo(getattr(args, name)) for name in args.files}
+        inputs.update((name, getattr(args, name)) for name in args.inputs)
+        settings = {name.replace("_", "-"): getattr(args, name) for name in args.settings}
+        result, code = args.func(args)
+    except tuple(REJECTED) as e:
+        result = next(f(e) for cls, f in REJECTED.items() if isinstance(e, cls))
+        code = EXIT_REJECTED
+    except (OSError, ValueError, KeyError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     report = build_report(args.command_path, result, inputs=inputs, settings=settings)

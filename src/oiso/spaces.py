@@ -41,8 +41,9 @@ class DimensionMismatchError(ValueError):
 class PointSpace:
     """Finite labeled point set, optionally metrized.
 
-    The metric, when present, must be symmetric, zero exactly on the diagonal,
-    nonnegative, and satisfy the triangle inequality up to METRIC_TOL.
+    The metric, when present, must be symmetric, zero on the diagonal,
+    nonnegative, and satisfy the triangle inequality, each up to
+    linalg.cutoff(metric, METRIC_TOL).
     """
 
     labels: tuple
@@ -60,14 +61,15 @@ class PointSpace:
             n = len(labels)
             if d.shape != (n, n):
                 raise DimensionMismatchError("metric shape must match label count")
-            if not np.allclose(d, d.T, atol=METRIC_TOL):
+            cut = linalg.cutoff(d, METRIC_TOL)
+            if not np.allclose(d, d.T, atol=cut):
                 raise ValueError("metric must be symmetric")
-            if np.any(np.abs(np.diag(d)) > METRIC_TOL):
+            if np.any(np.abs(np.diag(d)) > cut):
                 raise ValueError("metric diagonal must be zero")
-            if np.any(d < -METRIC_TOL):
+            if np.any(d < -cut):
                 raise ValueError("metric must be nonnegative")
             for k in range(n):
-                if np.any(d > d[:, [k]] + d[[k], :] + METRIC_TOL):
+                if np.any(d > d[:, [k]] + d[[k], :] + cut):
                     raise ValueError("metric violates the triangle inequality")
             d = d.copy()
             d.setflags(write=False)

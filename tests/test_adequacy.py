@@ -129,6 +129,14 @@ class TestCheckAdequate:
         assert not rep.separates
         assert [w is not None for w in rep.separation_witnesses] == [False, False, True, False]
 
+    def test_saturating_clamp_shows_in_the_residual(self):
+        # span{(0.01, 0, 0.02)}: clamps of small multiples stay in the span,
+        # but its clamp closure holds the indicator of a, at distance 0.8
+        fam = FunctionFamily(PointSpace.discrete(3), np.array([[0.01, 0.0, 0.02]]))
+        rep = check_adequate(fam)
+        assert not rep.g_invariant
+        assert rep.g_residual == pytest.approx(0.8)
+
     def test_exact_family_not_invariant_reports_inf(self):
         gen = np.array([[Fraction(1)] * 3, [Fraction(0), Fraction(1, 2), Fraction(1)]],
                        dtype=object)
@@ -187,9 +195,9 @@ def _lp_cone_generates(fam) -> bool:
 
 
 def _sampled_adequacy(fam, tol=DEFAULT_TOL, samples=64, seed=0, scales=(1,)):
-    """(separates, has_constants, g_invariant, cone_generates, g_residual),
-    probing each multiple s * v, s in `scales`, of the generators and sampled
-    span elements v (the parent probed s = 1 only)."""
+    """(separates, has_constants, g_invariant, cone_generates), probing each
+    multiple s * v, s in `scales`, of the generators and sampled span
+    elements v (the parent probed s = 1 only)."""
     separates = all(span_membership(fam, _indicator(fam, x), tol=tol)[0]
                     for x in range(fam.space.size))
     has_const = fam.has_constants(tol=tol)
@@ -202,18 +210,21 @@ def _sampled_adequacy(fam, tol=DEFAULT_TOL, samples=64, seed=0, scales=(1,)):
         else:
             coeffs = rng.standard_normal(fam.rank)
         probes.append(fam.values(coeffs))
-    g_invariant, g_residual = True, 0.0
-    for v in [s * v for s in scales for v in probes]:
-        if not span_membership(fam, clamp(v), tol=tol)[0]:
-            g_invariant = False
-            if fam.exact:
-                g_residual = float("inf")
-            else:
-                a = np.asarray(fam.generators, dtype=float).T
-                cv = clamp(np.asarray(v, dtype=float))
-                c, *_ = np.linalg.lstsq(a, cv, rcond=None)
-                g_residual = max(g_residual, float(np.max(np.abs(a @ c - cv))))
-    return separates, has_const, g_invariant, has_const or _lp_cone_generates(fam), g_residual
+    g_invariant = all(span_membership(fam, clamp(v), tol=tol)[0]
+                      for v in [s * v for s in scales for v in probes])
+    return separates, has_const, g_invariant, has_const or _lp_cone_generates(fam)
+
+
+def _closure_distance(fam):
+    """Largest sup-norm lstsq distance from the span to the indicator of a
+    set of points sharing one nonzero column of G, one solve per indicator."""
+    a = as_float(fam.generators).T
+    worst = 0.0
+    for col in {tuple(col) for col in a if np.any(col != 0)}:
+        ind = np.all(a == col, axis=1).astype(float)
+        c, *_ = np.linalg.lstsq(a, ind, rcond=None)
+        worst = max(worst, float(np.max(np.abs(a @ c - ind))))
+    return worst
 
 
 def _flags(rep):
@@ -302,9 +313,15 @@ class TestClosedFormMatchesSampledOracle:
         wide = _sampled_adequacy(fam, scales=(1, 1000))
         assert _flags(rep) == want[:2] + wide[2:3] + want[3:4]
         assert rep.adequate == (all(want[:2]) and wide[2] and want[3])
-        # float: the parent's number from the unscaled probes; exact: inf
-        # exactly when the span is not invariant
-        assert rep.g_residual == (wide[4] if fam.exact else want[4])
+        # the distance to the clamp closure: 0 exactly when invariant; a
+        # family that is not has inf (exact) or the lstsq distance (float)
+        assert (rep.g_residual > 0) == (not rep.g_invariant)
+        if rep.g_invariant:
+            assert _closure_distance(fam) <= 1e-9
+        elif fam.exact:
+            assert rep.g_residual == float("inf")
+        else:
+            assert rep.g_residual == pytest.approx(_closure_distance(fam), rel=1e-9)
         if kind == "disjoint indicators":
             assert rep.g_invariant
         if kind == "nonnegative":

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its report contract."""
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oiso
 from oiso.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 from oiso.serialize import report_digest
 
@@ -131,19 +133,90 @@ def _square(draw):
     return draw(st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n))
 
 
-@settings(max_examples=150, deadline=None)
-@given(matrix=_square())
-@example(matrix=[[1e-10]])
-def test_any_float_point_operator_exits_0_1_or_2(matrix):
+def _exit_codes(matrix, mode):
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "op.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"matrix": matrix}, fh)
+        codes = []
         for command in ("decompose", "classify"):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
-                code = main([command, path])
-            assert code in (EXIT_OK, EXIT_USAGE, EXIT_REJECTED)
+                codes.append(main([command, path, "--mode", mode]))
+        return codes
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix=_square())
+@example(matrix=[[1e-10]])
+@example(matrix=[[1.0, 0.0], [1e-12, 1e-12]])
+@example(matrix=[[1.0, 1.0], [1.0, 1.0]])
+def test_any_float_point_operator_exits_0_or_2(matrix):
+    assert set(_exit_codes(matrix, "float")) <= {EXIT_OK, EXIT_REJECTED}
+
+
+@st.composite
+def _integer_square(draw):
+    n = draw(st.integers(1, 4))
+    return draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix=_integer_square())
+@example(matrix=[[1, 1], [1, 1]])
+@example(matrix=[[0]])
+def test_any_integer_point_operator_exits_0_or_2_in_exact_mode(matrix):
+    assert set(_exit_codes(matrix, "exact")) <= {EXIT_OK, EXIT_REJECTED}
+
+
+class TestRejectedTable:
+    """Outcome exceptions a handler raises are reported with exit 2."""
+
+    def test_singular_matrix(self, tmp_path, capsys):
+        op = _write(tmp_path, "op.json", {"matrix": [[1, 1], [1, 1]]})
+        for command, mode in itertools.product(("decompose", "classify"), ("float", "exact")):
+            code, out, _ = _run(capsys, [command, op, "--mode", mode])
+            assert code == EXIT_REJECTED
+            rep = _report(out)
+            assert rep["result"]["accepted"] is False
+            assert rep["result"]["reason"] == "singular"
+            assert rep["settings"] == {"mode": mode, "tol": 1e-9}
+            assert rep["inputs"]["operator"]["file"] == "op.json"
+
+    def test_ambiguous_float_reading(self, tmp_path, capsys):
+        # accepted within tol (the inverse's -1 is below tol * max|T^-1|),
+        # but both rows peak in column 0
+        op = _write(tmp_path, "op.json", {"matrix": [[1, 0], [1e-12, 1e-12]]})
+        for command in ("decompose", "classify"):
+            code, out, _ = _run(capsys, [command, op])
+            assert code == EXIT_REJECTED
+            rep = _report(out)["result"]
+            assert (rep["accepted"], rep["reason"]) == (False, "ambiguous-reading")
+            assert "share a column" in rep["detail"]
+
+    def test_dependent_generators_exit_usage(self, tmp_path, capsys):
+        # linearly dependent rows do not define a family
+        fam = {"space": ["a", "b", "c"], "generators": [[1, 1, 1], [2, 2, 2]]}
+        path = _write(tmp_path, "fam.json", fam)
+        code, out, err = _run(capsys, ["adequacy", path])
+        assert (code, out) == (EXIT_USAGE, "") and "error:" in err
+        op = _write(tmp_path, "op.json", {"basis": "generator", "domain": fam,
+                                          "codomain": fam, "matrix": [[1, 0], [0, 1]]})
+        for command in ("decompose", "classify"):
+            code, out, err = _run(capsys, [command, op])
+            assert (code, out) == (EXIT_USAGE, "") and "error:" in err
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_proper_family_recovery_exits_usage(self, tmp_path, capsys, mode):
+        # span{1, t} on {0, 1, 2}: the reflection t -> 2 - t is an order isomorphism,
+        # but decompose and classify only read full families
+        fam = {"space": ["x0", "x1", "x2"], "generators": [[1, 1, 1], [0, 1, 2]]}
+        op = _write(tmp_path, "op.json", {"basis": "generator", "domain": fam,
+                                          "codomain": fam, "matrix": [[1, 2], [0, -1]]})
+        for command in ("decompose", "classify"):
+            code, out, err = _run(capsys, [command, op, "--mode", mode])
+            assert (code, out) == (EXIT_USAGE, "") and "error:" in err
 
 
 class TestUsageErrors:
@@ -159,16 +232,14 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "error:" in err
 
-    def test_singular_matrix(self, tmp_path, capsys):
-        op = _write(tmp_path, "op.json", {"matrix": [[1, 1], [1, 1]]})
-        code, _, err = _run(capsys, ["decompose", op])
-        assert code == EXIT_USAGE
-        assert "error:" in err
-
     def test_parser_errors_exit_usage(self, tmp_path, capsys):
         op = _write(tmp_path, "op.json", {"matrix": [[0, 1], [1, 0]]})
+        fam = _write(tmp_path, "fam.json", {"labels": ["a", "b"]})
         for argv in (["classify", op, "--bogus"], ["decompose"], [],
                      ["classify", op, "--seed", "7"], ["classify", op, "--samples", "16"],
+                     ["adequacy", fam, "--seed", "7"], ["adequacy", fam, "--samples", "16"],
+                     ["example", "local-form", "--expr", "t", "--interval", "1,0"],
+                     ["example", "local-form", "--expr", "t", "--interval", "0,1,2"],
                      ["decompose", op, "--mode", "rational"]):
             code, out, err = _run(capsys, argv)
             assert (code, out) == (EXIT_USAGE, ""), argv
@@ -305,6 +376,7 @@ class TestExample:
         assert rep["result"]["succeeded"] is True
         assert rep["result"]["expr"] == "(sinramp t)"
         assert rep["result"]["interval"] == [0.25, 0.75]
+        assert rep["inputs"] == {"expr": "(clamp t)", "interval": [0.25, 0.75]}
         assert rep["result"]["residual"] <= 1e-10
 
     def test_local_form_inconclusive(self, capsys):
@@ -312,7 +384,10 @@ class TestExample:
                                      "--expr", "(clamp (lin (-1.0 2.0) ((const 1.0) t)))",
                                      "--interval", "0,1", "--depth-cap", "0"])
         assert code == EXIT_REJECTED
-        assert _report(out)["result"]["reason"] == "inconclusive"
+        rep = _report(out)
+        assert rep["result"]["reason"] == "inconclusive"
+        assert rep["settings"] == {"depth-cap": 0, "tol": 1e-10}
+        assert rep["inputs"]["interval"] == [0.0, 1.0]
 
     def test_decay_pass_and_fail(self, capsys):
         code, out, _ = _run(capsys, ["example", "decay",
@@ -389,17 +464,23 @@ class TestDeterminism:
         assert dest.read_text() == out
 
 
+def _run_module(*argv):
+    """`python -m oiso argv`, importing the same package these tests import."""
+    root = os.path.dirname(os.path.dirname(oiso.__file__))
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "oiso", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         op = tmp_path / "op.json"
         op.write_text(json.dumps({"matrix": [[0, 2], [3, 0]]}))
-        proc = subprocess.run([sys.executable, "-m", "oiso", "decompose", str(op)],
-                              capture_output=True, text=True)
+        proc = _run_module("decompose", str(op))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["sigma"] == [1, 0]
 
     def test_version_flag(self):
-        proc = subprocess.run([sys.executable, "-m", "oiso", "--version"],
-                              capture_output=True, text=True)
+        proc = _run_module("--version")
         assert proc.returncode == 0
         assert proc.stdout.startswith("oiso ")

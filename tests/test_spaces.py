@@ -33,6 +33,19 @@ class TestPointSpace:
         with pytest.raises(ValueError):
             PointSpace(("a", "b", "c"), metric=m)
 
+    def test_large_grids_build(self):
+        # |s - t| rounds by more than METRIC_TOL at this scale; the checks
+        # are relative to the largest distance
+        for seed in range(20):
+            values = np.random.default_rng(seed).uniform(0.0, 1e6, size=30)
+            assert PointSpace.grid(values).size == 30
+
+    def test_scaled_triangle_violation_refused(self):
+        m = 1e6 * np.array([[0.0, 1.0, 2.0 + 1e-9], [1.0, 0.0, 1.0],
+                            [2.0 + 1e-9, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="triangle"):
+            PointSpace(("a", "b", "c"), metric=m)
+
     def test_grid_metric(self):
         sp = PointSpace.grid([0.0, 0.5, 1.0])
         assert sp.metric[0, 2] == 1.0
