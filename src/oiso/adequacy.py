@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
+from .cones import _indicator
 from .spaces import (DEFAULT_TOL, FunctionFamily, FunctionVec, span_membership,
                      values_of)
 
@@ -71,12 +72,6 @@ class AdequacyReport:
         }
 
 
-def _indicator_vec(fam: FunctionFamily, j: int):
-    v = linalg.zeros_like_mode((fam.space.size,), fam.exact)
-    v[j] = Fraction(1) if fam.exact else 1.0
-    return v
-
-
 def check_adequate(fam: FunctionFamily, tol: float = DEFAULT_TOL) -> AdequacyReport:
     """The four adequacy flags in closed form (see the module docstring).
 
@@ -95,7 +90,7 @@ def check_adequate(fam: FunctionFamily, tol: float = DEFAULT_TOL) -> AdequacyRep
                               adequate=True)
     witnesses = []
     for x in range(fam.space.size):
-        ok, c = span_membership(fam, _indicator_vec(fam, x), tol=tol)
+        ok, c = span_membership(fam, _indicator(fam.space.size, x, fam.exact), tol=tol)
         witnesses.append(tuple(c) if ok else None)
     has_const, c_one = span_membership(fam, fam.ones(), tol=tol)
     nonzero, classes = _point_columns(fam, tol)
@@ -180,19 +175,11 @@ def build_subbasic_bump(fam: FunctionFamily, x0, f, eps, tol: float = DEFAULT_TO
     ok, _ = span_membership(fam, v, tol=tol)
     if not ok:
         raise ValueError("f must lie in the span of the family")
-    if fam.exact:
-        eps = Fraction(eps) if not isinstance(eps, Fraction) else eps
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        f1 = np.array([(x - v[x0]) / eps for x in v], dtype=object)
-        one = Fraction(1)
-        h = np.array([1 + clamp(x) - clamp(x + one) for x in f1], dtype=object)
-    else:
-        eps = float(eps)
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        f1 = (np.asarray(v, dtype=float) - float(v[x0])) / eps
-        h = 1.0 + clamp(f1) - clamp(f1 + 1.0)
+    eps = Fraction(eps) if fam.exact else float(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    f1 = (v - v[x0]) / eps
+    h = 1 + clamp(f1) - clamp(f1 + 1)
     _assert_bump_in_family(fam, h, tol)
     return FunctionVec(h)
 
@@ -225,18 +212,14 @@ def build_precise_bump(fam: FunctionFamily, x0, closed_set: Sequence,
     total = tents[0]
     for t_ in tents[1:]:
         total = total + t_
-    if fam.exact:
-        h = np.array([Fraction(1) - clamp(x) for x in total], dtype=object)
-    else:
-        h = 1.0 - clamp(np.asarray(total, dtype=float))
+    h = 1 - clamp(total)
     _assert_bump_in_family(fam, h, tol)
-    hv = np.asarray(h, dtype=float) if not fam.exact else h
     if fam.exact:
         if h[x0] != 1 or any(h[z] != 0 for z in idxs) or any(x < 0 or x > 1 for x in h):
             raise SeparationInfeasibleError("bump construction missed its contract")
     else:
-        if (abs(hv[x0] - 1.0) > tol or np.any(np.abs(hv[idxs]) > tol)
-                or np.any(hv < -tol) or np.any(hv > 1 + tol)):
+        if (abs(h[x0] - 1.0) > tol or np.any(np.abs(h[idxs]) > tol)
+                or np.any(h < -tol) or np.any(h > 1 + tol)):
             raise SeparationInfeasibleError("bump construction missed its contract")
     return FunctionVec(h)
 

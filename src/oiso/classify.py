@@ -11,12 +11,11 @@ is the most specific class; every screen's outcome is recorded as evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .cones import Certificate, OperatorModel, is_order_isomorphism
+from .cones import Certificate, OperatorModel, _jsonable, is_order_isomorphism
 from .recovery import Decomposition, decompose
 from .spaces import DEFAULT_TOL
 
@@ -50,12 +49,8 @@ def isometry_reduce(t: OperatorModel, tol: float = DEFAULT_TOL):
     g = t.apply_values(t.domain.ones())
     if _off_one("|T(1)|", [abs(x) for x in g], t.exact, tol):
         return None
-    if t.exact:
-        red = np.array([[x / g[y] for x in row] for y, row in enumerate(t.matrix)],
-                       dtype=object)
-    else:
-        red = np.asarray(t.matrix, dtype=float) / np.asarray(g, dtype=float)[:, None]
-    return g, OperatorModel(red, domain=t.domain, codomain=t.codomain, basis="point")
+    return g, OperatorModel(t.matrix / g[:, None], domain=t.domain,
+                            codomain=t.codomain, basis="point")
 
 
 def lattice_check(t: OperatorModel, tol: float = DEFAULT_TOL) -> bool:
@@ -91,19 +86,11 @@ class ClassificationReport:
         }
         if self.decomposition is not None:
             out["sigma"] = list(self.decomposition.sigma)
-            out["weight"] = [_num(w) for w in self.decomposition.weight]
+            out["weight"] = [_jsonable(w) for w in self.decomposition.weight]
             out["residual"] = self.decomposition.residual
         if self.unimodular_sign is not None:
-            out["unimodular_sign"] = [_num(v) for v in self.unimodular_sign]
+            out["unimodular_sign"] = [_jsonable(v) for v in self.unimodular_sign]
         return out
-
-
-def _num(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
 
 
 def _screen(name: str, detail: str) -> dict:

@@ -8,8 +8,11 @@ weight, so that T f = weight * (f o sigma) on the codomain model. On a finite
 model an accepted operator's point matrix is a positive monomial matrix, so
 `recover_map` and `decompose` read that bijection from the matrix in one pass,
 with no tolerance; `zero_family` and `recover_point` keep the per-anchor
-construction. Generator-basis operators are recovered through their point
-matrix (`as_point()`).
+construction. Both checks on the construction are closed forms, not sampled
+screens: the zero family is finite, so `fip_check` intersects all of it, and
+`verify_representation` reports the entrywise gap between the point matrix and
+the monomial matrix a decomposition claims. Generator-basis operators are
+recovered through their point matrix (`as_point()`).
 """
 from __future__ import annotations
 
@@ -156,18 +159,20 @@ def recover_map(t: OperatorModel, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     An accepted operator's anchor-x intersection is the one codomain point
     whose row of the point matrix is supported on column x, so h is the
-    inverse of the map `_read_sigma` reads. `tol` is not read: the cone test
-    is the only float decision.
+    inverse of the map `_read` reads. `tol` is not read: the cone test is the
+    only float decision.
     """
-    sigma = _read_sigma(t)
+    sigma, _ = _read(t)
     h = np.empty_like(sigma)
     h[sigma] = np.arange(sigma.shape[0])
     return h
 
 
-def _read_sigma(t: OperatorModel) -> np.ndarray:
-    """sigma[y]: the column of row y's nonzero entry (exact mode, which needs
-    a monomial point matrix) or of its largest entry (float mode).
+def _read(t: OperatorModel):
+    """(sigma, weight) read from the point matrix. sigma[y] is the column of
+    row y's nonzero entry and weight[y] that entry (exact mode, which needs a
+    monomial point matrix), or the column of row y's largest entry and the
+    weight T1 (float mode).
 
     An accepted point matrix is a positive monomial matrix, so neither reading
     needs a tolerance; one that is not a bijection of points raises
@@ -175,20 +180,19 @@ def _read_sigma(t: OperatorModel) -> np.ndarray:
     """
     if not t.domain.is_full:
         raise ValueError("recovery needs a full-rank family")
-    m = t.as_point().matrix
+    t = t.as_point()
     if t.exact:
-        read = linalg.monomial(m)
+        read = linalg.monomial(t.matrix)
         if read is None:
             raise AmbiguousIntersectionError(
                 "some zero-set intersection is not a single point: "
                 "the point matrix is not monomial")
-        sigma = np.asarray(read[0], dtype=int)
-    else:
-        sigma = np.argmax(m, axis=1)
+        return np.asarray(read[0], dtype=int), read[1]
+    sigma = np.argmax(t.matrix, axis=1)
     if np.unique(sigma).shape[0] != sigma.shape[0]:
         raise AmbiguousIntersectionError(
             "the largest entries of the point matrix's rows share a column")
-    return sigma
+    return sigma, t.apply_values(t.domain.ones())
 
 
 @dataclass(frozen=True)
@@ -209,11 +213,6 @@ class Decomposition:
         return np.asarray(self.weight, dtype=float)
 
 
-def _ones_image(t: OperatorModel):
-    ones = t.domain.ones()
-    return t.apply_values(ones)
-
-
 def decompose(t: OperatorModel, tol: float = DEFAULT_TOL,
               cert: Optional[Certificate] = None) -> Decomposition:
     """Recover (sigma, weight) for an accepted operator with constants.
@@ -221,7 +220,9 @@ def decompose(t: OperatorModel, tol: float = DEFAULT_TOL,
     Raises NotOrderIsomorphismError when the cone certificate rejects, and
     AmbiguousIntersectionError when the point matrix does not read as a
     bijection with positive weight T1 (float operators accepted within `tol`
-    only; exact acceptance makes the point matrix positive monomial).
+    only; exact acceptance makes the point matrix positive monomial). The
+    residual is the entrywise gap `verify_representation` reports; the exact
+    reading makes it 0 by construction.
     """
     if cert is None:
         cert = is_order_isomorphism(t, tol=tol)
@@ -229,57 +230,30 @@ def decompose(t: OperatorModel, tol: float = DEFAULT_TOL,
         raise NotOrderIsomorphismError(cert)
     if not (t.domain.is_full or t.domain.has_constants()):  # a full family spans them
         raise ValueError("decompose needs the domain family to contain constants")
-    sigma = _read_sigma(t)
-    t = t.as_point()
-    weight = _ones_image(t)
+    sigma, weight = _read(t)
     if not all(w > 0 for w in weight):
         raise AmbiguousIntersectionError("the weight T1 is not positive at every point")
-    residual = _representation_residual(t, sigma, weight)
+    residual = (0.0 if t.exact
+                else _representation_residual(t.as_point().matrix, sigma, weight))
     return Decomposition(sigma=tuple(int(v) for v in sigma),
                          weight=tuple(weight),
                          residual=residual, exact=t.exact)
 
 
-def _representation_residual(t: OperatorModel, sigma, weight) -> float:
+def _representation_residual(m, sigma, weight) -> float:
     """max over indicators f and codomain points y of |Tf(y) - w(y) f(sigma(y))|:
-    the entrywise gap between the point matrix and the monomial matrix it claims."""
-    sig = np.asarray(sigma, dtype=int)
-    m = t.matrix
-    if t.exact:
-        worst = Fraction(0)
-        for y in range(len(sig)):
-            row, sy, wy = m[y], int(sig[y]), weight[y]
-            for j in range(len(sig)):
-                d = row[j] - wy if j == sy else row[j]
-                if d and abs(d) > worst:
-                    worst = abs(d)
-        return float(worst)
-    expected = np.zeros(m.shape)
-    expected[np.arange(len(sig)), sig] = np.asarray(weight, dtype=float)
+    the entrywise gap between the point matrix m and the monomial matrix
+    (sigma, weight) claims."""
+    expected = linalg.zeros_like_mode(m.shape, linalg.is_exact(m))
+    expected[np.arange(m.shape[0]), sigma] = weight
     return float(np.max(np.abs(m - expected)))
 
 
-def verify_representation(t: OperatorModel, d: Decomposition, samples: int = 32,
-                          seed: int = 0) -> float:
-    """Residual of T f = weight * (f o sigma) on fresh random span elements."""
-    rng = np.random.default_rng(seed)
-    n = t.domain.space.size
-    sig = d.sigma_array()
-    w = d.weight_array()
-    worst = 0.0
-    for _ in range(samples):
-        if t.exact:
-            ints = rng.integers(-9, 10, size=n)
-            v = np.array([Fraction(int(x)) for x in ints], dtype=object)
-            img = t.apply_values(v)
-            res = max(abs(img[y] - w[y] * v[sig[y]]) for y in range(n))
-            worst = max(worst, float(res))
-        else:
-            v = rng.standard_normal(n)
-            img = np.asarray(t.apply_values(v), dtype=float)
-            res = float(np.max(np.abs(img - np.asarray(w, dtype=float) * v[sig])))
-            worst = max(worst, res)
-    return worst
+def verify_representation(t: OperatorModel, d: Decomposition) -> float:
+    """Residual of T f = weight * (f o sigma) over every f: the entrywise gap
+    between T's point matrix and the monomial matrix of d, which is the
+    largest error over the indicator functions. Exact in exact mode."""
+    return _representation_residual(t.as_point().matrix, d.sigma_array(), d.weight)
 
 
 @dataclass(frozen=True)
@@ -313,48 +287,23 @@ def normalize(t: OperatorModel, tol: float = DEFAULT_TOL,
     ones_cod = t.codomain.ones()
     u = ones_dom + mat_vec(t.inverse_matrix, ones_cod)
     tu = t.apply_values(u)
-    if t.exact:
-        s_mat = np.empty(t.matrix.shape, dtype=object)
-        for y in range(t.size):
-            for x in range(t.size):
-                s_mat[y, x] = t.matrix[y, x] * u[x] / tu[y]
-    else:
-        s_mat = (np.asarray(t.matrix, dtype=float)
-                 * np.asarray(u, dtype=float)[None, :]
-                 / np.asarray(tu, dtype=float)[:, None])
-    s = OperatorModel(s_mat, domain=t.domain, codomain=t.codomain, basis="point")
+    s = OperatorModel(t.matrix * u[None, :] / tu[:, None],
+                      domain=t.domain, codomain=t.codomain, basis="point")
     d_s = decompose(s, tol=tol)
-    sig = d_s.sigma_array()
     # re-derive the weight of T from the unital S: T f = (T u / u o sigma) * (f o sigma)
-    if t.exact:
-        rederived = np.array([tu[y] / u[sig[y]] for y in range(t.size)], dtype=object)
-        agreement = float(max(abs(rederived[y] - base.weight[y]) for y in range(t.size)))
-    else:
-        rederived = np.asarray(tu, dtype=float) / np.asarray(u, dtype=float)[sig]
-        agreement = float(np.max(np.abs(rederived - np.asarray(base.weight, dtype=float))))
+    rederived = tu / u[d_s.sigma_array()]
+    agreement = float(np.max(np.abs(rederived - base.weight_array())))
     if d_s.sigma != base.sigma:
         raise InternalContradictionError("normalization changed the point bijection")
     return NormalizedOperator(u=tuple(u), operator=s, sigma=d_s.sigma,
                               weight_agreement=agreement)
 
 
-def fip_check(t: OperatorModel, x0, k: int = 3, trials: int = 64,
-              seed: int = 0, tol: float = DEFAULT_TOL) -> bool:
-    """Finite-intersection screen: every sampled k-subset of the zero family
-    has a nonempty common zero set. False signals the operator cannot be an
-    order isomorphism (negative control); True is necessary, not sufficient."""
+def fip_check(t: OperatorModel, x0, tol: float = DEFAULT_TOL) -> bool:
+    """Finite-intersection property of the zero family at x0: the zero sets
+    of all its member images have a common codomain point. The family is
+    finite, so this is its intersection, in closed form. False shows the
+    operator is no order isomorphism; True at every anchor of an invertible
+    point matrix holds exactly when that matrix is monomial."""
     zf = zero_family(t, x0, tol=tol)
-    n_cod = t.codomain.space.size
-    if not zf.members:
-        return True
-    rng = np.random.default_rng(seed)
-    m = len(zf.members)
-    kk = min(k, m)
-    for _ in range(trials):
-        pick = rng.choice(m, size=kk, replace=False)
-        mask = np.ones(n_cod, dtype=bool)
-        for i in pick:
-            mask &= zf.members[i].image_zeros.mask
-        if not mask.any():
-            return False
-    return True
+    return bool(zf.intersection_mask(t.codomain.space.size).any())

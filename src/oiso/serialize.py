@@ -86,13 +86,7 @@ def _coerce_matrix(rows, exact: bool) -> np.ndarray:
     widths = {len(r) for r in data}
     if len(widths) != 1:
         raise ValueError("matrix rows must have equal length")
-    if exact:
-        m = np.empty((len(data), len(data[0])), dtype=object)
-        for i, row in enumerate(data):
-            for j, v in enumerate(row):
-                m[i, j] = v
-        return m
-    return np.array(data, dtype=float)
+    return np.array(data, dtype=object if exact else float)
 
 
 def parse_space(doc) -> PointSpace:
@@ -179,6 +173,8 @@ def _parse_sampled_space(doc: dict, default_name: str) -> SampledSpace:
 def _parse_sequences(docs) -> list:
     out = []
     for i, d in enumerate(docs or []):
+        if not isinstance(d, dict):
+            raise ValueError("sequence document must be an object")
         name = str(d.get("name", f"seq{i}"))
         n = int(d.get("n", 10000))
         if "rule" in d:

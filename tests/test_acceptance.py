@@ -139,7 +139,7 @@ def _criterion_3() -> dict:
         assert min(d.weight) > 0.0
         min_weight = min(min_weight, float(min(d.weight)))
         anchor = int(r.integers(n))
-        assert fip_check(op, anchor, seed=0)
+        assert fip_check(op, anchor)
         # Zero-set intersection masks at every point pair, in both directions.
         a_fwd = np.abs(np.asarray(op.matrix, dtype=float)) > TOL
         a_bwd = np.abs(np.asarray(op.inverse_matrix, dtype=float)) > TOL
@@ -161,8 +161,8 @@ def _criterion_3() -> dict:
 
 
 def test_criterion_3_proof_chain():
-    _run(3, "proof chain on 1000 accepted instances: sampled finite-"
-            "intersection screens, zero-set symmetry at every point pair, "
+    _run(3, "proof chain on 1000 accepted instances: the finite-intersection "
+            "property of the zero family, zero-set symmetry at every point pair, "
             "strictly positive weight, inverse sigma from the inverse model",
          _criterion_3)
 

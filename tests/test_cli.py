@@ -365,6 +365,15 @@ class TestCompactify:
         assert rep["result"]["sequence"] == "osc"
         assert rep["result"]["coordinate"] == "sin(1/t)"
 
+    def test_non_object_sequence_is_a_usage_error(self, tmp_path, capsys):
+        spec = _write(tmp_path, "spec.json", {
+            "domain": {"samples": [0.25, 0.5], "generators": ["t"]},
+            "sequences": [5],
+        })
+        code, out, err = _run(capsys, ["compactify", spec])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "error: sequence document must be an object" in err
+
 
 class TestExample:
     def test_local_form(self, capsys):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oiso import linalg
 from oiso.cones import OperatorModel, is_order_isomorphism
-from oiso.fuzz import random_monomial, spawn_generators
+from oiso.fuzz import random_monomial, random_nonneg_nonmonomial, spawn_generators
 from oiso.recovery import (
     AmbiguousIntersectionError,
     Decomposition,
@@ -112,6 +113,9 @@ class TestRecoverMap:
                 fast = recover_map(op)
                 slow = np.array([recover_point(op, x) for x in range(n)])
                 assert np.array_equal(fast, slow)
+            exact, _, _ = random_monomial(rng, n, exact=True)
+            slow = np.array([recover_point(exact, x) for x in range(n)])
+            assert np.array_equal(recover_map(exact), slow)
 
     def test_exact_fast_path(self):
         t = OperatorModel.weighted_permutation(
@@ -238,6 +242,24 @@ class TestVerifyRepresentation:
             (1, 0), np.array([Fraction(2), Fraction(3)], dtype=object))
         assert verify_representation(t, decompose(t)) == 0.0
 
+    def test_equals_the_decomposition_residual(self):
+        # accepted near-monomial operators: alpha-scaled, with off-pattern
+        # noise below the cutoff, and exact ones
+        for rng in spawn_generators(7, 20):
+            n = int(rng.integers(2, 9))
+            t, _, weight = random_monomial(rng, n)
+            alpha = 10.0 ** rng.uniform(-3.0, 3.0)
+            noise = np.where(t.matrix == 0, rng.uniform(size=(n, n)), 0.0)
+            noise *= 0.1 * DEFAULT_TOL * alpha * float(np.min(weight))
+            ops = [OperatorModel(m, t.domain, t.codomain)
+                   for m in (t.matrix, alpha * t.matrix, alpha * t.matrix + noise)]
+            ops.append(random_monomial(rng, n, exact=True)[0])
+            for op in ops:
+                assert is_order_isomorphism(op).accept
+                d = decompose(op)
+                assert verify_representation(op, d) == d.residual
+            assert decompose(ops[2]).residual > 0.0
+
 
 class TestNormalize:
     def test_scaled_permutation_becomes_permutation(self):
@@ -303,3 +325,18 @@ class TestFipCheck:
     def test_single_point_trivially_true(self):
         t = OperatorModel.weighted_permutation((0,), np.array([2.0]))
         assert fip_check(t, 0)
+
+    def test_closed_form_on_exact_point_matrices(self):
+        # the zero family at x holds a common zero exactly when some row of M
+        # is supported on column x alone, so at every anchor exactly when M
+        # is monomial
+        for i, rng in enumerate(spawn_generators(11, 40)):
+            n = int(rng.integers(5, 11))
+            t = (random_monomial(rng, n, exact=True)[0] if i % 2
+                 else random_nonneg_nonmonomial(rng, n))
+            m = t.matrix
+            held = [fip_check(t, x) for x in range(n)]
+            for x in range(n):
+                assert held[x] == any(all(m[y, j] == 0 for j in range(n) if j != x)
+                                      for y in range(n))
+            assert all(held) == (linalg.monomial(m) is not None)
