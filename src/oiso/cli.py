@@ -12,6 +12,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -250,10 +251,14 @@ def _cmd_fuzz(args):
     return result, EXIT_OK if not failures else EXIT_REJECTED
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The subcommands. Each declares its handler, the file arguments echoed
     by name and digest (`files`), the arguments echoed verbatim (`inputs`)
-    and the options reported as settings (`settings`)."""
+    and the options reported as settings (`settings`).
+
+    Built once per process: parsing leaves the parser unchanged, and each
+    `main` call would otherwise rebuild the same tree."""
     parser = argparse.ArgumentParser(
         prog="oiso",
         description="Certify and decompose order isomorphisms on finite function-space models.")

@@ -2,7 +2,18 @@
 
 All documents carry `"schema": "oiso/1"`. Exact mode accepts integers and
 "p/q" strings and refuses bare floats, so precision is never silently
-downgraded; float mode accepts any real number and also "p/q" strings.
+downgraded; float mode accepts any real number and also "p/q" strings. A
+zero denominator, and a number too large for a double in float mode, are
+input errors (`ValueError`), not arithmetic ones.
+
+A matrix is converted as a whole. In float mode a matrix of JSON numbers
+only is one `np.array(rows, dtype=float)` call and one finiteness check; a
+matrix holding any other value is read entry by entry through
+`coerce_number`, as is a refused one, so the message names its first bad
+entry. In exact mode each distinct entry is parsed once per matrix, and a
+plain "p" or "p/q" string is split into two integers rather than run
+through `Fraction`'s string parser.
+
 Reports serialize with sorted keys and fixed indentation, carry a sha256
 digest of their own canonical payload, and contain nothing run-dependent
 (timing is reported on stderr, never in the payload), so identical inputs,
@@ -11,8 +22,10 @@ seed, and mode produce byte-identical report files.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import re
 from fractions import Fraction
 from typing import Optional
 
@@ -63,30 +76,106 @@ def coerce_number(x, exact: bool):
         if isinstance(x, int):
             return Fraction(x)
         if isinstance(x, str):
-            return Fraction(x)
+            return _fraction(x)
         if isinstance(x, float):
             raise ValueError(
                 f"exact mode refuses the float {x!r}; write an integer or a 'p/q' string")
         raise ValueError(f"not a rational entry: {x!r}")
     if isinstance(x, (int, float)):
-        v = float(x)
+        v = x
     elif isinstance(x, str):
-        v = float(Fraction(x))
+        v = _fraction(x)
     else:
         raise ValueError(f"not a numeric entry: {x!r}")
+    try:
+        v = float(v)
+    except OverflowError:  # an integer or a rational too large for a double
+        v = math.inf
     if not math.isfinite(v):
         raise ValueError(f"entries must be finite, got {x!r}")
     return v
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+# "p" or "p/q" in ASCII digits, with an optional "-": split into two integers.
+# Every other string ("+2", " 3/4 ", "1.5", "1e3", "1_000", other digits) still
+# goes through Fraction(str), so the same strings are read, to the same values.
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _exact_scalar(x) -> Fraction:
+    """coerce_number(x, exact=True), without the string parser for plain "p/q"."""
+    if type(x) is int:
+        return Fraction(x)
+    if type(x) is str:
+        m = _PLAIN_RATIONAL.fullmatch(x)
+        if m is not None:
+            p, q = m.groups()
+            q = 1 if q is None else int(q)
+            if q:
+                return Fraction(int(p), q)
+    return coerce_number(x, True)
+
+
+def _float_matrix(rows):
+    """A rectangular matrix of JSON numbers as one array; None when it holds
+    another value, is ragged, or has an entry with no finite double."""
+    if (len({len(r) for r in rows}) != 1
+            or not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
+        return None  # bool is its own type, so numpy never reads True as 1.0
+    try:
+        data = np.array(rows, dtype=float)
+    except OverflowError:  # an integer too large for a double
+        return None
+    return data if np.isfinite(data).all() else None
+
+
+def _exact_values(flat):
+    """The exact reading of each entry, parsing each distinct one once; None
+    when an entry is unhashable (a list or an object)."""
+    # the type in the key keeps 1, 1.0 and True apart; the keys keep row-major
+    # order of first appearance, so the first refused key is the first refused entry
+    keys = list(zip(map(type, flat), flat))
+    try:
+        values = dict.fromkeys(keys)
+    except TypeError:
+        return None
+    for key in values:
+        values[key] = _exact_scalar(key[1])
+    return [values[key] for key in keys]
+
+
 def _coerce_matrix(rows, exact: bool) -> np.ndarray:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ValueError("a matrix must be a non-empty list of rows")
-    data = [[coerce_number(v, exact) for v in row] for row in rows]
-    widths = {len(r) for r in data}
-    if len(widths) != 1:
+    if not exact:
+        data = _float_matrix(rows)
+        if data is not None:
+            return data
+    flat = list(itertools.chain.from_iterable(rows))
+    values = _exact_values(flat) if exact else None
+    if values is None:  # the per-entry reading, which names the first refused entry
+        values = [coerce_number(v, exact) for v in flat]
+    if len({len(r) for r in rows}) != 1:
         raise ValueError("matrix rows must have equal length")
-    return np.array(data, dtype=object if exact else float)
+    data = np.empty(len(values), dtype=object if exact else float)
+    data[:] = values
+    return data.reshape(len(rows), len(rows[0]))
+
+
+def _real(x, what: str) -> float:
+    """float(x) for a document value other than a matrix entry, with an
+    integer too large for a double an input error."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{what} must be finite, got an integer too large for a float") from None
 
 
 def parse_space(doc) -> PointSpace:
@@ -99,7 +188,7 @@ def parse_space(doc) -> PointSpace:
             raise ValueError("space document needs 'labels'")
         metric = doc.get("metric")
         if metric is not None:
-            metric = np.array([[float(v) for v in row] for row in metric])
+            metric = np.array([[_real(v, "metric entries") for v in row] for row in metric])
         return PointSpace(tuple(str(x) for x in labels), metric=metric)
     raise ValueError("space document must be a list of labels or an object")
 
@@ -164,8 +253,9 @@ def _parse_sampled_space(doc: dict, default_name: str) -> SampledSpace:
     if domain is not None:
         if len(domain) != 4:
             raise ValueError("'interval' is [lo, hi, lo_open, hi_open]")
-        domain = (float(domain[0]), float(domain[1]), bool(domain[2]), bool(domain[3]))
-    return SampledSpace(tuple(float(s) for s in samples),
+        domain = (_real(domain[0], "'interval' ends"), _real(domain[1], "'interval' ends"),
+                  bool(domain[2]), bool(domain[3]))
+    return SampledSpace(tuple(_real(s, "samples") for s in samples),
                         tuple(str(g) for g in gens),
                         name=str(doc.get("name", default_name)), domain=domain)
 
@@ -176,12 +266,16 @@ def _parse_sequences(docs) -> list:
         if not isinstance(d, dict):
             raise ValueError("sequence document must be an object")
         name = str(d.get("name", f"seq{i}"))
-        n = int(d.get("n", 10000))
+        try:
+            n = int(d.get("n", 10000))
+        except OverflowError:  # JSON reads 1e400 as inf
+            raise ValueError(f"sequence {name!r}: 'n' must be finite") from None
         if "rule" in d:
             out.append(SequenceSpec(name=name, n=n, rule=str(d["rule"])))
         elif "points" in d:
             out.append(SequenceSpec(name=name, n=min(n, len(d["points"])),
-                                    points=tuple(float(p) for p in d["points"])))
+                                    points=tuple(_real(p, "sequence points")
+                                                 for p in d["points"])))
         else:
             raise ValueError(f"sequence {name!r} needs 'rule' or 'points'")
     return out

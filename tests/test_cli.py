@@ -170,6 +170,43 @@ def test_any_integer_point_operator_exits_0_or_2_in_exact_mode(matrix):
     assert set(_exit_codes(matrix, "exact")) <= {EXIT_OK, EXIT_REJECTED}
 
 
+# JSON scalars that are no matrix entry in either mode, and the two that are
+# exact rationals but have no finite double
+_MALFORMED = (True, False, None, "1/0", "-2/0", "x", [1], [[0]], {"a": 1},
+              float("nan"), float("inf"), float("-inf"))
+_NO_DOUBLE = (10 ** 400, -10 ** 400, "1e400")
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix=_integer_square(), data=st.data(),
+       bad=st.sampled_from(_MALFORMED + _NO_DOUBLE),
+       mode=st.sampled_from(("float", "exact")))
+@example(matrix=[[0]], data=None, bad="1/0", mode="exact")
+def test_one_malformed_entry_is_a_usage_error(matrix, data, bad, mode):
+    n = len(matrix)
+    y, x = (0, 0) if data is None else data.draw(st.tuples(st.integers(0, n - 1),
+                                                            st.integers(0, n - 1)))
+    matrix[y][x] = bad
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "op.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"matrix": matrix}, fh)
+        for command in ("decompose", "classify"):
+            code, out, err = _run_quietly([command, path, "--mode", mode])
+            if mode == "exact" and bad in _NO_DOUBLE:  # a valid, huge rational
+                assert code in (EXIT_OK, EXIT_REJECTED)
+            else:
+                assert (code, out) == (EXIT_USAGE, "")
+                assert err.startswith("error: ")
+
+
 class TestRejectedTable:
     """Outcome exceptions a handler raises are reported with exit 2."""
 
@@ -252,6 +289,27 @@ class TestUsageErrors:
         assert code == EXIT_OK and "--seed" not in out and "--samples" not in out
         code, out, _ = _run(capsys, ["--version"])
         assert code == EXIT_OK and out.startswith("oiso ")
+
+    @pytest.mark.parametrize("name, doc, message", [
+        ("adequacy", {"space": {"labels": ["a", "b"], "metric": [[0, 10 ** 400], [10 ** 400, 0]]}},
+         "metric entries must be finite"),
+        ("compactify", {"domain": {"samples": [0.25, 0.5], "generators": ["t"]},
+                        "sequences": [{"rule": "1/k", "n": 1e400}]},
+         "'n' must be finite"),
+    ], ids=["metric", "sequence-length"])
+    def test_numbers_too_large_for_a_double(self, tmp_path, capsys, name, doc, message):
+        code, out, err = _run(capsys, [name, _write(tmp_path, "doc.json", doc)])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert message in err
+
+    def test_parser_is_built_once_and_keeps_no_options(self, tmp_path, capsys):
+        from oiso.cli import build_parser
+        assert build_parser() is build_parser()
+        op = _write(tmp_path, "op.json", {"matrix": [[0, 2], [3, 0]]})
+        exact = _report(_run(capsys, ["decompose", op, "--mode", "exact", "--tol", "0.5"])[1])
+        plain = _report(_run(capsys, ["decompose", op])[1])
+        assert exact["settings"] == {"mode": "exact", "tol": 0.5}
+        assert plain["settings"] == {"mode": "float", "tol": 1e-9}
 
     def test_fuzz_flag_validation(self, capsys):
         assert _run(capsys, ["fuzz", "--dim", "0", "--count", "1"])[0] == EXIT_USAGE

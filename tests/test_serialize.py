@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oiso import serialize
 from oiso.serialize import (
     SCHEMA,
     build_report,
@@ -53,6 +56,127 @@ class TestCoerceNumber:
         with pytest.raises(ValueError):
             coerce_number(None, True)
 
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0", " 1/00 "])
+    def test_zero_denominator_is_a_value_error(self, text, exact):
+        with pytest.raises(ValueError, match="zero denominator"):
+            coerce_number(text, exact)
+
+    @pytest.mark.parametrize("x", [10 ** 400, -10 ** 400, "1e400", "-1e400", "2" * 400 + "/3"],
+                             ids=["int", "negative-int", "exponent", "negative-exponent", "p/q"])
+    def test_too_large_for_a_double_is_not_finite(self, x):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            coerce_number(x, False)
+
+    def test_exact_mode_reads_huge_rationals_exactly(self):
+        assert coerce_number(10 ** 400, True) == Fraction(10 ** 400)
+        assert coerce_number("1e400", True) == Fraction(10 ** 400)
+
+
+def _reference_matrix(rows, exact):
+    """The per-entry reading that `_coerce_matrix` must agree with."""
+    data = [[coerce_number(v, exact) for v in row] for row in rows]
+    if len({len(r) for r in data}) != 1:
+        raise ValueError("matrix rows must have equal length")
+    return np.array(data, dtype=object if exact else float)
+
+
+def _outcome(read, rows, exact):
+    """The matrix `read` returns, or the message of the ValueError it raises."""
+    try:
+        return read(rows, exact)
+    except ValueError as e:
+        return str(e)
+
+
+_STRINGS = ("-7", " 3/4 ", "1.5", "1e3", "1_000", "\u0661/\u0662", "+2", "007", "-0", "5/10")
+_RATIONAL_ENTRIES = st.one_of(
+    st.integers(-9, 9),
+    st.integers(),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-99, 99), st.integers(1, 99)),
+    st.sampled_from(_STRINGS),
+)
+_FLOAT_ENTRIES = st.one_of(
+    _RATIONAL_ENTRIES,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.just(-0.0),
+    # where rounding to a double changes, and where it overflows
+    st.sampled_from([2 ** 53 + 1, -(2 ** 63) - 1, 2 ** 64 + 1, 2 ** 1023 * 3 // 2, 2 ** 1024 - 1]),
+)
+
+
+# hashable scalars that each mode refuses
+_REFUSED = (True, False, None, math.nan, math.inf, -math.inf, 1.0, -0.0, "1/0", "x")
+
+
+@st.composite
+def _matrices(draw, entries):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    matrix = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    if draw(st.integers(0, 4)) == 0:  # now and then a refused entry
+        matrix[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(
+            st.sampled_from(_REFUSED))
+    if draw(st.integers(0, 9)) == 0:  # now and then a ragged matrix
+        matrix[-1].append(draw(entries))
+    return matrix
+
+
+_MODE_AND_MATRIX = st.one_of(st.tuples(st.just(False), _matrices(_FLOAT_ENTRIES)),
+                             st.tuples(st.just(True), _matrices(_RATIONAL_ENTRIES)))
+
+
+class TestCoerceMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_MODE_AND_MATRIX)
+    @example(case=(False, [[-0.0, 1, 2 ** 53 + 1], [0.5, 10 ** 400, "1/3"]]))
+    @example(case=(True, [["0", 0, "0/5", "-0"], [" 1/2 ", "1/2", "2/4", 1]]))
+    def test_matches_the_per_entry_reading(self, case):
+        exact, rows = case
+        got = _outcome(serialize._coerce_matrix, rows, exact)
+        want = _outcome(_reference_matrix, rows, exact)
+        if isinstance(want, str):
+            assert got == want
+        elif exact:
+            assert got.shape == want.shape and got.dtype == object
+            assert all(type(v) is Fraction for v in got.flat)
+            assert (got == want).all()
+        else:
+            assert got.dtype == want.dtype == np.float64
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_number_matrices_skip_the_per_entry_reading(self, monkeypatch):
+        def refuse(x, exact):
+            raise AssertionError(f"per-entry reading of {x!r}")
+
+        monkeypatch.setattr(serialize, "coerce_number", refuse)
+        floats = serialize._coerce_matrix([[1, 0.5, -0.0], [2 ** 60, -3, 1e300]], False)
+        assert floats.tobytes() == np.array([[1, 0.5, -0.0], [2.0 ** 60, -3, 1e300]]).tobytes()
+        exact = serialize._coerce_matrix([["1/2", "0", "-3/4"], ["0", "6/4", "-7"]], True)
+        assert exact.tolist() == [[Fraction(1, 2), 0, Fraction(-3, 4)],
+                                  [0, Fraction(3, 2), -7]]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("unhashable", [False, True])
+    def test_refusals_name_the_first_bad_entry(self, exact, unhashable):
+        tail = [[1]] if unhashable else [None]
+        with pytest.raises(ValueError, match="booleans"):
+            serialize._coerce_matrix([[0, 1], [1, True], tail], exact)
+        with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+            serialize._coerce_matrix([[1, "1/0"], ["x", tail[0]]], exact)
+
+    def test_exact_mode_refuses_floats_equal_to_integers(self):
+        with pytest.raises(ValueError, match="refuses the float 0.0"):
+            serialize._coerce_matrix([[0, 1], [0.0, 1.0]], True)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 10 ** 400, "1e400"],
+                             ids=["nan", "inf", "int", "string"])
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_float_entries_with_no_finite_double_refused(self, bad, ragged):
+        rows = [[1, 2], [bad]] if ragged else [[1, 2], [3, bad]]
+        with pytest.raises(ValueError, match="entries must be finite"):
+            serialize._coerce_matrix(rows, False)
+
 
 class TestLoadJson:
     def test_round_trip(self, tmp_path):
@@ -87,6 +211,10 @@ class TestParseSpace:
     def test_labels_with_metric(self):
         sp = parse_space({"labels": ["a", "b"], "metric": [[0, 1], [1, 0]]})
         assert sp.metric[0, 1] == 1.0
+
+    def test_metric_too_large_for_a_double_refused(self):
+        with pytest.raises(ValueError, match="metric entries must be finite"):
+            parse_space({"labels": ["a", "b"], "metric": [[0, 10 ** 400], [10 ** 400, 0]]})
 
     def test_bad_document(self):
         with pytest.raises(ValueError):
@@ -182,6 +310,16 @@ class TestParseCompactifySpec:
         _, _, seqs_x, _, _ = parse_compactify_spec(doc)
         assert seqs_x[0].name == "seq0"
         assert seqs_x[0].n == 40  # capped at the explicit list length
+
+    def test_numbers_too_large_for_a_double_refused(self):
+        domain = {"samples": [0.5], "generators": ["t"]}
+        with pytest.raises(ValueError, match="'n' must be finite"):
+            parse_compactify_spec({"domain": domain,
+                                   "sequences": [{"rule": "1/k", "n": math.inf}]})
+        with pytest.raises(ValueError, match="samples must be finite"):
+            parse_compactify_spec({"domain": {"samples": [10 ** 400], "generators": ["t"]}})
+        with pytest.raises(ValueError, match="sequence points must be finite"):
+            parse_compactify_spec({"domain": domain, "sequences": [{"points": [10 ** 400]}]})
 
     def test_missing_pieces_rejected(self):
         with pytest.raises(ValueError, match="domain"):
