@@ -49,8 +49,17 @@ def isometry_reduce(t: OperatorModel, tol: float = DEFAULT_TOL):
     g = t.apply_values(t.domain.ones())
     if _off_one("|T(1)|", [abs(x) for x in g], t.exact, tol):
         return None
-    return g, OperatorModel(t.matrix / g[:, None], domain=t.domain,
-                            codomain=t.codomain, basis="point")
+    return g, _divide_rows(t, g)
+
+
+def _divide_rows(t: OperatorModel, g) -> OperatorModel:
+    """diag(1/g) T for a point-basis T. An exact monomial T is divided along
+    its read, so the reduced operator needs no scan of its own."""
+    if t.exact and t.monomial is not None:
+        cols, entries = t.monomial
+        return OperatorModel.weighted_permutation(cols, entries / g, t.domain, t.codomain)
+    return OperatorModel(t.matrix / g[:, None], domain=t.domain,
+                         codomain=t.codomain, basis="point")
 
 
 def lattice_check(t: OperatorModel, tol: float = DEFAULT_TOL) -> bool:

@@ -12,6 +12,12 @@ lemma, T maps {c : A c >= 0} into the codomain cone exactly when B = G_Y^T M
 equals Lambda A for some entrywise nonnegative Lambda: every codomain point
 evaluation of T is a nonnegative combination of domain point evaluations.
 On full families Lambda is the point matrix itself.
+
+An operator reads its matrix as a weighted permutation (`linalg.monomial`)
+once, when it is built, and keeps the read as `monomial`. Its inverse comes
+from that read, and an exact point-basis operator's certificate, recovery,
+T1 and isometry reduction are O(n) in it; float certificates keep their
+dense numpy scans, and a matrix that is not monomial is scanned whole.
 """
 from __future__ import annotations
 
@@ -24,6 +30,8 @@ import numpy as np
 from . import linalg
 from .linalg import mat_mat, mat_vec
 from .spaces import DEFAULT_TOL, DimensionMismatchError, FunctionFamily, values_of
+
+_ZERO = Fraction(0)
 
 __all__ = [
     "ConeRep",
@@ -73,10 +81,20 @@ class OperatorModel:
     codomain generator coefficients (column convention, c' = M @ c).
     basis "point": both families are full and the matrix maps value vectors to
     value vectors (v' = M @ v).
+
+    `monomial` is the matrix's `linalg.monomial` read, (columns, entries) or
+    None, taken once at construction.
     """
 
     def __init__(self, matrix, domain: FunctionFamily, codomain: FunctionFamily,
                  basis: str = "point"):
+        m = self._validated(matrix, domain, codomain, basis)
+        self._adopt(m, domain, codomain, basis, linalg.monomial(m))
+
+    @staticmethod
+    def _validated(matrix, domain: FunctionFamily, codomain: FunctionFamily,
+                   basis: str) -> np.ndarray:
+        """The operator matrix as an array, checked against the families."""
         if basis not in ("point", "generator"):
             raise ValueError("basis must be 'point' or 'generator'")
         m = np.asarray(matrix)
@@ -99,12 +117,20 @@ class OperatorModel:
         else:
             if m.shape != (codomain.rank, domain.rank):
                 raise DimensionMismatchError("generator matrix shape must match the ranks")
+        return m
+
+    def _adopt(self, m: np.ndarray, domain: FunctionFamily, codomain: FunctionFamily,
+               basis: str, read):
+        """Take a validated matrix and its `linalg.monomial` read; the
+        inverse is built from the read when there is one."""
         self.matrix = m
         self.matrix.setflags(write=False)
         self.basis = basis
         self.domain = domain
         self.codomain = codomain
-        self._inv_matrix = linalg.inv(m)  # raises SingularMatrixError
+        self.monomial = read
+        # raises SingularMatrixError
+        self._inv_matrix = linalg.dense_inv(m) if read is None else linalg.monomial_inv(*read)
         self._point = None
 
     @property
@@ -124,9 +150,16 @@ class OperatorModel:
                              codomain=self.domain, basis=self.basis)
 
     def apply_values(self, v) -> np.ndarray:
-        """Values of T f at the codomain points, from the values of f."""
+        """Values of T f at the codomain points, from the values of f. An
+        exact monomial point matrix is applied along its read, which is
+        `mat_vec` with the zero terms skipped."""
         v = values_of(v)
         if self.basis == "point":
+            if self.exact and self.monomial is not None:
+                cols, entries = self.monomial
+                out = np.empty(len(cols), dtype=object)
+                out[:] = [_ZERO + e * v[j] for e, j in zip(entries, cols)]
+                return out
             return mat_vec(self.matrix, v)
         c = self.domain.coefficients_of(v)
         return self.codomain.values(mat_vec(self.matrix, c))
@@ -171,15 +204,23 @@ class OperatorModel:
         if sorted(sig.tolist()) != list(range(n)):
             raise ValueError("sigma must be a bijection of point indices")
         w = np.asarray(weight)
+        if w.shape != (n,):
+            raise ValueError("one weight per point required")
         exact = w.dtype == object
         if domain is None:
             domain = FunctionFamily.full(PointSpace.discrete(n, "x"), exact=exact)
         if codomain is None:
             codomain = FunctionFamily.full(PointSpace.discrete(n, "y"), exact=exact)
+        rows = np.arange(n)
         m = linalg.zeros_like_mode((n, n), exact)
-        for y in range(n):
-            m[y, sig[y]] = w[y]
-        return cls(m, domain=domain, codomain=codomain, basis="point")
+        m[rows, sig] = w
+        m = cls._validated(m, domain, codomain, "point")
+        entries = m[rows, sig]
+        if np.count_nonzero(entries) != n:  # singular: the generic path reports it
+            return cls(m, domain=domain, codomain=codomain, basis="point")
+        t = cls.__new__(cls)
+        t._adopt(m, domain, codomain, "point", (sig, entries))
+        return t
 
 
 @dataclass(frozen=True)
@@ -237,6 +278,27 @@ def _nonneg_violation(m, tol: float):
     return (int(i), int(j)) if m[i, j] < -linalg.cutoff(m, tol) else None
 
 
+def _point_violation(t: OperatorModel, tol: float):
+    """(side, i, j) for the most negative entry of the point matrix, else of
+    its inverse, or None when both are nonnegative.
+
+    An exact monomial matrix is decided from its n read entries: the scan of
+    the entries column finds the same first row holding the most negative
+    entry as the dense scan, and with no negative entry the inverse is the
+    transpose with positive reciprocals, so it is not scanned. Float matrices
+    and non-monomial ones are scanned whole.
+    """
+    if t.exact and t.monomial is not None:
+        cols, entries = t.monomial
+        hit = _nonneg_violation(entries[:, None], tol)
+        return None if hit is None else ("domain", hit[0], int(cols[hit[0]]))
+    for mat, side in ((t.matrix, "domain"), (t.inverse_matrix, "codomain")):
+        hit = _nonneg_violation(mat, tol)
+        if hit is not None:
+            return (side, *hit)
+    return None
+
+
 def _indicator(n: int, j: int, exact: bool):
     v = linalg.zeros_like_mode((n,), exact)
     v[j] = Fraction(1) if exact else 1.0
@@ -270,19 +332,17 @@ def is_order_isomorphism(t: OperatorModel, tol: float = DEFAULT_TOL) -> Certific
                            witness_coeffs=tuple(coeffs), witness_values=cert.witness_values,
                            side=cert.side, point=cert.point, detail=cert.detail)
     if t.basis == "point":
-        n = t.size
-        for mat, side in ((t.matrix, "domain"), (t.inverse_matrix, "codomain")):
-            hit = _nonneg_violation(mat, tol)
-            if hit is not None:
-                i, j = hit
-                w = _indicator(n, j, t.exact)
-                return Certificate(
-                    accept=False, mode="exact", arithmetic=arith,
-                    witness_coeffs=tuple(w), witness_values=tuple(w),
-                    side=side, point=i,
-                    detail=(f"indicator of {side} point {j} maps to a negative "
-                            f"value at point {i}"))
-        return Certificate(accept=True, mode="exact", arithmetic=arith)
+        hit = _point_violation(t, tol)
+        if hit is None:
+            return Certificate(accept=True, mode="exact", arithmetic=arith)
+        side, i, j = hit
+        w = _indicator(t.size, j, t.exact)
+        return Certificate(
+            accept=False, mode="exact", arithmetic=arith,
+            witness_coeffs=tuple(w), witness_values=tuple(w),
+            side=side, point=i,
+            detail=(f"indicator of {side} point {j} maps to a negative "
+                    f"value at point {i}"))
 
     for src, dst, mat, side in ((t.domain, t.codomain, t.matrix, "domain"),
                                 (t.codomain, t.domain, t.inverse_matrix, "codomain")):

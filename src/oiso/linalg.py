@@ -4,6 +4,12 @@ Exact matrices are numpy object arrays holding fractions.Fraction entries
 (Python ints are accepted and promoted to Fraction before any division). The
 elimination routines skip zero multipliers; weighted permutations (monomial
 matrices) skip elimination altogether in `rank` and `inv`.
+
+`monomial` is the one n^2 scan that reads a matrix as a weighted permutation.
+An operator reads its point matrix once, when it is built, and derives its
+inverse (`monomial_inv`), its certificate and its recovery from that read;
+the identity generators of a full family are independent by construction and
+never reach `rank`.
 """
 from __future__ import annotations
 
@@ -24,8 +30,10 @@ __all__ = [
     "exact_solve_unique",
     "cutoff",
     "monomial",
+    "monomial_inv",
     "rank",
     "inv",
+    "dense_inv",
 ]
 
 
@@ -223,26 +231,39 @@ def rank(a, tol: float = 1e-10) -> int:
     return int(np.linalg.matrix_rank(a, tol=cut))
 
 
+def monomial_inv(cols, entries) -> np.ndarray:
+    """Inverse of the monomial matrix read as (cols, entries) by `monomial`:
+    its transpose with reciprocal entries, in the entries' arithmetic. Raises
+    SingularMatrixError when a float reciprocal overflows."""
+    exact = entries.dtype == object
+    n = len(cols)
+    recip = [Fraction(1) / e for e in entries] if exact else 1.0 / entries
+    if not exact and not np.all(np.isfinite(recip)):
+        raise SingularMatrixError("inverse overflow; matrix numerically singular")
+    out = zeros_like_mode((n, n), exact)
+    out[cols, np.arange(n)] = recip
+    return out
+
+
 def inv(a):
     """Inverse in the matrix's own arithmetic. A monomial matrix's inverse is
-    its transpose with reciprocal entries; any other goes through elimination
-    (exact) or LU (float). Raises SingularMatrixError."""
-    exact = is_exact(a)
-    if not exact:
+    read from its pattern (`monomial_inv`); any other is `dense_inv`'s.
+    Raises SingularMatrixError."""
+    if not is_exact(a):
         a = np.asarray(a, dtype=float)
     read = monomial(a)
-    if read is not None:
-        cols, entries = read
-        out = zeros_like_mode(a.shape, exact)
-        out[cols, np.arange(len(cols))] = (
-            [Fraction(1) / e for e in entries] if exact else 1.0 / entries)
-    elif exact:
+    return monomial_inv(*read) if read is not None else dense_inv(a)
+
+
+def dense_inv(a):
+    """Inverse by elimination (exact) or LU (float), for a matrix already
+    read as not monomial. Raises SingularMatrixError."""
+    if is_exact(a):
         return exact_inv(a)
-    else:
-        try:
-            out = np.linalg.inv(a)
-        except np.linalg.LinAlgError as e:
-            raise SingularMatrixError(str(e)) from e
-    if not exact and not np.all(np.isfinite(out)):
+    try:
+        out = np.linalg.inv(a)
+    except np.linalg.LinAlgError as e:
+        raise SingularMatrixError(str(e)) from e
+    if not np.all(np.isfinite(out)):
         raise SingularMatrixError("inverse overflow; matrix numerically singular")
     return out

@@ -172,7 +172,8 @@ def _read(t: OperatorModel):
     """(sigma, weight) read from the point matrix. sigma[y] is the column of
     row y's nonzero entry and weight[y] that entry (exact mode, which needs a
     monomial point matrix), or the column of row y's largest entry and the
-    weight T1 (float mode).
+    weight T1 (float mode). The exact reading is the operator's own
+    `monomial` read, taken when it was built.
 
     An accepted point matrix is a positive monomial matrix, so neither reading
     needs a tolerance; one that is not a bijection of points raises
@@ -182,7 +183,7 @@ def _read(t: OperatorModel):
         raise ValueError("recovery needs a full-rank family")
     t = t.as_point()
     if t.exact:
-        read = linalg.monomial(t.matrix)
+        read = t.monomial
         if read is None:
             raise AmbiguousIntersectionError(
                 "some zero-set intersection is not a single point: "

@@ -153,7 +153,7 @@ def _exact_values(flat):
 
 def _coerce_matrix(rows, exact: bool) -> np.ndarray:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
-        raise ValueError("a matrix must be a non-empty list of rows")
+        raise ValueError("matrix must be a non-empty list of rows")
     if not exact:
         data = _float_matrix(rows)
         if data is not None:
@@ -188,7 +188,10 @@ def parse_space(doc) -> PointSpace:
             raise ValueError("space document needs 'labels'")
         metric = doc.get("metric")
         if metric is not None:
-            metric = np.array([[_real(v, "metric entries") for v in row] for row in metric])
+            try:  # the float matrix rule: no booleans, no non-finite entries
+                metric = _coerce_matrix(metric, exact=False)
+            except ValueError as e:
+                raise ValueError(f"metric {e}") from None
         return PointSpace(tuple(str(x) for x in labels), metric=metric)
     raise ValueError("space document must be a list of labels or an object")
 

@@ -183,7 +183,12 @@ class FunctionFamily:
         r = linalg.rank(gen, tol=tol)
         if r != gen.shape[0]:
             raise ValueError(f"generators must be linearly independent (rank {r} < {gen.shape[0]})")
-        gen = gen.copy()
+        self._adopt(space, gen.copy(), names, tol)
+        if claims_constants is True and not self.has_constants():
+            raise ValueError("family claims constants but the all-ones vector is not in span")
+
+    def _adopt(self, space: PointSpace, gen: np.ndarray, names, tol: float):
+        """Take a validated, independent generator matrix as this family's own."""
         gen.setflags(write=False)
         self.space = space
         self.generators = gen
@@ -192,8 +197,6 @@ class FunctionFamily:
         if len(self.names) != gen.shape[0]:
             raise ValueError("one name per generator required")
         self.tol = tol
-        if claims_constants is True and not self.has_constants():
-            raise ValueError("family claims constants but the all-ones vector is not in span")
 
     @property
     def rank(self) -> int:
@@ -233,10 +236,13 @@ class FunctionFamily:
 
     @classmethod
     def full(cls, space: PointSpace, exact: bool = False) -> "FunctionFamily":
-        """The full family in point coordinates: indicator generators."""
+        """The full family in point coordinates: indicator generators. The
+        identity is independent by construction, so its rank is not checked."""
         gen = linalg.zeros_like_mode((space.size, space.size), exact)
         np.fill_diagonal(gen, Fraction(1) if exact else 1.0)
-        return cls(space, gen, names=tuple(f"e_{lbl}" for lbl in space.labels))
+        fam = cls.__new__(cls)
+        fam._adopt(space, gen, tuple(f"e_{lbl}" for lbl in space.labels), DEFAULT_TOL)
+        return fam
 
 
 @dataclass(frozen=True)

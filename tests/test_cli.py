@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -371,6 +372,33 @@ class TestAdequacy:
         rep = _report(out)
         assert rep["result"]["adequate"] is False
         assert rep["result"]["has_constants"] is True
+
+    @pytest.mark.parametrize("metric, message", [
+        ([[False, True], [True, False]], "metric booleans are not numeric entries"),
+        ([[0, "inf"], ["inf", 0]], "metric Invalid literal for Fraction: 'inf'"),
+        ([[0, "nan"], ["nan", 0]], "metric Invalid literal for Fraction: 'nan'"),
+        ([[0, float("nan")], [float("nan"), 0]], "metric entries must be finite, got nan"),
+        ([[0, 1], [1]], "metric matrix rows must have equal length"),
+    ], ids=["booleans", "inf-string", "nan-string", "nan-literal", "ragged"])
+    def test_malformed_metric_is_a_usage_error(self, tmp_path, capsys, metric, message):
+        # metric entries follow the float matrix rule, and nothing reaches numpy
+        fam = _write(tmp_path, "fam.json", {"labels": ["a", "b"], "metric": metric})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, ["adequacy", fam])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert message in err
+
+    def test_metric_strings_read_as_matrix_entries(self, tmp_path, capsys):
+        reports = []
+        for two in (2, " 2 ", "2/1"):
+            fam = _write(tmp_path, "fam.json", {"space": {"labels": ["a", "b"],
+                                                          "metric": [[0, two], [two, 0]]},
+                                                "generators": [[1, 1]]})
+            code, out, _ = _run(capsys, ["adequacy", fam])
+            assert code == EXIT_REJECTED
+            reports.append(_report(out)["result"])
+        assert reports[0] == reports[1] == reports[2]
 
 
 class TestCompactify:

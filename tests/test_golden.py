@@ -18,6 +18,19 @@ NEAR_MONOMIAL = {"matrix": [[0, 2, 1e-12], [3, 0, 0], [0, 0, 0.5]]}
 EXACT_3 = {"matrix": [[0, "1/2", 0], [0, 0, 3], ["7/3", 0, 0]]}
 IDENTITY = {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
 SIGNED_SWAP = {"matrix": [[0, -1], [1, 0]]}
+# a signed monomial whose two most negative entries tie: the witness is the
+# first such row in row order
+TIED_NEGATIVES = {"matrix": [[0, -2, 0], [0, 0, -2], [1, 0, 0]]}
+SIGNED_SCALED = {"matrix": [[0, "-3/2", 0], [2, 0, 0], [0, 0, "1/3"]]}
+SIGNED_3 = {"matrix": [[0, -1, 0], [0, 0, 1], [-1, 0, 0]]}
+# generator basis on full families, decided through the point matrix:
+# point matrices [[0, 2, 0], [0, 0, 1/5], [3, 0, 0]] and [[0, 2, 0], [0, 0, -1], [3, 0, 0]]
+GEN_DOM = {"space": ["a", "b", "c"], "generators": [[1, 1, 1], [0, 1, 2], [0, 0, 1]]}
+GEN_COD = {"space": ["p", "q", "r"], "generators": [[1, 0, 0], [1, 1, 0], [0, 0, 1]]}
+GEN_ACCEPT = {"basis": "generator", "domain": GEN_DOM, "codomain": GEN_COD,
+              "matrix": [["9/5", "8/5", "-1/5"], ["1/5", "2/5", "1/5"], ["3", "0", "0"]]}
+GEN_REJECT = {"basis": "generator", "domain": GEN_DOM, "codomain": GEN_COD,
+              "matrix": [["3", "4", "1"], ["-1", "-2", "-1"], ["3", "0", "0"]]}
 SAMPLES = [(i + 0.5) / 8 for i in range(8)]
 SEQS = [{"name": "to0", "n": 4096, "rule": "1/(k+1)"},
         {"name": "to1", "n": 4096, "rule": "1 - 1/(k+1)"}]
@@ -57,6 +70,23 @@ CASES = [
     ("example-witness", None,
      ["example", "witness", "--a", "0.25", "--b", "0.5", "--at", "0.375"], 0,
      "dc7eb80cca294bb05d73389487bd7624fd91af0d3424faabc68ba2856177b005"),
+    ("decompose-exact-tied-negatives", TIED_NEGATIVES, ["decompose", "--mode", "exact"], 2,
+     "d3192ad8446e845b2acd2a38676ea952d7aae1cc863511eb0ee86b3944843a07"),
+    ("classify-exact-tied-negatives", TIED_NEGATIVES, ["classify", "--mode", "exact"], 2,
+     "b986b656b88c59fdf0e2141219ec5347bdf2afc54e4c9b063798b89603d06978"),
+    ("classify-exact-signed-scaled", SIGNED_SCALED, ["classify", "--mode", "exact"], 2,
+     "f87eff4fa9ab9360971120797a511fb18a7b7a3cec17127e04fddaf67ac47457"),
+    ("classify-exact-lattice-iso", EXACT_3, ["classify", "--mode", "exact"], 0,
+     "a6ca24ad9286e96f612a2602fa8b064f7d5c4281b2a4c28abf35554c7312f3b6"),
+    ("classify-exact-isometry-3", SIGNED_3, ["classify", "--mode", "exact"], 0,
+     "ffb41d743c5fdc4ec0dad14961412e4ad480abe51d29577604795fb06bdaae28"),
+    ("fuzz-exact", None,
+     ["fuzz", "--dim", "8", "--count", "4", "--seed", "3", "--mode", "exact"], 0,
+     "e2fc6941c722a14ee0d0aa01c0215055c99d23b3e2f651759418ef1595ae2976"),
+    ("decompose-exact-generator-full-accept", GEN_ACCEPT, ["decompose", "--mode", "exact"], 0,
+     "a486a583e533af5f4990febc31d25ef0388570506f9bbc41018a34e81bc5a3bb"),
+    ("decompose-exact-generator-full-reject", GEN_REJECT, ["decompose", "--mode", "exact"], 2,
+     "8390d0500376c2af268ccbf7c7725a1824d9e907e22a2199e2c29b02e3555b2d"),
 ]
 
 
