@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .cones import Certificate, OperatorModel, _jsonable, is_order_isomorphism
+from .linalg import frozen
 from .recovery import Decomposition, decompose
 from .spaces import DEFAULT_TOL
 
@@ -58,7 +59,7 @@ def _divide_rows(t: OperatorModel, g) -> OperatorModel:
     if t.exact and t.monomial is not None:
         cols, entries = t.monomial
         return OperatorModel.weighted_permutation(cols, entries / g, t.domain, t.codomain)
-    return OperatorModel(t.matrix / g[:, None], domain=t.domain,
+    return OperatorModel(frozen(t.matrix / g[:, None]), domain=t.domain,
                          codomain=t.codomain, basis="point")
 
 

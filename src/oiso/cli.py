@@ -6,8 +6,9 @@ REJECTED, with a report that carries the reason; 1 for usage and input errors,
 with a message on stderr and no report. Each subcommand declares the inputs
 and settings its report echoes, so `main` can report a rejection raised
 mid-handler. Reports are canonical (sorted keys, fixed indentation, sha256
-digest of the payload) and contain nothing run-dependent; elapsed time goes to
-stderr.
+digest of the payload), written once by one writer, and contain nothing
+run-dependent; elapsed time goes to stderr. A report that cannot be written
+(text with no UTF-8 encoding) is an input error.
 """
 from __future__ import annotations
 
@@ -40,16 +41,17 @@ from .exprs import (
     separation_witness,
     to_sexpr,
 )
-from .linalg import SingularMatrixError
+from .linalg import SingularMatrixError, frozen
 from .recovery import AmbiguousIntersectionError, NotOrderIsomorphismError, decompose
 from .serialize import (
-    build_report,
     canonical_json,
     file_digest,
     load_json,
     parse_compactify_spec,
     parse_family,
     parse_operator,
+    report_payload,
+    with_digest,
 )
 
 EXIT_OK = 0
@@ -195,7 +197,7 @@ def _fuzz_instance(rng, dim: int, mode: str, perturbation: float, tol: float) ->
             if x == int(sigma[y]):
                 x = (x + 1) % dim
             m[y, x] += float(rng.uniform(0.5, 1.0)) * perturbation
-        t = type(t)(m, domain=t.domain, codomain=t.codomain, basis="point")
+        t = type(t)(frozen(m), domain=t.domain, codomain=t.codomain, basis="point")
     cert = is_order_isomorphism(t, tol=tol)
     out = {"accepted": bool(cert.accept)}
     if not cert.accept:
@@ -351,6 +353,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(args) -> tuple:
+    """The report text of a parsed command line and its exit code. The
+    payload is encoded once; its digest is taken from that text."""
+    inputs = {name: _input_echo(getattr(args, name)) for name in args.files}
+    inputs.update((name, getattr(args, name)) for name in args.inputs)
+    settings = {name.replace("_", "-"): getattr(args, name) for name in args.settings}
+    try:
+        result, code = args.func(args)
+    except tuple(REJECTED) as e:
+        result = next(f(e) for cls, f in REJECTED.items() if isinstance(e, cls))
+        code = EXIT_REJECTED
+    payload = report_payload(args.command_path, result, inputs=inputs, settings=settings)
+    return with_digest(canonical_json(payload)), code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -359,18 +376,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code else EXIT_OK
     started = time.perf_counter()
     try:
-        inputs = {name: _input_echo(getattr(args, name)) for name in args.files}
-        inputs.update((name, getattr(args, name)) for name in args.inputs)
-        settings = {name.replace("_", "-"): getattr(args, name) for name in args.settings}
-        result, code = args.func(args)
-    except tuple(REJECTED) as e:
-        result = next(f(e) for cls, f in REJECTED.items() if isinstance(e, cls))
-        code = EXIT_REJECTED
+        text, code = _report(args)
     except (OSError, ValueError, KeyError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    report = build_report(args.command_path, result, inputs=inputs, settings=settings)
-    text = canonical_json(report)
     sys.stdout.write(text)
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cones import OperatorModel, is_order_isomorphism
+from .linalg import frozen
 from .recovery import Decomposition, NotOrderIsomorphismError, decompose
 from .spaces import FunctionFamily, PointSpace
 from .symfn import SymFn, parse_symfn
@@ -382,7 +383,7 @@ def compactified_decompose(op: WeightedCompositionSpec, x_space: SampledSpace,
     matrix = op.matrix_on(x_space, y_space, tol=tol)
     dom = FunctionFamily.full(x_space.point_space())
     cod = FunctionFamily.full(y_space.point_space())
-    t = OperatorModel(matrix, domain=dom, codomain=cod, basis="point")
+    t = OperatorModel(frozen(matrix), domain=dom, codomain=cod, basis="point")
     cert = is_order_isomorphism(t, tol=tol)
     if not cert.accept:
         raise NotOrderIsomorphismError(cert)

@@ -84,11 +84,17 @@ class OperatorModel:
 
     `monomial` is the matrix's `linalg.monomial` read, (columns, entries) or
     None, taken once at construction.
+
+    The model's matrix is read-only and its own: a writeable array it is
+    given is copied, so the caller may go on writing it. A read-only array
+    is kept as it is; `linalg.frozen` hands a fresh array over that way.
     """
 
     def __init__(self, matrix, domain: FunctionFamily, codomain: FunctionFamily,
                  basis: str = "point"):
         m = self._validated(matrix, domain, codomain, basis)
+        if m.flags.writeable and (m is matrix or m.base is not None):
+            m = m.copy()  # the caller's array or a view of someone's
         self._adopt(m, domain, codomain, basis, linalg.monomial(m))
 
     @staticmethod
@@ -123,14 +129,14 @@ class OperatorModel:
                basis: str, read):
         """Take a validated matrix and its `linalg.monomial` read; the
         inverse is built from the read when there is one."""
-        self.matrix = m
-        self.matrix.setflags(write=False)
+        self.matrix = linalg.frozen(m)
         self.basis = basis
         self.domain = domain
         self.codomain = codomain
         self.monomial = read
-        # raises SingularMatrixError
-        self._inv_matrix = linalg.dense_inv(m) if read is None else linalg.monomial_inv(*read)
+        # raises SingularMatrixError; frozen, so inverse() shares it
+        self._inv_matrix = linalg.frozen(
+            linalg.dense_inv(m) if read is None else linalg.monomial_inv(*read))
         self._point = None
 
     @property
@@ -185,7 +191,7 @@ class OperatorModel:
             return self
         if self._point is None:
             self._point = OperatorModel(
-                self.point_matrix(),
+                linalg.frozen(self.point_matrix()),
                 domain=FunctionFamily.full(self.domain.space, exact=self.exact),
                 codomain=FunctionFamily.full(self.codomain.space, exact=self.exact),
                 basis="point")

@@ -137,7 +137,7 @@ def random_nonneg_nonmonomial(rng: np.random.Generator, n: int, exact: bool = Tr
             m = m_int.astype(float)
             if np.linalg.matrix_rank(m) != n:
                 continue
-        return OperatorModel(m, dom, cod, basis="point")
+        return OperatorModel(linalg.frozen(m), dom, cod, basis="point")
 
 
 def random_metric_space(rng: np.random.Generator, max_points: int = 20,

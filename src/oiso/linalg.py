@@ -34,6 +34,7 @@ __all__ = [
     "rank",
     "inv",
     "dense_inv",
+    "frozen",
 ]
 
 
@@ -267,3 +268,11 @@ def dense_inv(a):
     if not np.all(np.isfinite(out)):
         raise SingularMatrixError("inverse overflow; matrix numerically singular")
     return out
+
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    """`a`, made read-only in place and returned. `OperatorModel` keeps a
+    read-only array without a copy, so a caller hands over a fresh array
+    this way."""
+    a.setflags(write=False)
+    return a

@@ -288,7 +288,7 @@ def normalize(t: OperatorModel, tol: float = DEFAULT_TOL,
     ones_cod = t.codomain.ones()
     u = ones_dom + mat_vec(t.inverse_matrix, ones_cod)
     tu = t.apply_values(u)
-    s = OperatorModel(t.matrix * u[None, :] / tu[:, None],
+    s = OperatorModel(linalg.frozen(t.matrix * u[None, :] / tu[:, None]),
                       domain=t.domain, codomain=t.codomain, basis="point")
     d_s = decompose(s, tol=tol)
     # re-derive the weight of T from the unital S: T f = (T u / u o sigma) * (f o sigma)

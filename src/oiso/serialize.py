@@ -14,10 +14,17 @@ entry. In exact mode each distinct entry is parsed once per matrix, and a
 plain "p" or "p/q" string is split into two integers rather than run
 through `Fraction`'s string parser.
 
-Reports serialize with sorted keys and fixed indentation, carry a sha256
-digest of their own canonical payload, and contain nothing run-dependent
-(timing is reported on stderr, never in the payload), so identical inputs,
-seed, and mode produce byte-identical report files.
+A report is written once, by a single writer (`canonical_json`) that goes
+straight from result values to canonical text: sorted keys, two-space
+indentation, one value per line, the same text `json.dumps(..., sort_keys=True,
+indent=2, ensure_ascii=False)` gives for the converted values. Fractions are
+"p/q" strings, numpy scalars and arrays their Python values, tuples lists,
+and infinities the strings "inf"/"-inf" (extended coordinates); nan and
+unknown types are refused. A list of plain strings, integers or finite floats
+is one join. The CLI adds the digest line, the sha256 of the payload's
+canonical text, to that same text (`with_digest`), so the payload is encoded
+once. A report holds nothing run-dependent (timing goes to stderr), so
+identical inputs, seed, and mode produce byte-identical report files.
 """
 from __future__ import annotations
 
@@ -31,6 +38,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import linalg
 from .compactify import SampledSpace, SequenceSpec, WeightedCompositionSpec
 from .cones import OperatorModel
 from .spaces import FunctionFamily, PointSpace
@@ -43,9 +51,10 @@ __all__ = [
     "parse_operator",
     "parse_compactify_spec",
     "load_json",
-    "jsonable",
     "canonical_json",
     "report_digest",
+    "report_payload",
+    "with_digest",
     "build_report",
     "file_digest",
 ]
@@ -242,7 +251,7 @@ def parse_operator(doc: dict, mode: str = "float") -> OperatorModel:
         cod = parse_family(doc["codomain"], exact=exact)
     else:
         cod = FunctionFamily.full(PointSpace.discrete(n, "y"), exact=exact)
-    return OperatorModel(matrix, domain=dom, codomain=cod, basis=basis)
+    return OperatorModel(linalg.frozen(matrix), domain=dom, codomain=cod, basis=basis)
 
 
 def _parse_sampled_space(doc: dict, default_name: str) -> SampledSpace:
@@ -312,44 +321,109 @@ def parse_compactify_spec(doc: dict):
     return x_space, y_space, seqs_x, seqs_y, op
 
 
-def jsonable(x):
-    """Recursively convert values to a canonical JSON-safe form.
+_ESCAPE = json.encoder.encode_basestring  # the stdlib's C escaper when it has one
+_NONFINITE = frozenset(("inf", "-inf", "nan"))
 
-    Fractions become "p/q" strings, numpy scalars become Python scalars,
-    non-finite floats become "inf"/"-inf" strings (extended coordinates),
-    tuples become lists.
-    """
-    if isinstance(x, dict):
-        return {str(k): jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return [jsonable(v) for v in x.tolist()]
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
-        v = float(x)
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        if math.isnan(v):
+
+def _float_text(x) -> str:
+    text = float.__repr__(x)
+    if text in _NONFINITE:
+        if text == "nan":
             raise ValueError("nan is not reportable")
-        return v
-    if x is None or isinstance(x, str):
-        return x
+        return f'"{text}"'
+    return text
+
+
+def _fraction_text(x: Fraction) -> str:
+    return f'"{x.numerator}/{x.denominator}"' if x.denominator != 1 else f'"{x.numerator}"'
+
+
+# the text of a value by its exact type; subclasses and other numpy scalars
+# take the isinstance ladder in _scalar_text
+_SCALAR_TEXT = {
+    str: _ESCAPE,
+    int: int.__repr__,
+    float: _float_text,
+    np.float64: _float_text,  # float-mode weights; float.__repr__ reads its double
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+    Fraction: _fraction_text,
+}
+
+
+def _scalar_text(x) -> str:
+    if isinstance(x, Fraction):
+        return _fraction_text(x)
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return int.__repr__(int(x))
+    if isinstance(x, (float, np.floating)):
+        return _float_text(float(x))
+    if isinstance(x, str):
+        return _ESCAPE(x)
     raise TypeError(f"not JSON-serializable: {type(x).__name__}")
 
 
+def _list_text(items, ind: str) -> str:
+    if not items:
+        return "[]"
+    inner = ind + "  "
+    kinds = set(map(type, items))
+    texts = None
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        if kind is float or kind is np.float64:
+            texts = list(map(float.__repr__, items))
+            if not _NONFINITE.isdisjoint(texts):
+                texts = None
+        elif kind in _SCALAR_TEXT:
+            texts = map(_SCALAR_TEXT[kind], items)
+    if texts is None:
+        texts = [_text(v, inner) for v in items]
+    return f"[\n{inner}" + f",\n{inner}".join(texts) + f"\n{ind}]"
+
+
+def _dict_text(x: dict, ind: str) -> str:
+    if not x:
+        return "{}"
+    inner = ind + "  "
+    d = {str(k): v for k, v in x.items()}
+    return (f"{{\n{inner}"
+            + f",\n{inner}".join(f"{_ESCAPE(k)}: {_text(d[k], inner)}" for k in sorted(d))
+            + f"\n{ind}}}")
+
+
+def _text(x, ind: str) -> str:
+    """The canonical text of `x`, on a line indented by `ind`."""
+    scalar = _SCALAR_TEXT.get(type(x))
+    if scalar is not None:
+        return scalar(x)
+    if isinstance(x, dict):
+        return _dict_text(x, ind)
+    if isinstance(x, (list, tuple)):
+        return _list_text(x, ind)
+    if isinstance(x, np.ndarray):
+        return _list_text(x.tolist(), ind)
+    return _scalar_text(x)
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(jsonable(obj), sort_keys=True, indent=2,
-                      ensure_ascii=False, allow_nan=False) + "\n"
+    """The canonical text of a report value (see the module docstring)."""
+    return _text(obj, "") + "\n"
+
+
+def _sha256(text: str) -> str:
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise ValueError(f"a report cannot hold {e.object[e.start:e.end]!r}: "
+                         "it has no UTF-8 encoding") from None
+    return hashlib.sha256(data).hexdigest()
 
 
 def report_digest(payload: dict) -> str:
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    return _sha256(canonical_json(payload))
 
 
 def file_digest(path: str) -> str:
@@ -357,16 +431,37 @@ def file_digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def build_report(command: str, result: dict, inputs: Optional[dict] = None,
-                 settings: Optional[dict] = None) -> dict:
-    """Assemble the canonical report: payload plus its own digest."""
-    payload = {
+def report_payload(command: str, result: dict, inputs: Optional[dict] = None,
+                   settings: Optional[dict] = None) -> dict:
+    """A report without its digest."""
+    return {
         "schema": SCHEMA,
         "command": command,
         "inputs": inputs or {},
         "settings": settings or {},
         "result": result,
     }
+
+
+_REPORT_HEAD = '{\n  "command": '
+
+
+def with_digest(payload_text: str) -> str:
+    """The report text from its payload's canonical text: the payload with
+    the digest line added where sorted keys put it, right after "command"
+    (the payload's first key). Equal to `canonical_json(build_report(...))`
+    for the same payload, without encoding it again."""
+    if not payload_text.startswith(_REPORT_HEAD):
+        raise ValueError("not the canonical text of a report payload")
+    digest = _sha256(payload_text)
+    cut = payload_text.index("\n", len(_REPORT_HEAD)) + 1
+    return f'{payload_text[:cut]}  "digest": "{digest}",\n{payload_text[cut:]}'
+
+
+def build_report(command: str, result: dict, inputs: Optional[dict] = None,
+                 settings: Optional[dict] = None) -> dict:
+    """Assemble the canonical report: payload plus its own digest."""
+    payload = report_payload(command, result, inputs, settings)
     report = dict(payload)
     report["digest"] = report_digest(payload)
     return report

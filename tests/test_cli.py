@@ -323,6 +323,52 @@ class TestUsageErrors:
                              "--perturbation", "0.5"])[0] == EXIT_USAGE
 
 
+class TestReportWriting:
+    def test_label_with_no_utf8_encoding_is_a_usage_error(self, tmp_path, capsys):
+        # "\ud800" is a valid JSON escape for a lone surrogate
+        op = _write(tmp_path, "op.json", {"matrix": [[0, 2], [3, 0]], "domain": ["\ud800", "b"]})
+        assert '"\\ud800"' in open(op).read()
+        code, out, err = _run(capsys, ["decompose", op])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error:") and "UTF-8" in err
+
+    def test_undecodable_file_name_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / os.fsdecode(b"op\xff.json")
+        try:
+            path.write_text(json.dumps({"matrix": [[0, 2], [3, 0]]}))
+        except (OSError, UnicodeError):
+            pytest.skip("the file system refuses a name that is not UTF-8")
+        code, out, err = _run(capsys, ["decompose", str(path)])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error:") and "UTF-8" in err
+
+    @pytest.mark.parametrize("argv", [["decompose"], ["classify", "--mode", "exact"]])
+    def test_payload_encoded_once_without_json_dumps(self, tmp_path, capsys, monkeypatch,
+                                                     argv):
+        from oiso import cli, serialize
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.dumps called while writing a report")
+
+        encodes = []
+        text = serialize._text
+
+        def counted(x, ind):
+            if ind == "":  # a whole document, not a nested value
+                encodes.append(x)
+            return text(x, ind)
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        monkeypatch.setattr(serialize, "_text", counted)
+        op = tmp_path / "op.json"
+        op.write_text('{"matrix": [[0, 2], [3, 0]]}')
+        code, out, _ = _run(capsys, argv[:1] + [str(op)] + argv[1:])
+        assert code == EXIT_OK
+        assert len(encodes) == 1 and "digest" not in encodes[0]
+        monkeypatch.undo()
+        assert out == cli.canonical_json(_report(out))
+
+
 class TestClassify:
     def test_permutation_is_algebra_iso(self, tmp_path, capsys):
         op = _write(tmp_path, "op.json", {"matrix": [[0, 1], [1, 0]]})

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oiso import serialize
 from oiso.cones import Certificate, OperatorModel, cone_rep, is_order_isomorphism
 from oiso.fuzz import random_metric_space
 from oiso.linalg import SingularMatrixError
@@ -159,6 +160,44 @@ class TestOperatorModel:
         t = OperatorModel.weighted_permutation(sigma, rng.uniform(1, 2, 50))
         assert is_order_isomorphism(t).accept
         assert decompose(t).sigma == tuple(int(s) for s in sigma)
+
+
+class TestMatrixOwnership:
+    """The model freezes an array of its own, never the caller's."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_caller_may_write_its_array_afterwards(self, exact):
+        fam = FunctionFamily.full(PointSpace.discrete(2), exact=exact)
+        m = _as_mode(np.array([[0, 2], [3, 0]]), exact)
+        t = OperatorModel(m, fam, fam)
+        m[0, 0] = m[0, 1] = m[1, 0] = 1  # no longer monomial, and no longer frozen
+        assert [[float(v) for v in row] for row in t.matrix] == [[0.0, 2.0], [3.0, 0.0]]
+        assert list(t.monomial[0]) == [1, 0] and [float(v) for v in t.monomial[1]] == [2.0, 3.0]
+        assert not t.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            t.matrix[0, 0] = 1
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_parsed_matrix_is_adopted_without_a_copy(self, monkeypatch, mode):
+        built = []
+
+        def spy(rows, exact):
+            built.append(coerce(rows, exact))
+            return built[-1]
+
+        coerce = serialize._coerce_matrix
+        monkeypatch.setattr(serialize, "_coerce_matrix", spy)
+        t = serialize.parse_operator({"matrix": [[0, 2], [3, 0]]}, mode)
+        assert t.matrix is built[0]
+        assert not t.matrix.flags.writeable
+
+    def test_read_only_array_is_kept_as_given(self):
+        fam = FunctionFamily.full(PointSpace.discrete(2))
+        m = np.array([[0.0, 2.0], [3.0, 0.0]])
+        m.setflags(write=False)
+        t = OperatorModel(m, fam, fam)
+        assert t.matrix is m
+        assert t.inverse().matrix is t.inverse_matrix
 
 
 class TestIntObjectInput:

@@ -1,11 +1,14 @@
 """Golden digests of CLI reports on fixed input documents.
 
 Each case writes one small document, runs the CLI on it and compares the
-report's `digest` (the sha256 of its canonical payload) and the exit code with
-a recorded value. A refactor that is meant to leave reports byte-identical
+exit code, the report's `digest` (the sha256 of its canonical payload) and the
+sha256 of the whole of stdout with recorded values; the last catches a
+misplaced "digest" line or a missing final newline, which leave the digest
+as it is. A refactor that is meant to leave reports byte-identical
 must leave every digest here unchanged; a deliberate change to a report
 updates the digest in the same commit.
 """
+import hashlib
 import json
 
 import pytest
@@ -31,71 +34,103 @@ GEN_ACCEPT = {"basis": "generator", "domain": GEN_DOM, "codomain": GEN_COD,
               "matrix": [["9/5", "8/5", "-1/5"], ["1/5", "2/5", "1/5"], ["3", "0", "0"]]}
 GEN_REJECT = {"basis": "generator", "domain": GEN_DOM, "codomain": GEN_COD,
               "matrix": [["3", "4", "1"], ["-1", "-2", "-1"], ["3", "0", "0"]]}
+# labels the report must escape: non-ASCII (one outside the BMP), a quote, a
+# backslash and control characters
+ESCAPED_LABELS = {"matrix": [[0, 2, 0], [0, 0, "1/3"], [5, 0, 0]],
+                  "domain": ["\u00e9\"q", "back\\slash", "tab\tbell\u0007"],
+                  "codomain": ["\U0001d53d\u00ff", "quote\"", "nul\u0000"]}
 SAMPLES = [(i + 0.5) / 8 for i in range(8)]
 SEQS = [{"name": "to0", "n": 4096, "rule": "1/(k+1)"},
         {"name": "to1", "n": 4096, "rule": "1 - 1/(k+1)"}]
 
-# (case id, document or None, argv after the file, exit code, digest)
+# (case id, document or None, argv after the file, exit code, digest, sha256 of
+# the full stdout)
 CASES = [
     ("decompose-float-accept", NEAR_MONOMIAL, ["decompose"], 0,
-     "30b2eab5e1931059af16b291af38e0478005bc8a17014a742584353245c8a1ad"),
+     "30b2eab5e1931059af16b291af38e0478005bc8a17014a742584353245c8a1ad",
+     "0bfc814118331eafad5d12b7db8116cf1fd6a554113c05cc3f388c15025b2d0e"),
     ("decompose-float-reject", SHEAR, ["decompose"], 2,
-     "1c6f3813f77c1633acf906133e1c450ca00bcd3e1839327cbc380bdd3b26daff"),
+     "1c6f3813f77c1633acf906133e1c450ca00bcd3e1839327cbc380bdd3b26daff",
+     "bd07117735b944d11d93fa6d19ca86fda53ef4bcf9f451898ae1c41db54c4495"),
     ("decompose-exact-accept", EXACT_3, ["decompose", "--mode", "exact"], 0,
-     "f5444999d50ff6e1aaf26fb1bf238639336a316b92c9ebb9e6fa01e49bd6dba2"),
+     "f5444999d50ff6e1aaf26fb1bf238639336a316b92c9ebb9e6fa01e49bd6dba2",
+     "c0d58ec3ade1596182e830daebb09bcfff2cfe88a553674429589a2f5dba8f74"),
     ("decompose-exact-reject", SHEAR, ["decompose", "--mode", "exact"], 2,
-     "e30f55804952dfa9b2c28872b866e464a1928fe58bf34fb4ef052c6bb10d14f2"),
+     "e30f55804952dfa9b2c28872b866e464a1928fe58bf34fb4ef052c6bb10d14f2",
+     "645bedbd358ab00362580e9d41ade3337d2c0c097d0f765686fb74820408f96f"),
     ("classify-algebra-iso", IDENTITY, ["classify", "--mode", "exact"], 0,
-     "1395d4b9354b9040fdb86c2dbdf85438474c92d435d84773ea7762d3096a9b95"),
+     "1395d4b9354b9040fdb86c2dbdf85438474c92d435d84773ea7762d3096a9b95",
+     "6cef972a4016e5e11b44784361907c78873e99d6c96234a0dbd43713dd4a6f40"),
     ("classify-lattice-iso", SWAP, ["classify"], 0,
-     "ba3a7c907a2d3bc142bbbd6d43bdd4e079c00ebe57ce4d4be3236507d90b7239"),
+     "ba3a7c907a2d3bc142bbbd6d43bdd4e079c00ebe57ce4d4be3236507d90b7239",
+     "b6b86864b6d007fcdb9220fcd956268c4a5a50dc6a79db3e248cebffe2449642"),
     ("classify-isometry-float", SIGNED_SWAP, ["classify"], 0,
-     "68708458e19dd87ff2f46df34816a78594b4cbb32350bf2ab510f6a7b3841378"),
+     "68708458e19dd87ff2f46df34816a78594b4cbb32350bf2ab510f6a7b3841378",
+     "d20b83c04739196e658e2dfa6e7f8ae2f4b20de67e03c04ea5f1c4c2c24d4dd7"),
     ("classify-isometry-exact", SIGNED_SWAP, ["classify", "--mode", "exact"], 0,
-     "2d7d7a2f94b5087d6abdf3bb4bd51caf50393d7649f560b1e4ab57ece288c57c"),
+     "2d7d7a2f94b5087d6abdf3bb4bd51caf50393d7649f560b1e4ab57ece288c57c",
+     "051fd4145924838fb9768bc72051b031e394674eacebc383e8310c269128cedf"),
     ("classify-rejected", SHEAR, ["classify"], 2,
-     "82d202525e20be754664971dabd9bb58115e770793f3589f2b984ab1eaeccf0d"),
+     "82d202525e20be754664971dabd9bb58115e770793f3589f2b984ab1eaeccf0d",
+     "fcb2a8b72833dba4aee7dfc446e0db3543e0d158a24ff798bd7e92dfcf2541e1"),
     ("adequacy-full", {"labels": ["a", "b", "c"]}, ["adequacy"], 0,
-     "acde8000db0e250f8121d267534c23a7660dc736ff452938440d71f04e49f8ad"),
+     "acde8000db0e250f8121d267534c23a7660dc736ff452938440d71f04e49f8ad",
+     "3fe034ea9ca9955c9c40dd5eb17305c6f68ad000c2cbb795a8574665e1f48c87"),
     ("adequacy-proper", {"space": ["a", "b", "c", "d"],
                          "generators": [[1, 1, 1, 1], [0, "1/3", "2/3", 1]],
                          "names": ["1", "t"]}, ["adequacy"], 2,
-     "b537bc1784d08ad1468a05c84a9932d91037f300654143517e0d10e917fbc4d0"),
+     "b537bc1784d08ad1468a05c84a9932d91037f300654143517e0d10e917fbc4d0",
+     "efb70038ff5c38446ed0c3bd174d2192d2dde6de90e678d9859a5b9979b4b14a"),
     ("compactify-operator", {
         "domain": {"samples": SAMPLES, "generators": ["t"], "name": "X"},
         "codomain": {"samples": SAMPLES, "generators": ["t"], "name": "Y"},
         "sequences": SEQS, "sequences_codomain": SEQS,
         "operator": {"pullback": "1 - t", "weight": "1 + t"}}, ["compactify"], 0,
-     "150da916bab99808dfd40ca95c68c00869359ba3aebb0c93c693f93f0ee38157"),
+     "150da916bab99808dfd40ca95c68c00869359ba3aebb0c93c693f93f0ee38157",
+     "7d9a5808985b3ac9aba1698f7ebdb09f2254b41d9b1a43b4ab3f9f60106e0685"),
     ("example-witness", None,
      ["example", "witness", "--a", "0.25", "--b", "0.5", "--at", "0.375"], 0,
-     "dc7eb80cca294bb05d73389487bd7624fd91af0d3424faabc68ba2856177b005"),
+     "dc7eb80cca294bb05d73389487bd7624fd91af0d3424faabc68ba2856177b005",
+     "9b9434eee7dda91f3dc38aaaee854ec72e9627b1d750d8dadc5253a5d82ed995"),
     ("decompose-exact-tied-negatives", TIED_NEGATIVES, ["decompose", "--mode", "exact"], 2,
-     "d3192ad8446e845b2acd2a38676ea952d7aae1cc863511eb0ee86b3944843a07"),
+     "d3192ad8446e845b2acd2a38676ea952d7aae1cc863511eb0ee86b3944843a07",
+     "d2825bf497ec3ca7108d0e77c332783e6bf363a39383a221fd42e2e6a8b9aec1"),
     ("classify-exact-tied-negatives", TIED_NEGATIVES, ["classify", "--mode", "exact"], 2,
-     "b986b656b88c59fdf0e2141219ec5347bdf2afc54e4c9b063798b89603d06978"),
+     "b986b656b88c59fdf0e2141219ec5347bdf2afc54e4c9b063798b89603d06978",
+     "171b14fcdb51c28189527bdc8c60635736a1d9b31343ccaa94a5dd73acc4cf13"),
     ("classify-exact-signed-scaled", SIGNED_SCALED, ["classify", "--mode", "exact"], 2,
-     "f87eff4fa9ab9360971120797a511fb18a7b7a3cec17127e04fddaf67ac47457"),
+     "f87eff4fa9ab9360971120797a511fb18a7b7a3cec17127e04fddaf67ac47457",
+     "493801189d8a7beb058874c235991cde5bd136387f1e0d2315946b96f25e5b9b"),
     ("classify-exact-lattice-iso", EXACT_3, ["classify", "--mode", "exact"], 0,
-     "a6ca24ad9286e96f612a2602fa8b064f7d5c4281b2a4c28abf35554c7312f3b6"),
+     "a6ca24ad9286e96f612a2602fa8b064f7d5c4281b2a4c28abf35554c7312f3b6",
+     "8e11cc02239e356fc859e373b20716586f8c922982b23f336f8a56eb8fce031c"),
     ("classify-exact-isometry-3", SIGNED_3, ["classify", "--mode", "exact"], 0,
-     "ffb41d743c5fdc4ec0dad14961412e4ad480abe51d29577604795fb06bdaae28"),
+     "ffb41d743c5fdc4ec0dad14961412e4ad480abe51d29577604795fb06bdaae28",
+     "df438a9e807515d9a820cb3f269525cabc602244ad5ab7a5f191e6c4405c59de"),
     ("fuzz-exact", None,
      ["fuzz", "--dim", "8", "--count", "4", "--seed", "3", "--mode", "exact"], 0,
-     "e2fc6941c722a14ee0d0aa01c0215055c99d23b3e2f651759418ef1595ae2976"),
+     "e2fc6941c722a14ee0d0aa01c0215055c99d23b3e2f651759418ef1595ae2976",
+     "99350b99b95c73af15b2cf2b5d7191295b368934341f7ce4beb5f69247e04628"),
     ("decompose-exact-generator-full-accept", GEN_ACCEPT, ["decompose", "--mode", "exact"], 0,
-     "a486a583e533af5f4990febc31d25ef0388570506f9bbc41018a34e81bc5a3bb"),
+     "a486a583e533af5f4990febc31d25ef0388570506f9bbc41018a34e81bc5a3bb",
+     "c2dc62a5e7f89dbe390f7d19b0d10a476a80f685f1c833c0a60c0bb049c60c44"),
     ("decompose-exact-generator-full-reject", GEN_REJECT, ["decompose", "--mode", "exact"], 2,
-     "8390d0500376c2af268ccbf7c7725a1824d9e907e22a2199e2c29b02e3555b2d"),
+     "8390d0500376c2af268ccbf7c7725a1824d9e907e22a2199e2c29b02e3555b2d",
+     "839c521f5b70d790e899f78603e1821fc94526e1ea2d83b7c271b7a3bb5fcf10"),
+    ("decompose-exact-escaped-labels", ESCAPED_LABELS, ["decompose", "--mode", "exact"], 0,
+     "f98e998bdc3323902ebc5e4c248816eb0c2478ee69192c392508692839508657",
+     "b8659b5d49c6fe6e9d47be3498c060da83894a8f91a75304b85150eb2d61afa8"),
 ]
 
 
-@pytest.mark.parametrize("case, doc, argv, code, digest", CASES,
+@pytest.mark.parametrize("case, doc, argv, code, digest, full", CASES,
                          ids=[c[0] for c in CASES])
-def test_report_digest(tmp_path, capsys, case, doc, argv, code, digest):
+def test_report_digest(tmp_path, capsys, case, doc, argv, code, digest, full):
     if doc is not None:
         path = tmp_path / f"{case}.json"
         path.write_text(json.dumps(doc, sort_keys=True))
         argv = argv[:1] + [str(path)] + argv[1:]
     assert main(argv) == code
-    assert json.loads(capsys.readouterr().out)["digest"] == digest
+    out = capsys.readouterr().out
+    assert json.loads(out)["digest"] == digest
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == full

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oiso import serialize
 from oiso.serialize import (
@@ -15,13 +16,14 @@ from oiso.serialize import (
     canonical_json,
     coerce_number,
     file_digest,
-    jsonable,
     load_json,
     parse_compactify_spec,
     parse_family,
     parse_operator,
     parse_space,
     report_digest,
+    report_payload,
+    with_digest,
 )
 
 
@@ -334,35 +336,128 @@ class TestParseCompactifySpec:
                                    "operator": {"weight": "1"}})
 
 
+def jsonable(x):
+    """The converter the report writer replaced, kept as the reference it
+    must agree with: values to a JSON-safe form for `json.dumps`."""
+    if isinstance(x, dict):
+        return {str(k): jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return [jsonable(v) for v in x.tolist()]
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    if isinstance(x, (bool, np.bool_)):
+        return bool(x)
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    if isinstance(x, (float, np.floating)):
+        v = float(x)
+        if math.isinf(v):
+            return "inf" if v > 0 else "-inf"
+        if math.isnan(v):
+            raise ValueError("nan is not reportable")
+        return v
+    if x is None or isinstance(x, str):
+        return x
+    raise TypeError(f"not JSON-serializable: {type(x).__name__}")
+
+
+def reference_json(x) -> str:
+    return json.dumps(jsonable(x), sort_keys=True, indent=2,
+                      ensure_ascii=False, allow_nan=False) + "\n"
+
+
 class TestJsonable:
+    """The conversions `jsonable` made, now made by `canonical_json` itself."""
+
     def test_fractions_become_strings(self):
-        assert jsonable(Fraction(3, 4)) == "3/4"
-        assert jsonable(Fraction(5)) == "5"
-        assert jsonable(Fraction(-5)) == "-5"
+        assert canonical_json(Fraction(3, 4)) == '"3/4"\n'
+        assert canonical_json(Fraction(5)) == '"5"\n'
+        assert canonical_json(Fraction(-5)) == '"-5"\n'
 
     def test_numpy_scalars_become_python(self):
-        out = jsonable({"a": np.float64(0.5), "b": np.int32(2), "c": np.bool_(True)})
-        assert out == {"a": 0.5, "b": 2, "c": True}
-        assert isinstance(out["c"], bool)
+        out = canonical_json({"a": np.float64(0.5), "b": np.int32(2), "c": np.bool_(True)})
+        assert out == '{\n  "a": 0.5,\n  "b": 2,\n  "c": true\n}\n'
+        assert json.loads(out) == {"a": 0.5, "b": 2, "c": True}
 
     def test_arrays_and_tuples_become_lists(self):
-        assert jsonable((1, 2)) == [1, 2]
-        assert jsonable(np.array([1.0, 2.0])) == [1.0, 2.0]
+        assert canonical_json((1, 2)) == canonical_json([1, 2]) == "[\n  1,\n  2\n]\n"
+        assert canonical_json(np.array([1.0, 2.0])) == "[\n  1.0,\n  2.0\n]\n"
 
     def test_infinities_become_strings(self):
-        assert jsonable(math.inf) == "inf"
-        assert jsonable(-math.inf) == "-inf"
+        assert canonical_json(math.inf) == '"inf"\n'
+        assert canonical_json(-math.inf) == '"-inf"\n'
+        assert canonical_json([1.0, -math.inf]) == '[\n  1.0,\n  "-inf"\n]\n'
 
     def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            jsonable(math.nan)
+        with pytest.raises(ValueError, match="nan"):
+            canonical_json(math.nan)
+
+    @pytest.mark.parametrize("x", [[1.0, math.nan], {"a": np.float64("nan")},
+                                   np.array([0.5, math.nan]), [np.float32("nan")]],
+                             ids=["flat-list", "numpy-scalar", "array", "float32"])
+    def test_nan_rejected_inside_containers(self, x):
+        with pytest.raises(ValueError, match="nan"):
+            canonical_json(x)
 
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
-            jsonable(object())
+            canonical_json(object())
+
+    @pytest.mark.parametrize("x", [[1, object()], {"a": {1, 2}}, b"bytes", 1j],
+                             ids=["in-list", "set", "bytes", "complex"])
+    def test_other_unknown_types_rejected(self, x):
+        with pytest.raises(TypeError):
+            canonical_json(x)
+
+
+# floats the report writer must spell as float.__repr__ does, as the stdlib does
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 1e22, 0.1, 1.7976931348623157e308,
+                math.inf, -math.inf]
+_floats = st.floats(allow_nan=False) | st.sampled_from(_EDGE_FLOATS)
+_texts = st.text() | st.sampled_from(["", '"', "\\", "\x00\x1f\x7f", "\u2028", "é",
+                                      "\U0001d53d", "tab\tnew\nline"])
+_big_ints = st.integers() | st.integers(min_value=-(2 ** 200), max_value=2 ** 200)
+_scalars = st.one_of(
+    st.none(), st.booleans(), _big_ints, _floats, _texts,
+    st.fractions(),
+    st.integers(-(2 ** 63), 2 ** 63 - 1).map(np.int64),
+    st.integers(-(2 ** 31), 2 ** 31 - 1).map(np.int32),
+    _floats.map(np.float64),
+    st.floats(width=32, allow_nan=False).map(np.float32),
+    st.booleans().map(np.bool_),
+)
+_homogeneous = st.one_of(  # lists the writer joins in one pass
+    st.lists(_floats), st.lists(_floats.map(np.float64)), st.lists(_big_ints),
+    st.lists(_texts), st.lists(st.fractions()))
+_arrays = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, min_side=0, max_side=4),
+               elements=_floats),
+    hnp.arrays(np.int64, hnp.array_shapes(max_dims=2, min_side=0, max_side=4)),
+    hnp.arrays(np.bool_, hnp.array_shapes(max_dims=2, min_side=0, max_side=4)),
+    # exact-mode vectors: a 1-d object array of Fractions (the None keeps
+    # numpy from reading an empty list as a float array)
+    st.lists(st.fractions(), max_size=4).map(lambda v: np.array(v + [None], dtype=object)[:-1]),
+)
+_values = st.recursive(
+    _scalars | _homogeneous | _arrays,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(_texts | st.integers(), inner, max_size=5)),
+    max_leaves=30)
 
 
 class TestCanonicalJson:
+    @settings(max_examples=400, deadline=None)
+    @given(_values)
+    @example({"b": [1.0, -0.0, 5e-324, 1e16, 1e-7], "a": (math.inf, -math.inf, 1, "x")})
+    @example(["\U0001d53d", '"', "\\", "\x07"])
+    @example({1: "int key", "2": [np.float64(0.5), np.float64(-math.inf)]})
+    def test_same_text_as_the_reference_encoder(self, x):
+        assert canonical_json(x) == reference_json(x)
+
     def test_sorted_keys_and_trailing_newline(self):
         text = canonical_json({"b": 1, "a": 2})
         assert text.index('"a"') < text.index('"b"')
@@ -376,6 +471,13 @@ class TestCanonicalJson:
         payload = {"result": {"sigma": [1, 0]}, "weight": [Fraction(1, 2)]}
         assert report_digest(payload) == report_digest(dict(reversed(payload.items())))
 
+    def test_text_without_utf8_is_a_value_error(self):
+        payload = report_payload("decompose", {"label": "\ud800"})
+        with pytest.raises(ValueError, match="UTF-8"):
+            report_digest(payload)
+        with pytest.raises(ValueError, match="UTF-8"):
+            with_digest(canonical_json(payload))
+
 
 class TestBuildReport:
     def test_shape_and_digest(self):
@@ -385,6 +487,18 @@ class TestBuildReport:
         assert rep["command"] == "decompose"
         payload = {k: v for k, v in rep.items() if k != "digest"}
         assert rep["digest"] == report_digest(payload)
+
+    @pytest.mark.parametrize("command", ["decompose", "example.local-form", 'q"\n\u00e9'])
+    def test_digest_line_spliced_into_the_payload_text(self, command):
+        result = {"sigma": (1, 0), "weight": [Fraction(1, 2), 2.5], "empty": {}}
+        inputs = {"operator": {"file": "op.json", "sha256": "0" * 64}}
+        settings = {"mode": "exact", "tol": 1e-9}
+        text = with_digest(canonical_json(report_payload(command, result, inputs, settings)))
+        assert text == canonical_json(build_report(command, result, inputs, settings))
+
+    def test_digest_line_needs_a_payload(self):
+        with pytest.raises(ValueError, match="payload"):
+            with_digest(canonical_json({"result": 1}))
 
     def test_file_digest(self, tmp_path):
         p = tmp_path / "f.bin"
