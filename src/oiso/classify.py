@@ -54,9 +54,9 @@ def isometry_reduce(t: OperatorModel, tol: float = DEFAULT_TOL):
 
 
 def _divide_rows(t: OperatorModel, g) -> OperatorModel:
-    """diag(1/g) T for a point-basis T. An exact monomial T is divided along
-    its read, so the reduced operator needs no scan of its own."""
-    if t.exact and t.monomial is not None:
+    """diag(1/g) T for a point-basis T. A monomial T is divided along its
+    read, so the reduced operator needs no scan of its own."""
+    if t.monomial is not None:
         cols, entries = t.monomial
         return OperatorModel.weighted_permutation(cols, entries / g, t.domain, t.codomain)
     return OperatorModel(frozen(t.matrix / g[:, None]), domain=t.domain,
@@ -128,7 +128,7 @@ def classify(t: OperatorModel, tol: float = DEFAULT_TOL) -> ClassificationReport
     elif iso:
         kind = "rejected"
     else:
-        _, reduced = isometry_reduce(t, tol=tol)
+        reduced = _divide_rows(t, g)
         cert_red = is_order_isomorphism(reduced, tol=tol)
         if cert_red.accept:
             decomposition = decompose(reduced, tol=tol, cert=cert_red)

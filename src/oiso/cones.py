@@ -14,10 +14,11 @@ evaluation of T is a nonnegative combination of domain point evaluations.
 On full families Lambda is the point matrix itself.
 
 An operator reads its matrix as a weighted permutation (`linalg.monomial`)
-once, when it is built, and keeps the read as `monomial`. Its inverse comes
-from that read, and an exact point-basis operator's certificate, recovery,
-T1 and isometry reduction are O(n) in it; float certificates keep their
-dense numpy scans, and a matrix that is not monomial is scanned whole.
+once, when it is built, and keeps the read as `monomial` and its inverse's
+as `inverse_monomial`. Whether that read exists, not the arithmetic, picks
+the path: a point-basis weighted permutation's certificate, recovery, T1 and
+isometry reduction are O(n) in the two reads, in float and exact mode alike,
+and a matrix that is not monomial is scanned whole.
 """
 from __future__ import annotations
 
@@ -30,8 +31,6 @@ import numpy as np
 from . import linalg
 from .linalg import mat_mat, mat_vec
 from .spaces import DEFAULT_TOL, DimensionMismatchError, FunctionFamily, values_of
-
-_ZERO = Fraction(0)
 
 __all__ = [
     "ConeRep",
@@ -83,7 +82,8 @@ class OperatorModel:
     value vectors (v' = M @ v).
 
     `monomial` is the matrix's `linalg.monomial` read, (columns, entries) or
-    None, taken once at construction.
+    None, taken once at construction; `inverse_monomial` is the inverse
+    matrix's read, derived from it (`linalg.monomial_inv`), or None.
 
     The model's matrix is read-only and its own: a writeable array it is
     given is copied, so the caller may go on writing it. A read-only array
@@ -128,15 +128,24 @@ class OperatorModel:
     def _adopt(self, m: np.ndarray, domain: FunctionFamily, codomain: FunctionFamily,
                basis: str, read):
         """Take a validated matrix and its `linalg.monomial` read; the
-        inverse is built from the read when there is one."""
+        inverse and its read are built from the read when there is one.
+        Raises SingularMatrixError."""
+        if read is None:
+            inv_read, inv = None, linalg.dense_inv(m)
+        else:
+            inv_read = linalg.monomial_inv(*read)
+            inv = linalg.monomial_matrix(*inv_read)
+        self._set(m, inv, read, inv_read, domain, codomain, basis)
+
+    def _set(self, m, inv, read, inv_read, domain, codomain, basis):
+        # both matrices frozen, so inverse() shares them
         self.matrix = linalg.frozen(m)
+        self._inv_matrix = linalg.frozen(inv)
+        self.monomial = read
+        self.inverse_monomial = inv_read
         self.basis = basis
         self.domain = domain
         self.codomain = codomain
-        self.monomial = read
-        # raises SingularMatrixError; frozen, so inverse() shares it
-        self._inv_matrix = linalg.frozen(
-            linalg.dense_inv(m) if read is None else linalg.monomial_inv(*read))
         self._point = None
 
     @property
@@ -152,20 +161,20 @@ class OperatorModel:
         return self._inv_matrix
 
     def inverse(self) -> "OperatorModel":
-        return OperatorModel(self._inv_matrix, domain=self.codomain,
-                             codomain=self.domain, basis=self.basis)
+        """The inverse operator: this one's matrices and reads, swapped."""
+        t = type(self).__new__(type(self))
+        t._set(self._inv_matrix, self.matrix, self.inverse_monomial, self.monomial,
+               self.codomain, self.domain, self.basis)
+        return t
 
     def apply_values(self, v) -> np.ndarray:
-        """Values of T f at the codomain points, from the values of f. An
-        exact monomial point matrix is applied along its read, which is
-        `mat_vec` with the zero terms skipped."""
+        """Values of T f at the codomain points, from the values of f. A
+        monomial point matrix is applied along its read
+        (`linalg.monomial_mat_vec`)."""
         v = values_of(v)
         if self.basis == "point":
-            if self.exact and self.monomial is not None:
-                cols, entries = self.monomial
-                out = np.empty(len(cols), dtype=object)
-                out[:] = [_ZERO + e * v[j] for e, j in zip(entries, cols)]
-                return out
+            if self.monomial is not None:
+                return linalg.monomial_mat_vec(*self.monomial, v)
             return mat_vec(self.matrix, v)
         c = self.domain.coefficients_of(v)
         return self.codomain.values(mat_vec(self.matrix, c))
@@ -217,11 +226,8 @@ class OperatorModel:
             domain = FunctionFamily.full(PointSpace.discrete(n, "x"), exact=exact)
         if codomain is None:
             codomain = FunctionFamily.full(PointSpace.discrete(n, "y"), exact=exact)
-        rows = np.arange(n)
-        m = linalg.zeros_like_mode((n, n), exact)
-        m[rows, sig] = w
-        m = cls._validated(m, domain, codomain, "point")
-        entries = m[rows, sig]
+        m = cls._validated(linalg.monomial_matrix(sig, w), domain, codomain, "point")
+        entries = m[np.arange(n), sig]
         if np.count_nonzero(entries) != n:  # singular: the generic path reports it
             return cls(m, domain=domain, codomain=codomain, basis="point")
         t = cls.__new__(cls)
@@ -288,18 +294,21 @@ def _point_violation(t: OperatorModel, tol: float):
     """(side, i, j) for the most negative entry of the point matrix, else of
     its inverse, or None when both are nonnegative.
 
-    An exact monomial matrix is decided from its n read entries: the scan of
-    the entries column finds the same first row holding the most negative
-    entry as the dense scan, and with no negative entry the inverse is the
-    transpose with positive reciprocals, so it is not scanned. Float matrices
-    and non-monomial ones are scanned whole.
+    A monomial matrix and its inverse are scanned along their n read
+    entries. Those are all the nonzero entries, one per row, so the entries
+    column has the dense matrix's most negative value, first held by the
+    same row, and its `linalg.cutoff`. A matrix that is not monomial is
+    scanned whole.
     """
-    if t.exact and t.monomial is not None:
-        cols, entries = t.monomial
-        hit = _nonneg_violation(entries[:, None], tol)
-        return None if hit is None else ("domain", hit[0], int(cols[hit[0]]))
-    for mat, side in ((t.matrix, "domain"), (t.inverse_matrix, "codomain")):
-        hit = _nonneg_violation(mat, tol)
+    for mat, read, side in ((t.matrix, t.monomial, "domain"),
+                            (t.inverse_matrix, t.inverse_monomial, "codomain")):
+        if read is None:
+            hit = _nonneg_violation(mat, tol)
+        else:
+            cols, entries = read
+            hit = _nonneg_violation(entries[:, None], tol)
+            if hit is not None:
+                hit = (hit[0], int(cols[hit[0]]))
         if hit is not None:
             return (side, *hit)
     return None

@@ -6,9 +6,10 @@ elimination routines skip zero multipliers; weighted permutations (monomial
 matrices) skip elimination altogether in `rank` and `inv`.
 
 `monomial` is the one n^2 scan that reads a matrix as a weighted permutation.
-An operator reads its point matrix once, when it is built, and derives its
-inverse (`monomial_inv`), its certificate and its recovery from that read;
-the identity generators of a full family are independent by construction and
+An operator reads its point matrix once, when it is built, and derives the
+inverse's read (`monomial_inv`), its products (`monomial_mat_vec`), its
+certificate and its recovery from that read, in either arithmetic; the
+identity generators of a full family are independent by construction and
 never reach `rank`.
 """
 from __future__ import annotations
@@ -31,6 +32,8 @@ __all__ = [
     "cutoff",
     "monomial",
     "monomial_inv",
+    "monomial_matrix",
+    "monomial_mat_vec",
     "rank",
     "inv",
     "dense_inv",
@@ -232,18 +235,42 @@ def rank(a, tol: float = 1e-10) -> int:
     return int(np.linalg.matrix_rank(a, tol=cut))
 
 
-def monomial_inv(cols, entries) -> np.ndarray:
-    """Inverse of the monomial matrix read as (cols, entries) by `monomial`:
-    its transpose with reciprocal entries, in the entries' arithmetic. Raises
-    SingularMatrixError when a float reciprocal overflows."""
-    exact = entries.dtype == object
+def monomial_inv(cols, entries):
+    """The inverse of the monomial matrix read as (cols, entries) by
+    `monomial`, read the same way: the transposed pattern with reciprocal
+    entries, in the entries' arithmetic. Raises SingularMatrixError when a
+    float reciprocal overflows."""
     n = len(cols)
-    recip = [Fraction(1) / e for e in entries] if exact else 1.0 / entries
-    if not exact and not np.all(np.isfinite(recip)):
-        raise SingularMatrixError("inverse overflow; matrix numerically singular")
-    out = zeros_like_mode((n, n), exact)
-    out[cols, np.arange(n)] = recip
+    if entries.dtype == object:
+        recip = np.empty(n, dtype=object)
+        recip[:] = [Fraction(1) / e for e in entries]
+    else:
+        recip = 1.0 / entries
+        if not np.all(np.isfinite(recip)):
+            raise SingularMatrixError("inverse overflow; matrix numerically singular")
+    inv_cols = np.empty(n, dtype=int)
+    inv_cols[cols] = np.arange(n)
+    return inv_cols, recip[inv_cols]
+
+
+def monomial_matrix(cols, entries) -> np.ndarray:
+    """The matrix read as (cols, entries): entries[y] at (y, cols[y]), zero
+    elsewhere, in the entries' arithmetic."""
+    n = len(cols)
+    out = zeros_like_mode((n, n), entries.dtype == object)
+    out[np.arange(n), cols] = entries
     return out
+
+
+def monomial_mat_vec(cols, entries, v) -> np.ndarray:
+    """`mat_vec` of the matrix read as (cols, entries), in O(n): each row's
+    one product, added to a zero as `mat_vec`'s sum is, so the values and
+    their types are the same (a Fraction from exact ints, +0.0 for -0.0)."""
+    if entries.dtype == object or v.dtype == object:
+        out = np.empty(len(cols), dtype=object)
+        out[:] = [Fraction(0) + e * v[j] for e, j in zip(entries, cols)]
+        return out
+    return entries * np.asarray(v, dtype=float)[cols] + 0.0
 
 
 def inv(a):
@@ -253,7 +280,7 @@ def inv(a):
     if not is_exact(a):
         a = np.asarray(a, dtype=float)
     read = monomial(a)
-    return monomial_inv(*read) if read is not None else dense_inv(a)
+    return monomial_matrix(*monomial_inv(*read)) if read is not None else dense_inv(a)
 
 
 def dense_inv(a):

@@ -169,11 +169,12 @@ def recover_map(t: OperatorModel, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def _read(t: OperatorModel):
-    """(sigma, weight) read from the point matrix. sigma[y] is the column of
-    row y's nonzero entry and weight[y] that entry (exact mode, which needs a
-    monomial point matrix), or the column of row y's largest entry and the
-    weight T1 (float mode). The exact reading is the operator's own
-    `monomial` read, taken when it was built.
+    """(sigma, weight) read from the point matrix. A monomial point matrix
+    is read along the operator's own `monomial` read, taken when it was
+    built: sigma[y] is the column of row y's nonzero entry and weight[y] that
+    entry, which is T1 at y. Any other point matrix is read whole, in float
+    mode only: sigma[y] is the column of row y's largest entry and the weight
+    is T1. Exact acceptance leaves only monomial point matrices.
 
     An accepted point matrix is a positive monomial matrix, so neither reading
     needs a tolerance; one that is not a bijection of points raises
@@ -182,13 +183,13 @@ def _read(t: OperatorModel):
     if not t.domain.is_full:
         raise ValueError("recovery needs a full-rank family")
     t = t.as_point()
+    if t.monomial is not None:
+        cols, entries = t.monomial
+        return np.asarray(cols, dtype=int), entries
     if t.exact:
-        read = t.monomial
-        if read is None:
-            raise AmbiguousIntersectionError(
-                "some zero-set intersection is not a single point: "
-                "the point matrix is not monomial")
-        return np.asarray(read[0], dtype=int), read[1]
+        raise AmbiguousIntersectionError(
+            "some zero-set intersection is not a single point: "
+            "the point matrix is not monomial")
     sigma = np.argmax(t.matrix, axis=1)
     if np.unique(sigma).shape[0] != sigma.shape[0]:
         raise AmbiguousIntersectionError(
@@ -222,8 +223,9 @@ def decompose(t: OperatorModel, tol: float = DEFAULT_TOL,
     AmbiguousIntersectionError when the point matrix does not read as a
     bijection with positive weight T1 (float operators accepted within `tol`
     only; exact acceptance makes the point matrix positive monomial). The
-    residual is the entrywise gap `verify_representation` reports; the exact
-    reading makes it 0 by construction.
+    residual is the entrywise gap `verify_representation` reports; it is 0
+    by construction when (sigma, weight) is the monomial point matrix's own
+    read, and only a float matrix that is not monomial is scanned for it.
     """
     if cert is None:
         cert = is_order_isomorphism(t, tol=tol)
@@ -234,8 +236,9 @@ def decompose(t: OperatorModel, tol: float = DEFAULT_TOL,
     sigma, weight = _read(t)
     if not all(w > 0 for w in weight):
         raise AmbiguousIntersectionError("the weight T1 is not positive at every point")
-    residual = (0.0 if t.exact
-                else _representation_residual(t.as_point().matrix, sigma, weight))
+    p = t.as_point()
+    residual = (0.0 if p.monomial is not None
+                else _representation_residual(p.matrix, sigma, weight))
     return Decomposition(sigma=tuple(int(v) for v in sigma),
                          weight=tuple(weight),
                          residual=residual, exact=t.exact)

@@ -233,6 +233,21 @@ class TestRejectedTable:
             assert (rep["accepted"], rep["reason"]) == (False, "ambiguous-reading")
             assert "share a column" in rep["detail"]
 
+    def test_negative_weight_within_the_cutoff(self, tmp_path, capsys):
+        # a float weighted permutation whose -1e-12 is inside tol * max|T| and
+        # whose inverse's -1e12 is inside tol * max|T^-1| = 1e21: the cone
+        # test accepts it, and its read weight T1 is not positive
+        doc = {"matrix": [[1, 0, 0], [0, -1e-12, 0], [0, 0, 1e-30]]}
+        op = _write(tmp_path, "op.json", doc)
+        code, out, _ = _run(capsys, ["decompose", op])
+        assert code == EXIT_REJECTED
+        rep = _report(out)["result"]
+        assert rep == {"accepted": False, "reason": "ambiguous-reading",
+                       "detail": "the weight T1 is not positive at every point"}
+        code, out, _ = _run(capsys, ["classify", op])
+        assert code == EXIT_REJECTED
+        assert _report(out)["result"] == rep
+
     def test_dependent_generators_exit_usage(self, tmp_path, capsys):
         # linearly dependent rows do not define a family
         fam = {"space": ["a", "b", "c"], "generators": [[1, 1, 1], [2, 2, 2]]}

@@ -1,12 +1,14 @@
-"""An exact point matrix is read as a weighted permutation once.
+"""A point matrix is read as a weighted permutation once, in either arithmetic.
 
-`OperatorModel` keeps its `linalg.monomial` read, and the certificate, the
-inverse, `decompose` and `classify` take what they need from it. The
-properties below compare that path with a dense reference kept here: two
-full `_nonneg_violation` scans (of T and of its Gauss-Jordan inverse), a
-fresh `linalg.monomial` re-read for (sigma, weight) and `mat_vec` for T1.
-Values are compared with their Python types, since an int where a Fraction
-was would change report bytes.
+`OperatorModel` keeps its `linalg.monomial` read and the inverse's, and the
+certificate, the inverse, `decompose` and `classify` take what they need from
+them. The properties below compare that path with dense references kept
+here. Exact: two full `_nonneg_violation` scans (of T and of its Gauss-Jordan
+inverse), a fresh `linalg.monomial` re-read for (sigma, weight) and `mat_vec`
+for T1. Float: the same two scans (of T and of `np.linalg.inv(T)`), sigma
+from each row's argmax, the weight `T @ 1` and the dense residual. Values are
+compared with their types, since an int where a Fraction was would change
+report bytes, and float values by their bytes, so -0.0 is not 0.0.
 """
 import json
 from fractions import Fraction
@@ -17,54 +19,86 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oiso import linalg
-from oiso.classify import classify
+from oiso import cones
+from oiso.classify import _off_one, classify
 from oiso.cli import main
 from oiso.cones import Certificate, OperatorModel, _indicator, _nonneg_violation, \
     is_order_isomorphism
 from oiso.linalg import mat_vec
 from oiso.recovery import AmbiguousIntersectionError, Decomposition, decompose
-from oiso.spaces import FunctionFamily, PointSpace
+from oiso.spaces import DEFAULT_TOL, FunctionFamily, PointSpace
 
 
 def _typed(values):
-    return [(type(v), v) for v in values]
+    # repr tells -0.0 from 0.0, which == does not
+    return [(type(v), v, repr(v)) for v in values]
 
 
 def _model(m):
-    n = m.shape[0]
-    return OperatorModel(m, FunctionFamily.full(PointSpace.discrete(n, "x"), exact=True),
-                         FunctionFamily.full(PointSpace.discrete(n, "y"), exact=True))
+    n, exact = m.shape[0], m.dtype == object
+    return OperatorModel(m, FunctionFamily.full(PointSpace.discrete(n, "x"), exact=exact),
+                         FunctionFamily.full(PointSpace.discrete(n, "y"), exact=exact))
+
+
+def _same_read(read, ref):
+    """Two `linalg.monomial` reads agree, entries with their types."""
+    if read is None or ref is None:
+        return read is ref
+    return read[0].tolist() == ref[0].tolist() and _typed(read[1]) == _typed(ref[1])
 
 
 def _dense_certificate(m) -> Certificate:
-    for mat, side in ((m, "domain"), (linalg.exact_inv(m), "codomain")):
-        hit = _nonneg_violation(mat, 0.0)
+    exact = m.dtype == object
+    inv = linalg.exact_inv(m) if exact else np.linalg.inv(m)
+    for mat, side in ((m, "domain"), (inv, "codomain")):
+        hit = _nonneg_violation(mat, DEFAULT_TOL)
         if hit is not None:
             i, j = hit
-            w = _indicator(m.shape[0], j, True)
+            w = _indicator(m.shape[0], j, exact)
             return Certificate(
-                accept=False, mode="exact", arithmetic="rational",
+                accept=False, mode="exact", arithmetic="rational" if exact else "float",
                 witness_coeffs=tuple(w), witness_values=tuple(w), side=side, point=i,
                 detail=(f"indicator of {side} point {j} maps to a negative "
                         f"value at point {i}"))
-    return Certificate(accept=True, mode="exact", arithmetic="rational")
+    return Certificate(accept=True, mode="exact", arithmetic="rational" if exact else "float")
+
+
+_NOT_POSITIVE = "the weight T1 is not positive at every point"
 
 
 def _dense_decomposition(m):
-    read = linalg.monomial(m)
-    if read is None or not all(w > 0 for w in read[1]):
-        return None
-    return Decomposition(sigma=tuple(int(c) for c in read[0]), weight=tuple(read[1]),
-                         residual=0.0, exact=True)
+    """The decomposition of an accepted matrix as the dense reading gives it,
+    or the detail of the AmbiguousIntersectionError it raises. Exact
+    acceptance leaves a positive monomial matrix, re-read here; a float one
+    is read by each row's argmax, the weight T @ 1 and the dense residual."""
+    if m.dtype == object:
+        read = linalg.monomial(m)
+        return Decomposition(sigma=tuple(int(c) for c in read[0]), weight=tuple(read[1]),
+                             residual=0.0, exact=True)
+    n = m.shape[0]
+    sigma = np.argmax(m, axis=1)
+    if np.unique(sigma).shape[0] != n:
+        return "the largest entries of the point matrix's rows share a column"
+    weight = m @ np.ones(n)
+    if not all(w > 0 for w in weight):
+        return _NOT_POSITIVE
+    expected = np.zeros((n, n))
+    expected[np.arange(n), sigma] = weight
+    return Decomposition(sigma=tuple(int(c) for c in sigma), weight=tuple(weight),
+                         residual=float(np.max(np.abs(m - expected))), exact=False)
 
 
 def _dense_classify(m):
-    """(kind, decomposition, unimodular sign) as the dense reading decides them."""
+    """(kind, decomposition, unimodular sign) as the dense reading decides
+    them; the decomposition is a detail string where `classify` raises."""
+    exact = m.dtype == object
     cert = _dense_certificate(m)
-    g = mat_vec(m, np.array([Fraction(1)] * m.shape[0], dtype=object))
-    unimodular = all(abs(x) == 1 for x in g)
+    n = m.shape[0]
+    g = mat_vec(m, np.array([Fraction(1)] * n, dtype=object) if exact else np.ones(n))
+    unimodular = not _off_one("|T(1)|", [abs(x) for x in g], exact, DEFAULT_TOL)
     if cert.accept:
-        kind = "algebra-iso" if all(x == 1 for x in g) else "lattice-iso"
+        off_unital = _off_one("T(1)", g, exact, DEFAULT_TOL)
+        kind = "lattice-iso" if off_unital else "algebra-iso"
         dec = _dense_decomposition(m)
     elif not unimodular:
         kind, dec = "rejected", None
@@ -75,6 +109,61 @@ def _dense_classify(m):
         else:
             kind, dec, unimodular = "rejected", None, False
     return kind, dec, tuple(g) if unimodular else None
+
+
+def _or_detail(f, *args, **kwargs):
+    """f's result, or the detail of the AmbiguousIntersectionError it raises."""
+    try:
+        return f(*args, **kwargs)
+    except AmbiguousIntersectionError as e:
+        return str(e)
+
+
+def _assert_same_decomposition(d, ref, t):
+    if isinstance(ref, str) and t.monomial is not None:
+        # a read sigma is a bijection, so only its weight can be refused
+        ref = _NOT_POSITIVE
+    assert d == ref
+    if isinstance(ref, Decomposition):
+        assert _typed(d.weight) == _typed(ref.weight)
+        assert type(d.residual) is float
+
+
+def _assert_matches_the_dense_reference(m):
+    exact = m.dtype == object
+    try:
+        t = _model(m)
+    except linalg.SingularMatrixError:
+        return  # the dense inverse refuses it too
+    cert = is_order_isomorphism(t)
+    ref = _dense_certificate(m)
+    assert cert == ref
+    assert _typed(cert.witness_values or ()) == _typed(ref.witness_values or ())
+    assert type(cert.point) is type(ref.point)
+    inv = linalg.exact_inv(m) if exact else np.linalg.inv(m)
+    assert np.array_equal(t.inverse_matrix, inv)
+    if exact:
+        assert _typed(t.inverse_matrix.ravel()) == _typed(inv.ravel())
+    assert _same_read(t.inverse_monomial, linalg.monomial(inv))
+    v = np.array(list(range(-1, m.shape[0] - 1)), dtype=object if exact else float)
+    assert _typed(t.apply_values(v)) == _typed(mat_vec(m, v))  # v holds -1 and 0
+
+    if ref.accept:
+        _assert_same_decomposition(_or_detail(decompose, t, cert=cert),
+                                   _dense_decomposition(m), t)
+
+    kind, dec, sign = _dense_classify(m)
+    rep = _or_detail(classify, t)
+    if isinstance(dec, str):
+        _assert_same_decomposition(rep, dec, t)
+        return
+    assert rep.kind == kind
+    if dec is None:
+        assert rep.decomposition is None
+    else:
+        _assert_same_decomposition(rep.decomposition, dec, t)
+    assert _typed(rep.unimodular_sign or ()) == _typed(sign or ())
+    assert (rep.unimodular_sign is None) == (sign is None)
 
 
 # entries mix Python ints and Fractions; the small value set makes ties between
@@ -116,32 +205,51 @@ _MATRICES = st.one_of(_monomials(), _near_monomials())
 @settings(max_examples=200, deadline=None)
 @given(_MATRICES)
 def test_read_once_matches_the_dense_reference(m):
-    if linalg.exact_rank(m) != m.shape[0]:
-        return  # singular: the model refuses it either way
-    t = _model(m)
-    cert = is_order_isomorphism(t)
-    ref = _dense_certificate(m)
-    assert cert == ref
-    assert _typed(cert.witness_values or ()) == _typed(ref.witness_values or ())
-    assert type(cert.point) is type(ref.point)
-    inv = linalg.exact_inv(m)
-    assert _typed(t.inverse_matrix.ravel()) == _typed(inv.ravel())
-    v = np.array(list(range(-1, m.shape[0] - 1)), dtype=object)  # ints, one of them 0
-    assert _typed(t.apply_values(v)) == _typed(mat_vec(m, v))
+    _assert_matches_the_dense_reference(m)
 
-    dec_ref = _dense_decomposition(m) if ref.accept else None
-    if ref.accept:
-        d = decompose(t, cert=cert)
-        assert d == dec_ref
-        assert _typed(d.weight) == _typed(dec_ref.weight)
 
-    kind, dec, sign = _dense_classify(m)
-    rep = classify(t)
-    assert rep.kind == kind
-    assert rep.decomposition == dec
-    assert _typed(rep.decomposition.weight if dec else ()) == _typed(dec.weight if dec else ())
-    assert rep.unimodular_sign == sign
-    assert _typed(rep.unimodular_sign or ()) == _typed(sign or ())
+# ties between the most negative weights are common; -1e-12 beside 1 is a
+# negative weight inside the cutoff, and 1e-30 puts the inverse's cutoff
+# above its negative reciprocal too, so the cone test accepts
+_FLOAT_WEIGHTS = st.sampled_from([1.0, 2.0, 0.5, 7 / 3, -1.0, -2.0, -0.5,
+                                  1e-12, -1e-12, 1e-30])
+
+
+@st.composite
+def _float_monomials(draw):
+    """A weighted permutation with every weight scaled by one alpha in
+    [1e-12, 1e12]; alpha = 1 leaves the unital and unimodular ones."""
+    n = draw(st.integers(1, 6))
+    sigma = draw(st.permutations(range(n)))
+    alpha = draw(st.one_of(st.just(1.0), st.floats(1e-12, 1e12)))
+    m = np.zeros((n, n))
+    for y in range(n):
+        m[y, sigma[y]] = alpha * draw(_FLOAT_WEIGHTS)
+    return m
+
+
+@st.composite
+def _float_near_monomials(draw):
+    """A float monomial with extra entries off its pattern: positive ones
+    the size of its weights, or ones 1e-20 of that size, of either sign."""
+    m = draw(_float_monomials())
+    n = m.shape[0]
+    scale = float(np.max(np.abs(m)))
+    extra = st.sampled_from([1.0, 1.5]) if draw(st.booleans()) else \
+        st.sampled_from([1e-20, -1e-20])
+    if draw(st.booleans()):
+        m = np.abs(m)
+    for _ in range(draw(st.integers(1, max(1, n)))):
+        y, x = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if m[y, x] == 0:
+            m[y, x] = scale * draw(extra)
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_float_monomials(), _float_near_monomials()))
+def test_float_read_matches_the_dense_reference(m):
+    _assert_matches_the_dense_reference(m)
 
 
 @settings(max_examples=100, deadline=None)
@@ -168,6 +276,20 @@ def test_non_monomial_exact_matrix_is_not_read_as_one():
         decompose(t, cert=Certificate(accept=True, mode="exact", arithmetic="rational"))
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("rows", [[[0, 2], [3, 0]], [[1, 1], [0, 1]]],
+                         ids=["monomial", "non-monomial"])
+def test_inverse_swaps_the_matrices_and_reads(monkeypatch, exact, rows):
+    t = _model(linalg.as_exact(rows) if exact else np.array(rows, dtype=float))
+    calls = []
+    monkeypatch.setattr(linalg, "dense_inv", lambda a: calls.append(a))
+    inv = t.inverse()
+    assert calls == []
+    assert inv.inverse_matrix is t.matrix and inv.matrix is t.inverse_matrix
+    assert inv.monomial is t.inverse_monomial and inv.inverse_monomial is t.monomial
+    assert (inv.domain, inv.codomain, inv.basis) == (t.codomain, t.domain, t.basis)
+
+
 def test_zero_weight_is_singular_through_weighted_permutation():
     with pytest.raises(linalg.SingularMatrixError):
         OperatorModel.weighted_permutation((1, 0), np.array([Fraction(0), Fraction(1)],
@@ -181,12 +303,13 @@ def test_weighted_permutation_needs_one_weight_per_point(weight):
 
 
 class TestStructuralCost:
-    """The n^2 reads an exact point-basis run pays for, counted."""
+    """The n^2 reads a point-basis run pays for, counted: `linalg.monomial`,
+    `linalg.rank` and the sign scans of a whole n x n matrix."""
 
     @staticmethod
     def _count(monkeypatch):
-        calls = {"monomial": 0, "rank": 0}
-        for name in calls:
+        calls = {"monomial": 0, "rank": 0, "square_scans": 0}
+        for name in ("monomial", "rank"):
             real = getattr(linalg, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
@@ -194,7 +317,21 @@ class TestStructuralCost:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(linalg, name, counted)
+
+        def scan(m, tol, _real=cones._nonneg_violation):
+            calls["square_scans"] += m.shape[1] > 1
+            return _real(m, tol)
+
+        monkeypatch.setattr(cones, "_nonneg_violation", scan)
         return calls
+
+    @staticmethod
+    def _run(tmp_path, capsys, matrix, argv, mode):
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"matrix": matrix}))
+        code = main(argv + [str(path), "--mode", mode])
+        capsys.readouterr()
+        return code
 
     @pytest.mark.parametrize("matrix, argv, code", [
         ([[0, "1/2", 0], [0, 0, 3], ["7/3", 0, 0]], ["decompose"], 0),
@@ -204,19 +341,36 @@ class TestStructuralCost:
     ], ids=["decompose-accept", "decompose-reject", "classify-lattice", "classify-isometry"])
     def test_exact_point_run_reads_the_matrix_once(self, tmp_path, capsys, monkeypatch,
                                                    matrix, argv, code):
-        path = tmp_path / "op.json"
-        path.write_text(json.dumps({"matrix": matrix}))
         calls = self._count(monkeypatch)
-        assert main(argv + [str(path), "--mode", "exact"]) == code
-        capsys.readouterr()
-        assert calls == {"monomial": 1, "rank": 0}
+        assert self._run(tmp_path, capsys, matrix, argv, "exact") == code
+        assert calls == {"monomial": 1, "rank": 0, "square_scans": 0}
+
+    @pytest.mark.parametrize("matrix, argv, code", [
+        ([[0, 0.5, 0], [0, 0, 3], [2.5, 0, 0]], ["decompose"], 0),
+        ([[0, -2, 0], [0, 0, -2], [1, 0, 0]], ["decompose"], 2),
+        ([[0, 1, 0], [0, 0, -1e-12], [1e-30, 0, 0]], ["decompose"], 2),
+        ([[0, 0.5, 0], [0, 0, 3], [2.5, 0, 0]], ["classify"], 0),
+        ([[0, -1, 0], [0, 0, 1], [-1, 0, 0]], ["classify"], 0),
+    ], ids=["decompose-accept", "decompose-reject", "decompose-ambiguous", "classify-lattice",
+            "classify-isometry"])
+    def test_float_point_run_reads_the_matrix_once(self, tmp_path, capsys, monkeypatch,
+                                                   matrix, argv, code):
+        calls = self._count(monkeypatch)
+        assert self._run(tmp_path, capsys, matrix, argv, "float") == code
+        assert calls == {"monomial": 1, "rank": 0, "square_scans": 0}
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_non_monomial_run_scans_the_matrix(self, tmp_path, capsys, monkeypatch, mode):
+        calls = self._count(monkeypatch)
+        assert self._run(tmp_path, capsys, [[1, 1], [0, 1]], ["decompose"], mode) == 2
+        assert calls == {"monomial": 1, "rank": 0, "square_scans": 2}
 
     def test_exact_fuzz_reads_no_matrix(self, capsys, monkeypatch):
         # every instance is built by weighted_permutation, which knows its read
         calls = self._count(monkeypatch)
         assert main(["fuzz", "--dim", "8", "--count", "3", "--mode", "exact"]) == 0
         capsys.readouterr()
-        assert calls == {"monomial": 0, "rank": 0}
+        assert calls == {"monomial": 0, "rank": 0, "square_scans": 0}
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_full_family_runs_no_rank_check(self, monkeypatch, exact):
