@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .cones import _indicator
+from .cones import _indicator, _rational_farkas
 from .spaces import (DEFAULT_TOL, FunctionFamily, FunctionVec, span_membership,
                      values_of)
 
@@ -145,9 +145,16 @@ def _closure_residual(fam: FunctionFamily, classes) -> float:
 
 def _positive_element(fam: FunctionFamily, nonzero) -> Optional[tuple]:
     """Coefficients c with G^T c >= 1 on `nonzero`, or None if no span element
-    is positive there. One HiGHS LP on G / max|G|: max t, G^T c >= t there,
-    t <= 1. Scaling lifts any t > 0 to 1 and c = 0 gives 0, so the optimum is
-    1 or 0; accept above 1/2, reading no tolerance."""
+    is positive there. Exact: Gordan's alternative, by `_rational_farkas` on
+    the rows (g_x, 1) with target (0, ..., 0, 1): either a convex combination
+    of those columns is 0, or some (c, s) has g_x . c >= -s > 0 there. Float:
+    one HiGHS LP on G / max|G|: max t, G^T c >= t there, t <= 1. Scaling
+    lifts any t > 0 to 1 and c = 0 gives 0, so the optimum is 1 or 0; accept
+    above 1/2, reading no tolerance."""
+    if fam.exact:
+        rows = np.array([[*col, 1] for col in fam.generators.T[nonzero]], dtype=object)
+        w = _rational_farkas(rows, np.array([0] * fam.rank + [1], dtype=object))
+        return None if w is None else tuple(v / -w[-1] for v in w[:-1])
     from scipy.optimize import linprog
     g = linalg.as_float(fam.generators)
     scale = float(np.abs(g).max(initial=0.0))

@@ -329,12 +329,13 @@ def is_order_isomorphism(t: OperatorModel, tol: float = DEFAULT_TOL) -> Certific
     rejection's witness is a point indicator. Generator basis on proper
     subfamilies: each side (T, then its inverse) is decided by the Farkas
     alternative, either Lambda >= 0 with Lambda A = B or a source-cone
-    function c whose image is negative at some target point. In float mode
-    one HiGHS LP looks for c with |c| <= 1; in exact mode the decision is made
-    in rational arithmetic (HiGHS only proposes the multiplier supports) and
-    does not read `tol`. Float mode's one rule, on either basis: a value is
-    negative below -linalg.cutoff of the matrix it is read from (the point
-    matrix, its inverse, or B), so alpha*T gets T's verdict.
+    function c whose image is negative at some target point, by one HiGHS LP
+    for c with |c| <= 1 read in two ways: float mode takes its most negative
+    value; exact mode decides in rational arithmetic (the LP only proposes
+    multiplier supports and an order) and does not read `tol`. Float mode's
+    one rule, on either basis: a value is negative below -linalg.cutoff of
+    the matrix it is read from (the point matrix, its inverse, or B), so
+    alpha*T gets T's verdict.
     """
     arith = "rational" if t.exact else "float"
     if t.basis == "generator" and t.domain.is_full and t.codomain.is_full:
@@ -361,9 +362,7 @@ def is_order_isomorphism(t: OperatorModel, tol: float = DEFAULT_TOL) -> Certific
 
     for src, dst, mat, side in ((t.domain, t.codomain, t.matrix, "domain"),
                                 (t.codomain, t.domain, t.inverse_matrix, "codomain")):
-        a = cone_rep(src).facet_normals
-        b = mat_mat(dst.generators.T, mat)
-        hit = _exact_witness(a, b) if t.exact else _farkas_witness(a, b, tol)
+        hit = _farkas_witness(src.generators.T, mat_mat(dst.generators.T, mat), tol)
         if hit is None:
             continue
         y, c = hit
@@ -376,50 +375,42 @@ def is_order_isomorphism(t: OperatorModel, tol: float = DEFAULT_TOL) -> Certific
 
 
 def _farkas_witness(a, b, tol: float):
-    """One HiGHS LP over every target point y: min b_y . c_y with A c_y >= 0
-    and |c_y| <= 1. Returns (y, c_y) for the most negative value when it is
-    below -linalg.cutoff(B, tol), else None. HiGHS judges optimality and
-    feasibility against absolute tolerances, so its costs are B / max|B| and
-    its constraints A scaled by the power of two that brings max|A| into
-    [1/2, 1), which leaves the feasible set unchanged and is exact."""
+    """Farkas' alternative at every target point y: None when each b_y is
+    lam A for some lam >= 0, else (y, c) with A c >= 0 and b_y . c < 0.
+
+    One HiGHS LP, min b_y . c_y with A c_y >= 0 and |c_y| <= 1 for every y,
+    is the dual of the elastic fit b_y = lam A + s+ - s- (lam, s+- >= 0, min
+    sum(s+ + s-)): row y's value is minus its slack, and the multipliers of
+    A c_y >= 0 are a lam. HiGHS's tolerances are absolute, so its costs are
+    B / max|B| and its constraints A times the power of two that brings
+    max|A| into [1/2, 1), which is exact and keeps the feasible set. Float:
+    the most negative value decides, below -linalg.cutoff(B, tol). Exact
+    (`tol` unused): rows go in the stable order of their values, and one
+    whose multiplier support re-solves exactly to lam >= 0 is settled; any
+    other is decided by `_rational_farkas`, in index order if HiGHS fails.
+    """
     from scipy.optimize import linprog
     from scipy.sparse import identity, kron
 
-    n, k = b.shape
-    a = np.ldexp(a, -np.frexp(np.max(np.abs(a)))[1])
-    res = linprog(c=(b / np.max(np.abs(b))).ravel(),
-                  A_ub=-kron(identity(n), a, format="csr"), b_ub=np.zeros(n * a.shape[0]),
+    fa, fb = linalg.as_float(a), linalg.as_float(b)
+    fa = np.ldexp(fa, -np.frexp(np.max(np.abs(fa)))[1])
+    (n, k), m = fb.shape, fa.shape[0]
+    res = linprog(c=(fb / np.max(np.abs(fb))).ravel(),
+                  A_ub=-kron(identity(n), fa, format="csr"), b_ub=np.zeros(n * m),
                   bounds=(-1.0, 1.0), method="highs")
-    if res.status != 0:  # pragma: no cover - bounded and feasible (c = 0) by construction
+    if res.status == 0:
+        cs = res.x.reshape(n, k)
+        vals = np.einsum("yk,yk->y", fb, cs)
+        order, lams = np.argsort(vals, kind="stable"), -res.ineqlin.marginals.reshape(n, m)
+    elif b.dtype != object:  # bounded and feasible (c = 0) by construction
         raise RuntimeError(f"LP solver failed: {res.message}")
-    cs = res.x.reshape(n, k)
-    vals = np.einsum("yk,yk->y", b, cs)
-    y = int(np.argmin(vals))
-    return (y, cs[y]) if vals[y] < -linalg.cutoff(b, tol) else None
-
-
-def _exact_witness(a, b):
-    """A target point y whose evaluation b_y is not a nonnegative combination
-    of the rows of A, with its separating c; None if every b_y is.
-
-    One elastic HiGHS LP, B = Lambda A + S+ - S- with Lambda, S+- >= 0 and
-    min sum(S+ + S-), proposes each row's multiplier support and orders the
-    rows by their slack, so a rejection usually decides its first row. A row
-    whose support re-solves exactly to a nonnegative row is settled; any other
-    row is decided by `_rational_farkas`, so the verdict never rests on a
-    float tolerance.
-    """
-    from scipy.optimize import linprog
-    from scipy.sparse import hstack, identity, kron
-
-    n, m, k = b.shape[0], a.shape[0], a.shape[1]
-    at = linalg.as_float(a).T
-    cost = np.tile(np.r_[np.zeros(m), np.ones(2 * k)], n)
-    res = linprog(c=cost, A_eq=kron(identity(n), hstack([at, identity(k), -identity(k)])),
-                  b_eq=linalg.as_float(b).ravel(), bounds=(0.0, None), method="highs")
-    x = res.x.reshape(n, m + 2 * k) if res.status == 0 else np.zeros((n, m + 2 * k))
-    for y in np.argsort(-x[:, m:].sum(axis=1), kind="stable"):
-        row = linalg.exact_solve_unique(a[np.nonzero(x[y, :m] > 0)[0]].T, b[y])
+    else:
+        order, lams = range(n), np.zeros((n, m))
+    if b.dtype != object:
+        y = order[0]
+        return (int(y), cs[y]) if vals[y] < -linalg.cutoff(b, tol) else None
+    for y in order:
+        row = linalg.exact_solve_unique(a[lams[y] > 0].T, b[y])
         if row is not None and all(v >= 0 for v in row):
             continue
         c = _rational_farkas(a, b[y])

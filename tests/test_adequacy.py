@@ -107,6 +107,26 @@ class TestCheckAdequate:
         assert rep.cone_generates
         assert np.all(fam.values(np.array(rep.cone_witness)) > 0)
 
+    @pytest.mark.parametrize("ts, generates", [((1, 2), True), ((-1, 1), False)])
+    def test_exact_cone_generation_without_constants_reads_no_lp(self, monkeypatch, ts,
+                                                                   generates):
+        # span{t}: positive on {1, 2}, sign-changing on {-1, 1}; decided by
+        # Gordan's alternative in rational arithmetic, so no LP may run
+        def refuse(*args, **kwargs):
+            raise AssertionError("an exact family needs no LP")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+        gen = np.array([[Fraction(t) for t in ts]], dtype=object)
+        fam = FunctionFamily(PointSpace.grid([float(t) for t in ts]), gen, names=("t",))
+        rep = check_adequate(fam)
+        assert not rep.has_constants
+        assert rep.cone_generates is generates
+        if generates:
+            assert all(isinstance(c, Fraction) for c in rep.cone_witness)
+            assert min(fam.values(np.array(rep.cone_witness, dtype=object))) >= 1
+        else:
+            assert rep.cone_witness is None
+
     def test_exact_full_family(self):
         fam = FunctionFamily.full(PointSpace.discrete(3), exact=True)
         rep = check_adequate(fam)

@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult, linprog
+from scipy.sparse import hstack, identity, kron
 
-from oiso import serialize
+from oiso import cones, serialize
 from oiso.cones import Certificate, OperatorModel, cone_rep, is_order_isomorphism
 from oiso.fuzz import random_metric_space
-from oiso.linalg import SingularMatrixError
+from oiso.linalg import SingularMatrixError, as_float, exact_solve_unique
 from oiso.recovery import decompose
 from oiso.spaces import FunctionFamily, PointSpace, build_lipschitz_family
 
@@ -441,6 +444,56 @@ class TestFarkasGeneratorBasis:
                 assert cert.side == side
                 _assert_witness(cert, fam.generators, fam.generators, m, t.inverse_matrix, True)
 
+    @staticmethod
+    def _shear_pair():
+        # span{1, t} on t = 0, 1, 2, 3: the identity, and the shear
+        # (a, b) -> (a + 2b, b), whose image of 3 - t is negative at t = 2
+        # and, most negative, at t = 3
+        fam = _one_t_family([Fraction(t) for t in range(4)], exact=True)
+        return fam, [_as_mode(rows, True) for rows in ([[1, 0], [0, 1]], [[1, 2], [0, 1]])]
+
+    def test_exact_verdicts_survive_a_failed_lp(self, monkeypatch):
+        fam, (eye, shear) = self._shear_pair()
+        models = [OperatorModel(m, fam, fam, basis="generator") for m in (eye, shear)]
+        before = [is_order_isomorphism(t) for t in models]
+        failed = OptimizeResult(status=4, x=None, message="numerical difficulties")
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: failed)
+        after = [is_order_isomorphism(t) for t in models]
+        assert before[0].accept and after[0].accept
+        # the LP's order puts t = 3 first; without it, rows go in index order
+        assert (before[1].side, before[1].point) == ("domain", 3)
+        assert (after[1].side, after[1].point) == ("domain", 2)
+        for cert in before[1:] + after[1:]:
+            assert cert.arithmetic == "rational"
+            _assert_witness(cert, fam.generators, fam.generators, shear,
+                            models[1].inverse_matrix, True)
+        float_fam = _one_t_family([0.0, 1.0, 2.0, 3.0])
+        with pytest.raises(RuntimeError, match="LP solver failed"):
+            is_order_isomorphism(OperatorModel(np.eye(2), float_fam, float_fam,
+                                               basis="generator"))
+
+    def test_rational_test_runs_only_on_failing_rows(self, monkeypatch):
+        calls = []
+        rational_farkas = cones._rational_farkas
+
+        def counted(a, b_y):
+            calls.append(b_y)
+            return rational_farkas(a, b_y)
+
+        monkeypatch.setattr(cones, "_rational_farkas", counted)
+        fam, (eye, shear) = self._shear_pair()
+        # the reflection f(t) -> f(1 - t) of span{1, t, t^2} on a symmetric grid
+        ts = [Fraction(j, 8) for j in range(9)]
+        quad = FunctionFamily(PointSpace.grid([float(t) for t in ts]),
+                              np.array([[t ** p for t in ts] for p in range(3)], dtype=object))
+        reflection = _as_mode([[1, 1, 1], [0, -1, -2], [0, 0, 1]], True)
+        for m, f in ((eye, fam), (reflection, quad)):
+            assert is_order_isomorphism(OperatorModel(m, f, f, basis="generator")).accept
+        assert calls == []
+        cert = is_order_isomorphism(OperatorModel(shear, fam, fam, basis="generator"))
+        assert not cert.accept and cert.point == 3
+        assert len(calls) == 1
+
 
 def _unimodular(rng, k):
     while True:
@@ -560,3 +613,91 @@ def test_scaled_operator_gets_the_same_verdict(construction, seed, variant, expo
     if variant != "mixed":
         assert base[0] is (variant == "positive")
     assert verdict(*(10.0 ** e for e in exponents)) == base
+
+
+def _elastic_witness(a, b):
+    """The exact certificate's former Farkas test on one side, kept as an
+    oracle: one elastic HiGHS LP, B = Lambda A + S+ - S- with Lambda, S+- >= 0
+    and min sum(S+ + S-), posed on A / max|A| and B / max|B|. Rows are taken
+    by decreasing slack; a row whose multiplier support re-solves exactly to
+    a nonnegative row is settled, any other goes to the rational test.
+    Returns each row's slack in B's units, and (y, c) for the first row that
+    fails, or None."""
+    fa, fb = as_float(a), as_float(b)
+    (n, k), m = fb.shape, fa.shape[0]
+    scale = np.max(np.abs(fb))
+    res = linprog(c=np.tile(np.r_[np.zeros(m), np.ones(2 * k)], n),
+                  A_eq=kron(identity(n), hstack([fa.T / np.max(np.abs(fa)), identity(k),
+                                                 -identity(k)])),
+                  b_eq=(fb / scale).ravel(), bounds=(0.0, None), method="highs")
+    assert res.status == 0
+    x = res.x.reshape(n, m + 2 * k)
+    slack = x[:, m:].sum(axis=1) * scale
+    for y in np.argsort(-slack, kind="stable"):
+        row = exact_solve_unique(a[x[y, :m] > 0].T, b[y])
+        if row is not None and all(v >= 0 for v in row):
+            continue
+        c = cones._rational_farkas(a, b[y])
+        if c is not None:
+            return slack, (int(y), tuple(c))
+    return slack, None
+
+
+PROPER_CONSTRUCTIONS = [c for c in CONSTRUCTIONS if c[1] < c[2]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(construction=st.sampled_from(PROPER_CONSTRUCTIONS), seed=st.integers(0, 2**32 - 1),
+       variant=st.sampled_from(["positive", "negative weight", "mixed"]),
+       exponents=st.tuples(*(st.integers(-12, 12),) * 3))
+def test_exact_certificate_matches_the_elastic_oracle(construction, seed, variant, exponents):
+    """On the proper-family weighted compositions of
+    `test_weighted_composition_construction`, scaled by powers of ten and
+    optionally mixed as in `test_scaled_operator_gets_the_same_verdict`, the
+    exact certificate reports the side, point and witness of the elastic LP,
+    and the certificate LP's value for each row is minus its slack."""
+    _, k, m = construction
+    rng = np.random.default_rng(seed)
+    alpha, beta, gamma = (Fraction(10) ** e for e in exponents)
+    g = _as_mode(_int_generators(rng, k, m), True) * alpha
+    b, b_inv = _unimodular(rng, k)
+    w = [Fraction(int(v)) for v in rng.integers(1, 6, size=m)]
+    lam = _as_mode(np.zeros((m, m), dtype=int), True)
+    for y, x in enumerate(rng.permutation(m)):
+        lam[y, x] = w[y]
+    if variant == "negative weight":
+        lam[int(rng.integers(m))] *= -1
+    elif variant == "mixed":
+        # each row's mixing stays at most half its weight, so Lambda is invertible
+        mix = rng.integers(0, 3, size=(m, m)) * (rng.random((m, m)) < 0.3)
+        lam += np.array([[w[y] * Fraction(int(v), 4 * m) for v in mix[y]] for y in range(m)],
+                        dtype=object)
+    g_cod = _as_mode(b, True) @ g @ lam.T * beta
+    matrix = _as_mode(b_inv.T, True) * gamma
+    t = OperatorModel(matrix, FunctionFamily(PointSpace.discrete(m, "x"), g),
+                      FunctionFamily(PointSpace.discrete(m, "y"), g_cod), basis="generator")
+
+    solved = []
+
+    def recorded(*args, **kwargs):
+        solved.append(linprog(*args, **kwargs))
+        return solved[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.optimize, "linprog", recorded)
+        cert = is_order_isomorphism(t)
+
+    want = None
+    sides = (("domain", g.T, g_cod.T @ t.matrix), ("codomain", g_cod.T, g.T @ t.inverse_matrix))
+    for i, (side, a, bmat) in enumerate(sides):
+        slack, hit = _elastic_witness(a, bmat)
+        vals = np.einsum("yk,yk->y", as_float(bmat), solved[i].x.reshape(m, k))
+        assert np.max(np.abs(vals + slack)) <= 1e-9 * np.max(np.abs(as_float(bmat)))
+        if hit is not None:
+            want = (side, *hit)
+            break
+    assert len(solved) == i + 1
+    if want is None:
+        assert cert.accept
+    else:
+        assert (cert.side, cert.point, cert.witness_coeffs) == want

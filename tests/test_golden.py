@@ -34,6 +34,12 @@ GEN_ACCEPT = {"basis": "generator", "domain": GEN_DOM, "codomain": GEN_COD,
               "matrix": [["9/5", "8/5", "-1/5"], ["1/5", "2/5", "1/5"], ["3", "0", "0"]]}
 GEN_REJECT = {"basis": "generator", "domain": GEN_DOM, "codomain": GEN_COD,
               "matrix": [["3", "4", "1"], ["-1", "-2", "-1"], ["3", "0", "0"]]}
+# generator basis on the proper family span{1, t} over t = 0, 1, 2, 3: the
+# shear (a, b) -> (a + 2b, b) sends f >= 0 to a negative value at t = 2 and
+# t = 3, so two target rows fail and the report pins which one comes first
+PROPER = {"space": ["a", "b", "c", "d"], "generators": [[1, 1, 1, 1], [0, 1, 2, 3]]}
+GEN_PROPER_REJECT = {"basis": "generator", "domain": PROPER, "codomain": PROPER,
+                     "matrix": [[1, 2], [0, 1]]}
 # labels the report must escape: non-ASCII (one outside the BMP), a quote, a
 # backslash and control characters
 ESCAPED_LABELS = {"matrix": [[0, 2, 0], [0, 0, "1/3"], [5, 0, 0]],
@@ -120,6 +126,13 @@ CASES = [
     ("decompose-exact-escaped-labels", ESCAPED_LABELS, ["decompose", "--mode", "exact"], 0,
      "f98e998bdc3323902ebc5e4c248816eb0c2478ee69192c392508692839508657",
      "b8659b5d49c6fe6e9d47be3498c060da83894a8f91a75304b85150eb2d61afa8"),
+    ("decompose-float-generator-proper-reject", GEN_PROPER_REJECT, ["decompose"], 2,
+     "60d0b29a2e88c27cbe0eb04b09988762a297633d1d17daf28ae62ed31591410f",
+     "1ca5a46d427dce7aa625c0dd22bdfd1cc65e1b74ce33c42dbec976dc0a061de6"),
+    ("decompose-exact-generator-proper-reject", GEN_PROPER_REJECT,
+     ["decompose", "--mode", "exact"], 2,
+     "24fc028acedfbfd5eb71bb9aaef407ce50b51b6a3c6a2f5de2e5291367b98043",
+     "e9a12bde6e6709217797af63681ace6c4a62212f241e6a07889e1dd8e66cfc01"),
 ]
 
 
