@@ -81,7 +81,7 @@ def check_adequate(fam: FunctionFamily, tol: float = DEFAULT_TOL) -> AdequacyRep
     the distance from the span to its clamp closure (float) or inf (exact).
     """
     if fam.is_full:
-        inv_t = linalg.inv(fam.generators.T)
+        inv_t = fam.coefficient_matrix()
         witnesses = tuple(tuple(inv_t[:, x]) for x in range(fam.space.size))
         return AdequacyReport(separates=True, separation_witnesses=witnesses,
                               has_constants=True, g_invariant=True, g_residual=0.0,

@@ -45,7 +45,6 @@ from .linalg import SingularMatrixError, frozen
 from .recovery import AmbiguousIntersectionError, NotOrderIsomorphismError, decompose
 from .serialize import (
     canonical_json,
-    file_digest,
     load_json,
     parse_compactify_spec,
     parse_family,
@@ -57,10 +56,6 @@ from .serialize import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REJECTED = 2
-
-
-def _input_echo(path: str) -> dict:
-    return {"file": os.path.basename(path), "sha256": file_digest(path)}
 
 
 # Each outcome exception a handler may raise, and the result it reports
@@ -83,8 +78,8 @@ REJECTED = {
 }
 
 
-def _cmd_decompose(args):
-    t = parse_operator(load_json(args.operator), args.mode)
+def _cmd_decompose(args, operator):
+    t = parse_operator(operator, args.mode)
     cert = is_order_isomorphism(t, tol=args.tol)
     if not cert.accept:
         return {"accepted": False, "certificate": cert.to_json_dict()}, EXIT_REJECTED
@@ -101,13 +96,13 @@ def _cmd_decompose(args):
     return result, EXIT_OK
 
 
-def _cmd_classify(args):
-    rep = classify(parse_operator(load_json(args.operator), args.mode), tol=args.tol)
+def _cmd_classify(args, operator):
+    rep = classify(parse_operator(operator, args.mode), tol=args.tol)
     return rep.to_json_dict(), EXIT_OK if rep.kind != "rejected" else EXIT_REJECTED
 
 
-def _cmd_adequacy(args):
-    rep = check_adequate(parse_family(load_json(args.family), exact=False), tol=args.tol)
+def _cmd_adequacy(args, family):
+    rep = check_adequate(parse_family(family, exact=False), tol=args.tol)
     return rep.to_json_dict(), EXIT_OK if rep.adequate else EXIT_REJECTED
 
 
@@ -116,8 +111,8 @@ def _point_dict(p) -> dict:
             "compact_coords": list(p.compact_coords)}
 
 
-def _cmd_compactify(args):
-    x_space, y_space, seqs_x, seqs_y, op = parse_compactify_spec(load_json(args.spec))
+def _cmd_compactify(args, spec):
+    x_space, y_space, seqs_x, seqs_y, op = parse_compactify_spec(spec)
     if op is None:
         result = {}
         for key, space, seqs in (("domain", x_space, seqs_x),
@@ -256,7 +251,8 @@ def _cmd_fuzz(args):
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The subcommands. Each declares its handler, the file arguments echoed
-    by name and digest (`files`), the arguments echoed verbatim (`inputs`)
+    by name and digest (`files`, whose documents the handler gets as keyword
+    arguments of those names), the arguments echoed verbatim (`inputs`)
     and the options reported as settings (`settings`).
 
     Built once per process: parsing leaves the parser unchanged, and each
@@ -354,13 +350,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _report(args) -> tuple:
-    """The report text of a parsed command line and its exit code. The
-    payload is encoded once; its digest is taken from that text."""
-    inputs = {name: _input_echo(getattr(args, name)) for name in args.files}
+    """The report text of a parsed command line and its exit code. Each
+    input file is read once, for its document and its digest, and the
+    handler gets the documents by name. The payload is encoded once; its
+    digest is taken from that text."""
+    docs, inputs = {}, {}
+    for name in args.files:
+        path = getattr(args, name)
+        docs[name], sha = load_json(path, with_digest=True)
+        inputs[name] = {"file": os.path.basename(path), "sha256": sha}
     inputs.update((name, getattr(args, name)) for name in args.inputs)
     settings = {name.replace("_", "-"): getattr(args, name) for name in args.settings}
     try:
-        result, code = args.func(args)
+        result, code = args.func(args, **docs)
     except tuple(REJECTED) as e:
         result = next(f(e) for cls, f in REJECTED.items() if isinstance(e, cls))
         code = EXIT_REJECTED

@@ -126,12 +126,12 @@ class OperatorModel:
         return m
 
     def _adopt(self, m: np.ndarray, domain: FunctionFamily, codomain: FunctionFamily,
-               basis: str, read):
+               basis: str, read, dense_inverse=linalg.dense_inv):
         """Take a validated matrix and its `linalg.monomial` read; the
-        inverse and its read are built from the read when there is one.
-        Raises SingularMatrixError."""
+        inverse and its read are built from the read when there is one, and
+        by `dense_inverse(m)` when there is none. Raises SingularMatrixError."""
         if read is None:
-            inv_read, inv = None, linalg.dense_inv(m)
+            inv_read, inv = None, dense_inverse(m)
         else:
             inv_read = linalg.monomial_inv(*read)
             inv = linalg.monomial_matrix(*inv_read)
@@ -186,25 +186,38 @@ class OperatorModel:
         return self.codomain.values(mat_vec(self.matrix, np.asarray(coeffs)))
 
     def point_matrix(self) -> np.ndarray:
-        """The value-to-value matrix (requires full families)."""
+        """The value-to-value matrix G_Y^T M inv(G_X^T) (requires full
+        families); inv(G_X^T) is the domain's `coefficient_matrix()`."""
         if self.basis == "point":
             return self.matrix
         if not (self.domain.is_full and self.codomain.is_full):
             raise ValueError("point matrix requires full families")
-        gx_t_inv = linalg.inv(self.domain.generators.T)
-        return mat_mat(self.codomain.generators.T, mat_mat(self.matrix, gx_t_inv))
+        return mat_mat(self.codomain.generators.T,
+                       mat_mat(self.matrix, self.domain.coefficient_matrix()))
 
     def as_point(self) -> "OperatorModel":
-        """The same operator between the full indicator families, built once."""
+        """The same operator between the full indicator families, built once.
+        An exact point matrix that is not monomial takes its inverse
+        G_X^T inv(M) inv(G_Y^T) from the inverses this operator and its
+        families hold, with no further elimination."""
         if self.basis == "point":
             return self
         if self._point is None:
-            self._point = OperatorModel(
-                linalg.frozen(self.point_matrix()),
-                domain=FunctionFamily.full(self.domain.space, exact=self.exact),
-                codomain=FunctionFamily.full(self.codomain.space, exact=self.exact),
-                basis="point")
+            p = linalg.frozen(self.point_matrix())
+            dom = FunctionFamily.full(self.domain.space, exact=self.exact)
+            cod = FunctionFamily.full(self.codomain.space, exact=self.exact)
+            if self.exact:
+                self._point = OperatorModel.__new__(OperatorModel)
+                self._point._adopt(p, dom, cod, "point", linalg.monomial(p),
+                                   self._point_inverse)
+            else:
+                self._point = OperatorModel(p, domain=dom, codomain=cod, basis="point")
         return self._point
+
+    def _point_inverse(self, p) -> np.ndarray:
+        """inv(p) for p = `point_matrix()`: G_X^T inv(M) inv(G_Y^T)."""
+        return mat_mat(self.domain.generators.T,
+                       mat_mat(self._inv_matrix, self.codomain.coefficient_matrix()))
 
     @classmethod
     def weighted_permutation(cls, sigma, weight, domain: Optional[FunctionFamily] = None,
@@ -343,7 +356,7 @@ def is_order_isomorphism(t: OperatorModel, tol: float = DEFAULT_TOL) -> Certific
         if cert.accept:
             return cert
         fam = t.domain if cert.side == "domain" else t.codomain
-        coeffs = mat_vec(linalg.inv(fam.generators.T), np.asarray(cert.witness_values))
+        coeffs = mat_vec(fam.coefficient_matrix(), np.asarray(cert.witness_values))
         return Certificate(accept=False, mode="exact", arithmetic=arith,
                            witness_coeffs=tuple(coeffs), witness_values=cert.witness_values,
                            side=cert.side, point=cert.point, detail=cert.detail)

@@ -1,20 +1,28 @@
 """Dual-mode linear algebra: float64 via numpy, exact rationals via Fraction.
 
 Exact matrices are numpy object arrays holding fractions.Fraction entries
-(Python ints are accepted and promoted to Fraction before any division). The
-elimination routines skip zero multipliers; weighted permutations (monomial
-matrices) skip elimination altogether in `rank` and `inv`.
+(Python ints are accepted and promoted to Fraction before any division).
+Exact elimination runs in integer rows: `_exact_rref` clears each row of its
+denominators once and eliminates fraction-free, so a step costs integer
+products and one gcd per row rather than a gcd per entry; `mat_mat` takes
+one dot product of integers per entry. Both give back Fractions, equal to
+those of rational arithmetic. A weighted permutation (monomial matrix)
+skips elimination altogether in `rank` and `inv`.
 
 `monomial` is the one n^2 scan that reads a matrix as a weighted permutation.
 An operator reads its point matrix once, when it is built, and derives the
 inverse's read (`monomial_inv`), its products (`monomial_mat_vec`), its
 certificate and its recovery from that read, in either arithmetic; the
 identity generators of a full family are independent by construction and
-never reach `rank`.
+never reach `rank`. A square exact family checks its rank with the same
+Gauss-Jordan pass that inverts it (`exact_inv_or_rank`) and keeps the
+inverse.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 
@@ -27,6 +35,7 @@ __all__ = [
     "mat_vec",
     "mat_mat",
     "exact_inv",
+    "exact_inv_or_rank",
     "exact_rank",
     "exact_solve_unique",
     "cutoff",
@@ -99,80 +108,114 @@ def mat_vec(a, v):
     return np.asarray(a, dtype=float) @ np.asarray(v, dtype=float)
 
 
+def _rational(x):
+    """An exact entry as an int or a Fraction."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    if isinstance(x, np.integer):
+        return int(x)
+    return Fraction(x)
+
+
+def _int_row(row):
+    """A row of rationals as (ints, d) with row = ints / d, where d > 0 is
+    the least common denominator of its entries."""
+    q = [_rational(x) for x in row]
+    d = lcm(*[x.denominator for x in q])
+    return [x.numerator * (d // x.denominator) for x in q], d
+
+
 def mat_mat(a, b):
+    """Matrix product. Exact: the rows of `a` and the columns of `b` are
+    each put over one common denominator (`_int_row`), so an entry is one
+    dot product of Python ints and one Fraction."""
     if is_exact(a) or is_exact(b):
         m, k = a.shape
         k2, n = b.shape
         if k != k2:
             raise ValueError("shape mismatch")
+        rows = [_int_row(a[i]) for i in range(m)]
+        cols = [_int_row(b[:, j]) for j in range(n)]
         out = np.empty((m, n), dtype=object)
-        for i in range(m):
-            for j in range(n):
-                acc = Fraction(0)
-                for t in range(k):
-                    x = a[i, t]
-                    if x:
-                        acc += x * b[t, j]
-                out[i, j] = acc
+        for i, (ra, da) in enumerate(rows):
+            out[i] = [Fraction(sum(map(mul, ra, cb)), da * db) for cb, db in cols]
         return out
     return np.asarray(a, dtype=float) @ np.asarray(b, dtype=float)
 
 
-def exact_inv(a) -> np.ndarray:
-    """Gauss-Jordan inverse over the rationals. Raises SingularMatrixError."""
+def exact_inv_or_rank(a):
+    """One Gauss-Jordan pass over [a | I] for a square exact matrix: returns
+    (inverse, n) when `a` is invertible, else (None, rank of a). The pivots
+    left of the bar are the pivots of `a` alone."""
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
     aug = [list(a[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-    rref, pivots = _exact_rref(aug)
-    if pivots[:n] != list(range(n)):
+    right, pivots = _exact_rref(aug, first=n)
+    r = sum(1 for col in pivots if col < n)
+    return (np.array(right, dtype=object) if r == n else None), r
+
+
+def exact_inv(a) -> np.ndarray:
+    """Gauss-Jordan inverse over the rationals. Raises SingularMatrixError."""
+    inv, _ = exact_inv_or_rank(a)
+    if inv is None:
         raise SingularMatrixError("matrix is singular in exact arithmetic")
-    return np.array([row[n:] for row in rref], dtype=object)
+    return inv
 
 
-def _exact_rref(rows):
-    """Reduced row echelon form over the rationals; returns (rref, pivot_cols).
+def _primitive(ints):
+    """An integer row divided by the gcd of its entries."""
+    c = gcd(*ints)
+    return [x // c for x in ints] if c > 1 else ints
 
-    Every entry is promoted to Fraction first, so int input divides exactly.
+
+def _exact_rref(rows, first: int = 0):
+    """Reduced row echelon form over the rationals; returns (rref, pivot_cols)
+    with each row of rref read from column `first` on.
+
+    Elimination runs in integer rows. Each row is cleared of its
+    denominators once (`_int_row`) and divided by the gcd of its entries.
+    Clearing the pivot column from row i sets row <- (pv/g) row - (f/g) prow,
+    for pivot pv, row entry f and g = gcd(pv, f), then divides the row by
+    the gcd of its entries again. A pivot is the first nonzero entry at or
+    below the current row, which scaling a row does not move, so the pivots
+    are those of rational elimination and each row, read back as
+    Fraction(x, pivot entry), is its unique reduced row.
     """
-    mat = [[Fraction(x) for x in r] for r in rows]
+    mat = [_primitive(_int_row(row)[0]) for row in rows]
     m = len(mat)
     n = len(mat[0]) if m else 0
     pivots = []
     r = 0
     for col in range(n):
-        piv = None
-        for i in range(r, m):
-            if mat[i][col]:
-                piv = i
-                break
+        piv = next((i for i in range(r, m) if mat[i][col]), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        pv = mat[r][col]
-        if pv != 1:
-            mat[r] = [x / pv for x in mat[r]]
         prow = mat[r]
+        pv = prow[col]
         for i in range(m):
-            if i == r:
-                continue
             f = mat[i][col]
-            if f:
-                row = mat[i]
-                for j in range(col, n):
-                    if prow[j]:
-                        row[j] -= f * prow[j]
+            if f and i != r:
+                g = gcd(pv, f)
+                p, q = pv // g, f // g
+                mat[i] = _primitive([p * x - q * y for x, y in zip(mat[i], prow)])
         pivots.append(col)
         r += 1
         if r == m:
             break
-    return mat, pivots
+    zero = Fraction(0)
+    rref = [[Fraction(x, mat[i][col]) if x else zero for x in mat[i][first:]]
+            for i, col in enumerate(pivots)]
+    rref += [[zero] * (n - first) for _ in range(m - r)]
+    return rref, pivots
 
 
 def exact_rank(a) -> int:
     if a.size == 0:
         return 0
-    _, pivots = _exact_rref(_tolists(a))
+    _, pivots = _exact_rref(_tolists(a), first=a.shape[1])
     return len(pivots)
 
 
@@ -181,14 +224,13 @@ def exact_solve_unique(a, b):
     has every free variable (non-pivot column of `a`) set to zero, so it is
     the unique one when `a` has full column rank."""
     m, k = a.shape
-    aug = [list(a[i]) + [Fraction(b[i]) if not isinstance(b[i], Fraction) else b[i]]
-           for i in range(m)]
-    rref, pivots = _exact_rref(aug)
+    aug = [list(a[i]) + [b[i]] for i in range(m)]
+    rhs, pivots = _exact_rref(aug, first=k)
     x = [Fraction(0)] * k
     for r, col in enumerate(pivots):
         if col == k:
             return None  # a zero row equals a nonzero rhs
-        x[col] = rref[r][k]
+        x[col] = rhs[r][0]
     xv = np.array(x, dtype=object)
     res = mat_vec(a, xv)
     for i in range(m):

@@ -29,6 +29,7 @@ identical inputs, seed, and mode produce byte-identical report files.
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -62,15 +63,20 @@ __all__ = [
 SCHEMA = "oiso/1"
 
 
-def load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+def load_json(path: str, with_digest: bool = False):
+    """The JSON object in the file at `path`; with `with_digest`, the pair
+    (object, sha256 of the file's bytes), both from one read. The bytes are
+    decoded as `open(path, encoding="utf-8")` decodes them, so a UTF-8 BOM
+    stays in the text and the JSON decoder refuses it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    doc = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top-level JSON must be an object")
     schema = doc.get("schema", SCHEMA)
     if schema != SCHEMA:
         raise ValueError(f"{path}: unsupported schema {schema!r} (expected {SCHEMA!r})")
-    return doc
+    return (doc, hashlib.sha256(data).hexdigest()) if with_digest else doc
 
 
 def coerce_number(x, exact: bool):

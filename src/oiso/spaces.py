@@ -167,6 +167,13 @@ class FunctionFamily:
     `generators` is a (rank x n_points) matrix, one generator per row; float64
     or exact (object dtype of Fractions). A family is *full* when its rank
     equals the point count, in which case its span is every function.
+
+    A full family's `coefficient_matrix()` is inv(G^T), which maps value
+    vectors to generator coefficients. An exact family computes it once and
+    keeps it: a square exact G that is not monomial has its rank checked by
+    one Gauss-Jordan pass over [G^T | I] (`linalg.exact_inv_or_rank`), whose
+    right half is that inverse; any other exact G is inverted on first use.
+    A float family inverts G^T on each call.
     """
 
     def __init__(self, space: PointSpace, generators, names: Optional[Sequence[str]] = None,
@@ -180,10 +187,16 @@ class FunctionFamily:
             raise ValueError("generators must form a matrix")
         if gen.shape[1] != space.size:
             raise DimensionMismatchError("generator columns must match the point count")
-        r = linalg.rank(gen, tol=tol)
+        inv_t = None
+        if gen.dtype == object and gen.shape[0] == gen.shape[1] and linalg.monomial(gen) is None:
+            inv_t, r = linalg.exact_inv_or_rank(gen.T)
+        else:
+            r = linalg.rank(gen, tol=tol)
         if r != gen.shape[0]:
             raise ValueError(f"generators must be linearly independent (rank {r} < {gen.shape[0]})")
         self._adopt(space, gen.copy(), names, tol)
+        if inv_t is not None:
+            self._inv_t = linalg.frozen(inv_t)
         if claims_constants is True and not self.has_constants():
             raise ValueError("family claims constants but the all-ones vector is not in span")
 
@@ -197,6 +210,7 @@ class FunctionFamily:
         if len(self.names) != gen.shape[0]:
             raise ValueError("one name per generator required")
         self.tol = tol
+        self._inv_t = None
 
     @property
     def rank(self) -> int:
@@ -209,6 +223,15 @@ class FunctionFamily:
     @property
     def is_full(self) -> bool:
         return self.rank == self.space.size
+
+    def coefficient_matrix(self) -> np.ndarray:
+        """inv(G^T) of a full family, read-only in exact mode: the generator
+        coefficients of a function are this matrix times its values."""
+        if not self.exact:
+            return linalg.inv(self.generators.T)
+        if self._inv_t is None:
+            self._inv_t = linalg.frozen(linalg.inv(self.generators.T))
+        return self._inv_t
 
     def ones(self) -> np.ndarray:
         if self.exact:

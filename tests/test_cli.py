@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its report contract."""
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -107,6 +108,42 @@ class TestDecompose:
         rep = _report(out)
         assert rep["inputs"]["operator"]["file"] == "op.json"
         assert len(rep["inputs"]["operator"]["sha256"]) == 64
+
+    def test_input_echo_hashes_the_file_bytes(self, tmp_path, capsys):
+        # CRLF line ends and non-ASCII text: the hash is of the bytes as stored
+        p = tmp_path / "op.json"
+        data = '{"matrix": [[0, 2], [3, 0]],\r\n "domain": ["\u00e9", "b"]}\r\n'.encode("utf-8")
+        p.write_bytes(data)
+        code, out, _ = _run(capsys, ["decompose", str(p)])
+        assert code == EXIT_OK
+        assert _report(out)["inputs"]["operator"]["sha256"] == hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("argv, name, doc", [
+        (["decompose"], "op.json", {"matrix": [[0, 2], [3, 0]]}),
+        (["classify", "--mode", "exact"], "op.json", {"matrix": [[0, 2], [3, 0]]}),
+        (["adequacy"], "fam.json", {"labels": ["a", "b"]}),
+    ], ids=["decompose", "classify", "adequacy"])
+    def test_each_input_file_is_opened_once(self, tmp_path, capsys, monkeypatch,
+                                            argv, name, doc):
+        path = _write(tmp_path, name, doc)
+        opened = []
+        real_open = open
+
+        def counted(file, *args, **kwargs):
+            opened.append(os.fspath(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counted)
+        code, _, _ = _run(capsys, argv[:1] + [path] + argv[1:])
+        assert code == EXIT_OK
+        assert opened.count(path) == 1
+
+    def test_utf8_bom_is_a_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "op.json"
+        p.write_bytes(b"\xef\xbb\xbf" + json.dumps({"matrix": [[1]]}).encode("utf-8"))
+        code, out, err = _run(capsys, ["decompose", str(p)])
+        assert code == EXIT_USAGE and out == ""
+        assert "error:" in err and "BOM" in err
 
 
 class TestScaledOperators:

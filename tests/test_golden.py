@@ -34,6 +34,12 @@ GEN_ACCEPT = {"basis": "generator", "domain": GEN_DOM, "codomain": GEN_COD,
               "matrix": [["9/5", "8/5", "-1/5"], ["1/5", "2/5", "1/5"], ["3", "0", "0"]]}
 GEN_REJECT = {"basis": "generator", "domain": GEN_DOM, "codomain": GEN_COD,
               "matrix": [["3", "4", "1"], ["-1", "-2", "-1"], ["3", "0", "0"]]}
+# point matrix [[0, 2, 1], [0, 0, 1/5], [3, 0, 0]]: nonnegative but not
+# monomial, so the rejection is on the codomain side, where the inverse has
+# -5/2 at (1, 1) and the witness comes from the codomain's inv(G^T)
+GEN_REJECT_CODOMAIN = {"basis": "generator", "domain": GEN_DOM, "codomain": GEN_COD,
+                       "matrix": [["14/5", "18/5", "4/5"], ["1/5", "2/5", "1/5"],
+                                  ["3", "0", "0"]]}
 # generator basis on the proper family span{1, t} over t = 0, 1, 2, 3: the
 # shear (a, b) -> (a + 2b, b) sends f >= 0 to a negative value at t = 2 and
 # t = 3, so two target rows fail and the report pins which one comes first
@@ -123,6 +129,10 @@ CASES = [
     ("decompose-exact-generator-full-reject", GEN_REJECT, ["decompose", "--mode", "exact"], 2,
      "8390d0500376c2af268ccbf7c7725a1824d9e907e22a2199e2c29b02e3555b2d",
      "839c521f5b70d790e899f78603e1821fc94526e1ea2d83b7c271b7a3bb5fcf10"),
+    ("decompose-exact-generator-full-codomain-reject", GEN_REJECT_CODOMAIN,
+     ["decompose", "--mode", "exact"], 2,
+     "e45db7a835061d96b4997d9187ec2f9cd339afd1850a3bedb786e09f618e06b6",
+     "9a04b91c33fad13af73385d92abd4be5db7d0492ed2346850a44ce78954d548b"),
     ("decompose-exact-escaped-labels", ESCAPED_LABELS, ["decompose", "--mode", "exact"], 0,
      "f98e998bdc3323902ebc5e4c248816eb0c2478ee69192c392508692839508657",
      "b8659b5d49c6fe6e9d47be3498c060da83894a8f91a75304b85150eb2d61afa8"),

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oiso import linalg
 
@@ -163,3 +165,174 @@ class TestConversions:
         assert z.dtype == object and z[0, 0] == 0
         zf = linalg.zeros_like_mode((3,), False)
         assert zf.dtype == float and zf.shape == (3,)
+
+
+# ---------------------------------------------------------------------------
+# Integer-row elimination against the rational elimination it replaced, kept
+# here as the oracle: every step divides and subtracts Fractions.
+
+def _rational_rref(rows):
+    mat = [[Fraction(x) for x in r] for r in rows]
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    pivots = []
+    r = 0
+    for col in range(n):
+        piv = None
+        for i in range(r, m):
+            if mat[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        pv = mat[r][col]
+        if pv != 1:
+            mat[r] = [x / pv for x in mat[r]]
+        prow = mat[r]
+        for i in range(m):
+            if i == r:
+                continue
+            f = mat[i][col]
+            if f:
+                row = mat[i]
+                for j in range(col, n):
+                    if prow[j]:
+                        row[j] -= f * prow[j]
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    return mat, pivots
+
+
+def _rational_mat_mat(a, b):
+    m, k = a.shape
+    n = b.shape[1]
+    out = np.empty((m, n), dtype=object)
+    for i in range(m):
+        for j in range(n):
+            acc = Fraction(0)
+            for t in range(k):
+                if a[i, t]:
+                    acc += a[i, t] * b[t, j]
+            out[i, j] = acc
+    return out
+
+
+def _rational_inv(a):
+    """The oracle's inverse, or None when `a` is singular."""
+    n = a.shape[0]
+    rref, pivots = _rational_rref([list(a[i]) + [int(i == j) for j in range(n)]
+                                   for i in range(n)])
+    return np.array([row[n:] for row in rref], dtype=object) if pivots[:n] == list(
+        range(n)) else None
+
+
+def _rational_solve(a, b):
+    m, k = a.shape
+    rref, pivots = _rational_rref([list(a[i]) + [b[i]] for i in range(m)])
+    x = [Fraction(0)] * k
+    for r, col in enumerate(pivots):
+        if col == k:
+            return None
+        x[col] = rref[r][k]
+    return x if list(_rational_mat_mat(a, np.array([x], dtype=object).T)[:, 0]) == [
+        Fraction(v) for v in b] else None
+
+
+# ints, numpy ints and Fractions of either sign; zero is drawn often
+_ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-4, 4),
+    st.integers(-4, 4).map(np.int64),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)),
+)
+
+
+@st.composite
+def _matrices(draw, square=False, rows=None):
+    """Tall, wide or square (or with the given row count); dense, of lower
+    rank (a product through fewer columns), or with zeroed rows and columns."""
+    m = rows or draw(st.integers(1, 6))
+    n = m if square else draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["dense", "low-rank", "zero-lines"]))
+    if kind == "low-rank":
+        r = draw(st.integers(0, min(m, n) - 1)) if min(m, n) > 1 else 0
+        u = [[Fraction(int(draw(st.integers(-4, 4)))) for _ in range(r)] for _ in range(m)]
+        v = [[draw(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)))
+              for _ in range(n)] for _ in range(r)]
+        rows = [[sum((u[i][t] * v[t][j] for t in range(r)), Fraction(0)) for j in range(n)]
+                for i in range(m)]
+    else:
+        rows = [[draw(_ENTRIES) for _ in range(n)] for _ in range(m)]
+    if kind == "zero-lines":
+        for i in draw(st.sets(st.integers(0, m - 1))):
+            rows[i] = [0] * n
+        for j in draw(st.sets(st.integers(0, n - 1))):
+            for row in rows:
+                row[j] = Fraction(0)
+    a = np.empty((m, n), dtype=object)
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            a[i, j] = x
+    return a
+
+
+def _all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+class TestIntegerRowsMatchRationalElimination:
+    @settings(max_examples=300, deadline=None)
+    @given(_matrices(), st.integers(0, 6))
+    def test_rref_and_pivots(self, a, first):
+        rows = [list(r) for r in a]
+        ref, ref_pivots = _rational_rref(rows)
+        rref, pivots = linalg._exact_rref(rows)
+        assert (rref, pivots) == (ref, ref_pivots)
+        assert _all_fractions(rref)
+        first = min(first, a.shape[1])
+        tail, tail_pivots = linalg._exact_rref(rows, first=first)
+        assert (tail, tail_pivots) == ([r[first:] for r in ref], ref_pivots)
+        assert linalg.exact_rank(a) == len(ref_pivots)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_matrices(square=True))
+    def test_inverse(self, a):
+        ref = _rational_inv(a)
+        inv, rank = linalg.exact_inv_or_rank(a)
+        assert rank == len(_rational_rref([list(r) for r in a])[1])
+        if ref is None:
+            assert inv is None
+            with pytest.raises(linalg.SingularMatrixError, match="singular in exact"):
+                linalg.exact_inv(a)
+            return
+        assert inv.tolist() == ref.tolist() and _all_fractions(inv)
+        assert linalg.exact_inv(a).tolist() == ref.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mat_mat(self, data):
+        a = data.draw(_matrices())
+        b = data.draw(_matrices(rows=a.shape[1]))
+        out = linalg.mat_mat(a, b)
+        assert out.tolist() == _rational_mat_mat(a, b).tolist()
+        assert _all_fractions(out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_solve(self, data):
+        a = data.draw(_matrices())
+        m, k = a.shape
+        if data.draw(st.booleans()):  # consistent: the image of some x
+            x = np.array([[data.draw(_ENTRIES)] for _ in range(k)], dtype=object)
+            b = list(_rational_mat_mat(a, x)[:, 0])
+        else:
+            b = [data.draw(_ENTRIES) for _ in range(m)]
+        ref = _rational_solve(a, b)
+        got = linalg.exact_solve_unique(a, b)
+        if ref is None:
+            assert got is None
+        else:
+            assert got.tolist() == ref and _all_fractions([got])

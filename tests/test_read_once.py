@@ -26,6 +26,7 @@ from oiso.cones import Certificate, OperatorModel, _indicator, _nonneg_violation
     is_order_isomorphism
 from oiso.linalg import mat_vec
 from oiso.recovery import AmbiguousIntersectionError, Decomposition, decompose
+from oiso.serialize import parse_operator
 from oiso.spaces import DEFAULT_TOL, FunctionFamily, PointSpace
 
 
@@ -302,13 +303,75 @@ def test_weighted_permutation_needs_one_weight_per_point(weight):
         OperatorModel.weighted_permutation((1, 0), np.asarray(weight))
 
 
+@st.composite
+def _exact_generator_operators(draw):
+    """An exact generator-basis operator between two full families: the
+    generators are random integer matrices, kept when invertible, and M is
+    G_Y^-T P G_X^T for P an invertible monomial or near-monomial, so every
+    verdict and rejection side occurs."""
+    p = draw(_MATRICES.filter(lambda p: linalg.exact_rank(p) == p.shape[0]))
+    n = p.shape[0]
+    fams = []
+    for prefix in "xy":
+        g = linalg.as_exact([[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)])
+        if linalg.exact_rank(g) < n:
+            g = linalg.as_exact(np.eye(n, dtype=int).tolist())
+        fams.append(FunctionFamily(PointSpace.discrete(n, prefix), g))
+    gx, gy = fams
+    m = linalg.mat_mat(linalg.exact_inv(gy.generators.T), linalg.mat_mat(p, gx.generators.T))
+    return OperatorModel(m, gx, gy, basis="generator")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_exact_generator_operators())
+def test_exact_point_operator_matches_the_generic_constructor(t):
+    """`as_point` takes the point matrix's inverse from the inverses already
+    held; the generic constructor eliminates it afresh. Both, and the
+    certificates read from them, agree."""
+    point = t.as_point()
+    generic = _model(np.array(point.matrix.tolist(), dtype=object))
+    assert _typed(point.inverse_matrix.ravel()) == _typed(generic.inverse_matrix.ravel())
+    assert _same_read(point.inverse_monomial, generic.inverse_monomial)
+    cert, ref = is_order_isomorphism(t), is_order_isomorphism(generic)
+    assert (cert.accept, cert.side, cert.point) == (ref.accept, ref.side, ref.point)
+    if not cert.accept:
+        fam = t.domain if cert.side == "domain" else t.codomain
+        assert cert.witness_coeffs == tuple(
+            linalg.exact_solve_unique(fam.generators.T, list(cert.witness_values)))
+
+
+_GEN_DOM = {"space": ["a", "b", "c"], "generators": [[1, 1, 1], [0, 1, 2], [0, 0, 1]]}
+_GEN_COD = {"space": ["p", "q", "r"], "generators": [[1, 0, 0], [1, 1, 0], [0, 0, 1]]}
+# generator matrices whose point matrices are [[0, 2, 0], [0, 0, 1/5], [3, 0, 0]]
+# (accepted), [[0, 2, 0], [0, 0, -1], [3, 0, 0]] (rejected on the domain side)
+# and [[0, 2, 1], [0, 0, 1/5], [3, 0, 0]] (rejected on the codomain side)
+_GEN_MATRICES = [
+    ([["9/5", "8/5", "-1/5"], ["1/5", "2/5", "1/5"], ["3", "0", "0"]], 0, None),
+    ([["3", "4", "1"], ["-1", "-2", "-1"], ["3", "0", "0"]], 2, "domain"),
+    ([["14/5", "18/5", "4/5"], ["1/5", "2/5", "1/5"], ["3", "0", "0"]], 2, "codomain"),
+]
+_GEN_IDS = ["accept", "domain-reject", "codomain-reject"]
+
+
+def _generator_doc(matrix):
+    return {"basis": "generator", "domain": _GEN_DOM, "codomain": _GEN_COD, "matrix": matrix}
+
+
 class TestStructuralCost:
-    """The n^2 reads a point-basis run pays for, counted: `linalg.monomial`,
-    `linalg.rank` and the sign scans of a whole n x n matrix."""
+    """The work a run pays for, counted: the n^2 reads of a point-basis run
+    (`linalg.monomial`, `linalg.rank` and the sign scans of a whole n x n
+    matrix) and the exact eliminations (`linalg._exact_rref`)."""
 
     @staticmethod
     def _count(monkeypatch):
-        calls = {"monomial": 0, "rank": 0, "square_scans": 0}
+        calls = {"monomial": 0, "rank": 0, "square_scans": 0, "eliminations": 0}
+        real_rref = linalg._exact_rref
+
+        def rref(*args, **kwargs):
+            calls["eliminations"] += 1
+            return real_rref(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_exact_rref", rref)
         for name in ("monomial", "rank"):
             real = getattr(linalg, name)
 
@@ -327,8 +390,9 @@ class TestStructuralCost:
 
     @staticmethod
     def _run(tmp_path, capsys, matrix, argv, mode):
+        """Run the CLI on a point matrix, or on a whole document (a dict)."""
         path = tmp_path / "op.json"
-        path.write_text(json.dumps({"matrix": matrix}))
+        path.write_text(json.dumps(matrix if isinstance(matrix, dict) else {"matrix": matrix}))
         code = main(argv + [str(path), "--mode", mode])
         capsys.readouterr()
         return code
@@ -343,7 +407,7 @@ class TestStructuralCost:
                                                    matrix, argv, code):
         calls = self._count(monkeypatch)
         assert self._run(tmp_path, capsys, matrix, argv, "exact") == code
-        assert calls == {"monomial": 1, "rank": 0, "square_scans": 0}
+        assert calls == {"monomial": 1, "rank": 0, "square_scans": 0, "eliminations": 0}
 
     @pytest.mark.parametrize("matrix, argv, code", [
         ([[0, 0.5, 0], [0, 0, 3], [2.5, 0, 0]], ["decompose"], 0),
@@ -357,20 +421,43 @@ class TestStructuralCost:
                                                    matrix, argv, code):
         calls = self._count(monkeypatch)
         assert self._run(tmp_path, capsys, matrix, argv, "float") == code
-        assert calls == {"monomial": 1, "rank": 0, "square_scans": 0}
+        assert calls == {"monomial": 1, "rank": 0, "square_scans": 0, "eliminations": 0}
 
     @pytest.mark.parametrize("mode", ["float", "exact"])
     def test_non_monomial_run_scans_the_matrix(self, tmp_path, capsys, monkeypatch, mode):
         calls = self._count(monkeypatch)
         assert self._run(tmp_path, capsys, [[1, 1], [0, 1]], ["decompose"], mode) == 2
-        assert calls == {"monomial": 1, "rank": 0, "square_scans": 2}
+        assert calls == {"monomial": 1, "rank": 0, "square_scans": 2,
+                         "eliminations": int(mode == "exact")}
+
+    @pytest.mark.parametrize("argv", [["decompose"], ["classify"]], ids=["decompose", "classify"])
+    @pytest.mark.parametrize("matrix, code, side", _GEN_MATRICES, ids=_GEN_IDS)
+    def test_exact_full_family_generator_run_eliminates_three_times(
+            self, tmp_path, capsys, monkeypatch, argv, matrix, code, side):
+        # one elimination per matrix that is not monomial: G_X and G_Y, each
+        # in its rank check, and M; the point matrix, its inverse and the
+        # witness coefficients reuse their inverses
+        calls = self._count(monkeypatch)
+        assert self._run(tmp_path, capsys, _generator_doc(matrix), argv, "exact") == code
+        assert calls["eliminations"] == 3
+
+    @pytest.mark.parametrize("matrix, code, side", _GEN_MATRICES[1:], ids=_GEN_IDS[1:])
+    def test_full_family_witness_coefficients_come_from_the_cached_inverse(
+            self, monkeypatch, matrix, code, side):
+        t = parse_operator(_generator_doc(matrix), "exact")
+        calls = self._count(monkeypatch)
+        cert = is_order_isomorphism(t)
+        assert (cert.accept, cert.side, calls["eliminations"]) == (False, side, 0)
+        fam = t.domain if side == "domain" else t.codomain
+        assert _typed(mat_vec(fam.generators.T, np.array(cert.witness_coeffs))) == \
+            _typed(cert.witness_values)
 
     def test_exact_fuzz_reads_no_matrix(self, capsys, monkeypatch):
         # every instance is built by weighted_permutation, which knows its read
         calls = self._count(monkeypatch)
         assert main(["fuzz", "--dim", "8", "--count", "3", "--mode", "exact"]) == 0
         capsys.readouterr()
-        assert calls == {"monomial": 0, "rank": 0, "square_scans": 0}
+        assert calls == {"monomial": 0, "rank": 0, "square_scans": 0, "eliminations": 0}
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_full_family_runs_no_rank_check(self, monkeypatch, exact):

@@ -15,6 +15,7 @@ from oiso import (
     cone_membership,
     span_membership,
 )
+from oiso import linalg
 from oiso.fuzz import random_metric_space
 
 
@@ -87,6 +88,26 @@ class TestFunctionFamily:
         assert np.allclose(v, (1 - ts) ** 2)
         back = fam.coefficients_of(v)
         assert np.allclose(back, c)
+
+    @pytest.mark.parametrize("rows", [[[1, 1, 1], [0, 1, 2], [0, 0, 1]],
+                                      [[0, "1/2", 0], [0, 0, -3], [2, 0, 0]]],
+                             ids=["dense", "monomial"])
+    def test_exact_coefficient_matrix_is_kept(self, rows):
+        fam = FunctionFamily(PointSpace.discrete(3), linalg.as_exact(rows))
+        inv_t = fam.coefficient_matrix()
+        assert inv_t is fam.coefficient_matrix() and not inv_t.flags.writeable
+        assert inv_t.tolist() == linalg.exact_inv(fam.generators.T).tolist()
+        assert all(type(v) is Fraction for v in inv_t.ravel())
+
+    def test_float_coefficient_matrix(self):
+        g = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0], [0.0, 0.0, 1.0]])
+        fam = FunctionFamily(PointSpace.discrete(3), g)
+        assert fam.coefficient_matrix().tobytes() == np.linalg.inv(g.T).tobytes()
+
+    def test_exact_square_rank_deficiency_is_reported(self):
+        g = linalg.as_exact([[1, 1, 1], [0, 1, 2], [1, 2, 3]])
+        with pytest.raises(ValueError, match=r"rank 2 < 3"):
+            FunctionFamily(PointSpace.discrete(3), g)
 
     def test_claims_constants_enforced(self):
         sp = PointSpace.discrete(2)
