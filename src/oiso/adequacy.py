@@ -233,21 +233,11 @@ def build_precise_bump(fam: FunctionFamily, x0, closed_set: Sequence,
 
 def _separating_function(fam: FunctionFamily, x0: int, z: int, tol: float):
     """A span function with f(x0) = 1, f(z) = 0 (deterministic solution)."""
-    if fam.exact:
-        a = np.array([list(fam.generators[:, x0]), list(fam.generators[:, z])],
-                     dtype=object)
-        sol = linalg.exact_solve_unique(a, [Fraction(1), Fraction(0)])
-        if sol is None:
-            raise SeparationInfeasibleError(
-                f"cannot separate {fam.space.labels[x0]} from {fam.space.labels[z]}")
-        return fam.values(sol)
-    a = np.asarray(fam.generators, dtype=float)[:, [x0, z]].T
-    rhs = np.array([1.0, 0.0])
-    c, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    if np.max(np.abs(a @ c - rhs)) > linalg.cutoff(rhs, tol):
+    sol = linalg.solve(fam.generators[:, [x0, z]].T, _indicator(2, 0, fam.exact), tol)
+    if sol is None:
         raise SeparationInfeasibleError(
             f"cannot separate {fam.space.labels[x0]} from {fam.space.labels[z]}")
-    return fam.values(c)
+    return fam.values(sol)
 
 
 def _assert_bump_in_family(fam: FunctionFamily, h, tol: float):

@@ -46,23 +46,13 @@ class ConeRep:
     """H-description of a positivity cone in coefficient space.
 
     facet_normals: rows are the point evaluations a (feasible c satisfy
-    a . c >= 0), one per point, in point order.
+    a . c >= 0), one per point, in point order; `spaces.cone_membership`
+    tests a coefficient vector against them.
     extreme_rays: always None; the certificate needs no V-description.
     """
 
     facet_normals: np.ndarray
     extreme_rays: Optional[np.ndarray] = None
-
-    @property
-    def dim(self) -> int:
-        return self.facet_normals.shape[1]
-
-    def contains(self, coeffs, tol: float = DEFAULT_TOL) -> bool:
-        """Float values count as negative below -linalg.cutoff(values, tol)."""
-        vals = mat_vec(self.facet_normals, np.asarray(coeffs))
-        if vals.dtype == object:
-            return all(x >= 0 for x in vals)
-        return bool(np.all(vals >= -linalg.cutoff(vals, tol)))
 
 
 def cone_rep(fam: FunctionFamily, tol: float = DEFAULT_TOL) -> ConeRep:
@@ -197,27 +187,22 @@ class OperatorModel:
 
     def as_point(self) -> "OperatorModel":
         """The same operator between the full indicator families, built once.
-        An exact point matrix that is not monomial takes its inverse
-        G_X^T inv(M) inv(G_Y^T) from the inverses this operator and its
-        families hold, with no further elimination."""
+        The point matrix P is `point_matrix()` and its inverse is the point
+        matrix of the inverse operator, G_X^T inv(M) inv(G_Y^T), from the
+        inverses this operator and its families hold; a monomial P's inverse
+        is read from its pattern instead. In float mode P must be finite and
+        its inverse must not overflow, as in the generic constructor."""
         if self.basis == "point":
             return self
         if self._point is None:
-            p = linalg.frozen(self.point_matrix())
             dom = FunctionFamily.full(self.domain.space, exact=self.exact)
             cod = FunctionFamily.full(self.codomain.space, exact=self.exact)
-            if self.exact:
-                self._point = OperatorModel.__new__(OperatorModel)
+            p = linalg.frozen(self._validated(self.point_matrix(), dom, cod, "point"))
+            self._point = OperatorModel.__new__(OperatorModel)
+            with np.errstate(over="ignore", invalid="ignore"):  # finite_inverse reports it
                 self._point._adopt(p, dom, cod, "point", linalg.monomial(p),
-                                   self._point_inverse)
-            else:
-                self._point = OperatorModel(p, domain=dom, codomain=cod, basis="point")
+                                   lambda _: linalg.finite_inverse(self.inverse().point_matrix()))
         return self._point
-
-    def _point_inverse(self, p) -> np.ndarray:
-        """inv(p) for p = `point_matrix()`: G_X^T inv(M) inv(G_Y^T)."""
-        return mat_mat(self.domain.generators.T,
-                       mat_mat(self._inv_matrix, self.codomain.coefficient_matrix()))
 
     @classmethod
     def weighted_permutation(cls, sigma, weight, domain: Optional[FunctionFamily] = None,

@@ -17,6 +17,10 @@ identity generators of a full family are independent by construction and
 never reach `rank`. A square exact family checks its rank with the same
 Gauss-Jordan pass that inverts it (`exact_inv_or_rank`) and keeps the
 inverse.
+
+`solve` is the one rule for "is b in the column span of a", in either
+arithmetic: exact elimination, or a float least-squares solution kept when
+its residual is within `cutoff(b, tol)`.
 """
 from __future__ import annotations
 
@@ -38,6 +42,7 @@ __all__ = [
     "exact_inv_or_rank",
     "exact_rank",
     "exact_solve_unique",
+    "solve",
     "cutoff",
     "monomial",
     "monomial_inv",
@@ -46,6 +51,7 @@ __all__ = [
     "rank",
     "inv",
     "dense_inv",
+    "finite_inverse",
     "frozen",
 ]
 
@@ -240,6 +246,18 @@ def exact_solve_unique(a, b):
     return xv
 
 
+def solve(a, b, tol: float):
+    """x with a @ x = b, or None when b is not in the column span of `a`.
+    Exact: `exact_solve_unique`, which reads no `tol`. Float: the
+    least-squares x, kept when its residual is at most cutoff(b, tol), so
+    alpha * b gets the answer of b."""
+    if is_exact(a):
+        return exact_solve_unique(a, b)
+    a = np.asarray(a, dtype=float)
+    x, *_ = np.linalg.lstsq(a, b, rcond=None)
+    return x if float(np.abs(a @ x - b).max(initial=0.0)) <= cutoff(b, tol) else None
+
+
 def cutoff(a, tol: float) -> float:
     """The float zero rule: a value computed from or tested in `a` counts as
     zero when its magnitude is at most tol * max|a|, so alpha * a gets the
@@ -334,7 +352,13 @@ def dense_inv(a):
         out = np.linalg.inv(a)
     except np.linalg.LinAlgError as e:
         raise SingularMatrixError(str(e)) from e
-    if not np.all(np.isfinite(out)):
+    return finite_inverse(out)
+
+
+def finite_inverse(out):
+    """`out`, a computed inverse, unless a float entry overflowed. Raises
+    SingularMatrixError."""
+    if not is_exact(out) and not np.all(np.isfinite(out)):
         raise SingularMatrixError("inverse overflow; matrix numerically singular")
     return out
 

@@ -7,14 +7,13 @@ classification) works over these finite models.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import linalg
-from .linalg import is_exact
 
 DEFAULT_TOL = 1e-9
 METRIC_TOL = 1e-12
@@ -169,11 +168,11 @@ class FunctionFamily:
     equals the point count, in which case its span is every function.
 
     A full family's `coefficient_matrix()` is inv(G^T), which maps value
-    vectors to generator coefficients. An exact family computes it once and
-    keeps it: a square exact G that is not monomial has its rank checked by
-    one Gauss-Jordan pass over [G^T | I] (`linalg.exact_inv_or_rank`), whose
-    right half is that inverse; any other exact G is inverted on first use.
-    A float family inverts G^T on each call.
+    vectors to generator coefficients. A family computes it once and keeps
+    it, in either arithmetic: a square exact G that is not monomial has its
+    rank checked by one Gauss-Jordan pass over [G^T | I]
+    (`linalg.exact_inv_or_rank`), whose right half is that inverse; any
+    other G is inverted on first use.
     """
 
     def __init__(self, space: PointSpace, generators, names: Optional[Sequence[str]] = None,
@@ -225,10 +224,8 @@ class FunctionFamily:
         return self.rank == self.space.size
 
     def coefficient_matrix(self) -> np.ndarray:
-        """inv(G^T) of a full family, read-only in exact mode: the generator
-        coefficients of a function are this matrix times its values."""
-        if not self.exact:
-            return linalg.inv(self.generators.T)
+        """inv(G^T) of a full family, read-only: the generator coefficients
+        of a function are this matrix times its values."""
         if self._inv_t is None:
             self._inv_t = linalg.frozen(linalg.inv(self.generators.T))
         return self._inv_t
@@ -302,23 +299,20 @@ class ZeroSet:
 
 def span_membership(fam: FunctionFamily, f, tol: float = DEFAULT_TOL):
     """Is `f` in the span of the family? Returns (bool, coefficients-or-None).
-    A float `f` is in the span when the least-squares residual is at most
-    linalg.cutoff(f, tol), so alpha * f gets the answer of f."""
+    A full family spans every function, and its coefficients are
+    `coefficient_matrix()` times the values. Any other family solves
+    G^T c = f by `linalg.solve`: a float `f` is in the span when the
+    least-squares residual is at most linalg.cutoff(f, tol), so alpha * f
+    gets the answer of f."""
     v = values_of(f)
     if v.shape != (fam.space.size,):
         raise DimensionMismatchError("value vector must match the point count")
-    if fam.exact:
-        if v.dtype != object:
-            v = linalg.as_exact([list(v)])[0] if all(
-                isinstance(x, (int, np.integer, Fraction, str)) for x in v) else None
-            if v is None:
-                raise TypeError("exact family requires exact function values")
-        c = linalg.exact_solve_unique(fam.generators.T, v)
-        return (c is not None), c
-    a = np.asarray(fam.generators, dtype=float).T
-    c, *_ = np.linalg.lstsq(a, v, rcond=None)
-    ok = float(np.abs(a @ c - v).max(initial=0.0)) <= linalg.cutoff(v, tol)
-    return ok, (c if ok else None)
+    if fam.exact and v.dtype != object:  # values_of made it float
+        raise TypeError("exact family requires exact function values")
+    if fam.is_full:
+        return True, linalg.mat_vec(fam.coefficient_matrix(), v)
+    c = linalg.solve(fam.generators.T, v, tol)
+    return (c is not None), c
 
 
 def cone_membership(fam: FunctionFamily, coeffs, tol: float = DEFAULT_TOL) -> bool:

@@ -133,6 +133,24 @@ CASES = [
      ["decompose", "--mode", "exact"], 2,
      "e45db7a835061d96b4997d9187ec2f9cd339afd1850a3bedb786e09f618e06b6",
      "9a04b91c33fad13af73385d92abd4be5db7d0492ed2346850a44ce78954d548b"),
+    ("decompose-float-generator-full-accept", GEN_ACCEPT, ["decompose"], 0,
+     "40b6afec9ae03f0c321236397c5e178b5e7b2c8f267df74fc973eae2bc2048f9",
+     "5909d3b29c0d02474059ba27e131ba64116cd5b23b9c20460067d12c27664963"),
+    ("classify-float-generator-full-accept", GEN_ACCEPT, ["classify"], 0,
+     "76f56f946b3a34b9db7799090106ad19072a4126dd8bddb0a71c031cffba5316",
+     "7b01538b9b519e3b9b90eac5220a2e518aae0f4b9db77f869b135dfe75ef2a73"),
+    ("decompose-float-generator-full-reject", GEN_REJECT, ["decompose"], 2,
+     "94b1c772fd56973b7f3ac910ee1d4863ede0a584b5680c3e99cc4eec6a1f84a5",
+     "bb9b9f7a978482c698e4400751c4d938ed2c717371c2ac779b357ad8d41dec9c"),
+    ("classify-float-generator-full-reject", GEN_REJECT, ["classify"], 2,
+     "7bdf7b2e671d73e8a9218681baa18f72c5f19d5bb50605b84e52b3939438b8d3",
+     "518086c5f7d2ecc79c56e4dce45d796a31f0a801a1b6fa5aa0751965faab0113"),
+    ("decompose-float-generator-full-codomain-reject", GEN_REJECT_CODOMAIN, ["decompose"], 2,
+     "0b18a22f7c8fd3287abaa9f68000cc30453cc2563517ebd73d4fed62f4d4e46d",
+     "92689a09ae31211441196fda90d19d4399eca8846b4f1798a48d059159480005"),
+    ("classify-float-generator-full-codomain-reject", GEN_REJECT_CODOMAIN, ["classify"], 2,
+     "921aa9f8f807f8cf6533d9716e92db4be09e21ef02974569d0adf7cf82ffedc1",
+     "d04bc7ab6c3ceb877920bba6ee9db5b34f65f86238a77300837872fd3d2c26c1"),
     ("decompose-exact-escaped-labels", ESCAPED_LABELS, ["decompose", "--mode", "exact"], 0,
      "f98e998bdc3323902ebc5e4c248816eb0c2478ee69192c392508692839508657",
      "b8659b5d49c6fe6e9d47be3498c060da83894a8f91a75304b85150eb2d61afa8"),

@@ -340,6 +340,47 @@ def test_exact_point_operator_matches_the_generic_constructor(t):
             linalg.exact_solve_unique(fam.generators.T, list(cert.witness_values)))
 
 
+@st.composite
+def _float_generator_operators(draw):
+    """`_exact_generator_operators`, with M and both families' generators
+    taken to float."""
+    t = draw(_exact_generator_operators())
+    fams = [FunctionFamily(f.space, linalg.as_float(f.generators)) for f in (t.domain, t.codomain)]
+    return OperatorModel(linalg.as_float(t.matrix), *fams, basis="generator")
+
+
+def _scan_is_stable(m, delta):
+    """`_nonneg_violation`'s read of float `m` cannot change when each entry
+    moves by up to delta * max|m|: no entry is that close to the cutoff, and
+    the most negative entry below it leads the next by more than twice that."""
+    d = delta * np.max(np.abs(m))
+    cut = linalg.cutoff(m, DEFAULT_TOL)
+    neg = np.sort(m[m < -cut], axis=None)
+    return not np.any(np.abs(m + cut) <= 2 * d) and (neg.size < 2 or neg[1] - neg[0] > 2 * d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_float_generator_operators())
+def test_float_point_operator_matches_the_generic_constructor(t):
+    """The float twin: `as_point`'s inverse, the point matrix of the inverse
+    operator, agrees with the generic constructor's LU inverse of the same
+    point matrix within 1e-9 max|inverse|, or within 1e-12 cond(P) max|inverse|
+    where P is ill-conditioned, the scale of the rounding error in a float
+    inverse. So the verdicts agree, unless P has no negative entry and the
+    LU inverse's read could change under that error: a tie between its most
+    negative entries, or one at the cutoff, which rounding decides on either
+    path (the near-monomials put entries of relative size 1e-9 at the
+    cutoff)."""
+    point = t.as_point()
+    generic = _model(np.array(point.matrix))
+    inv = generic.inverse_matrix
+    delta = max(1e-9, 1e-12 * np.linalg.cond(point.matrix))
+    assert np.max(np.abs(point.inverse_matrix - inv)) <= delta * np.max(np.abs(inv))
+    cert, ref = is_order_isomorphism(t), is_order_isomorphism(generic)
+    if ref.side == "domain" or _scan_is_stable(inv, delta):
+        assert (cert.accept, cert.side, cert.point) == (ref.accept, ref.side, ref.point)
+
+
 _GEN_DOM = {"space": ["a", "b", "c"], "generators": [[1, 1, 1], [0, 1, 2], [0, 0, 1]]}
 _GEN_COD = {"space": ["p", "q", "r"], "generators": [[1, 0, 0], [1, 1, 0], [0, 0, 1]]}
 # generator matrices whose point matrices are [[0, 2, 0], [0, 0, 1/5], [3, 0, 0]]
@@ -451,6 +492,53 @@ class TestStructuralCost:
         fam = t.domain if side == "domain" else t.codomain
         assert _typed(mat_vec(fam.generators.T, np.array(cert.witness_coeffs))) == \
             _typed(cert.witness_values)
+
+    @pytest.mark.parametrize("argv", [["decompose"], ["classify"]], ids=["decompose", "classify"])
+    @pytest.mark.parametrize("matrix, code, side, inverses",
+                             [(*case, n) for case, n in zip(_GEN_MATRICES, (3, 2, 3))],
+                             ids=_GEN_IDS)
+    def test_float_full_family_generator_run_inverts_each_matrix_once(
+            self, tmp_path, capsys, monkeypatch, argv, matrix, code, side, inverses):
+        # M and G_X always, G_Y only for a point matrix that is not monomial
+        # (its inverse is G_X^T inv(M) inv(G_Y^T)); a witness's coefficients
+        # come from the inverse its family keeps
+        calls = []
+        real = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a) or real(a))
+        assert self._run(tmp_path, capsys, _generator_doc(matrix), argv, "float") == code
+        assert len(calls) == inverses
+
+    def test_exact_family_with_constants_eliminates_once(self, monkeypatch):
+        # the rank check's pass keeps inv(G^T), which also finds the
+        # coefficients of 1
+        calls = self._count(monkeypatch)
+        FunctionFamily(PointSpace.discrete(3), linalg.as_exact(_GEN_DOM["generators"]),
+                       claims_constants=True)
+        assert calls["eliminations"] == 1
+
+    @pytest.mark.parametrize("argv", [["decompose"], ["classify"]], ids=["decompose", "classify"])
+    @pytest.mark.parametrize("doc, code, message", [
+        ({"basis": "generator", "matrix": [[1e305, 0], [0, 1e305]],
+          "domain": {"space": ["a", "b"], "generators": [[1, 1], [0, 1e-5]]},
+          "codomain": {"space": ["p", "q"], "generators": [[1, 0], [0, 1]]}},
+         1, "operator entries must be finite"),
+        ({"basis": "generator", "matrix": [[1e-305, 0], [0, 1e-305]],
+          "domain": {"space": ["a", "b"], "generators": [[1, 0], [0, 1]]},
+          "codomain": {"space": ["p", "q"], "generators": [[1, 1], [0, 1e-5]]}},
+         2, "inverse overflow; matrix numerically singular"),
+    ], ids=["point-matrix-overflow", "inverse-overflow"])
+    def test_float_point_operator_keeps_the_generic_guards(self, tmp_path, capsys, argv,
+                                                          doc, code, message):
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(doc))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv + [str(path)]) == code
+        out, err = capsys.readouterr()
+        if code == 1:
+            assert message in err
+        else:
+            result = json.loads(out)["result"]
+            assert (result["reason"], result["detail"]) == ("singular", message)
 
     def test_exact_fuzz_reads_no_matrix(self, capsys, monkeypatch):
         # every instance is built by weighted_permutation, which knows its read

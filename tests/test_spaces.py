@@ -141,6 +141,24 @@ class TestSpanMembership:
         assert ok
         assert c[0] == Fraction(1, 3) and c[1] == Fraction(1, 2)
 
+    @pytest.mark.parametrize("rows", [[[1, 1], [0, 1]], [[1, 1]]], ids=["full", "proper"])
+    def test_exact_family_refuses_float_values(self, rows):
+        fam = FunctionFamily(PointSpace.discrete(2), linalg.as_exact(rows))
+        with pytest.raises(TypeError, match="exact function values"):
+            span_membership(fam, [1, 0])  # ints are read as floats
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_full_family_reads_its_kept_inverse(self, monkeypatch, exact):
+        rows = [[1, 1, 1], [0, 1, 2], [0, 0, 1]]
+        g = linalg.as_exact(rows) if exact else np.array(rows, dtype=float)
+        fam = FunctionFamily(PointSpace.discrete(3), g)
+        v = linalg.as_exact([[2, -1, "1/2"]])[0] if exact else np.array([2.0, -1.0, 0.5])
+        want = linalg.mat_vec(fam.coefficient_matrix(), v)
+        monkeypatch.setattr(np.linalg, "lstsq", None)  # no fresh solve of either kind
+        monkeypatch.setattr(linalg, "_exact_rref", None)
+        ok, c = span_membership(fam, v)
+        assert ok and c.tolist() == want.tolist()
+
     def test_cone_membership_requires_nonneg_values(self):
         # on a full family the coefficients are the point values themselves
         sp = PointSpace.discrete(2)
