@@ -274,7 +274,9 @@ def _jsonable(v):
 
 
 def _nonneg_violation(m, tol: float):
-    """Most negative entry of a matrix, as (i, j) or None."""
+    """Most negative entry of a matrix, as (i, j) or None; of tied entries,
+    the first in row-major order. Float mode reads every entry within
+    linalg.cutoff of the minimum as tied, so rounding does not choose."""
     if m.dtype == object:
         worst = None
         for i in range(m.shape[0]):
@@ -284,8 +286,12 @@ def _nonneg_violation(m, tol: float):
                 if row[j].numerator < 0 and (worst is None or row[j] < m[worst]):
                     worst = (i, j)
         return worst
-    i, j = np.unravel_index(np.argmin(m), m.shape)
-    return (int(i), int(j)) if m[i, j] < -linalg.cutoff(m, tol) else None
+    bound = linalg.cutoff(m, tol)
+    least = m.min()
+    if least >= -bound:
+        return None
+    i, j = np.unravel_index(np.argmax(m <= least + bound), m.shape)
+    return int(i), int(j)
 
 
 def _point_violation(t: OperatorModel, tol: float):
@@ -327,9 +333,12 @@ def is_order_isomorphism(t: OperatorModel, tol: float = DEFAULT_TOL) -> Certific
     rejection's witness is a point indicator. Generator basis on proper
     subfamilies: each side (T, then its inverse) is decided by the Farkas
     alternative, either Lambda >= 0 with Lambda A = B or a source-cone
-    function c whose image is negative at some target point, by one HiGHS LP
-    for c with |c| <= 1 read in two ways: float mode takes its most negative
-    value; exact mode decides in rational arithmetic (the LP only proposes
+    function c whose image is negative at some target point. One
+    non-negative least-squares fit per target point proposes Lambda's rows;
+    when they settle every point the side is accepted with no LP. A side
+    they do not settle is decided by one HiGHS LP for c with |c| <= 1, read
+    in two ways: float mode takes its most negative value; exact mode
+    decides in rational arithmetic (the fits and the LP only propose
     multiplier supports and an order) and does not read `tol`. Float mode's
     one rule, on either basis: a value is negative below -linalg.cutoff of
     the matrix it is read from (the point matrix, its inverse, or B), so
@@ -375,6 +384,56 @@ def is_order_isomorphism(t: OperatorModel, tol: float = DEFAULT_TOL) -> Certific
 def _farkas_witness(a, b, tol: float):
     """Farkas' alternative at every target point y: None when each b_y is
     lam A for some lam >= 0, else (y, c) with A c >= 0 and b_y . c < 0.
+
+    `_nnls_settles` tries first, with one non-negative least-squares fit per
+    row; when it settles every row, the side is accepted and no LP runs.
+    Otherwise `_farkas_lp` decides the side and reports its witness, as it
+    would alone.
+    """
+    return None if _nnls_settles(a, b, tol) else _farkas_lp(a, b, tol)
+
+
+def _nnls_settles(a, b, tol: float) -> bool:
+    """True when one NNLS fit per row, lam_y >= 0 with the least
+    |b_y - lam_y A|, proves every b_y = lam A for some lam >= 0.
+
+    Float: a row is settled when its residual's L1 norm is at most
+    linalg.cutoff(B, tol). `_farkas_lp`'s value for row y is minus
+    min |b_y - lam A|_1 over lam >= 0, so it accepts every settled row too.
+    The rows are fitted in index order up to the first that is not settled.
+    Exact (`tol` unused): every row is fitted in float, then each fit's
+    support is re-solved in rational arithmetic, largest float residual
+    first, and must give lam >= 0, so an acceptance is proved in `Fraction`
+    and a rejection costs one re-solve. A fit that raises or does not
+    converge settles nothing.
+    """
+    from scipy.optimize import nnls
+
+    exact = b.dtype == object
+    fa, fb = linalg.as_float(a).T, linalg.as_float(b)
+    bound = linalg.cutoff(fb, tol)
+    residuals, supports = [], []
+    for b_y in fb:
+        try:
+            lam, _ = nnls(fa, b_y)
+        except (RuntimeError, ValueError):  # no convergence, or entries not finite
+            return False
+        residual = np.abs(b_y - fa @ lam).sum()
+        if not exact and residual > bound:
+            return False
+        residuals.append(residual)
+        supports.append(lam > 0)
+    if not exact:
+        return True
+    for y in np.argsort(-np.asarray(residuals), kind="stable"):
+        row = linalg.exact_solve_unique(a[supports[y]].T, b[y])
+        if row is None or any(v < 0 for v in row):
+            return False
+    return True
+
+
+def _farkas_lp(a, b, tol: float):
+    """`_farkas_witness` by the LP alone.
 
     One HiGHS LP, min b_y . c_y with A c_y >= 0 and |c_y| <= 1 for every y,
     is the dual of the elastic fit b_y = lam A + s+ - s- (lam, s+- >= 0, min

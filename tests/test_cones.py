@@ -311,6 +311,19 @@ class TestScaleRelativeTolerance:
         scaling = OperatorModel(alpha * np.eye(2), fam, fam, basis="generator")
         assert is_order_isomorphism(scaling).accept
 
+    @pytest.mark.parametrize("first, second", [(-0.49999999999999856, -0.50000000000000155),
+                                               (-0.50000000000000044, -0.50000000000000011)])
+    @pytest.mark.parametrize("alpha", [1e-12, 1.0, 1e12])
+    def test_entries_tied_within_the_cutoff_go_in_row_order(self, first, second, alpha):
+        # two float inverses of one exact matrix whose entries at (0, 2) and
+        # (1, 3) are both -1/2: the first in row-major order is reported, as
+        # in exact mode, whichever rounding made the more negative
+        m = np.eye(4)
+        m[0, 2], m[1, 3] = first, second
+        assert cones._nonneg_violation(alpha * m, 1e-9) == (0, 2)
+        m[1, 3] = -0.5 - 1e-6  # beyond the cutoff, the minimum wins
+        assert cones._nonneg_violation(alpha * m, 1e-9) == (1, 3)
+
 
 class TestCertificateGeneratorBasis:
     def test_identity_on_affine_family_accepted(self):
@@ -465,10 +478,33 @@ class TestFarkasGeneratorBasis:
             assert cert.arithmetic == "rational"
             _assert_witness(cert, fam.generators, fam.generators, shear,
                             models[1].inverse_matrix, True)
+        # float mode has no rational fallback; the shear, which the NNLS fits
+        # do not settle, reaches the failed LP
         float_fam = _one_t_family([0.0, 1.0, 2.0, 3.0])
         with pytest.raises(RuntimeError, match="LP solver failed"):
-            is_order_isomorphism(OperatorModel(np.eye(2), float_fam, float_fam,
-                                               basis="generator"))
+            is_order_isomorphism(OperatorModel(np.array([[1.0, 2.0], [0.0, 1.0]]), float_fam,
+                                               float_fam, basis="generator"))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_a_failed_fit_leaves_the_side_to_the_lp(self, monkeypatch, exact):
+        # an NNLS fit that raises (as on reaching its iteration limit)
+        # settles nothing, and each side is decided by its LP as before
+        fam = _one_t_family([Fraction(t) for t in range(4)] if exact else [0.0, 1.0, 2.0, 3.0],
+                            exact=exact)
+        models = [OperatorModel(_as_mode(rows, exact), fam, fam, basis="generator")
+                  for rows in ([[1, 0], [0, 1]], [[1, 2], [0, 1]])]
+        before = [is_order_isomorphism(t) for t in models]
+        solves = []
+
+        def no_fit(*args, **kwargs):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(scipy.optimize, "nnls", no_fit)
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            lambda *args, **kwargs: solves.append(1) or linprog(*args, **kwargs))
+        assert [is_order_isomorphism(t) for t in models] == before
+        assert before[0].accept and not before[1].accept
+        assert len(solves) == 3  # both sides of the identity, one of the shear
 
     def test_rational_test_runs_only_on_failing_rows(self, monkeypatch):
         calls = []
@@ -644,16 +680,13 @@ def _elastic_witness(a, b):
 PROPER_CONSTRUCTIONS = [c for c in CONSTRUCTIONS if c[1] < c[2]]
 
 
-@settings(max_examples=30, deadline=None)
-@given(construction=st.sampled_from(PROPER_CONSTRUCTIONS), seed=st.integers(0, 2**32 - 1),
-       variant=st.sampled_from(["positive", "negative weight", "mixed"]),
-       exponents=st.tuples(*(st.integers(-12, 12),) * 3))
-def test_exact_certificate_matches_the_elastic_oracle(construction, seed, variant, exponents):
-    """On the proper-family weighted compositions of
+def _proper_operator(construction, seed, variant, exponents, exact=True):
+    """The proper-family weighted compositions of
     `test_weighted_composition_construction`, scaled by powers of ten and
-    optionally mixed as in `test_scaled_operator_gets_the_same_verdict`, the
-    exact certificate reports the side, point and witness of the elastic LP,
-    and the certificate LP's value for each row is minus its slack."""
+    optionally mixed as in `test_scaled_operator_gets_the_same_verdict`:
+    (alpha G_X, beta G_Y, gamma M) with G_Y^T M = Lambda G_X^T, built in
+    rational arithmetic and taken to float unless `exact`. Returns the
+    operator and its generators (G_X, G_Y)."""
     _, k, m = construction
     rng = np.random.default_rng(seed)
     alpha, beta, gamma = (Fraction(10) ** e for e in exponents)
@@ -672,8 +705,28 @@ def test_exact_certificate_matches_the_elastic_oracle(construction, seed, varian
                         dtype=object)
     g_cod = _as_mode(b, True) @ g @ lam.T * beta
     matrix = _as_mode(b_inv.T, True) * gamma
+    if not exact:
+        g, g_cod, matrix = (as_float(v) for v in (g, g_cod, matrix))
     t = OperatorModel(matrix, FunctionFamily(PointSpace.discrete(m, "x"), g),
                       FunctionFamily(PointSpace.discrete(m, "y"), g_cod), basis="generator")
+    return t, g, g_cod
+
+
+_PROPER_DRAWS = dict(
+    construction=st.sampled_from(PROPER_CONSTRUCTIONS), seed=st.integers(0, 2**32 - 1),
+    variant=st.sampled_from(["positive", "negative weight", "mixed"]),
+    exponents=st.tuples(*(st.integers(-12, 12),) * 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_PROPER_DRAWS)
+def test_exact_certificate_matches_the_elastic_oracle(construction, seed, variant, exponents):
+    """On `_proper_operator`'s constructions the exact certificate reports
+    the side, point and witness of the elastic LP. A side the elastic LP
+    accepts makes no LP call; on a rejected side, the certificate LP's value
+    for each row is minus its slack."""
+    t, g, g_cod = _proper_operator(construction, seed, variant, exponents)
+    k, m = g.shape
 
     solved = []
 
@@ -687,15 +740,33 @@ def test_exact_certificate_matches_the_elastic_oracle(construction, seed, varian
 
     want = None
     sides = (("domain", g.T, g_cod.T @ t.matrix), ("codomain", g_cod.T, g.T @ t.inverse_matrix))
-    for i, (side, a, bmat) in enumerate(sides):
+    for side, a, bmat in sides:
         slack, hit = _elastic_witness(a, bmat)
-        vals = np.einsum("yk,yk->y", as_float(bmat), solved[i].x.reshape(m, k))
-        assert np.max(np.abs(vals + slack)) <= 1e-9 * np.max(np.abs(as_float(bmat)))
         if hit is not None:
             want = (side, *hit)
             break
-    assert len(solved) == i + 1
+    # only the rejected side reaches the LP
+    assert len(solved) == (want is not None)
     if want is None:
         assert cert.accept
     else:
+        vals = np.einsum("yk,yk->y", as_float(bmat), solved[0].x.reshape(m, k))
+        assert np.max(np.abs(vals + slack)) <= 1e-9 * np.max(np.abs(as_float(bmat)))
         assert (cert.side, cert.point, cert.witness_coeffs) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact=st.booleans(), **_PROPER_DRAWS)
+def test_nnls_screen_keeps_the_lp_certificate(construction, seed, variant, exponents, exact):
+    """The certificate whose sides NNLS settles first equals the one the LP
+    alone gives (`cones._farkas_lp`, in place of `_farkas_witness`): verdict,
+    side, point and witness, in either arithmetic."""
+    t = _proper_operator(construction, seed, variant, exponents, exact)[0]
+    cert = is_order_isomorphism(t)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cones, "_farkas_witness", cones._farkas_lp)
+        assert is_order_isomorphism(t) == cert
+    if variant == "positive":
+        assert cert.accept
+    elif variant == "negative weight":
+        assert (cert.accept, cert.side) == (False, "domain")

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -401,7 +402,8 @@ def _generator_doc(matrix):
 class TestStructuralCost:
     """The work a run pays for, counted: the n^2 reads of a point-basis run
     (`linalg.monomial`, `linalg.rank` and the sign scans of a whole n x n
-    matrix) and the exact eliminations (`linalg._exact_rref`)."""
+    matrix), the exact eliminations (`linalg._exact_rref`) and the HiGHS
+    solves (`scipy.optimize.linprog`) of a proper-family certificate."""
 
     @staticmethod
     def _count(monkeypatch):
@@ -507,6 +509,25 @@ class TestStructuralCost:
         monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a) or real(a))
         assert self._run(tmp_path, capsys, _generator_doc(matrix), argv, "float") == code
         assert len(calls) == inverses
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    @pytest.mark.parametrize("matrix, side, solves", [
+        ([[1, 0], [0, 1]], None, 0),
+        ([[1, 1], [0, 1]], "domain", 1),
+        ([[2, 0], [0, 1]], "codomain", 1),
+    ], ids=_GEN_IDS)
+    def test_proper_family_certificate_solves_an_lp_only_to_reject(
+            self, monkeypatch, mode, matrix, side, solves):
+        # span{1, t} on t = 0, 1, 2: a side whose rows the NNLS fits settle
+        # makes no HiGHS solve, and a rejected side makes one for its witness
+        calls = []
+        real = scipy.optimize.linprog
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        conv = linalg.as_exact if mode == "exact" else linalg.as_float
+        fam = FunctionFamily(PointSpace.discrete(3), conv([[1, 1, 1], [0, 1, 2]]))
+        cert = is_order_isomorphism(OperatorModel(conv(matrix), fam, fam, basis="generator"))
+        assert (cert.accept, cert.side, len(calls)) == (side is None, side, solves)
 
     def test_exact_family_with_constants_eliminates_once(self, monkeypatch):
         # the rank check's pass keeps inv(G^T), which also finds the
