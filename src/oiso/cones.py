@@ -11,7 +11,12 @@ checks both and a rejection carries a concrete witness function. By Farkas'
 lemma, T maps {c : A c >= 0} into the codomain cone exactly when B = G_Y^T M
 equals Lambda A for some entrywise nonnegative Lambda: every codomain point
 evaluation of T is a nonnegative combination of domain point evaluations.
-On full families Lambda is the point matrix itself.
+On full families Lambda is the point matrix itself. On proper subfamilies
+one pass per side decides it (`_farkas_witness`): A and B go to float once,
+one non-negative least-squares fit per row of B settles the rows it can (in
+exact mode, when its support re-solves in rational arithmetic), and only a
+side with a row left unsettled builds one HiGHS LP, whose values rank the
+rows for the witness.
 
 An operator reads its matrix as a weighted permutation (`linalg.monomial`)
 once, when it is built, and keeps the read as `monomial` and its inverse's
@@ -333,13 +338,14 @@ def is_order_isomorphism(t: OperatorModel, tol: float = DEFAULT_TOL) -> Certific
     rejection's witness is a point indicator. Generator basis on proper
     subfamilies: each side (T, then its inverse) is decided by the Farkas
     alternative, either Lambda >= 0 with Lambda A = B or a source-cone
-    function c whose image is negative at some target point. One
-    non-negative least-squares fit per target point proposes Lambda's rows;
-    when they settle every point the side is accepted with no LP. A side
-    they do not settle is decided by one HiGHS LP for c with |c| <= 1, read
-    in two ways: float mode takes its most negative value; exact mode
-    decides in rational arithmetic (the fits and the LP only propose
-    multiplier supports and an order) and does not read `tol`. Float mode's
+    function c whose image is negative at some target point
+    (`_farkas_witness`). One non-negative least-squares fit per target point
+    proposes a row of Lambda; when the fits settle every point the side is
+    accepted with no LP. Otherwise one HiGHS LP for c with |c| <= 1 ranks
+    the points: float mode takes its most negative value as the verdict and
+    its c as the witness; exact mode skips the points whose fits re-solve
+    exactly to a nonnegative row and decides the others, in the LP's order,
+    in rational arithmetic, so it does not read `tol`. Float mode's
     one rule, on either basis: a value is negative below -linalg.cutoff of
     the matrix it is read from (the point matrix, its inverse, or B), so
     alpha*T gets T's verdict.
@@ -385,90 +391,72 @@ def _farkas_witness(a, b, tol: float):
     """Farkas' alternative at every target point y: None when each b_y is
     lam A for some lam >= 0, else (y, c) with A c >= 0 and b_y . c < 0.
 
-    `_nnls_settles` tries first, with one non-negative least-squares fit per
-    row; when it settles every row, the side is accepted and no LP runs.
-    Otherwise `_farkas_lp` decides the side and reports its witness, as it
-    would alone.
-    """
-    return None if _nnls_settles(a, b, tol) else _farkas_lp(a, b, tol)
-
-
-def _nnls_settles(a, b, tol: float) -> bool:
-    """True when one NNLS fit per row, lam_y >= 0 with the least
-    |b_y - lam_y A|, proves every b_y = lam A for some lam >= 0.
-
+    A and B are taken to float once. One non-negative least-squares fit per
+    row, lam_y >= 0 with the least |b_y - lam_y A|, settles what it can.
     Float: a row is settled when its residual's L1 norm is at most
-    linalg.cutoff(B, tol). `_farkas_lp`'s value for row y is minus
-    min |b_y - lam A|_1 over lam >= 0, so it accepts every settled row too.
-    The rows are fitted in index order up to the first that is not settled.
-    Exact (`tol` unused): every row is fitted in float, then each fit's
-    support is re-solved in rational arithmetic, largest float residual
-    first, and must give lam >= 0, so an acceptance is proved in `Fraction`
-    and a rejection costs one re-solve. A fit that raises or does not
-    converge settles nothing.
+    linalg.cutoff(B, tol); rows are fitted in index order up to the first
+    that is not. Exact (`tol` unused): every row is fitted, and a row is
+    settled when its fit's support re-solves in rational arithmetic to
+    lam >= 0, tried largest float residual first and remembered per row. A
+    fit that raises or does not converge settles nothing. When every row is
+    settled the side is accepted and no LP runs.
+
+    Otherwise one HiGHS LP, min b_y . c_y with A c_y >= 0 and |c_y| <= 1 for
+    every y, ranks the rows: row y's value is minus min |b_y - lam A|_1 over
+    lam >= 0, so it accepts every float-settled row too. HiGHS's tolerances
+    are absolute, so its costs are B / max|B| and its constraints A times
+    the power of two that brings max|A| into [1/2, 1), which is exact and
+    keeps the feasible set. Float: the most negative value decides, below
+    -linalg.cutoff(B, tol), with the LP's c_y as witness. Exact: rows go in
+    the stable order of their values (index order if HiGHS fails); a row its
+    fit does not settle goes to `_rational_farkas`, and the first witness is
+    reported.
     """
-    from scipy.optimize import nnls
-
-    exact = b.dtype == object
-    fa, fb = linalg.as_float(a).T, linalg.as_float(b)
-    bound = linalg.cutoff(fb, tol)
-    residuals, supports = [], []
-    for b_y in fb:
-        try:
-            lam, _ = nnls(fa, b_y)
-        except (RuntimeError, ValueError):  # no convergence, or entries not finite
-            return False
-        residual = np.abs(b_y - fa @ lam).sum()
-        if not exact and residual > bound:
-            return False
-        residuals.append(residual)
-        supports.append(lam > 0)
-    if not exact:
-        return True
-    for y in np.argsort(-np.asarray(residuals), kind="stable"):
-        row = linalg.exact_solve_unique(a[supports[y]].T, b[y])
-        if row is None or any(v < 0 for v in row):
-            return False
-    return True
-
-
-def _farkas_lp(a, b, tol: float):
-    """`_farkas_witness` by the LP alone.
-
-    One HiGHS LP, min b_y . c_y with A c_y >= 0 and |c_y| <= 1 for every y,
-    is the dual of the elastic fit b_y = lam A + s+ - s- (lam, s+- >= 0, min
-    sum(s+ + s-)): row y's value is minus its slack, and the multipliers of
-    A c_y >= 0 are a lam. HiGHS's tolerances are absolute, so its costs are
-    B / max|B| and its constraints A times the power of two that brings
-    max|A| into [1/2, 1), which is exact and keeps the feasible set. Float:
-    the most negative value decides, below -linalg.cutoff(B, tol). Exact
-    (`tol` unused): rows go in the stable order of their values, and one
-    whose multiplier support re-solves exactly to lam >= 0 is settled; any
-    other is decided by `_rational_farkas`, in index order if HiGHS fails.
-    """
-    from scipy.optimize import linprog
+    from scipy.optimize import linprog, nnls
     from scipy.sparse import identity, kron
 
+    exact = b.dtype == object
     fa, fb = linalg.as_float(a), linalg.as_float(b)
-    fa = np.ldexp(fa, -np.frexp(np.max(np.abs(fa)))[1])
+    bound = linalg.cutoff(fb, tol)
+    residuals, supports, verdicts = [], [], {}
+    for b_y in fb:
+        try:
+            lam, _ = nnls(fa.T, b_y)
+        except (RuntimeError, ValueError):  # no convergence, or entries not finite
+            break
+        residual = np.abs(b_y - fa.T @ lam).sum()
+        if not exact and residual > bound:
+            break
+        residuals.append(residual)
+        supports.append(lam > 0)
+
+    def settled(y):
+        if y not in verdicts:
+            row = linalg.exact_solve_unique(a[supports[y]].T, b[y])
+            verdicts[y] = row is not None and all(v >= 0 for v in row)
+        return verdicts[y]
+
     (n, k), m = fb.shape, fa.shape[0]
+    if len(supports) == n and (not exact or all(
+            settled(y) for y in np.argsort(-np.asarray(residuals), kind="stable"))):
+        return None
+    fa = np.ldexp(fa, -np.frexp(np.max(np.abs(fa)))[1])
     res = linprog(c=(fb / np.max(np.abs(fb))).ravel(),
                   A_ub=-kron(identity(n), fa, format="csr"), b_ub=np.zeros(n * m),
                   bounds=(-1.0, 1.0), method="highs")
     if res.status == 0:
         cs = res.x.reshape(n, k)
         vals = np.einsum("yk,yk->y", fb, cs)
-        order, lams = np.argsort(vals, kind="stable"), -res.ineqlin.marginals.reshape(n, m)
-    elif b.dtype != object:  # bounded and feasible (c = 0) by construction
+        order = np.argsort(vals, kind="stable")
+    elif not exact:  # bounded and feasible (c = 0) by construction
         raise RuntimeError(f"LP solver failed: {res.message}")
     else:
-        order, lams = range(n), np.zeros((n, m))
-    if b.dtype != object:
+        order = range(n)
+    if not exact:
         y = order[0]
-        return (int(y), cs[y]) if vals[y] < -linalg.cutoff(b, tol) else None
+        return (int(y), cs[y]) if vals[y] < -bound else None
     for y in order:
-        row = linalg.exact_solve_unique(a[lams[y] > 0].T, b[y])
-        if row is not None and all(v >= 0 for v in row):
+        if y < len(supports) and settled(y):
             continue
         c = _rational_farkas(a, b[y])
         if c is not None:

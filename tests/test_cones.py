@@ -4,17 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult, linprog
 from scipy.sparse import hstack, identity, kron
 
-from oiso import cones, serialize
+from oiso import cones, linalg, serialize
 from oiso.cones import Certificate, OperatorModel, cone_rep, is_order_isomorphism
 from oiso.fuzz import random_metric_space
 from oiso.linalg import SingularMatrixError, as_float, exact_solve_unique
 from oiso.recovery import decompose
-from oiso.spaces import FunctionFamily, PointSpace, build_lipschitz_family, \
+from oiso.spaces import DEFAULT_TOL, FunctionFamily, PointSpace, build_lipschitz_family, \
     cone_membership
 
 
@@ -677,6 +677,48 @@ def _elastic_witness(a, b):
     return slack, None
 
 
+def _farkas_lp(a, b, tol: float):
+    """`cones._farkas_witness` by the LP alone, as the certificate decided a
+    side before the NNLS fits, kept as an oracle.
+
+    One HiGHS LP, min b_y . c_y with A c_y >= 0 and |c_y| <= 1 for every y,
+    is the dual of the elastic fit b_y = lam A + s+ - s- (lam, s+- >= 0, min
+    sum(s+ + s-)): row y's value is minus its slack, and the multipliers of
+    A c_y >= 0 are a lam. HiGHS's tolerances are absolute, so its costs are
+    B / max|B| and its constraints A times the power of two that brings
+    max|A| into [1/2, 1), which is exact and keeps the feasible set. Float:
+    the most negative value decides, below -linalg.cutoff(B, tol). Exact
+    (`tol` unused): rows go in the stable order of their values, and one
+    whose multiplier support re-solves exactly to lam >= 0 is settled; any
+    other is decided by `_rational_farkas`, in index order if HiGHS fails.
+    """
+    fa, fb = linalg.as_float(a), linalg.as_float(b)
+    fa = np.ldexp(fa, -np.frexp(np.max(np.abs(fa)))[1])
+    (n, k), m = fb.shape, fa.shape[0]
+    res = linprog(c=(fb / np.max(np.abs(fb))).ravel(),
+                  A_ub=-kron(identity(n), fa, format="csr"), b_ub=np.zeros(n * m),
+                  bounds=(-1.0, 1.0), method="highs")
+    if res.status == 0:
+        cs = res.x.reshape(n, k)
+        vals = np.einsum("yk,yk->y", fb, cs)
+        order, lams = np.argsort(vals, kind="stable"), -res.ineqlin.marginals.reshape(n, m)
+    elif b.dtype != object:  # bounded and feasible (c = 0) by construction
+        raise RuntimeError(f"LP solver failed: {res.message}")
+    else:
+        order, lams = range(n), np.zeros((n, m))
+    if b.dtype != object:
+        y = order[0]
+        return (int(y), cs[y]) if vals[y] < -linalg.cutoff(b, tol) else None
+    for y in order:
+        row = linalg.exact_solve_unique(a[lams[y] > 0].T, b[y])
+        if row is not None and all(v >= 0 for v in row):
+            continue
+        c = cones._rational_farkas(a, b[y])
+        if c is not None:
+            return int(y), c
+    return None
+
+
 PROPER_CONSTRUCTIONS = [c for c in CONSTRUCTIONS if c[1] < c[2]]
 
 
@@ -759,14 +801,55 @@ def test_exact_certificate_matches_the_elastic_oracle(construction, seed, varian
 @given(exact=st.booleans(), **_PROPER_DRAWS)
 def test_nnls_screen_keeps_the_lp_certificate(construction, seed, variant, exponents, exact):
     """The certificate whose sides NNLS settles first equals the one the LP
-    alone gives (`cones._farkas_lp`, in place of `_farkas_witness`): verdict,
+    alone gives (`_farkas_lp`, in place of `_farkas_witness`): verdict,
     side, point and witness, in either arithmetic."""
     t = _proper_operator(construction, seed, variant, exponents, exact)[0]
     cert = is_order_isomorphism(t)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cones, "_farkas_witness", cones._farkas_lp)
+        mp.setattr(cones, "_farkas_witness", _farkas_lp)
         assert is_order_isomorphism(t) == cert
     if variant == "positive":
         assert cert.accept
     elif variant == "negative weight":
         assert (cert.accept, cert.side) == (False, "domain")
+
+
+def _lp_values(a, b):
+    """Each row's value in `_farkas_lp`'s block LP, in B's units: minus the
+    least L1 residual of b_y = lam A over lam >= 0, as HiGHS finds it."""
+    fa, fb = as_float(a), as_float(b)
+    fa = np.ldexp(fa, -np.frexp(np.max(np.abs(fa)))[1])
+    (n, k), m = fb.shape, fa.shape[0]
+    res = linprog(c=(fb / np.max(np.abs(fb))).ravel(),
+                  A_ub=-kron(identity(n), fa, format="csr"), b_ub=np.zeros(n * m),
+                  bounds=(-1.0, 1.0), method="highs")
+    assert res.status == 0
+    return np.einsum("yk,yk->y", fb, res.x.reshape(n, k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(construction=st.sampled_from(PROPER_CONSTRUCTIONS), seed=st.integers(0, 2**32 - 1),
+       variant=st.sampled_from(["positive", "negative weight", "mixed"]))
+def test_float_and_exact_certificates_agree(construction, seed, variant):
+    """`_proper_operator`'s draws at exponents (0, 0, 0) have integer
+    entries (the mixed variant's Lambda adds multiples of 1/4m), and float
+    and exact certificates give the same accept, side and point.
+
+    Skipped draws: the float verdict is read from the block LP's values
+    against -cutoff(B), and rounding the inputs could move it where, on
+    either side, the most negative value lies within half the cutoff of
+    -cutoff (a band of the whole cutoff would reach the accepting value 0,
+    and skip every accept), or where a rejected side's two most negative
+    values lie within the cutoff of each other, so rounding could pick the
+    point."""
+    draw = (construction, seed, variant, (0, 0, 0))
+    t = _proper_operator(*draw, exact=False)[0]
+    for src, dst, mat in ((t.domain, t.codomain, t.matrix),
+                          (t.codomain, t.domain, t.inverse_matrix)):
+        b = dst.generators.T @ mat
+        vals, cut = np.sort(_lp_values(src.generators.T, b)), linalg.cutoff(b, DEFAULT_TOL)
+        assume(abs(vals[0] + cut) > cut / 2)
+        assume(vals[0] >= -cut or vals.size < 2 or vals[1] - vals[0] > cut)
+    flt, exact = is_order_isomorphism(t), is_order_isomorphism(_proper_operator(*draw)[0])
+    assert (flt.arithmetic, exact.arithmetic) == ("float", "rational")
+    assert (flt.accept, flt.side, flt.point) == (exact.accept, exact.side, exact.point)

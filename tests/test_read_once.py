@@ -529,6 +529,42 @@ class TestStructuralCost:
         cert = is_order_isomorphism(OperatorModel(conv(matrix), fam, fam, basis="generator"))
         assert (cert.accept, cert.side, len(calls)) == (side is None, side, solves)
 
+    @pytest.mark.parametrize("matrix, side, sides", [
+        ([[1, 2], [0, 1]], "domain", 1),
+        ([[1, 0], [0, 1]], None, 2),
+        ([[2, 0], [0, 1]], "codomain", 2),
+    ], ids=["shear-reject", "identity-accept", "codomain-reject"])
+    def test_exact_proper_family_side_converts_once_and_solves_each_row_once(
+            self, monkeypatch, matrix, side, sides):
+        # span{1, t} on t = 0..3, the golden GEN_PROPER_REJECT family: each
+        # decided side takes A and B to float once, re-solves each row's fit
+        # support at most once, and makes one HiGHS solve only to reject
+        doc = {"basis": "generator", "matrix": matrix,
+               "domain": {"space": list("abcd"), "generators": [[1, 1, 1, 1], [0, 1, 2, 3]]}}
+        t = parse_operator({**doc, "codomain": doc["domain"]}, "exact")
+        floats, solves, lps = [], [], []
+        real_witness, real_solve = cones._farkas_witness, linalg.exact_solve_unique
+        real_float, real_lp = linalg.as_float, scipy.optimize.linprog
+
+        def witness(a, b, tol):
+            solves.append([])
+            return real_witness(a, b, tol)
+
+        def solve(a, b):
+            solves[-1].append(tuple(b))
+            return real_solve(a, b)
+
+        monkeypatch.setattr(cones, "_farkas_witness", witness)
+        monkeypatch.setattr(linalg, "exact_solve_unique", solve)
+        monkeypatch.setattr(linalg, "as_float", lambda a: floats.append(1) or real_float(a))
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            lambda *args, **kwargs: lps.append(1) or real_lp(*args, **kwargs))
+        cert = is_order_isomorphism(t)
+        assert (cert.accept, cert.side) == (side is None, side)
+        assert (len(solves), len(floats), len(lps)) == (sides, 2 * sides, int(side is not None))
+        for rows in solves:
+            assert len(rows) == len(set(rows)) <= 4
+
     def test_exact_family_with_constants_eliminates_once(self, monkeypatch):
         # the rank check's pass keeps inv(G^T), which also finds the
         # coefficients of 1
