@@ -6,6 +6,25 @@ downgraded; float mode accepts any real number and also "p/q" strings. A
 zero denominator, and a number too large for a double in float mode, are
 input errors (`ValueError`), not arithmetic ones.
 
+A document is decoded from its file's bytes once, to the value the stdlib
+`json` decoder gives for their UTF-8 text, with its messages. orjson, when
+it can be imported, decodes it about three times faster, and a screen sends
+to the stdlib decoder every document on which orjson might read something
+else:
+- a refusal: orjson refuses NaN, Infinity, numbers past the double range
+  (1e400), lone surrogates, a BOM and invalid UTF-8, which the stdlib reads,
+  or refuses with its own message, so a document orjson refuses is decoded
+  again;
+- a run of 19 or more ASCII digits that does not follow ".", "e" or "E"
+  (one `bytes.translate` and one search): orjson reads an integer outside
+  [-2**63, 2**64) as a float, and every integer of 18 digits or fewer lies
+  inside. Fraction digits are read exactly, so they do not count;
+- nesting 600 deep or more, read from the brackets outside strings (only
+  when the text has that many opening brackets at all): orjson reads any
+  depth, while the stdlib decoder runs out of recursion near 1000 levels
+  less the caller's stack, which `load_json` reports as a `ValueError`.
+Reports therefore do not depend on whether orjson is installed.
+
 A matrix is converted as a whole. In float mode a matrix of JSON numbers
 only is one `np.array(rows, dtype=float)` call and one finiteness check; a
 matrix holding any other value is read entry by entry through
@@ -39,6 +58,11 @@ from typing import Optional
 
 import numpy as np
 
+try:
+    import orjson
+except ImportError:  # the stdlib decoder reads every document alone
+    orjson = None
+
 from . import linalg
 from .compactify import SampledSpace, SequenceSpec, WeightedCompositionSpec
 from .cones import OperatorModel
@@ -63,14 +87,64 @@ __all__ = [
 SCHEMA = "oiso/1"
 
 
+# byte -> b"0" for an ASCII digit, b"." for ".", "e" and "E", b" " for any other
+_NUMBER_MARKS = bytes(48 if 48 <= b <= 57 else 46 if b in b".eE" else 32 for b in range(256))
+_LONG_RUN = b"0" * 19  # 10**18 < 2**63: an integer of 18 digits is exact in orjson
+# every byte but the quote and the four brackets, deleted for the nesting screen
+_NOT_STRUCTURE = bytes(b for b in range(256) if b not in b'"[]{}')
+_ORJSON_MAX_DEPTH = 600
+
+
+def _long_integer(data: bytes) -> bool:
+    """Might the text hold an integer literal of 19 or more digits? An
+    integer starts the text or follows a byte other than a digit, ".", "e"
+    or "E"; a run of digits in a string or an exponent may also answer yes,
+    one after a decimal point does not."""
+    marks = data.translate(_NUMBER_MARKS)
+    return marks.startswith(_LONG_RUN) or (b" " + _LONG_RUN) in marks
+
+
+def _nesting_depth(data: bytes) -> int:
+    """The deepest nesting of arrays and objects in a valid JSON text. Its
+    escaped backslashes and quotes go first, so every quote left delimits a
+    string, and the brackets inside strings are dropped with them."""
+    if b"\\" in data:
+        data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
+    structure = "".join(data.translate(None, _NOT_STRUCTURE).decode("ascii").split('"')[::2])
+    return max(itertools.accumulate(1 if c in "[{" else -1 for c in structure), default=0)
+
+
+def _decode(data: bytes):
+    """The JSON value of a document's bytes, exactly as the stdlib decoder
+    reads their UTF-8 text; orjson decodes it when it is importable and the
+    screen lets it (see the module docstring)."""
+    if orjson is not None and not _long_integer(data):
+        try:
+            doc = orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+        else:
+            # the count of opening brackets bounds the depth, and scanning is
+            # needed only past it
+            structure = data.translate(None, _NOT_STRUCTURE)
+            if (structure.count(b"[") + structure.count(b"{") < _ORJSON_MAX_DEPTH
+                    or _nesting_depth(data) < _ORJSON_MAX_DEPTH):
+                return doc
+    return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+
+
 def load_json(path: str, with_digest: bool = False):
     """The JSON object in the file at `path`; with `with_digest`, the pair
     (object, sha256 of the file's bytes), both from one read. The bytes are
     decoded as `open(path, encoding="utf-8")` decodes them, so a UTF-8 BOM
-    stays in the text and the JSON decoder refuses it."""
+    stays in the text and the JSON decoder refuses it. A document nested
+    deeper than the decoder can recurse is a `ValueError`."""
     with open(path, "rb") as fh:
         data = fh.read()
-    doc = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+    try:
+        doc = _decode(data)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to decode") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top-level JSON must be an object")
     schema = doc.get("schema", SCHEMA)

@@ -165,7 +165,9 @@ class FunctionFamily:
 
     `generators` is a (rank x n_points) matrix, one generator per row; float64
     or exact (object dtype of Fractions). A family is *full* when its rank
-    equals the point count, in which case its span is every function.
+    equals the point count, in which case its span is every function. `rank`
+    and `exact` are recorded when the family is built, so they and `is_full`
+    read no matrix.
 
     A full family's `coefficient_matrix()` is inv(G^T), which maps value
     vectors to generator coefficients. A family computes it once and keeps
@@ -193,31 +195,38 @@ class FunctionFamily:
             r = linalg.rank(gen, tol=tol)
         if r != gen.shape[0]:
             raise ValueError(f"generators must be linearly independent (rank {r} < {gen.shape[0]})")
-        self._adopt(space, gen.copy(), names, tol)
+        self._adopt(space, gen.copy(), gen.shape[0], gen.dtype == object, names, tol)
         if inv_t is not None:
             self._inv_t = linalg.frozen(inv_t)
         if claims_constants is True and not self.has_constants():
             raise ValueError("family claims constants but the all-ones vector is not in span")
 
-    def _adopt(self, space: PointSpace, gen: np.ndarray, names, tol: float):
-        """Take a validated, independent generator matrix as this family's own."""
-        gen.setflags(write=False)
+    def _adopt(self, space: PointSpace, gen: Optional[np.ndarray], rank: int, exact: bool,
+               names, tol: float):
+        """Take a validated, independent generator matrix as this family's
+        own; None stands for the identity of a full family, built on first
+        read of `generators`."""
+        if gen is not None:
+            gen.setflags(write=False)
         self.space = space
-        self.generators = gen
+        self._generators = gen
+        self.rank = rank
+        self.exact = exact
         self.names = tuple(names) if names is not None else tuple(
-            f"g{i}" for i in range(gen.shape[0]))
-        if len(self.names) != gen.shape[0]:
+            f"g{i}" for i in range(rank))
+        if len(self.names) != rank:
             raise ValueError("one name per generator required")
         self.tol = tol
         self._inv_t = None
 
     @property
-    def rank(self) -> int:
-        return self.generators.shape[0]
-
-    @property
-    def exact(self) -> bool:
-        return self.generators.dtype == object
+    def generators(self) -> np.ndarray:
+        """The (rank x n_points) generator matrix, read-only."""
+        if self._generators is None:
+            gen = linalg.zeros_like_mode((self.rank, self.rank), self.exact)
+            np.fill_diagonal(gen, Fraction(1) if self.exact else 1.0)
+            self._generators = linalg.frozen(gen)
+        return self._generators
 
     @property
     def is_full(self) -> bool:
@@ -257,11 +266,13 @@ class FunctionFamily:
     @classmethod
     def full(cls, space: PointSpace, exact: bool = False) -> "FunctionFamily":
         """The full family in point coordinates: indicator generators. The
-        identity is independent by construction, so its rank is not checked."""
-        gen = linalg.zeros_like_mode((space.size, space.size), exact)
-        np.fill_diagonal(gen, Fraction(1) if exact else 1.0)
+        identity is independent by construction, so its rank is not checked,
+        and the family records its rank and arithmetic without it: the
+        identity `generators` is built on first read (point-basis paths read
+        none) and then kept, read-only."""
         fam = cls.__new__(cls)
-        fam._adopt(space, gen, tuple(f"e_{lbl}" for lbl in space.labels), DEFAULT_TOL)
+        fam._adopt(space, None, space.size, exact,
+                   tuple(f"e_{lbl}" for lbl in space.labels), DEFAULT_TOL)
         return fam
 
 

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oiso
+from oiso import serialize
 from oiso.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 from oiso.serialize import report_digest
 
@@ -321,6 +322,18 @@ class TestUsageErrors:
         code, _, err = _run(capsys, ["decompose", str(p)])
         assert code == EXIT_USAGE
         assert "error:" in err
+
+    @pytest.mark.parametrize("decoder", ["orjson", "stdlib"])
+    def test_deeply_nested_document_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                     decoder):
+        # deeper than the stdlib decoder can recurse: one error line, no traceback
+        p = tmp_path / "deep.json"
+        p.write_text('{"matrix": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        if decoder == "stdlib":
+            monkeypatch.setattr(serialize, "orjson", None)
+        code, out, err = _run(capsys, ["decompose", str(p)])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.splitlines() == [f"error: {p}: JSON nested too deeply to decode"]
 
     def test_parser_errors_exit_usage(self, tmp_path, capsys):
         op = _write(tmp_path, "op.json", {"matrix": [[0, 1], [1, 0]]})

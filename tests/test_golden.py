@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from oiso import serialize
 from oiso.cli import main
 
 SWAP = {"matrix": [[0, 2], [3, 0]]}
@@ -167,6 +168,19 @@ CASES = [
 @pytest.mark.parametrize("case, doc, argv, code, digest, full", CASES,
                          ids=[c[0] for c in CASES])
 def test_report_digest(tmp_path, capsys, case, doc, argv, code, digest, full):
+    _check_digest(tmp_path, capsys, case, doc, argv, code, digest, full)
+
+
+@pytest.mark.parametrize("case, doc, argv, code, digest, full", CASES,
+                         ids=[c[0] for c in CASES])
+def test_report_digest_without_orjson(tmp_path, capsys, monkeypatch, case, doc, argv, code,
+                                      digest, full):
+    # the stdlib decoder alone, as when orjson is not installed: the same bytes
+    monkeypatch.setattr(serialize, "orjson", None)
+    _check_digest(tmp_path, capsys, case, doc, argv, code, digest, full)
+
+
+def _check_digest(tmp_path, capsys, case, doc, argv, code, digest, full):
     if doc is not None:
         path = tmp_path / f"{case}.json"
         path.write_text(json.dumps(doc, sort_keys=True))

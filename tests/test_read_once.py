@@ -11,6 +11,7 @@ compared with their types, since an int where a Fraction was would change
 report bytes, and float values by their bytes, so -0.0 is not 0.0.
 """
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -615,3 +616,23 @@ class TestStructuralCost:
         assert _typed(fam.generators.ravel()) == _typed(generic.generators.ravel())
         assert (fam.names, fam.tol, fam.generators.flags.writeable) == \
             (generic.names, generic.tol, False)
+
+    def test_float_weighted_permutation_decompose_builds_no_identity(self):
+        # the certificate and recovery read the matrix's monomial read, so
+        # the full families' identity generators (two more n x n matrices)
+        # are never built: the peak is the matrix and its inverse
+        n = 512
+        sigma = np.random.default_rng(0).permutation(n)
+        matrix = np.zeros((n, n))
+        matrix[np.arange(n), sigma] = np.linspace(0.5, 2.0, n)
+        doc = {"matrix": matrix.tolist()}
+        tracemalloc.start()
+        try:
+            t = parse_operator(doc, "float")
+            d = decompose(t, cert=is_order_isomorphism(t))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.sigma == tuple(sigma.tolist())
+        assert peak < 3 * matrix.nbytes
+        assert _typed(t.domain.generators.ravel()) == _typed(np.eye(n).ravel())

@@ -1,6 +1,10 @@
 """Tests for JSON parsing, canonical serialization, and report digests."""
+import importlib
+import io
 import json
 import math
+import struct
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -202,6 +206,181 @@ class TestLoadJson:
         p.write_text("[1, 2, 3]")
         with pytest.raises(ValueError, match="object"):
             load_json(str(p))
+
+
+# Decoding: load_json must read what the stdlib decoder reads from the file's
+# UTF-8 text, whether orjson decodes it or not. Documents are built as bytes
+# from literal tokens, so they can hold what no Python value serializes to.
+_EDGE_INTEGERS = (2 ** 63 - 1, 2 ** 63, -2 ** 63, -2 ** 63 - 1, 2 ** 64 - 1, 2 ** 64, 10 ** 30)
+_LITERALS = (b"NaN", b"Infinity", b"-Infinity", b"1e400", b"-1e400", b"1e-400", b"-0",
+             b"-0.0", b"true", b"false", b"null")
+# lone surrogates as escapes, and bytes that are not UTF-8: a stray continuation
+# byte, a truncated sequence, an encoded surrogate, 0xff
+_ODD_STRINGS = (b'"\\ud800"', b'"a\\udfffb"', b'"\\udc00\\ud800"', b'"\x80"', b'"\xc3"',
+                b'"\xed\xa0\x80"', b'"\xff"')
+
+
+def _double_text(bits: int) -> bytes:
+    """The shortest text of the double with these bits, NaN and infinities
+    as the stdlib writes them."""
+    x = struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+    return json.dumps(x).encode("ascii")
+
+
+@st.composite
+def _decimal_texts(draw) -> bytes:
+    """A decimal of 17 to 40 significant digits, with a point anywhere and an
+    optional exponent: integers of that many digits too, and the doubles
+    rounding must pick."""
+    digits = draw(st.text("123456789", min_size=1, max_size=1)) + draw(
+        st.text("0123456789", min_size=16, max_size=39))
+    point = draw(st.integers(0, len(digits)))
+    text = (digits[:point] or "0") + ("." + digits[point:] if point < len(digits) else "")
+    exponent = draw(st.one_of(st.none(), st.integers(-400, 400)))
+    sign = draw(st.sampled_from(["", "-"]))
+    return (sign + text + ("" if exponent is None else f"e{exponent}")).encode("ascii")
+
+
+_STRING_TEXTS = st.one_of(
+    st.builds(lambda s, ascii: json.dumps(s, ensure_ascii=ascii).encode("utf-8"),
+              st.text(max_size=6), st.booleans()),
+    # brackets, quotes and backslashes inside strings, for the nesting screen
+    st.text('[]{}"\\a', max_size=6).map(lambda s: json.dumps(s).encode("ascii")),
+    st.sampled_from(_ODD_STRINGS),
+)
+_NUMBER_TEXTS = st.one_of(
+    st.sampled_from(_EDGE_INTEGERS).map(lambda i: str(i).encode("ascii")),
+    st.integers().map(lambda i: str(i).encode("ascii")),
+    st.integers(0, 2 ** 64 - 1).map(_double_text),
+    _decimal_texts(),
+)
+_SCALAR_TEXTS = st.one_of(_NUMBER_TEXTS, _STRING_TEXTS, st.sampled_from(_LITERALS))
+# a few keys, so that objects repeat them
+_KEY_TEXTS = st.one_of(st.sampled_from([b'"a"', b'"b"', b'"matrix"']), _STRING_TEXTS)
+_VALUE_TEXTS = st.recursive(
+    _SCALAR_TEXTS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(lambda xs: b"[" + b", ".join(xs) + b"]"),
+        st.lists(st.tuples(_KEY_TEXTS, inner), max_size=4).map(
+            lambda kvs: b"{" + b", ".join(k + b": " + v for k, v in kvs) + b"}")),
+    max_leaves=12)
+
+
+@st.composite
+def _operator_texts(draw) -> bytes:
+    """An operator document whose matrix entries and labels are numbers."""
+    n = draw(st.integers(1, 3))
+    entries = st.one_of(_NUMBER_TEXTS, st.sampled_from(_LITERALS))
+    rows = [b"[" + b", ".join(draw(entries) for _ in range(n)) + b"]" for _ in range(n)]
+    labels = b"[" + b", ".join(draw(_NUMBER_TEXTS) for _ in range(n)) + b"]"
+    return b'{"matrix": [' + b", ".join(rows) + b'], "domain": ' + labels + b"}"
+
+
+_DOCUMENT_BYTES = st.builds(lambda bom, doc: b"\xef\xbb\xbf" * bom + doc, st.booleans(),
+                            st.one_of(_VALUE_TEXTS, _operator_texts()))
+
+
+def _typed_tree(x):
+    """A decoded value with each container's kind and key order, and each
+    scalar's type and repr, so 1 and 1.0, -0.0 and 0.0, and nan all compare."""
+    if isinstance(x, dict):
+        return "object", [(k, _typed_tree(v)) for k, v in x.items()]
+    if isinstance(x, list):
+        return "array", [_typed_tree(v) for v in x]
+    return type(x).__name__, repr(x)
+
+
+def _stdlib_decode(data: bytes):
+    """The reading load_json must keep: the stdlib decoder on the UTF-8 text."""
+    return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+
+
+def _decoded(decode, data: bytes):
+    """The typed tree of the value, or the type and message of the refusal."""
+    try:
+        return _typed_tree(decode(data))
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError among them
+        return type(e), str(e)
+
+
+_NEEDS_ORJSON = pytest.mark.skipif(serialize.orjson is None, reason="orjson is not installed")
+
+
+def _depth(x) -> int:
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, list):
+        return 1 + max(map(_depth, x), default=0)
+    return 0
+
+
+class TestDecode:
+    @settings(max_examples=400, deadline=None)
+    @given(_DOCUMENT_BYTES)
+    @example(b'{"a": 1, "b": 2, "a": [3]}')
+    @example(b"\xef\xbb\xbf" + b'{"matrix": [[1]]}')
+    @example(b'{"matrix": [[18446744073709551616]], "domain": [123456789012345678901234567890]}')
+    @example(b'{"matrix": [[NaN, 1e400]], "domain": ["\\ud800"]}')
+    def test_same_value_or_refusal_as_the_stdlib_decoder(self, data):
+        expected = _decoded(_stdlib_decode, data)
+        assert _decoded(serialize._decode, data) == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(serialize, "orjson", None)
+            assert _decoded(serialize._decode, data) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(st.text('[]{}"\\a', max_size=4),
+                        lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(st.text('[]{}"\\a', max_size=3), inner, max_size=3),
+                        max_leaves=10))
+    @example(["\\", [[1]]])
+    def test_nesting_depth_skips_brackets_in_strings(self, value):
+        assert serialize._nesting_depth(json.dumps(value).encode("ascii")) == _depth(value)
+
+    @_NEEDS_ORJSON
+    @pytest.mark.parametrize("depth", [1, 598, 599, 650])
+    def test_deep_nesting_is_read_by_the_stdlib_decoder(self, monkeypatch, depth):
+        data = b'{"a": ' + b"[" * depth + b'"]\\"["' + b"]" * depth + b"}"
+        assert serialize._nesting_depth(data) == depth + 1
+        orjson_reads = []
+        real = serialize.orjson.loads
+        monkeypatch.setattr(serialize.orjson, "loads",
+                            lambda d: orjson_reads.append(1) or real(d))
+        stdlib_reads = []
+        real_json = json.loads
+        monkeypatch.setattr(json, "loads", lambda s: stdlib_reads.append(1) or real_json(s))
+        assert serialize._decode(data) == _stdlib_decode(data)
+        deep = depth + 1 >= serialize._ORJSON_MAX_DEPTH
+        assert (len(orjson_reads), len(stdlib_reads) - 1) == (1, int(deep))
+
+    @_NEEDS_ORJSON
+    def test_a_plain_document_is_decoded_by_orjson_alone(self, monkeypatch):
+        monkeypatch.setattr(json, "loads", None)  # the stdlib decoder is not called
+        data = json.dumps({"matrix": [[0.001234567890123456, 2 ** 59], [-3, 1e-300]],
+                           "domain": ["x", 12345678901234567]}).encode("utf-8")
+        assert serialize._decode(data) == {"matrix": [[0.001234567890123456, 2 ** 59],
+                                                      [-3, 1e-300]],
+                                           "domain": ["x", 12345678901234567]}
+
+    @pytest.mark.parametrize("value", _EDGE_INTEGERS)
+    def test_edge_integers_load_exactly(self, tmp_path, value):
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps({"matrix": [[value]], "domain": [value]}))
+        doc = load_json(str(p))
+        assert _typed_tree(doc) == _typed_tree({"matrix": [[value]], "domain": [value]})
+
+    @_NEEDS_ORJSON
+    def test_importable_without_orjson(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "orjson", None)  # its import fails
+        try:
+            importlib.reload(serialize)
+            assert serialize.orjson is None
+            assert _typed_tree(serialize._decode(b'{"a": [1e400, 18446744073709551616]}')) == \
+                _typed_tree({"a": [math.inf, 2 ** 64]})
+        finally:
+            monkeypatch.undo()
+            importlib.reload(serialize)
+        assert serialize.orjson is not None
 
 
 class TestParseSpace:
