@@ -9,7 +9,8 @@ clamp-invariant span is a vector sublattice (s*clamp(f/s) = f+ for large s),
 whose disjoint positive basis the clamp (small s) turns into indicators; so it
 is invariant exactly when its rank is the number of distinct nonzero point
 columns of G. The cone generates the span exactly when some span element is
-positive wherever G's column is nonzero (f = (f + s*u) - s*u for large s).
+positive wherever G's column is nonzero (f = (f + s*u) - s*u for large s):
+Gordan's alternative, which `_positive_element` decides with no LP.
 """
 from __future__ import annotations
 
@@ -97,7 +98,7 @@ def check_adequate(fam: FunctionFamily, tol: float = DEFAULT_TOL) -> AdequacyRep
     g_invariant = fam.rank == len(classes)
     g_residual = (0.0 if g_invariant else float("inf") if fam.exact
                   else _closure_residual(fam, classes))
-    cone_witness = tuple(c_one) if has_const else _positive_element(fam, nonzero)
+    cone_witness = tuple(c_one) if has_const else _positive_element(fam, nonzero, tol)
     return AdequacyReport(separates=False, separation_witnesses=tuple(witnesses),
                           has_constants=has_const, g_invariant=g_invariant,
                           g_residual=g_residual, cone_generates=cone_witness is not None,
@@ -143,30 +144,34 @@ def _closure_residual(fam: FunctionFamily, classes) -> float:
     return float(np.max(np.abs(a @ c - ind)))
 
 
-def _positive_element(fam: FunctionFamily, nonzero) -> Optional[tuple]:
+def _positive_element(fam: FunctionFamily, nonzero, tol: float) -> Optional[tuple]:
     """Coefficients c with G^T c >= 1 on `nonzero`, or None if no span element
-    is positive there. Exact: Gordan's alternative, by `_rational_farkas` on
-    the rows (g_x, 1) with target (0, ..., 0, 1): either a convex combination
-    of those columns is 0, or some (c, s) has g_x . c >= -s > 0 there. Float:
-    one HiGHS LP on G / max|G|: max t, G^T c >= t there, t <= 1. Scaling
-    lifts any t > 0 to 1 and c = 0 gives 0, so the optimum is 1 or 0; accept
-    above 1/2, reading no tolerance."""
-    if fam.exact:
-        rows = np.array([[*col, 1] for col in fam.generators.T[nonzero]], dtype=object)
-        w = _rational_farkas(rows, np.array([0] * fam.rank + [1], dtype=object))
-        return None if w is None else tuple(v / -w[-1] for v in w[:-1])
-    from scipy.optimize import linprog
-    g = linalg.as_float(fam.generators)
-    scale = float(np.abs(g).max(initial=0.0))
-    a = g.T[nonzero] / scale
-    k = fam.rank
-    res = linprog(c=np.r_[np.zeros(k), -1.0],
-                  A_ub=np.hstack([-a, np.ones((a.shape[0], 1))]),
-                  b_ub=np.zeros(a.shape[0]),
-                  bounds=[(None, None)] * k + [(None, 1.0)], method="highs")
-    if res.status != 0 or -res.fun <= 0.5:
+    is positive there: Gordan's alternative on the rows (g_x, 1), target
+    t = (0, ..., 0, 1). Float: one NNLS fit of t on the rows (g_x / max|G|, 1);
+    an L1 residual within linalg.cutoff(t, tol) means none, and otherwise the
+    residual r has rows . r <= 0 and t . r = |r|^2 (KKT), so take
+    c = -r[:-1] / |r|^2 / max|G|. Exact, or a fit that does not converge:
+    `_rational_farkas` on the rows, read as Fractions, finds a convex
+    combination of the columns that is 0, or (c, s) with g_x . c >= -s > 0."""
+    g = fam.generators.T[nonzero]
+    target = np.array([0] * fam.rank + [1], dtype=object)
+    if not fam.exact:
+        from scipy.optimize import nnls
+        scale = float(np.abs(fam.generators).max(initial=0.0))
+        rows, t = np.c_[g / scale, np.ones(len(g))], target.astype(float)
+        try:
+            lam, _ = nnls(rows.T, t)
+        except RuntimeError:  # no convergence: decided exactly below
+            pass
+        else:
+            r = t - rows.T @ lam
+            return None if np.abs(r).sum() <= linalg.cutoff(t, tol) else tuple(
+                -r[:-1] / (r @ r) / scale)
+    w = _rational_farkas(np.array([[*col, 1] for col in g], dtype=object), target)
+    if w is None:
         return None
-    return tuple(res.x[:k] / scale)
+    c = (v / -w[-1] for v in w[:-1])
+    return tuple(c if fam.exact else map(float, c))
 
 
 def build_subbasic_bump(fam: FunctionFamily, x0, f, eps, tol: float = DEFAULT_TOL) -> FunctionVec:

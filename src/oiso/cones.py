@@ -13,10 +13,10 @@ equals Lambda A for some entrywise nonnegative Lambda: every codomain point
 evaluation of T is a nonnegative combination of domain point evaluations.
 On full families Lambda is the point matrix itself. On proper subfamilies
 one pass per side decides it (`_farkas_witness`): A and B go to float once,
-one non-negative least-squares fit per row of B settles the rows it can (in
-exact mode, when its support re-solves in rational arithmetic), and only a
-side with a row left unsettled builds one HiGHS LP, whose values rank the
-rows for the witness.
+and one non-negative least-squares fit per row of B settles what it can.
+A float side with a row left unsettled builds one HiGHS LP, whose most
+negative value decides; an exact side decides those rows in rational
+arithmetic, and builds the LP only to rank two or more.
 
 An operator reads its matrix as a weighted permutation (`linalg.monomial`)
 once, when it is built, and keeps the read as `monomial` and its inverse's
@@ -341,14 +341,13 @@ def is_order_isomorphism(t: OperatorModel, tol: float = DEFAULT_TOL) -> Certific
     function c whose image is negative at some target point
     (`_farkas_witness`). One non-negative least-squares fit per target point
     proposes a row of Lambda; when the fits settle every point the side is
-    accepted with no LP. Otherwise one HiGHS LP for c with |c| <= 1 ranks
-    the points: float mode takes its most negative value as the verdict and
-    its c as the witness; exact mode skips the points whose fits re-solve
-    exactly to a nonnegative row and decides the others, in the LP's order,
-    in rational arithmetic, so it does not read `tol`. Float mode's
-    one rule, on either basis: a value is negative below -linalg.cutoff of
-    the matrix it is read from (the point matrix, its inverse, or B), so
-    alpha*T gets T's verdict.
+    accepted with no LP. Float mode then solves one HiGHS LP for c with
+    |c| <= 1 and takes its most negative value as the verdict and its c as
+    the witness. Exact mode decides the points whose fits do not re-solve
+    exactly to a nonnegative row in rational arithmetic, reading no `tol`;
+    the LP only orders two or more of them. Float mode's one rule, on either
+    basis: a value is negative below -linalg.cutoff of the matrix it is read
+    from (the point matrix, its inverse, or B), so alpha*T gets T's verdict.
     """
     arith = "rational" if t.exact else "float"
     if t.basis == "generator" and t.domain.is_full and t.codomain.is_full:
@@ -392,25 +391,22 @@ def _farkas_witness(a, b, tol: float):
     lam A for some lam >= 0, else (y, c) with A c >= 0 and b_y . c < 0.
 
     A and B are taken to float once. One non-negative least-squares fit per
-    row, lam_y >= 0 with the least |b_y - lam_y A|, settles what it can.
-    Float: a row is settled when its residual's L1 norm is at most
-    linalg.cutoff(B, tol); rows are fitted in index order up to the first
-    that is not. Exact (`tol` unused): every row is fitted, and a row is
-    settled when its fit's support re-solves in rational arithmetic to
-    lam >= 0, tried largest float residual first and remembered per row. A
-    fit that raises or does not converge settles nothing. When every row is
-    settled the side is accepted and no LP runs.
+    row, lam_y >= 0 with the least |b_y - lam_y A|, settles what it can; a
+    fit that raises or does not converge ends the fits. Float: a row is
+    settled when its residual's L1 norm is at most linalg.cutoff(B, tol),
+    and rows are fitted up to the first that is not. Exact (`tol` unused): a
+    row is settled when its fit's support re-solves in rational arithmetic
+    to lam >= 0 (`_resolves`). A side with every row settled is accepted.
 
-    Otherwise one HiGHS LP, min b_y . c_y with A c_y >= 0 and |c_y| <= 1 for
-    every y, ranks the rows: row y's value is minus min |b_y - lam A|_1 over
-    lam >= 0, so it accepts every float-settled row too. HiGHS's tolerances
-    are absolute, so its costs are B / max|B| and its constraints A times
-    the power of two that brings max|A| into [1/2, 1), which is exact and
-    keeps the feasible set. Float: the most negative value decides, below
-    -linalg.cutoff(B, tol), with the LP's c_y as witness. Exact: rows go in
-    the stable order of their values (index order if HiGHS fails); a row its
-    fit does not settle goes to `_rational_farkas`, and the first witness is
-    reported.
+    Float, otherwise: one HiGHS LP, min b_y . c_y with A c_y >= 0 and
+    |c_y| <= 1 for every y, gives row y the value -min |b_y - lam A|_1 over
+    lam >= 0, and the most negative value below -linalg.cutoff(B, tol)
+    decides, with its c_y as witness. HiGHS's tolerances are absolute, so
+    its costs are B / max|B| and its constraints A times the power of two
+    that brings max|A| into [1/2, 1) (exact, same feasible set). Exact,
+    otherwise: `_rational_farkas` decides the unsettled rows and the first
+    witness is reported; two or more go in the order of their values in the
+    same LP (stable; index order if HiGHS fails).
     """
     from scipy.optimize import linprog, nnls
     from scipy.sparse import identity, kron
@@ -418,50 +414,47 @@ def _farkas_witness(a, b, tol: float):
     exact = b.dtype == object
     fa, fb = linalg.as_float(a), linalg.as_float(b)
     bound = linalg.cutoff(fb, tol)
-    residuals, supports, verdicts = [], [], {}
+    supports = []
     for b_y in fb:
         try:
             lam, _ = nnls(fa.T, b_y)
         except (RuntimeError, ValueError):  # no convergence, or entries not finite
             break
-        residual = np.abs(b_y - fa.T @ lam).sum()
-        if not exact and residual > bound:
+        if not exact and np.abs(b_y - fa.T @ lam).sum() > bound:
             break
-        residuals.append(residual)
         supports.append(lam > 0)
 
-    def settled(y):
-        if y not in verdicts:
-            row = linalg.exact_solve_unique(a[supports[y]].T, b[y])
-            verdicts[y] = row is not None and all(v >= 0 for v in row)
-        return verdicts[y]
-
     (n, k), m = fb.shape, fa.shape[0]
-    if len(supports) == n and (not exact or all(
-            settled(y) for y in np.argsort(-np.asarray(residuals), kind="stable"))):
+    if exact:
+        failing = [y for y in range(n)
+                   if y >= len(supports) or not _resolves(a[supports[y]], b[y])]
+    elif len(supports) == n:
         return None
-    fa = np.ldexp(fa, -np.frexp(np.max(np.abs(fa)))[1])
-    res = linprog(c=(fb / np.max(np.abs(fb))).ravel(),
-                  A_ub=-kron(identity(n), fa, format="csr"), b_ub=np.zeros(n * m),
-                  bounds=(-1.0, 1.0), method="highs")
-    if res.status == 0:
-        cs = res.x.reshape(n, k)
-        vals = np.einsum("yk,yk->y", fb, cs)
-        order = np.argsort(vals, kind="stable")
-    elif not exact:  # bounded and feasible (c = 0) by construction
-        raise RuntimeError(f"LP solver failed: {res.message}")
-    else:
-        order = range(n)
-    if not exact:
-        y = order[0]
-        return (int(y), cs[y]) if vals[y] < -bound else None
-    for y in order:
-        if y < len(supports) and settled(y):
-            continue
+    if not exact or len(failing) > 1:
+        fa = np.ldexp(fa, -np.frexp(np.max(np.abs(fa)))[1])
+        res = linprog(c=(fb / np.max(np.abs(fb))).ravel(),
+                      A_ub=-kron(identity(n), fa, format="csr"), b_ub=np.zeros(n * m),
+                      bounds=(-1.0, 1.0), method="highs")
+        if res.status == 0:
+            cs = res.x.reshape(n, k)
+            vals = np.einsum("yk,yk->y", fb, cs)
+            if not exact:
+                y = int(np.argmin(vals))
+                return (y, cs[y]) if vals[y] < -bound else None
+            failing.sort(key=vals.__getitem__)
+        elif not exact:  # bounded and feasible (c = 0) by construction
+            raise RuntimeError(f"LP solver failed: {res.message}")
+    for y in failing:
         c = _rational_farkas(a, b[y])
         if c is not None:
-            return int(y), c
+            return y, c
     return None
+
+
+def _resolves(a, b_y) -> bool:
+    """Whether b_y = lam A with lam >= 0 on A's rows, re-solved exactly."""
+    lam = linalg.exact_solve_unique(a.T, b_y)
+    return lam is not None and all(v >= 0 for v in lam)
 
 
 def _rational_farkas(a, b_y):

@@ -87,7 +87,7 @@ class TestCheckAdequate:
 
     def test_cone_generation_without_constants_uses_lp(self):
         # difference generators: the only nonnegative span element is 0, so
-        # the cone cannot generate and the LP finds no positive element
+        # the cone cannot generate and the fit finds no positive element
         gen = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
         fam = FunctionFamily(PointSpace.discrete(3), gen, names=("a", "b"))
         rep = check_adequate(fam)
@@ -98,7 +98,7 @@ class TestCheckAdequate:
 
     def test_cone_generation_without_constants_feasible_case(self):
         # span{t, t(1-t)} on (0,1) samples: both generators positive there, so
-        # the LP finds a strictly positive span element
+        # the fit finds a strictly positive span element
         ts = np.array([0.2, 0.5, 0.8])
         gen = np.array([ts, ts * (1 - ts)])
         fam = FunctionFamily(PointSpace.grid(list(ts)), gen, names=("t", "t(1-t)"))
@@ -124,6 +124,58 @@ class TestCheckAdequate:
         if generates:
             assert all(isinstance(c, Fraction) for c in rep.cone_witness)
             assert min(fam.values(np.array(rep.cone_witness, dtype=object))) >= 1
+        else:
+            assert rep.cone_witness is None
+
+    @pytest.mark.parametrize("gen, generates", [
+        ([[0.2, 0.5, 0.8], [0.16, 0.25, 0.16]], True),
+        ([[2.0, 2.0, -1.0, 0.0], [0.0, 0.0, 1.0, 0.0]], True),
+        ([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]], False),
+        ([[1.0, 2.0, -1.0]], False),
+    ], ids=["positive", "zero-column", "differences", "sign-changing"])
+    def test_float_cone_generation_without_constants_reads_no_lp(self, monkeypatch, gen,
+                                                                 generates):
+        # one NNLS fit decides Gordan's alternative; no LP may run
+        def refuse(*args, **kwargs):
+            raise AssertionError("cone generation needs no LP")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+        fam = FunctionFamily(PointSpace.discrete(len(gen[0])), np.array(gen))
+        rep = check_adequate(fam)
+        assert not rep.has_constants
+        assert rep.cone_generates is generates
+        if generates:
+            vals = fam.values(np.array(rep.cone_witness))
+            nonzero = np.any(fam.generators != 0, axis=0)
+            assert np.all(vals[nonzero] >= 1 - 1e-9)
+        else:
+            assert rep.cone_witness is None
+
+    @pytest.mark.parametrize("gen", [
+        [[0.2, 0.5, 0.8], [0.16, 0.25, 0.16]],
+        [[0.1, -0.3, 0.7], [0.0, 0.4, 0.2]],
+        [[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]],
+        [[1.0, 2.0, -1.0]],
+    ], ids=["positive", "mixed-signs", "differences", "sign-changing"])
+    def test_float_cone_generation_decides_exactly_when_the_fit_fails(self, monkeypatch,
+                                                                      gen):
+        # an NNLS fit that does not converge raises; the verdict is then the
+        # rational one on the same float entries, not a silent "no"
+        gen = np.array(gen)
+        fam = FunctionFamily(PointSpace.discrete(gen.shape[1]), gen)
+        want = check_adequate(FunctionFamily(fam.space, _exact(gen))).cone_generates
+
+        def no_fit(*args, **kwargs):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(scipy.optimize, "nnls", no_fit)
+        rep = check_adequate(fam)
+        assert rep.cone_generates is want
+        if want:
+            assert all(isinstance(c, float) for c in rep.cone_witness)
+            vals = fam.values(np.array(rep.cone_witness))
+            nonzero = np.any(gen != 0, axis=0)
+            assert np.all(vals[nonzero] >= 1 - 1e-9)
         else:
             assert rep.cone_witness is None
 

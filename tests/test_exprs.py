@@ -2,6 +2,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -115,6 +116,27 @@ def _exact_value(e, t: Fraction) -> Fraction:
                Fraction(0))
 
 
+_ENDS = st.floats(-2.0, 2.0)
+_KINDS = {"clamp": random_clamp_expr, "analytic": random_analytic_expr,
+          "clamp of t": lambda rng, level: Clamp(Ident()),
+          "ramp of t": lambda rng, level: SinRamp(Ident())}
+
+
+def _mp_value(e, t: float):
+    """The real value of e at t, in mpmath at its working precision."""
+    if isinstance(e, Const):
+        return mpmath.mpf(e.value)
+    if isinstance(e, Ident):
+        return mpmath.mpf(t)
+    if isinstance(e, LinComb):
+        return mpmath.fsum(mpmath.mpf(c) * _mp_value(ch, t)
+                           for c, ch in zip(e.coeffs, e.children))
+    v = _mp_value(e.child, t)
+    if isinstance(e, Clamp) and not 0 < v < 1:
+        return mpmath.mpf(0 if v <= 0 else 1)
+    return mpmath.sin(mpmath.pi * v / 2)
+
+
 class TestIntervalEval:
     def test_identity_passthrough(self):
         box = IntervalBox(0.125, 0.5)
@@ -175,6 +197,26 @@ class TestIntervalEval:
         # an affine expression's range over the box lies between its end values
         for t in (lo, hi):
             assert Fraction(env.lo) <= _exact_value(e, Fraction(t)) <= Fraction(env.hi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(_KINDS)),
+           level=st.integers(1, 4),
+           ends=st.one_of(st.none(), st.tuples(_ENDS, _ENDS), _ENDS.map(lambda t: (t, t))),
+           fractions=st.lists(st.floats(0.0, 1.0), max_size=6))
+    def test_enclosure_contains_the_50_digit_value(self, seed, kind, level, ends, fractions):
+        # no slack: each point value, to 50 digits, lies in the float
+        # enclosure, which covers the sine branches of Clamp and SinRamp and
+        # the outward rounding of LinComb; a ramp of t itself shows its own
+        # rounding, which a widened LinComb argument would hide
+        rng = np.random.default_rng(seed)
+        e = _KINDS[kind](rng, level)
+        box = random_interval(rng) if ends is None else IntervalBox(*sorted(ends))
+        env = interval_eval(e, box)
+        points = [box.lo, box.hi] + [box.lo + f * box.width for f in fractions]
+        with mpmath.workdps(50):
+            for t in points:
+                v = _mp_value(e, min(max(t, box.lo), box.hi))
+                assert env.lo <= v <= env.hi
 
     def test_halves_and_sample(self):
         box = IntervalBox(0.0, 1.0)

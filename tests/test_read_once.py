@@ -520,7 +520,9 @@ class TestStructuralCost:
     def test_proper_family_certificate_solves_an_lp_only_to_reject(
             self, monkeypatch, mode, matrix, side, solves):
         # span{1, t} on t = 0, 1, 2: a side whose rows the NNLS fits settle
-        # makes no HiGHS solve, and a rejected side makes one for its witness
+        # makes no HiGHS solve, and a rejected float side makes one for its
+        # witness; each rejected exact side here has one failing row, which
+        # the rational test decides with no LP to rank it
         calls = []
         real = scipy.optimize.linprog
         monkeypatch.setattr(scipy.optimize, "linprog",
@@ -528,7 +530,23 @@ class TestStructuralCost:
         conv = linalg.as_exact if mode == "exact" else linalg.as_float
         fam = FunctionFamily(PointSpace.discrete(3), conv([[1, 1, 1], [0, 1, 2]]))
         cert = is_order_isomorphism(OperatorModel(conv(matrix), fam, fam, basis="generator"))
-        assert (cert.accept, cert.side, len(calls)) == (side is None, side, solves)
+        assert (cert.accept, cert.side, len(calls)) == (side is None, side,
+                                                         solves if mode == "float" else 0)
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_two_failing_rows_make_one_solve(self, monkeypatch, mode):
+        # the golden GEN_PROPER_REJECT shear on span{1, t} over t = 0..3 fails
+        # at t = 2 and t = 3: one HiGHS solve ranks the two, so t = 3, the
+        # most negative, is reported
+        doc = {"basis": "generator", "matrix": [[1, 2], [0, 1]],
+               "domain": {"space": list("abcd"), "generators": [[1, 1, 1, 1], [0, 1, 2, 3]]}}
+        t = parse_operator({**doc, "codomain": doc["domain"]}, mode)
+        calls = []
+        real = scipy.optimize.linprog
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        cert = is_order_isomorphism(t)
+        assert (cert.accept, cert.side, cert.point, len(calls)) == (False, "domain", 3, 1)
 
     @pytest.mark.parametrize("matrix, side, sides", [
         ([[1, 2], [0, 1]], "domain", 1),
