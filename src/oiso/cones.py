@@ -19,11 +19,11 @@ negative value decides; an exact side decides those rows in rational
 arithmetic, and builds the LP only to rank two or more.
 
 An operator reads its matrix as a weighted permutation (`linalg.monomial`)
-once, when it is built, and keeps the read as `monomial` and its inverse's
-as `inverse_monomial`. Whether that read exists, not the arithmetic, picks
-the path: a point-basis weighted permutation's certificate, recovery, T1 and
-isometry reduction are O(n) in the two reads, in float and exact mode alike,
-and a matrix that is not monomial is scanned whole.
+once, when it is built, and holds one by that read and its inverse's; its
+dense matrices are built only if read. Whether the read exists, not the
+arithmetic, picks the path: a point-basis weighted permutation's certificate,
+recovery, T1 and isometry reduction are O(n) in the two reads, in float and
+exact mode alike, and a matrix that is not monomial is scanned whole.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import mat_mat, mat_vec
-from .spaces import DEFAULT_TOL, DimensionMismatchError, FunctionFamily, values_of
+from .spaces import DEFAULT_TOL, DimensionMismatchError, FunctionFamily, PointSpace, values_of
 
 __all__ = [
     "ConeRep",
@@ -76,13 +76,12 @@ class OperatorModel:
     basis "point": both families are full and the matrix maps value vectors to
     value vectors (v' = M @ v).
 
-    `monomial` is the matrix's `linalg.monomial` read, (columns, entries) or
-    None, taken once at construction; `inverse_monomial` is the inverse
-    matrix's read, derived from it (`linalg.monomial_inv`), or None.
-
-    The model's matrix is read-only and its own: a writeable array it is
-    given is copied, so the caller may go on writing it. A read-only array
-    is kept as it is; `linalg.frozen` hands a fresh array over that way.
+    A weighted permutation is held by its reads: `monomial`, the matrix's
+    `linalg.monomial` read (columns, entries), and `inverse_monomial`, the
+    inverse's (`linalg.monomial_inv`); both are None for any other matrix,
+    which is held with its dense inverse. `matrix` and `inverse_matrix` are
+    read-only, built from a read on first read. A given matrix is kept as the
+    operator's own: a writeable array is copied, a read-only one kept.
     """
 
     def __init__(self, matrix, domain: FunctionFamily, codomain: FunctionFamily,
@@ -90,54 +89,50 @@ class OperatorModel:
         m = self._validated(matrix, domain, codomain, basis)
         if m.flags.writeable and (m is matrix or m.base is not None):
             m = m.copy()  # the caller's array or a view of someone's
-        self._adopt(m, domain, codomain, basis, linalg.monomial(m))
+        self._set(m, None, linalg.monomial(m), domain, codomain, basis)
 
     @staticmethod
-    def _validated(matrix, domain: FunctionFamily, codomain: FunctionFamily,
-                   basis: str) -> np.ndarray:
-        """The operator matrix as an array, checked against the families."""
+    def _validated(entries, domain: FunctionFamily, codomain: FunctionFamily,
+                   basis: str, shape=None) -> np.ndarray:
+        """The operator matrix, or a weighted permutation's weights for a
+        matrix of `shape`, as an array checked against the families."""
         if basis not in ("point", "generator"):
             raise ValueError("basis must be 'point' or 'generator'")
-        m = np.asarray(matrix)
+        m = np.asarray(entries)
         if m.dtype != object:
             m = np.asarray(m, dtype=float)
             if not np.all(np.isfinite(m)):
                 raise ValueError("operator entries must be finite")
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        shape = m.shape if shape is None else shape
+        if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError("operator matrix must be square")
         exact = m.dtype == object
         if exact != domain.exact or exact != codomain.exact:
             raise ValueError("operator and families must share one arithmetic mode")
-        if domain.rank != codomain.rank:
-            raise DimensionMismatchError("domain and codomain ranks must agree")
         if basis == "point":
             if not (domain.is_full and codomain.is_full):
                 raise ValueError("point basis requires full families")
-            if m.shape != (codomain.space.size, domain.space.size):
+            if shape != (codomain.space.size, domain.space.size):
                 raise DimensionMismatchError("point matrix shape must match the spaces")
-        else:
-            if m.shape != (codomain.rank, domain.rank):
-                raise DimensionMismatchError("generator matrix shape must match the ranks")
+        elif domain.rank != codomain.rank:
+            raise DimensionMismatchError("domain and codomain ranks must agree")
+        elif shape != (codomain.rank, domain.rank):
+            raise DimensionMismatchError("generator matrix shape must match the ranks")
         return m
 
-    def _adopt(self, m: np.ndarray, domain: FunctionFamily, codomain: FunctionFamily,
-               basis: str, read, dense_inverse=linalg.dense_inv):
-        """Take a validated matrix and its `linalg.monomial` read; the
-        inverse and its read are built from the read when there is one, and
-        by `dense_inverse(m)` when there is none. Raises SingularMatrixError."""
-        if read is None:
-            inv_read, inv = None, dense_inverse(m)
-        else:
-            inv_read = linalg.monomial_inv(*read)
-            inv = linalg.monomial_matrix(*inv_read)
-        self._set(m, inv, read, inv_read, domain, codomain, basis)
-
-    def _set(self, m, inv, read, inv_read, domain, codomain, basis):
-        # both matrices frozen, so inverse() shares them
-        self.matrix = linalg.frozen(m)
-        self._inv_matrix = linalg.frozen(inv)
+    def _set(self, matrix, inverse, read, domain, codomain, basis, inverse_read=None):
+        """Hold a validated operator by its `linalg.monomial` read, or by its
+        matrix and dense inverse (`linalg.dense_inv` unless given) when the
+        read is None; the inverse's read is derived unless given. Raises
+        SingularMatrixError."""
+        if read is None and inverse is None:
+            inverse = linalg.dense_inv(matrix)
+        if read is not None and inverse_read is None:
+            inverse_read = linalg.monomial_inv(*read)
+        self._matrix = None if matrix is None else linalg.frozen(matrix)
+        self._inverse = None if inverse is None else linalg.frozen(inverse)
         self.monomial = read
-        self.inverse_monomial = inv_read
+        self.inverse_monomial = inverse_read
         self.basis = basis
         self.domain = domain
         self.codomain = codomain
@@ -145,21 +140,29 @@ class OperatorModel:
 
     @property
     def exact(self) -> bool:
-        return self.matrix.dtype == object
+        return self.domain.exact
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return self.domain.rank
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = linalg.frozen(linalg.monomial_matrix(*self.monomial))
+        return self._matrix
 
     @property
     def inverse_matrix(self) -> np.ndarray:
-        return self._inv_matrix
+        if self._inverse is None:
+            self._inverse = linalg.frozen(linalg.monomial_matrix(*self.inverse_monomial))
+        return self._inverse
 
     def inverse(self) -> "OperatorModel":
-        """The inverse operator: this one's matrices and reads, swapped."""
+        """The inverse operator: the reads and the matrices built so far, swapped."""
         t = type(self).__new__(type(self))
-        t._set(self._inv_matrix, self.matrix, self.inverse_monomial, self.monomial,
-               self.codomain, self.domain, self.basis)
+        t._set(self._inverse, self._matrix, self.inverse_monomial, self.codomain,
+               self.domain, self.basis, inverse_read=self.monomial)
         return t
 
     def apply_values(self, v) -> np.ndarray:
@@ -203,25 +206,26 @@ class OperatorModel:
             dom = FunctionFamily.full(self.domain.space, exact=self.exact)
             cod = FunctionFamily.full(self.codomain.space, exact=self.exact)
             p = linalg.frozen(self._validated(self.point_matrix(), dom, cod, "point"))
+            read = linalg.monomial(p)
             self._point = OperatorModel.__new__(OperatorModel)
             with np.errstate(over="ignore", invalid="ignore"):  # finite_inverse reports it
-                self._point._adopt(p, dom, cod, "point", linalg.monomial(p),
-                                   lambda _: linalg.finite_inverse(self.inverse().point_matrix()))
+                inv = None if read is not None else linalg.finite_inverse(
+                    self.inverse().point_matrix())
+                self._point._set(p, inv, read, dom, cod, "point")
         return self._point
 
     @classmethod
     def weighted_permutation(cls, sigma, weight, domain: Optional[FunctionFamily] = None,
                              codomain: Optional[FunctionFamily] = None) -> "OperatorModel":
-        """Point-basis operator (T f)(y) = weight[y] * f(sigma[y]).
-
-        sigma maps codomain point indices to domain point indices.
-        """
-        from .spaces import PointSpace
-        sig = np.asarray(sigma, dtype=int)
+        """Point-basis operator (T f)(y) = weight[y] * f(sigma[y]), held by its
+        read: sigma maps codomain point indices to domain point indices. The
+        weights get the generic checks; a zero weight goes to the generic
+        constructor, which reports the operator singular."""
+        sig = np.array(sigma, dtype=int)  # copies, as w below: the read is the operator's own
         n = sig.shape[0]
         if sorted(sig.tolist()) != list(range(n)):
             raise ValueError("sigma must be a bijection of point indices")
-        w = np.asarray(weight)
+        w = np.array(weight)
         if w.shape != (n,):
             raise ValueError("one weight per point required")
         exact = w.dtype == object
@@ -229,12 +233,11 @@ class OperatorModel:
             domain = FunctionFamily.full(PointSpace.discrete(n, "x"), exact=exact)
         if codomain is None:
             codomain = FunctionFamily.full(PointSpace.discrete(n, "y"), exact=exact)
-        m = cls._validated(linalg.monomial_matrix(sig, w), domain, codomain, "point")
-        entries = m[np.arange(n), sig]
-        if np.count_nonzero(entries) != n:  # singular: the generic path reports it
-            return cls(m, domain=domain, codomain=codomain, basis="point")
+        w = cls._validated(w, domain, codomain, "point", shape=(n, n))
+        if np.count_nonzero(w) != n:
+            return cls(linalg.monomial_matrix(sig, w), domain, codomain, "point")
         t = cls.__new__(cls)
-        t._adopt(m, domain, codomain, "point", (sig, entries))
+        t._set(None, None, (sig, w), domain, codomain, "point")
         return t
 
 
@@ -307,12 +310,11 @@ def _point_violation(t: OperatorModel, tol: float):
     entries. Those are all the nonzero entries, one per row, so the entries
     column has the dense matrix's most negative value, first held by the
     same row, and its `linalg.cutoff`. A matrix that is not monomial is
-    scanned whole.
+    scanned whole; only then is a dense matrix read.
     """
-    for mat, read, side in ((t.matrix, t.monomial, "domain"),
-                            (t.inverse_matrix, t.inverse_monomial, "codomain")):
+    for read, side in ((t.monomial, "domain"), (t.inverse_monomial, "codomain")):
         if read is None:
-            hit = _nonneg_violation(mat, tol)
+            hit = _nonneg_violation(t.matrix if side == "domain" else t.inverse_matrix, tol)
         else:
             cols, entries = read
             hit = _nonneg_violation(entries[:, None], tol)

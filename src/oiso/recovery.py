@@ -231,7 +231,7 @@ def decompose(t: OperatorModel, tol: float = DEFAULT_TOL,
         cert = is_order_isomorphism(t, tol=tol)
     if not cert.accept:
         raise NotOrderIsomorphismError(cert)
-    if not (t.domain.is_full or t.domain.has_constants()):  # a full family spans them
+    if not (t.domain.is_full or t.domain.has_constants(tol)):  # a full family spans them
         raise ValueError("decompose needs the domain family to contain constants")
     sigma, weight = _read(t)
     if not all(w > 0 for w in weight):

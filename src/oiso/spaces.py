@@ -174,11 +174,13 @@ class FunctionFamily:
     it, in either arithmetic: a square exact G that is not monomial has its
     rank checked by one Gauss-Jordan pass over [G^T | I]
     (`linalg.exact_inv_or_rank`), whose right half is that inverse; any
-    other G is inverted on first use.
+    other G is inverted on first use. `tol` is the float rank check's only:
+    the family keeps no tolerance, and `has_constants` and `coefficients_of`
+    take theirs from the caller.
     """
 
     def __init__(self, space: PointSpace, generators, names: Optional[Sequence[str]] = None,
-                 claims_constants: Optional[bool] = None, tol: float = DEFAULT_TOL):
+                 tol: float = DEFAULT_TOL):
         gen = np.asarray(generators)
         if gen.dtype != object:
             gen = np.asarray(gen, dtype=float)
@@ -195,14 +197,11 @@ class FunctionFamily:
             r = linalg.rank(gen, tol=tol)
         if r != gen.shape[0]:
             raise ValueError(f"generators must be linearly independent (rank {r} < {gen.shape[0]})")
-        self._adopt(space, gen.copy(), gen.shape[0], gen.dtype == object, names, tol)
+        self._adopt(space, gen.copy(), gen.shape[0], gen.dtype == object, names)
         if inv_t is not None:
             self._inv_t = linalg.frozen(inv_t)
-        if claims_constants is True and not self.has_constants():
-            raise ValueError("family claims constants but the all-ones vector is not in span")
 
-    def _adopt(self, space: PointSpace, gen: Optional[np.ndarray], rank: int, exact: bool,
-               names, tol: float):
+    def _adopt(self, space: PointSpace, gen: Optional[np.ndarray], rank: int, exact: bool, names):
         """Take a validated, independent generator matrix as this family's
         own; None stands for the identity of a full family, built on first
         read of `generators`."""
@@ -216,7 +215,6 @@ class FunctionFamily:
             f"g{i}" for i in range(rank))
         if len(self.names) != rank:
             raise ValueError("one name per generator required")
-        self.tol = tol
         self._inv_t = None
 
     @property
@@ -253,12 +251,12 @@ class FunctionFamily:
             return linalg.mat_vec(self.generators.T, c)
         return c @ self.generators
 
-    def has_constants(self, tol: Optional[float] = None) -> bool:
-        ok, _ = span_membership(self, self.ones(), tol=self.tol if tol is None else tol)
+    def has_constants(self, tol: float = DEFAULT_TOL) -> bool:
+        ok, _ = span_membership(self, self.ones(), tol=tol)
         return ok
 
-    def coefficients_of(self, f, tol: Optional[float] = None):
-        ok, c = span_membership(self, f, tol=self.tol if tol is None else tol)
+    def coefficients_of(self, f, tol: float = DEFAULT_TOL):
+        ok, c = span_membership(self, f, tol=tol)
         if not ok:
             raise ValueError("function is not in the span of the family")
         return c
@@ -272,16 +270,15 @@ class FunctionFamily:
         none) and then kept, read-only."""
         fam = cls.__new__(cls)
         fam._adopt(space, None, space.size, exact,
-                   tuple(f"e_{lbl}" for lbl in space.labels), DEFAULT_TOL)
+                   tuple(f"e_{lbl}" for lbl in space.labels))
         return fam
 
 
 @dataclass(frozen=True)
 class ZeroSet:
-    """Points where a function vanishes (|value| <= tol in float mode)."""
+    """Points where a function vanishes (`of`: |value| <= tol in float mode)."""
 
     mask: np.ndarray
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         m = np.asarray(self.mask, dtype=bool).copy()
@@ -295,13 +292,13 @@ class ZeroSet:
             mask = np.array([x == 0 for x in v], dtype=bool)
         else:
             mask = np.abs(v) <= tol
-        return cls(mask, tol)
+        return cls(mask)
 
     def indices(self) -> np.ndarray:
         return np.nonzero(self.mask)[0]
 
     def intersect(self, other: "ZeroSet") -> "ZeroSet":
-        return ZeroSet(self.mask & other.mask, max(self.tol, other.tol))
+        return ZeroSet(self.mask & other.mask)
 
     @property
     def empty(self) -> bool:

@@ -309,6 +309,16 @@ class TestRejectedTable:
             code, out, err = _run(capsys, [command, op, "--mode", mode])
             assert (code, out) == (EXIT_USAGE, "") and "error:" in err
 
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_point_matrix_of_the_wrong_size_names_its_shape(self, tmp_path, capsys, mode):
+        # a 2 x 2 point matrix from a three-point domain: the shape, not the
+        # ranks it implies, is what the refusal names
+        op = _write(tmp_path, "op.json", {"matrix": [[1, 0], [0, 1]], "domain": ["a", "b", "c"]})
+        for command in ("decompose", "classify"):
+            code, out, err = _run(capsys, [command, op, "--mode", mode])
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err.splitlines() == ["error: point matrix shape must match the spaces"]
+
 
 class TestUsageErrors:
     def test_missing_file(self, tmp_path, capsys):

@@ -198,7 +198,7 @@ class TestMatrixOwnership:
         m.setflags(write=False)
         t = OperatorModel(m, fam, fam)
         assert t.matrix is m
-        assert t.inverse().matrix is t.inverse_matrix
+        assert t.inverse().inverse_matrix is m
 
 
 class TestIntObjectInput:
@@ -855,3 +855,71 @@ def test_float_and_exact_certificates_agree(construction, seed, variant):
     flt, exact = is_order_isomorphism(t), is_order_isomorphism(_proper_operator(*draw)[0])
     assert (flt.arithmetic, exact.arithmetic) == ("float", "rational")
     assert (flt.accept, flt.side, flt.point) == (exact.accept, exact.side, exact.point)
+
+
+@st.composite
+def _integer_full_operators(draw):
+    """An invertible integer point matrix P, and with it the operator in
+    exact arithmetic: P itself on the indicator families (basis "point"), or
+    M = G_Y^-T P G_X^T between two full families with integer generators
+    (basis "generator"). P is a weighted permutation, all weights positive
+    on half the draws, plus up to n integer entries anywhere."""
+    n = draw(st.integers(1, 5))
+    weights = st.sampled_from([1, 2, 3] if draw(st.booleans()) else [-3, -2, -1, 1, 2, 3])
+    p = np.zeros((n, n), dtype=int)
+    for y, x in enumerate(draw(st.permutations(range(n)))):
+        p[y, x] = draw(weights)
+    for _ in range(draw(st.integers(0, n))):
+        p[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(st.integers(-3, 3))
+    p = linalg.as_exact(p.tolist())
+    assume(linalg.exact_rank(p) == n)
+    if draw(st.sampled_from(["point", "generator"])) == "point":
+        fams = [FunctionFamily.full(PointSpace.discrete(n, prefix), exact=True)
+                for prefix in "xy"]
+        return p, OperatorModel(p, *fams)
+    fams = []
+    for prefix in "xy":
+        g = linalg.as_exact([[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)])
+        if linalg.exact_rank(g) < n:
+            g = linalg.as_exact(np.eye(n, dtype=int).tolist())
+        fams.append(FunctionFamily(PointSpace.discrete(n, prefix), g))
+    gx, gy = fams
+    m = linalg.mat_mat(linalg.exact_inv(gy.generators.T), linalg.mat_mat(p, gx.generators.T))
+    return p, OperatorModel(m, gx, gy, basis="generator")
+
+
+def _clear_of_the_cutoff(m):
+    """The exact matrix `m`'s float sign scan cannot flip under rounding: each
+    negative entry lies below -2 linalg.cutoff(m), and the most negative
+    value leads the next by more than twice the cutoff."""
+    fm = as_float(m)
+    cut = linalg.cutoff(fm, DEFAULT_TOL)
+    neg = sorted(set(fm[fm < 0].tolist()))
+    return all(v < -2 * cut for v in neg) and (len(neg) < 2 or neg[1] - neg[0] > 2 * cut)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_integer_full_operators())
+def test_float_and_exact_full_family_certificates_agree(draw):
+    """The float twin of an integer operator between full families (its
+    matrix and generators taken to float) gets the exact certificate's
+    accept, side, point and witness, and an accepted one decomposes to the
+    same sigma and to weights equal within float rounding. Point matrices
+    take the generic constructor, generator-basis operators `as_point`.
+    Skipped draws: an entry of P or of its inverse near enough to the float
+    cutoff that rounding could move the verdict (`_clear_of_the_cutoff`)."""
+    p, t = draw
+    assume(_clear_of_the_cutoff(p) and _clear_of_the_cutoff(linalg.exact_inv(p)))
+    fams = [FunctionFamily.full(f.space) if t.basis == "point" else
+            FunctionFamily(f.space, as_float(f.generators)) for f in (t.domain, t.codomain)]
+    flt = OperatorModel(as_float(t.matrix), *fams, basis=t.basis)
+    cert_f, cert_e = is_order_isomorphism(flt), is_order_isomorphism(t)
+    assert (cert_f.arithmetic, cert_e.arithmetic) == ("float", "rational")
+    assert (cert_f.accept, cert_f.side, cert_f.point) == (cert_e.accept, cert_e.side, cert_e.point)
+    assert cert_f.witness_values == tuple(float(v) for v in cert_e.witness_values or ()) or \
+        cert_f.accept
+    if cert_e.accept:
+        d_f, d_e = decompose(flt, cert=cert_f), decompose(t, cert=cert_e)
+        assert d_f.sigma == d_e.sigma
+        w_e = np.array([float(w) for w in d_e.weight])
+        assert np.max(np.abs(d_f.weight_array() - w_e)) <= 1e-12 * np.max(w_e)

@@ -288,9 +288,12 @@ def test_inverse_swaps_the_matrices_and_reads(monkeypatch, exact, rows):
     monkeypatch.setattr(linalg, "dense_inv", lambda a: calls.append(a))
     inv = t.inverse()
     assert calls == []
-    assert inv.inverse_matrix is t.matrix and inv.matrix is t.inverse_matrix
+    # the given matrix is shared; a monomial inverse is built from its read
+    assert inv.inverse_matrix is t.matrix
+    assert _typed(inv.matrix.ravel()) == _typed(t.inverse_matrix.ravel())
     assert inv.monomial is t.inverse_monomial and inv.inverse_monomial is t.monomial
     assert (inv.domain, inv.codomain, inv.basis) == (t.codomain, t.domain, t.basis)
+    assert calls == []
 
 
 def test_zero_weight_is_singular_through_weighted_permutation():
@@ -303,6 +306,32 @@ def test_zero_weight_is_singular_through_weighted_permutation():
 def test_weighted_permutation_needs_one_weight_per_point(weight):
     with pytest.raises(ValueError, match="one weight per point"):
         OperatorModel.weighted_permutation((1, 0), np.asarray(weight))
+
+
+@pytest.mark.parametrize("weight, families, message", [
+    ([2.0, np.nan], None, "operator entries must be finite"),
+    ([2.0, np.inf], None, "operator entries must be finite"),
+    ([Fraction(2), Fraction(3)], False, "share one arithmetic mode"),
+    ([2.0, 3.0], True, "share one arithmetic mode"),
+    ([2.0, 3.0], 3, "point matrix shape must match the spaces"),
+    ([2.0, 3.0], "proper", "point basis requires full families"),
+], ids=["nan", "inf", "exact-weights", "exact-families", "three-points", "proper-family"])
+def test_weighted_permutation_keeps_the_generic_checks(weight, families, message):
+    # the weights are checked as the generic constructor checks a matrix,
+    # without building one
+    if families is None:
+        fams = {}
+    elif families == "proper":
+        fam = FunctionFamily(PointSpace.discrete(3), np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]]))
+        fams = {"domain": fam, "codomain": fam}
+    elif isinstance(families, bool):
+        fams = {"domain": FunctionFamily.full(PointSpace.discrete(2), exact=families),
+                "codomain": FunctionFamily.full(PointSpace.discrete(2), exact=families)}
+    else:
+        fams = {"domain": FunctionFamily.full(PointSpace.discrete(families))}
+    w = np.array(weight, dtype=object if isinstance(weight[0], Fraction) else float)
+    with pytest.raises(ValueError, match=message):
+        OperatorModel.weighted_permutation((1, 0), w, **fams)
 
 
 @st.composite
@@ -588,8 +617,8 @@ class TestStructuralCost:
         # the rank check's pass keeps inv(G^T), which also finds the
         # coefficients of 1
         calls = self._count(monkeypatch)
-        FunctionFamily(PointSpace.discrete(3), linalg.as_exact(_GEN_DOM["generators"]),
-                       claims_constants=True)
+        fam = FunctionFamily(PointSpace.discrete(3), linalg.as_exact(_GEN_DOM["generators"]))
+        assert fam.has_constants()
         assert calls["eliminations"] == 1
 
     @pytest.mark.parametrize("argv", [["decompose"], ["classify"]], ids=["decompose", "classify"])
@@ -632,13 +661,13 @@ class TestStructuralCost:
         generic = FunctionFamily(space, fam.generators, names=fam.names)
         assert calls["rank"] == 1
         assert _typed(fam.generators.ravel()) == _typed(generic.generators.ravel())
-        assert (fam.names, fam.tol, fam.generators.flags.writeable) == \
-            (generic.names, generic.tol, False)
+        assert (fam.names, fam.generators.flags.writeable) == (generic.names, False)
 
     def test_float_weighted_permutation_decompose_builds_no_identity(self):
         # the certificate and recovery read the matrix's monomial read, so
-        # the full families' identity generators (two more n x n matrices)
-        # are never built: the peak is the matrix and its inverse
+        # neither the full families' identity generators nor the dense
+        # inverse (three more n x n matrices) is built: the peak is the
+        # parsed matrix
         n = 512
         sigma = np.random.default_rng(0).permutation(n)
         matrix = np.zeros((n, n))
@@ -652,5 +681,30 @@ class TestStructuralCost:
         finally:
             tracemalloc.stop()
         assert d.sigma == tuple(sigma.tolist())
-        assert peak < 3 * matrix.nbytes
+        assert peak < 1.5 * matrix.nbytes
         assert _typed(t.domain.generators.ravel()) == _typed(np.eye(n).ravel())
+
+    @pytest.mark.parametrize("exact, n, budget", [(False, 4096, 8 << 20), (True, 1024, 2 << 20)],
+                             ids=["float", "exact"])
+    def test_weighted_permutation_pipeline_builds_no_dense_matrix(self, exact, n, budget):
+        # a weighted permutation is held by its read, so its certificate,
+        # decomposition and classification stay O(n) in memory: one dense
+        # n x n float matrix alone is 128 MB at n = 4096
+        rng = np.random.default_rng(0)
+        sigma = rng.permutation(n)
+        weight = [Fraction(int(k), 7) for k in rng.integers(1, 50, n)] if exact else \
+            rng.uniform(0.5, 2.0, n)
+        tracemalloc.start()
+        try:
+            t = OperatorModel.weighted_permutation(
+                sigma, np.array(weight, dtype=object if exact else float))
+            cert = is_order_isomorphism(t)
+            d = decompose(t, cert=cert)
+            rep = classify(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.accept and rep.kind == "lattice-iso"
+        assert d.sigma == rep.decomposition.sigma == tuple(sigma.tolist())
+        assert _typed(d.weight) == _typed(weight)
+        assert peak < budget, peak

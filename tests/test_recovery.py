@@ -177,6 +177,16 @@ class TestDecompose:
         with pytest.raises(ValueError, match="constants"):
             decompose(t)
 
+    def test_constants_are_judged_within_the_given_tol(self):
+        # 1 is 8e-7 from the span of (1, 1, 1 + 1e-6): out of it at the default
+        # tol, in it at tol = 1e-3, where the refusal is the proper family's
+        fam = FunctionFamily(PointSpace.discrete(3), np.array([[1.0, 1.0, 1.0 + 1e-6]]))
+        t = OperatorModel(np.eye(1), fam, fam, basis="generator")
+        with pytest.raises(ValueError, match="constants"):
+            decompose(t)
+        with pytest.raises(ValueError, match="full-rank family"):
+            decompose(t, tol=1e-3)
+
     def test_inverse_has_inverse_sigma(self):
         for rng in spawn_generators(5, 10):
             n = int(rng.integers(2, 12))

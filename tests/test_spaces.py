@@ -109,11 +109,6 @@ class TestFunctionFamily:
         with pytest.raises(ValueError, match=r"rank 2 < 3"):
             FunctionFamily(PointSpace.discrete(3), g)
 
-    def test_claims_constants_enforced(self):
-        sp = PointSpace.discrete(2)
-        with pytest.raises(ValueError):
-            FunctionFamily(sp, np.array([[1.0, 0.0]]), claims_constants=True)
-
 
 class TestSpanMembership:
     def test_binomial_coefficients(self):
