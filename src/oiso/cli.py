@@ -41,7 +41,7 @@ from .exprs import (
     separation_witness,
     to_sexpr,
 )
-from .linalg import SingularMatrixError, frozen
+from .linalg import SingularMatrixError, frozen, monomial_matrix
 from .recovery import AmbiguousIntersectionError, NotOrderIsomorphismError, decompose
 from .serialize import (
     canonical_json,
@@ -184,7 +184,7 @@ def _fuzz_instance(rng, dim: int, mode: str, perturbation: float, tol: float) ->
     exact = mode == "exact"
     t, sigma, weight = fuzz.random_monomial(rng, dim, exact=exact)
     if perturbation > 0.0:
-        m = np.array(t.matrix, dtype=float, copy=True)
+        m = monomial_matrix(*t.monomial)  # a fresh writable matrix; t builds none
         extras = max(1, dim // 4)
         for _ in range(extras):
             y = int(rng.integers(dim))

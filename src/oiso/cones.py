@@ -19,11 +19,13 @@ negative value decides; an exact side decides those rows in rational
 arithmetic, and builds the LP only to rank two or more.
 
 An operator reads its matrix as a weighted permutation (`linalg.monomial`)
-once, when it is built, and holds one by that read and its inverse's; its
-dense matrices are built only if read. Whether the read exists, not the
-arithmetic, picks the path: a point-basis weighted permutation's certificate,
-recovery, T1 and isometry reduction are O(n) in the two reads, in float and
-exact mode alike, and a matrix that is not monomial is scanned whole.
+once, when it is built, and holds one by that read and its inverse's. A
+parsed exact matrix is read from the boolean zero pattern its parse hands
+over, not by asking each `Fraction` for its truth. Its dense matrices are
+built only if read. Whether the read exists, not the arithmetic, picks the
+path: a point-basis weighted permutation's certificate, recovery, T1 and
+isometry reduction are O(n) in the two reads, in float and exact mode alike,
+and a matrix that is not monomial is scanned whole.
 """
 from __future__ import annotations
 
@@ -82,14 +84,16 @@ class OperatorModel:
     which is held with its dense inverse. `matrix` and `inverse_matrix` are
     read-only, built from a read on first read. A given matrix is kept as the
     operator's own: a writeable array is copied, a read-only one kept.
+    `_nonzero`, private to `serialize.parse_operator`, is the matrix's
+    `!= 0` pattern, which the read takes in place of the entries.
     """
 
     def __init__(self, matrix, domain: FunctionFamily, codomain: FunctionFamily,
-                 basis: str = "point"):
+                 basis: str = "point", _nonzero=None):
         m = self._validated(matrix, domain, codomain, basis)
         if m.flags.writeable and (m is matrix or m.base is not None):
             m = m.copy()  # the caller's array or a view of someone's
-        self._set(m, None, linalg.monomial(m), domain, codomain, basis)
+        self._set(m, None, linalg.monomial(m, _nonzero), domain, codomain, basis)
 
     @staticmethod
     def _validated(entries, domain: FunctionFamily, codomain: FunctionFamily,

@@ -256,17 +256,23 @@ def solve(a, b, tol: float):
 def cutoff(a, tol: float) -> float:
     """The float zero rule: a value computed from or tested in `a` counts as
     zero when its magnitude is at most tol * max|a|, so alpha * a gets the
-    decisions of a for every alpha > 0. An empty `a` gives 0."""
-    return tol * float(np.abs(np.asarray(a, dtype=float)).max(initial=0.0))
+    decisions of a for every alpha > 0. An empty `a` gives 0. max|a| is read
+    from the extremes, with no |a| copy the size of `a`."""
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        return 0.0
+    return tol * abs(max(float(a.max()), -float(a.min())))  # abs: never -0.0
 
 
-def monomial(a):
+def monomial(a, _nonzero=None):
     """Read a square matrix as a weighted permutation: exactly one nonzero
     entry per row, in distinct columns. Returns (columns, entries), with
-    entries[y] = a[y, columns[y]], or None when `a` is not monomial."""
+    entries[y] = a[y, columns[y]], or None when `a` is not monomial.
+    `_nonzero` is `a != 0` when the caller holds it (a parsed exact matrix),
+    so an object array's entries are not asked for their truth one by one."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return None
-    rows, cols = np.nonzero(a)
+    rows, cols = np.nonzero(a if _nonzero is None else _nonzero)
     n = a.shape[0]
     if rows.shape[0] != n or np.any(rows != np.arange(n)) or np.any(
             np.bincount(cols, minlength=n) != 1):

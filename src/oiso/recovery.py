@@ -23,7 +23,6 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .linalg import mat_vec
 from .cones import Certificate, OperatorModel, is_order_isomorphism
 from .spaces import DEFAULT_TOL, ZeroSet
 
@@ -281,18 +280,24 @@ class NormalizedOperator:
 
 def normalize(t: OperatorModel, tol: float = DEFAULT_TOL,
               cert: Optional[Certificate] = None) -> NormalizedOperator:
+    """The unital rescaling S of an accepted operator (see NormalizedOperator).
+    A weighted permutation's u, T u and S follow its two reads in O(n); any
+    other point matrix is rescaled whole."""
     t = t.as_point()
     if cert is None:
         cert = is_order_isomorphism(t, tol=tol)
     if not cert.accept:
         raise NotOrderIsomorphismError(cert)
     base = decompose(t, tol=tol, cert=cert)
-    ones_dom = t.domain.ones()
-    ones_cod = t.codomain.ones()
-    u = ones_dom + mat_vec(t.inverse_matrix, ones_cod)
+    u = t.domain.ones() + t.inverse().apply_values(t.codomain.ones())
     tu = t.apply_values(u)
-    s = OperatorModel(linalg.frozen(t.matrix * u[None, :] / tu[:, None]),
-                      domain=t.domain, codomain=t.codomain, basis="point")
+    if t.monomial is not None:  # S's one entry per row, as the dense product gives it
+        cols, entries = t.monomial
+        s = OperatorModel.weighted_permutation(cols, entries * u[cols] / tu,
+                                               domain=t.domain, codomain=t.codomain)
+    else:
+        s = OperatorModel(linalg.frozen(t.matrix * u[None, :] / tu[:, None]),
+                          domain=t.domain, codomain=t.codomain, basis="point")
     d_s = decompose(s, tol=tol)
     # re-derive the weight of T from the unital S: T f = (T u / u o sigma) * (f o sigma)
     rederived = tu / u[d_s.sigma_array()]

@@ -29,9 +29,15 @@ A matrix is converted as a whole. In float mode a matrix of JSON numbers
 only is one `np.array(rows, dtype=float)` call and one finiteness check; a
 matrix holding any other value is read entry by entry through
 `coerce_number`, as is a refused one, so the message names its first bad
-entry. In exact mode each distinct entry is parsed once per matrix, and a
-plain "p" or "p/q" string is split into two integers rather than run
-through `Fraction`'s string parser.
+entry. In exact mode a matrix of integers and strings is read through the
+table of its distinct entries: each is parsed once (a plain "p" or "p/q"
+string is split into two integers rather than run through `Fraction`'s
+string parser), every entry is mapped to its id in the table in C, and the
+matrix and its zero pattern are the table, and its `!= 0`, taken at the
+ids. The pattern goes with the matrix to `OperatorModel`, so the
+weighted-permutation read is `np.nonzero` of a boolean array and asks no
+`Fraction` for its truth. An exact matrix holding any other value is
+refused, and read entry by entry only to name its first bad entry.
 
 A report is written once, by a single writer (`canonical_json`) that goes
 straight from result values to canonical text: sorted keys, two-space
@@ -225,37 +231,44 @@ def _float_matrix(rows):
     return data if np.isfinite(data).all() else None
 
 
-def _exact_values(flat):
-    """The exact reading of each entry, parsing each distinct one once; None
-    when an entry is unhashable (a list or an object)."""
-    # the type in the key keeps 1, 1.0 and True apart; the keys keep row-major
-    # order of first appearance, so the first refused key is the first refused entry
-    keys = list(zip(map(type, flat), flat))
-    try:
-        values = dict.fromkeys(keys)
-    except TypeError:
-        return None
-    for key in values:
-        values[key] = _exact_scalar(key[1])
-    return [values[key] for key in keys]
+def _read_matrix(rows, exact: bool):
+    """(matrix, nonzero): the matrix of a document's rows and, in exact mode,
+    its nonzero pattern `matrix != 0` as a boolean array (None in float mode).
 
-
-def _coerce_matrix(rows, exact: bool) -> np.ndarray:
+    An exact matrix is read through the table of its distinct entries: each
+    is parsed once, in row-major order of first appearance, so the first
+    refused one is the first refused entry; every entry is mapped to its id
+    in the table in C, and the matrix and its pattern are the table and its
+    `!= 0` taken at the ids. An exact matrix holding anything but integers
+    and strings has a refused entry, which the per-entry reading names."""
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ValueError("matrix must be a non-empty list of rows")
     if not exact:
         data = _float_matrix(rows)
         if data is not None:
-            return data
+            return data, None
     flat = list(itertools.chain.from_iterable(rows))
-    values = _exact_values(flat) if exact else None
-    if values is None:  # the per-entry reading, which names the first refused entry
+    # a bool or float key would merge with an equal integer, so those are not
+    # read through the table
+    if exact and all(t is not bool and issubclass(t, (int, str)) for t in set(map(type, flat))):
+        index = dict.fromkeys(flat)
+        table = np.fromiter(map(_exact_scalar, index), dtype=object, count=len(index))
+    else:
         values = [coerce_number(v, exact) for v in flat]
     if len({len(r) for r in rows}) != 1:
         raise ValueError("matrix rows must have equal length")
-    data = np.empty(len(values), dtype=object if exact else float)
-    data[:] = values
-    return data.reshape(len(rows), len(rows[0]))
+    shape = len(rows), len(rows[0])
+    if not exact:
+        return np.array(values, dtype=float).reshape(shape), None
+    index = dict(zip(index, range(len(index))))
+    ids = np.fromiter(map(index.__getitem__, flat), dtype=np.intp, count=len(flat))
+    ids = ids.reshape(shape)
+    return table[ids], (table != 0)[ids]
+
+
+def _coerce_matrix(rows, exact: bool) -> np.ndarray:
+    """The matrix of `_read_matrix`, for a reader that needs no pattern."""
+    return _read_matrix(rows, exact)[0]
 
 
 def _real(x, what: str) -> float:
@@ -318,7 +331,7 @@ def parse_operator(doc: dict, mode: str = "float") -> OperatorModel:
     exact = mode == "exact"
     if "matrix" not in doc:
         raise ValueError("operator document needs 'matrix'")
-    matrix = _coerce_matrix(doc["matrix"], exact)
+    matrix, nonzero = _read_matrix(doc["matrix"], exact)
     if matrix.shape[0] != matrix.shape[1]:
         raise ValueError("operator matrix must be square")
     basis = doc.get("basis", "point")
@@ -331,7 +344,8 @@ def parse_operator(doc: dict, mode: str = "float") -> OperatorModel:
         cod = parse_family(doc["codomain"], exact=exact)
     else:
         cod = FunctionFamily.full(PointSpace.discrete(n, "y"), exact=exact)
-    return OperatorModel(linalg.frozen(matrix), domain=dom, codomain=cod, basis=basis)
+    return OperatorModel(linalg.frozen(matrix), domain=dom, codomain=cod, basis=basis,
+                         _nonzero=nonzero)
 
 
 def _parse_sampled_space(doc: dict, default_name: str) -> SampledSpace:

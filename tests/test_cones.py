@@ -183,13 +183,13 @@ class TestMatrixOwnership:
         built = []
 
         def spy(rows, exact):
-            built.append(coerce(rows, exact))
+            built.append(read(rows, exact))
             return built[-1]
 
-        coerce = serialize._coerce_matrix
-        monkeypatch.setattr(serialize, "_coerce_matrix", spy)
+        read = serialize._read_matrix
+        monkeypatch.setattr(serialize, "_read_matrix", spy)
         t = serialize.parse_operator({"matrix": [[0, 2], [3, 0]]}, mode)
-        assert t.matrix is built[0]
+        assert t.matrix is built[0][0]
         assert not t.matrix.flags.writeable
 
     def test_read_only_array_is_kept_as_given(self):

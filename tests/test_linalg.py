@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oiso import linalg
 
@@ -142,6 +143,15 @@ class TestSolve:
         a = frac_matrix([[1, 1, 0], [2, 2, 1]])
         x = linalg.exact_solve_unique(a, [3, 7])
         assert x.tolist() == [Fraction(3), Fraction(0), Fraction(1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
+                    elements=st.one_of(st.floats(), st.sampled_from([0.0, -0.0]))),
+       tol=st.sampled_from([1e-12, 1e-9, 1.0]))
+def test_cutoff_reads_max_abs_from_the_extremes(a, tol):
+    # the same double as tol * max|a|, +0.0 for an all-zero or empty `a`
+    assert repr(linalg.cutoff(a, tol)) == repr(tol * float(np.abs(a).max(initial=0.0)))
 
 
 class TestConversions:

@@ -23,11 +23,13 @@ from hypothesis import strategies as st
 from oiso import linalg
 from oiso import cones
 from oiso.classify import _off_one, classify
-from oiso.cli import main
+from oiso.cli import _fuzz_instance, main
 from oiso.cones import Certificate, OperatorModel, _indicator, _nonneg_violation, \
     is_order_isomorphism
 from oiso.linalg import mat_vec
-from oiso.recovery import AmbiguousIntersectionError, Decomposition, decompose
+from oiso.fuzz import spawn_generators
+from oiso.recovery import AmbiguousIntersectionError, Decomposition, NormalizedOperator, \
+    decompose, normalize
 from oiso.serialize import parse_operator
 from oiso.spaces import DEFAULT_TOL, FunctionFamily, PointSpace
 
@@ -253,6 +255,36 @@ def _float_near_monomials(draw):
 @given(st.one_of(_float_monomials(), _float_near_monomials()))
 def test_float_read_matches_the_dense_reference(m):
     _assert_matches_the_dense_reference(m)
+
+
+def _dense_normalize(t) -> NormalizedOperator:
+    """`normalize` of a point-basis operator along its dense matrices: u from
+    the dense inverse, T u by `mat_vec`, S the whole rescaled matrix."""
+    base = decompose(t)
+    u = t.domain.ones() + mat_vec(t.inverse_matrix, t.codomain.ones())
+    tu = mat_vec(t.matrix, u)
+    s = _model(t.matrix * u[None, :] / tu[:, None])
+    d_s = decompose(s)
+    agreement = float(np.max(np.abs(tu / u[d_s.sigma_array()] - base.weight_array())))
+    return NormalizedOperator(u=tuple(u), operator=s, sigma=d_s.sigma,
+                              weight_agreement=agreement)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_monomials().map(np.vectorize(abs, otypes=[object])),
+                 _float_monomials().map(np.abs)))
+def test_normalize_matches_the_dense_construction(m):
+    """A positive weighted permutation is normalized along its reads; the
+    result equals the dense construction's, values with their types."""
+    t = _model(m)
+    norm, ref = normalize(t), _dense_normalize(t)
+    assert _typed(norm.u) == _typed(ref.u)
+    assert (norm.sigma, repr(norm.weight_agreement)) == (ref.sigma, repr(ref.weight_agreement))
+    s, s_ref = norm.operator, ref.operator
+    assert _same_read(s.monomial, s_ref.monomial)
+    assert _same_read(s.inverse_monomial, s_ref.inverse_monomial)
+    assert _typed(s.matrix.ravel()) == _typed(s_ref.matrix.ravel())
+    assert (s.domain, s.codomain, s.basis) == (t.domain, t.codomain, "point")
 
 
 @settings(max_examples=100, deadline=None)
@@ -683,6 +715,59 @@ class TestStructuralCost:
         assert d.sigma == tuple(sigma.tolist())
         assert peak < 1.5 * matrix.nbytes
         assert _typed(t.domain.generators.ravel()) == _typed(np.eye(n).ravel())
+
+    def test_exact_parse_makes_no_per_entry_fraction_call(self, monkeypatch):
+        # the parse reads the zero pattern from the table of distinct entries,
+        # so no entry is asked for its truth (np.nonzero of the entries asks 2 n^2 times)
+        n = 256
+        rng = np.random.default_rng(0)
+        sigma = rng.permutation(n)
+        rows = [[0] * n for _ in range(n)]
+        for y in range(n):
+            rows[y][sigma[y]] = f"{int(rng.integers(1, 50))}/{int(rng.integers(1, 9))}"
+        calls = {"__bool__": 0, "__eq__": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(Fraction, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(Fraction, name, counted)
+        t = parse_operator({"matrix": rows}, "exact")
+        distinct = len({v for row in rows for v in row})
+        monkeypatch.undo()
+        assert calls["__bool__"] == 0 and calls["__eq__"] <= distinct, (calls, distinct)
+        assert t.monomial[0].tolist() == sigma.tolist()
+        assert t.monomial[1].tolist() == [Fraction(rows[y][sigma[y]]) for y in range(n)]
+
+    def test_perturbed_fuzz_instance_copies_no_matrix(self):
+        # the perturbed matrix is built once from the monomial's read; the
+        # operator it perturbs builds none, and the certificate takes max|a|
+        # from the extremes, so the peak is the matrix and its dense inverse
+        n = 1024
+        tracemalloc.start()
+        try:
+            out = _fuzz_instance(spawn_generators(3, 1)[0], n, "float", 0.1, DEFAULT_TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == {"accepted": False, "matched": False, "residual": 0.0}
+        assert peak < 2.5 * n * n * 8, peak / (n * n * 8)
+
+    def test_weighted_permutation_normalizes_without_a_dense_matrix(self):
+        # u, T u and S follow the two reads: one n x n float matrix alone is
+        # 128 MB at n = 4096
+        n = 4096
+        rng = np.random.default_rng(0)
+        sigma = rng.permutation(n)
+        tracemalloc.start()
+        try:
+            t = OperatorModel.weighted_permutation(sigma, rng.uniform(0.5, 2.0, n))
+            norm = normalize(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert norm.sigma == tuple(sigma.tolist()) and norm.operator.monomial is not None
+        assert peak < 8 << 20, peak
 
     @pytest.mark.parametrize("exact, n, budget", [(False, 4096, 8 << 20), (True, 1024, 2 << 20)],
                              ids=["float", "exact"])

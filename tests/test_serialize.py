@@ -132,7 +132,61 @@ _MODE_AND_MATRIX = st.one_of(st.tuples(st.just(False), _matrices(_FLOAT_ENTRIES)
                              st.tuples(st.just(True), _matrices(_RATIONAL_ENTRIES)))
 
 
+# exact documents: what the table reads, and now and then what it refuses
+_EXACT_READ = st.one_of(
+    st.integers(-3, 3),
+    st.integers(),
+    st.integers(2 ** 64, 2 ** 200).flatmap(lambda k: st.sampled_from([k, -k])),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-99, 99), st.integers(1, 99)),
+    st.sampled_from(("0", "-0", "+2", " 3/4 ", "1.5", "007", "00/7", "5/10")),
+)
+_EXACT_REFUSED = st.one_of(
+    st.sampled_from(("1/0", "abc", " 1/00 ", True, False, None, 1.0, 0.0, -0.0)),
+    st.floats(),
+    st.lists(st.integers(0, 1), max_size=2),
+    st.lists(st.lists(st.integers(0, 1), max_size=2), max_size=2),
+)
+
+
+@st.composite
+def _exact_documents(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    matrix = draw(st.lists(st.lists(_EXACT_READ, min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if cols else 0):
+        # refused entries, anywhere
+        matrix[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(
+            _EXACT_REFUSED)
+    if draw(st.integers(0, 4)) == 0:  # a ragged row, longer or shorter
+        row = matrix[draw(st.integers(0, rows - 1))]
+        if row and draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(draw(_EXACT_READ))
+    return matrix
+
+
 class TestCoerceMatrix:
+    @settings(max_examples=400, deadline=None)
+    @given(rows=_exact_documents())
+    @example(rows=[[]])
+    @example(rows=[[0, "0", 1], [True, 1, "1"]])
+    @example(rows=[[1, 1.0], [0, 0]])
+    @example(rows=[["1/2", 0], [0, "abc"], [1]])
+    def test_exact_reading_matches_the_per_entry_reading(self, rows):
+        # the table of distinct entries against one coerce_number per entry:
+        # the same Fractions, the pattern m != 0, and the same first refusal
+        got = _outcome(serialize._read_matrix, rows, True)
+        want = _outcome(_reference_matrix, rows, True)
+        if isinstance(want, str):
+            assert got == want
+            return
+        m, nonzero = got
+        assert m.shape == nonzero.shape == want.shape and m.dtype == object
+        assert all(type(v) is Fraction for v in m.flat)
+        assert (m == want).all()
+        assert nonzero.dtype == bool and (nonzero == (want != 0)).all()
+
     @settings(max_examples=300, deadline=None)
     @given(case=_MODE_AND_MATRIX)
     @example(case=(False, [[-0.0, 1, 2 ** 53 + 1], [0.5, 10 ** 400, "1/3"]]))

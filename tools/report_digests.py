@@ -5,6 +5,7 @@ Usage, from the repository root:
     python3 tools/report_digests.py 1 2 > digests.txt
     python3 tools/report_digests.py 1 --workload point-exact
     python3 tools/report_digests.py 1 2 --workload generator-basis --solves
+    python3 tools/report_digests.py 1 --workload point-exact --counts
 
 For each seed and workload it generates the `perfbench` plan and runs every
 operation once through `perfbench/ops.execute`, in the plan's order: the
@@ -18,8 +19,11 @@ prints the same bytes, so a `diff` of their outputs checks that a change
 keeps every report. With `--solves` each line ends with one more field, the
 number of HiGHS solves the operation made (calls of `scipy.optimize.linprog`,
 counted by wrapping it in this process), so the same `diff` shows where a
-change solves fewer or more LPs. The tool only reads `perfbench/`; the input
-documents go to a temporary directory that is removed afterwards.
+change solves fewer or more LPs. With `--counts` it ends with two: the HiGHS
+solves and the calls of `Fraction.__bool__` (each a truth test of one exact
+entry, wrapped the same way), the per-entry work an exact run pays. The tool
+only reads `perfbench/`; the input documents go to a temporary directory
+that is removed afterwards.
 """
 from __future__ import annotations
 
@@ -27,6 +31,7 @@ import argparse
 import hashlib
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,33 +42,33 @@ import gen  # noqa: E402
 import ops  # noqa: E402
 
 
-def count_solves() -> list:
-    """Wrap `scipy.optimize.linprog` so each call appends to the returned
-    list. The package imports it at call time, so every solve is seen."""
-    import scipy.optimize
-
-    calls, real = [], scipy.optimize.linprog
+def count_calls(owner, name: str) -> list:
+    """Wrap `owner.name` so each call adds one to the returned one-item list.
+    The package looks `scipy.optimize.linprog` up at call time, and Python
+    finds `Fraction.__bool__` on the class at each truth test (numpy's
+    included), so every call is seen."""
+    calls, real = [0], getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls[0] += 1
         return real(*args, **kwargs)
 
-    scipy.optimize.linprog = counted
+    setattr(owner, name, counted)
     return calls
 
 
-def digest_lines(workload: str, seed: int, solves=None):
-    """One line per operation of the workload's plan at `seed`; with a
-    `count_solves` list, each line ends with the operation's solve count."""
+def digest_lines(workload: str, seed: int, counters=()):
+    """One line per operation of the workload's plan at `seed`; each line
+    ends with the operation's share of every `count_calls` counter given."""
     with tempfile.TemporaryDirectory() as workdir:
         plan = gen.generate(workload, seed, workdir)
         for op in plan.warmups + [op for round_ in plan.rounds for op in round_]:
-            before = len(solves or ())
+            before = [c[0] for c in counters]
             out = ops.execute(op)
             code = "raised" if out.code is None else out.code
             sha = hashlib.sha256(out.text.encode("utf-8", "surrogatepass")).hexdigest()
-            line = f"{seed} {workload} {op.id} {code} {sha}"
-            yield line if solves is None else f"{line} {len(solves) - before}"
+            yield " ".join([f"{seed} {workload} {op.id} {code} {sha}",
+                            *(str(c[0] - b) for c, b in zip(counters, before))])
 
 
 def main(argv=None) -> int:
@@ -73,11 +78,19 @@ def main(argv=None) -> int:
                    help="workload to run (repeatable; default: all)")
     p.add_argument("--solves", action="store_true",
                    help="end each line with the operation's HiGHS solve count")
+    p.add_argument("--counts", action="store_true",
+                   help="end each line with the operation's HiGHS solve count and "
+                        "its Fraction truth tests")
     args = p.parse_args(argv)
-    solves = count_solves() if args.solves else None
+    counters = []
+    if args.solves or args.counts:
+        import scipy.optimize
+        counters.append(count_calls(scipy.optimize, "linprog"))
+    if args.counts:
+        counters.append(count_calls(Fraction, "__bool__"))
     for seed in args.seeds:
         for workload in args.workload or gen.WORKLOADS:
-            for line in digest_lines(workload, seed, solves):
+            for line in digest_lines(workload, seed, counters):
                 print(line, flush=True)
     return 0
 
