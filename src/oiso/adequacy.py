@@ -10,7 +10,9 @@ whose disjoint positive basis the clamp (small s) turns into indicators; so it
 is invariant exactly when its rank is the number of distinct nonzero point
 columns of G. The cone generates the span exactly when some span element is
 positive wherever G's column is nonzero (f = (f + s*u) - s*u for large s):
-Gordan's alternative, which `_positive_element` decides with no LP.
+Gordan's alternative, which `_positive_element` decides with no LP. In exact
+mode it is decided by `linalg.farkas`, which pivots integer rows and builds
+Fractions only to read its answer.
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .cones import _indicator, _rational_farkas
 from .spaces import (DEFAULT_TOL, FunctionFamily, FunctionVec, span_membership,
                      values_of)
 
@@ -91,7 +92,7 @@ def check_adequate(fam: FunctionFamily, tol: float = DEFAULT_TOL) -> AdequacyRep
                               adequate=True)
     witnesses = []
     for x in range(fam.space.size):
-        ok, c = span_membership(fam, _indicator(fam.space.size, x, fam.exact), tol=tol)
+        ok, c = span_membership(fam, linalg.indicator(fam.space.size, x, fam.exact), tol=tol)
         witnesses.append(tuple(c) if ok else None)
     has_const, c_one = span_membership(fam, fam.ones(), tol=tol)
     nonzero, classes = _point_columns(fam, tol)
@@ -151,7 +152,7 @@ def _positive_element(fam: FunctionFamily, nonzero, tol: float) -> Optional[tupl
     an L1 residual within linalg.cutoff(t, tol) means none, and otherwise the
     residual r has rows . r <= 0 and t . r = |r|^2 (KKT), so take
     c = -r[:-1] / |r|^2 / max|G|. Exact, or a fit that does not converge:
-    `_rational_farkas` on the rows, read as Fractions, finds a convex
+    `linalg.farkas` on the rows, read as rationals, finds a convex
     combination of the columns that is 0, or (c, s) with g_x . c >= -s > 0."""
     g = fam.generators.T[nonzero]
     target = np.array([0] * fam.rank + [1], dtype=object)
@@ -167,7 +168,7 @@ def _positive_element(fam: FunctionFamily, nonzero, tol: float) -> Optional[tupl
             r = t - rows.T @ lam
             return None if np.abs(r).sum() <= linalg.cutoff(t, tol) else tuple(
                 -r[:-1] / (r @ r) / scale)
-    w = _rational_farkas(np.array([[*col, 1] for col in g], dtype=object), target)
+    w = linalg.farkas(np.array([[*col, 1] for col in g], dtype=object), target)
     if w is None:
         return None
     c = (v / -w[-1] for v in w[:-1])
@@ -238,7 +239,7 @@ def build_precise_bump(fam: FunctionFamily, x0, closed_set: Sequence,
 
 def _separating_function(fam: FunctionFamily, x0: int, z: int, tol: float):
     """A span function with f(x0) = 1, f(z) = 0 (deterministic solution)."""
-    sol = linalg.solve(fam.generators[:, [x0, z]].T, _indicator(2, 0, fam.exact), tol)
+    sol = linalg.solve(fam.generators[:, [x0, z]].T, linalg.indicator(2, 0, fam.exact), tol)
     if sol is None:
         raise SeparationInfeasibleError(
             f"cannot separate {fam.space.labels[x0]} from {fam.space.labels[z]}")

@@ -12,11 +12,13 @@ lemma, T maps {c : A c >= 0} into the codomain cone exactly when B = G_Y^T M
 equals Lambda A for some entrywise nonnegative Lambda: every codomain point
 evaluation of T is a nonnegative combination of domain point evaluations.
 On full families Lambda is the point matrix itself. On proper subfamilies
-one pass per side decides it (`_farkas_witness`): A and B go to float once,
-and one non-negative least-squares fit per row of B settles what it can.
-A float side with a row left unsettled builds one HiGHS LP, whose most
-negative value decides; an exact side decides those rows in rational
-arithmetic, and builds the LP only to rank two or more.
+one pass per side decides it (`_farkas_witness`): A and B go to float once
+(an exact matrix at its own binary scale, `linalg.scaled_float`), and one
+non-negative least-squares fit per row of B settles what it can. A float
+side with a row left unsettled builds one HiGHS LP, whose most negative
+value decides; an exact side decides those rows by `linalg.farkas`, a
+simplex that pivots integer rows and builds Fractions only to read its
+witness, and builds the LP only to rank two or more.
 
 An operator reads its matrix as a weighted permutation (`linalg.monomial`)
 once, when it is built, and holds one by that read and its inverse's. A
@@ -329,12 +331,6 @@ def _point_violation(t: OperatorModel, tol: float):
     return None
 
 
-def _indicator(n: int, j: int, exact: bool):
-    v = linalg.zeros_like_mode((n,), exact)
-    v[j] = Fraction(1) if exact else 1.0
-    return v
-
-
 def is_order_isomorphism(t: OperatorModel, tol: float = DEFAULT_TOL) -> Certificate:
     """Certify that T maps the domain positivity cone onto the codomain cone.
 
@@ -370,7 +366,7 @@ def is_order_isomorphism(t: OperatorModel, tol: float = DEFAULT_TOL) -> Certific
         if hit is None:
             return Certificate(accept=True, mode="exact", arithmetic=arith)
         side, i, j = hit
-        w = _indicator(t.size, j, t.exact)
+        w = linalg.indicator(t.size, j, t.exact)
         return Certificate(
             accept=False, mode="exact", arithmetic=arith,
             witness_coeffs=tuple(w), witness_values=tuple(w),
@@ -396,13 +392,17 @@ def _farkas_witness(a, b, tol: float):
     """Farkas' alternative at every target point y: None when each b_y is
     lam A for some lam >= 0, else (y, c) with A c >= 0 and b_y . c < 0.
 
-    A and B are taken to float once. One non-negative least-squares fit per
-    row, lam_y >= 0 with the least |b_y - lam_y A|, settles what it can; a
-    fit that raises or does not converge ends the fits. Float: a row is
-    settled when its residual's L1 norm is at most linalg.cutoff(B, tol),
-    and rows are fitted up to the first that is not. Exact (`tol` unused): a
-    row is settled when its fit's support re-solves in rational arithmetic
-    to lam >= 0 (`_resolves`). A side with every row settled is accepted.
+    A and B are taken to float once (`linalg.scaled_float`: an exact matrix
+    times the power of two that brings its largest entry near 1, so no
+    scale overflows it or underflows it whole, and the fits and the LP read
+    the same numbers at any power-of-two scale). One non-negative
+    least-squares fit per row, lam_y >= 0 with the least |b_y - lam_y A|,
+    settles what it can; a fit that raises or does not converge ends the
+    fits. Float: a row is settled when its residual's L1 norm is at most
+    linalg.cutoff(B, tol), and rows are fitted up to the first that is not.
+    Exact (`tol` unused): a row is settled when its fit's support re-solves
+    in rational arithmetic to lam >= 0 (`_resolves`). A side with every row
+    settled is accepted.
 
     Float, otherwise: one HiGHS LP, min b_y . c_y with A c_y >= 0 and
     |c_y| <= 1 for every y, gives row y the value -min |b_y - lam A|_1 over
@@ -410,7 +410,7 @@ def _farkas_witness(a, b, tol: float):
     decides, with its c_y as witness. HiGHS's tolerances are absolute, so
     its costs are B / max|B| and its constraints A times the power of two
     that brings max|A| into [1/2, 1) (exact, same feasible set). Exact,
-    otherwise: `_rational_farkas` decides the unsettled rows and the first
+    otherwise: `linalg.farkas` decides the unsettled rows and the first
     witness is reported; two or more go in the order of their values in the
     same LP (stable; index order if HiGHS fails).
     """
@@ -418,7 +418,7 @@ def _farkas_witness(a, b, tol: float):
     from scipy.sparse import identity, kron
 
     exact = b.dtype == object
-    fa, fb = linalg.as_float(a), linalg.as_float(b)
+    fa, fb = linalg.scaled_float(a), linalg.scaled_float(b)
     bound = linalg.cutoff(fb, tol)
     supports = []
     for b_y in fb:
@@ -451,7 +451,7 @@ def _farkas_witness(a, b, tol: float):
         elif not exact:  # bounded and feasible (c = 0) by construction
             raise RuntimeError(f"LP solver failed: {res.message}")
     for y in failing:
-        c = _rational_farkas(a, b[y])
+        c = linalg.farkas(a, b[y])
         if c is not None:
             return y, c
     return None
@@ -461,41 +461,3 @@ def _resolves(a, b_y) -> bool:
     """Whether b_y = lam A with lam >= 0 on A's rows, re-solved exactly."""
     lam = linalg.exact_solve_unique(a.T, b_y)
     return lam is not None and all(v >= 0 for v in lam)
-
-
-def _rational_farkas(a, b_y):
-    """Farkas' alternative for one point in rational arithmetic: None when
-    b_y = lam A for some lam >= 0, else c with A c >= 0 and b_y . c < 0.
-
-    Phase one of the simplex method with Bland's rule (so it terminates) on
-    D A^T lam + s = D b_y with lam, s >= 0, where D flips rows so the right
-    side is nonnegative, from the basis s. A zero optimum gives lam; a positive
-    one leaves the dual u with A D u <= 0 and (D b_y) . u > 0, so c = -D u.
-    """
-    m, k = a.shape
-    zero, one = Fraction(0), Fraction(1)
-    sign = [-1 if v < 0 else 1 for v in b_y]
-    rows = [[Fraction(sign[i] * v) for v in a[:, i]]
-            + [one if r == i else zero for r in range(k)] + [sign[i] * b_y[i]]
-            for i in range(k)]
-    # reduced costs of min sum(s) in the basis s; the last entry is -sum(s)
-    obj = [-sum(col) for col in zip(*rows)]
-    obj[m:m + k] = [zero] * k
-    basis = list(range(m, m + k))
-    while True:
-        enter = next((j for j in range(m + k) if obj[j] < 0), None)
-        if enter is None:
-            break
-        leave = min((i for i in range(k) if rows[i][enter] > 0),
-                    key=lambda i: (rows[i][-1] / rows[i][enter], basis[i]))
-        p = rows[leave][enter]
-        piv = rows[leave] = [v / p for v in rows[leave]]
-        for row in rows + [obj]:
-            f = row[enter]
-            if f and row is not piv:
-                row[:] = [v - f * w for v, w in zip(row, piv)]
-        basis[leave] = enter
-    if not obj[-1]:
-        return None
-    # the reduced cost of s_i is 1 - u_i
-    return np.array([-sign[i] * (one - obj[m + i]) for i in range(k)], dtype=object)

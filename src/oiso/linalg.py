@@ -2,12 +2,17 @@
 
 Exact matrices are numpy object arrays holding fractions.Fraction entries
 (Python ints are accepted and promoted to Fraction before any division).
-Exact elimination runs in integer rows: `_exact_rref` clears each row of its
-denominators once and eliminates fraction-free, so a step costs integer
-products and one gcd per row rather than a gcd per entry; `mat_mat` takes
-one dot product of integers per entry. Both give back Fractions, equal to
-those of rational arithmetic. A weighted permutation (monomial matrix)
-skips elimination altogether in `rank` and `inv`.
+Exact kernels pivot integer rows, and Fractions appear only at their edges:
+each row is put over one denominator once (`_int_row`), and every pivot is
+the one fraction-free step `_clear`, which costs integer products and one
+gcd per row rather than a gcd per entry. `_exact_rref` (rank, inverse,
+solve) and `farkas`, the phase-one simplex that decides Farkas' alternative
+for one row, both pivot with it; `mat_mat` takes one dot product of integers
+per entry. Each gives back Fractions equal to those of rational arithmetic.
+`scaled_float` takes an exact matrix to float at its own binary scale, so a
+float solver never sees an entry overflow or the whole matrix underflow. A
+weighted permutation (monomial matrix) skips elimination altogether in
+`rank` and `inv`.
 
 `monomial` is the one n^2 scan that reads a matrix as a weighted permutation.
 An operator reads its point matrix once, when it is built, and derives the
@@ -25,6 +30,7 @@ its residual is within `cutoff(b, tol)`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, lcm
 from operator import mul
 
@@ -35,13 +41,16 @@ __all__ = [
     "is_exact",
     "as_exact",
     "as_float",
+    "scaled_float",
     "zeros_like_mode",
+    "indicator",
     "mat_vec",
     "mat_mat",
     "exact_inv",
     "exact_inv_or_rank",
     "exact_rank",
     "exact_solve_unique",
+    "farkas",
     "solve",
     "cutoff",
     "monomial",
@@ -85,6 +94,21 @@ def as_float(a) -> np.ndarray:
     return np.asarray(a, dtype=float)
 
 
+def scaled_float(a) -> np.ndarray:
+    """A float copy of `a` on a scale that cannot overflow or underflow
+    whole. Exact: each entry times 2**-e, rounded once by integer true
+    division, where e is the largest of the nonzero entries' binary
+    exponents read from bit lengths, so the largest magnitude lies in
+    [1/2, 2] at any scale of `a`. Float: `a` as it is."""
+    if not is_exact(a):
+        return np.asarray(a, dtype=float)
+    q = [_rational(x) for x in a.flat]
+    e = max((abs(x.numerator).bit_length() - x.denominator.bit_length()
+             for x in q if x.numerator), default=0)
+    return np.array([(x.numerator << max(-e, 0)) / (x.denominator << max(e, 0)) for x in q],
+                    dtype=float).reshape(a.shape)
+
+
 def zeros_like_mode(shape, exact: bool):
     if exact:
         out = np.empty(shape, dtype=object)
@@ -93,8 +117,11 @@ def zeros_like_mode(shape, exact: bool):
     return np.zeros(shape)
 
 
-def _tolists(a):
-    return [list(row) for row in a]
+def indicator(n: int, j: int, exact: bool):
+    """The j-th of n unit vectors, in the given arithmetic."""
+    v = zeros_like_mode((n,), exact)
+    v[j] = Fraction(1) if exact else 1.0
+    return v
 
 
 def mat_vec(a, v):
@@ -176,15 +203,29 @@ def _primitive(ints):
     return [x // c for x in ints] if c > 1 else ints
 
 
+def _clear(rows, r, col):
+    """One fraction-free pivot on integer rows: clear column `col` from every
+    row but `r` by row <- (pv/g) row - (f/g) prow, for the pivot pv =
+    rows[r][col], the row's entry f and g = gcd(pv, f), then divide the row
+    by the gcd of its entries. Each row stays a multiple of its rational
+    row, a positive one when pv > 0."""
+    prow = rows[r]
+    pv = prow[col]
+    for i, row in enumerate(rows):
+        f = row[col]
+        if f and i != r:
+            g = gcd(pv, f)
+            p, q = pv // g, f // g
+            rows[i] = _primitive([p * x - q * y for x, y in zip(row, prow)])
+
+
 def _exact_rref(rows, first: int = 0):
     """Reduced row echelon form over the rationals; returns (rref, pivot_cols)
     with each row of rref read from column `first` on.
 
     Elimination runs in integer rows. Each row is cleared of its
-    denominators once (`_int_row`) and divided by the gcd of its entries.
-    Clearing the pivot column from row i sets row <- (pv/g) row - (f/g) prow,
-    for pivot pv, row entry f and g = gcd(pv, f), then divides the row by
-    the gcd of its entries again. A pivot is the first nonzero entry at or
+    denominators once (`_int_row`) and divided by the gcd of its entries;
+    each pivot is one `_clear`. A pivot is the first nonzero entry at or
     below the current row, which scaling a row does not move, so the pivots
     are those of rational elimination and each row, read back as
     Fraction(x, pivot entry), is its unique reduced row.
@@ -199,14 +240,7 @@ def _exact_rref(rows, first: int = 0):
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        prow = mat[r]
-        pv = prow[col]
-        for i in range(m):
-            f = mat[i][col]
-            if f and i != r:
-                g = gcd(pv, f)
-                p, q = pv // g, f // g
-                mat[i] = _primitive([p * x - q * y for x, y in zip(mat[i], prow)])
+        _clear(mat, r, col)
         pivots.append(col)
         r += 1
         if r == m:
@@ -219,9 +253,7 @@ def _exact_rref(rows, first: int = 0):
 
 
 def exact_rank(a) -> int:
-    if a.size == 0:
-        return 0
-    _, pivots = _exact_rref(_tolists(a), first=a.shape[1])
+    _, pivots = _exact_rref(a, first=a.shape[1])
     return len(pivots)
 
 
@@ -239,6 +271,45 @@ def exact_solve_unique(a, b):
             return None  # a zero row equals a nonzero rhs
         x[col] = rhs[r][0]
     return np.array(x, dtype=object)
+
+
+def farkas(a, b_y):
+    """Farkas' alternative for one target row, in exact arithmetic: None when
+    b_y = lam A for some lam >= 0, else c (Fractions) with A c >= 0 and
+    b_y . c < 0.
+
+    Phase one of the simplex method with Bland's rule (so it terminates) on
+    D A^T lam + s = D b_y with lam, s >= 0, where D flips rows so the right
+    side is nonnegative, from the basis s. Each row of the tableau is put
+    over one denominator once (`_int_row`), and every pivot is a `_clear`
+    with a positive pivot, so each integer row stays a positive multiple of
+    its rational row: the reduced costs' signs and the ratio test (by cross
+    products) read as in rational arithmetic. The objective, min sum(s)
+    priced out on the basis s, carries its positive scale in one extra
+    column. A zero optimum gives lam; a positive one leaves the dual u with
+    A D u <= 0 and (D b_y) . u > 0, read from the slacks' reduced costs
+    1 - u_i, so c = -D u.
+    """
+    m, k = a.shape
+    rows, sign = [], []
+    for i in range(k):
+        ints, d = _int_row([*a[:, i], b_y[i]])
+        sign.append(-1 if ints[-1] < 0 else 1)
+        rows.append([sign[i] * x for x in ints[:m]] + [d * (r == i) for r in range(k)]
+                    + [sign[i] * ints[-1], 0])
+    rows.append([0] * m + [1] * k + [0, 1])  # the costs of sum(s), over scale 1
+    basis = list(range(m, m + k))
+    for i, col in enumerate(basis):
+        _clear(rows, i, col)
+    while (enter := next((j for j in range(m + k) if rows[k][j] < 0), None)) is not None:
+        leave = min((i for i in range(k) if rows[i][enter] > 0), key=cmp_to_key(
+            lambda i, j: (rows[i][-2] * rows[j][enter] - rows[j][-2] * rows[i][enter])
+            or basis[i] - basis[j]))
+        _clear(rows, leave, enter)
+        basis[leave] = enter
+    *costs, rhs, scale = rows[k]
+    return None if not rhs else np.array(
+        [Fraction(-s * (scale - u), scale) for s, u in zip(sign, costs[m:])], dtype=object)
 
 
 def solve(a, b, tol: float):

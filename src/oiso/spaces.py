@@ -155,9 +155,7 @@ class FunctionVec:
     def __eq__(self, other):
         if not isinstance(other, FunctionVec):
             return NotImplemented
-        return self.values.shape == other.values.shape and bool(
-            np.all(self.values == other.values)
-        )
+        return np.array_equal(self.values, other.values)
 
 
 class FunctionFamily:
@@ -293,6 +291,11 @@ class ZeroSet:
         else:
             mask = np.abs(v) <= tol
         return cls(mask)
+
+    def __eq__(self, other):
+        if not isinstance(other, ZeroSet):
+            return NotImplemented
+        return np.array_equal(self.mask, other.mask)
 
     def indices(self) -> np.ndarray:
         return np.nonzero(self.mask)[0]

@@ -309,6 +309,20 @@ class TestRejectedTable:
             code, out, err = _run(capsys, [command, op, "--mode", mode])
             assert (code, out) == (EXIT_USAGE, "") and "error:" in err
 
+    @pytest.mark.parametrize("scale", ["1", "1" + "0" * 400, "1/1" + "0" * 400],
+                             ids=["1", "1e400", "1e-400"])
+    def test_exact_shear_past_the_double_range_is_rejected(self, tmp_path, capsys, scale):
+        # span{1, t} on {a, b, c}: the shear (c0, c1) -> s (c0 + c1, c1) maps
+        # 2 - t to s (1 - t), negative at point 2, whatever the scale s > 0
+        fam = {"space": ["a", "b", "c"], "generators": [[1, 1, 1], [0, 1, 2]]}
+        op = _write(tmp_path, "op.json", {"basis": "generator", "domain": fam, "codomain": fam,
+                                          "matrix": [[scale, scale], ["0", scale]]})
+        code, out, err = _run(capsys, ["decompose", op, "--mode", "exact"])
+        assert code == EXIT_REJECTED and "Traceback" not in err
+        cert = _report(out)["result"]["certificate"]
+        assert (cert["witness"], cert["witness_side"], cert["witness_point"]) == (
+            ["2", "1", "0"], "domain", 2)
+
     @pytest.mark.parametrize("mode", ["float", "exact"])
     def test_point_matrix_of_the_wrong_size_names_its_shape(self, tmp_path, capsys, mode):
         # a 2 x 2 point matrix from a three-point domain: the shape, not the

@@ -455,6 +455,26 @@ class TestFarkasGeneratorBasis:
                 assert cert.side == side
                 _assert_witness(cert, fam.generators, fam.generators, m, t.inverse_matrix, True)
 
+    @pytest.mark.parametrize("rows, accept", [
+        ([[1, 1], [0, 1]], False),  # the shear: 2 - t maps to 1 - t, negative at t = 2
+        ([[1, 2], [0, -1]], True),  # the reflection t -> 2 - t
+    ], ids=["shear", "reflection"])
+    def test_exact_certificate_reads_any_scale(self, rows, accept):
+        # exact entries past the double range on either side: the float
+        # copies the fits and the LP read are taken at the matrices' own
+        # binary scale, so s*T gets T's certificate with no float overflow
+        # or underflow
+        space = PointSpace.discrete(3, "x")
+        fam = FunctionFamily(space, linalg.as_exact([[1, 1, 1], [0, 1, 2]]))
+        certs = [is_order_isomorphism(OperatorModel(linalg.as_exact(rows) * s, fam, fam,
+                                                    basis="generator")).to_json_dict()
+                 for s in (Fraction(1), Fraction(10 ** 400), Fraction(1, 10 ** 400))]
+        assert certs[0]["accept"] is accept
+        assert certs[1] == certs[0] == certs[2]
+        if not accept:
+            assert (certs[0]["witness"], certs[0]["witness_side"], certs[0]["witness_point"]) \
+                == (["2", "1", "0"], "domain", 2)
+
     @staticmethod
     def _shear_pair():
         # span{1, t} on t = 0, 1, 2, 3: the identity, and the shear
@@ -508,13 +528,13 @@ class TestFarkasGeneratorBasis:
 
     def test_rational_test_runs_only_on_failing_rows(self, monkeypatch):
         calls = []
-        rational_farkas = cones._rational_farkas
+        farkas = linalg.farkas
 
         def counted(a, b_y):
             calls.append(b_y)
-            return rational_farkas(a, b_y)
+            return farkas(a, b_y)
 
-        monkeypatch.setattr(cones, "_rational_farkas", counted)
+        monkeypatch.setattr(linalg, "farkas", counted)
         fam, (eye, shear) = self._shear_pair()
         # the reflection f(t) -> f(1 - t) of span{1, t, t^2} on a symmetric grid
         ts = [Fraction(j, 8) for j in range(9)]
@@ -654,7 +674,7 @@ def _elastic_witness(a, b):
     oracle: one elastic HiGHS LP, B = Lambda A + S+ - S- with Lambda, S+- >= 0
     and min sum(S+ + S-), posed on A / max|A| and B / max|B|. Rows are taken
     by decreasing slack; a row whose multiplier support re-solves exactly to
-    a nonnegative row is settled, any other goes to the rational test.
+    a nonnegative row is settled, any other goes to the exact simplex.
     Returns each row's slack in B's units, and (y, c) for the first row that
     fails, or None."""
     fa, fb = as_float(a), as_float(b)
@@ -671,7 +691,7 @@ def _elastic_witness(a, b):
         row = exact_solve_unique(a[x[y, :m] > 0].T, b[y])
         if row is not None and all(v >= 0 for v in row):
             continue
-        c = cones._rational_farkas(a, b[y])
+        c = linalg.farkas(a, b[y])
         if c is not None:
             return slack, (int(y), tuple(c))
     return slack, None
@@ -690,7 +710,7 @@ def _farkas_lp(a, b, tol: float):
     the most negative value decides, below -linalg.cutoff(B, tol). Exact
     (`tol` unused): rows go in the stable order of their values, and one
     whose multiplier support re-solves exactly to lam >= 0 is settled; any
-    other is decided by `_rational_farkas`, in index order if HiGHS fails.
+    other is decided by `linalg.farkas`, in index order if HiGHS fails.
     """
     fa, fb = linalg.as_float(a), linalg.as_float(b)
     fa = np.ldexp(fa, -np.frexp(np.max(np.abs(fa)))[1])
@@ -713,7 +733,7 @@ def _farkas_lp(a, b, tol: float):
         row = linalg.exact_solve_unique(a[lams[y] > 0].T, b[y])
         if row is not None and all(v >= 0 for v in row):
             continue
-        c = cones._rational_farkas(a, b[y])
+        c = linalg.farkas(a, b[y])
         if c is not None:
             return int(y), c
     return None

@@ -154,6 +154,32 @@ def test_cutoff_reads_max_abs_from_the_extremes(a, tol):
     assert repr(linalg.cutoff(a, tol)) == repr(tol * float(np.abs(a).max(initial=0.0)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                                        st.integers(1, 10 ** 6)), min_size=3, max_size=3),
+                     min_size=1, max_size=4),
+       shift=st.integers(-3000, 3000))
+def test_scaled_float_reads_any_binary_scale(rows, shift):
+    # the copy's largest magnitude is in [1/2, 2]; it is the float copy times
+    # one power of two; and a power-of-two scale of the matrix does not
+    # change it, past the double range too
+    a = linalg.as_exact(rows)
+    fa, got = linalg.as_float(a), linalg.scaled_float(a)
+    assert got.dtype == float and got.shape == a.shape
+    if not fa.any():
+        assert not got.any()
+        return
+    assert 0.5 <= np.abs(got).max() <= 2
+    ratio = fa[fa != 0] / got[fa != 0]
+    assert np.all(ratio == ratio[0]) and np.frexp(ratio[0])[0] == 0.5
+    assert np.array_equal(linalg.scaled_float(a * Fraction(2) ** shift), got)
+
+
+def test_scaled_float_keeps_a_float_matrix():
+    a = np.array([[1e300, -3.0], [0.0, 1e-300]])
+    assert np.array_equal(linalg.scaled_float(a), a)
+
+
 class TestConversions:
     def test_as_exact_accepts_strings_and_ints(self):
         a = linalg.as_exact([[1, "2/3"], [Fraction(1, 7), 0]])
@@ -346,3 +372,124 @@ class TestIntegerRowsMatchRationalElimination:
             assert got is None
         else:
             assert got.tolist() == ref and _all_fractions([got])
+
+
+# ---------------------------------------------------------------------------
+# The integer-row Farkas simplex against the rational tableau it replaced,
+# kept here verbatim as the oracle: every pivot divides and subtracts
+# Fractions.
+
+def _rational_farkas(a, b_y):
+    """Farkas' alternative for one point in rational arithmetic: None when
+    b_y = lam A for some lam >= 0, else c with A c >= 0 and b_y . c < 0.
+
+    Phase one of the simplex method with Bland's rule (so it terminates) on
+    D A^T lam + s = D b_y with lam, s >= 0, where D flips rows so the right
+    side is nonnegative, from the basis s. A zero optimum gives lam; a positive
+    one leaves the dual u with A D u <= 0 and (D b_y) . u > 0, so c = -D u.
+    """
+    m, k = a.shape
+    zero, one = Fraction(0), Fraction(1)
+    sign = [-1 if v < 0 else 1 for v in b_y]
+    rows = [[Fraction(sign[i] * v) for v in a[:, i]]
+            + [one if r == i else zero for r in range(k)] + [sign[i] * b_y[i]]
+            for i in range(k)]
+    # reduced costs of min sum(s) in the basis s; the last entry is -sum(s)
+    obj = [-sum(col) for col in zip(*rows)]
+    obj[m:m + k] = [zero] * k
+    basis = list(range(m, m + k))
+    while True:
+        enter = next((j for j in range(m + k) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = min((i for i in range(k) if rows[i][enter] > 0),
+                    key=lambda i: (rows[i][-1] / rows[i][enter], basis[i]))
+        p = rows[leave][enter]
+        piv = rows[leave] = [v / p for v in rows[leave]]
+        for row in rows + [obj]:
+            f = row[enter]
+            if f and row is not piv:
+                row[:] = [v - f * w for v, w in zip(row, piv)]
+        basis[leave] = enter
+    if not obj[-1]:
+        return None
+    # the reduced cost of s_i is 1 - u_i
+    return np.array([-sign[i] * (one - obj[m + i]) for i in range(k)], dtype=object)
+
+
+_BIG = 2 ** 70
+# ints and "p/q" strings, small and with numerators past 2**64; zero often
+_FARKAS_ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-5, 5),
+    st.integers(-_BIG, _BIG),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 7)),
+    st.builds("{}/{}".format, st.integers(-_BIG, _BIG), st.integers(1, 2 ** 66)),
+)
+
+
+@st.composite
+def _farkas_instances(draw):
+    """(A, b_y) with A m x k; b_y drawn inside the cone of A's rows
+    (lam A with integer lam >= 0) or anywhere."""
+    m, k = draw(st.integers(1, 12)), draw(st.integers(1, 7))
+    a = linalg.as_exact([[draw(_FARKAS_ENTRIES) for _ in range(k)] for _ in range(m)])
+    if draw(st.booleans()):
+        lam = [draw(st.integers(0, 3)) for _ in range(m)]
+        b = [sum((lam[i] * a[i, j] for i in range(m)), Fraction(0)) for j in range(k)]
+    else:
+        b = list(linalg.as_exact([[draw(_FARKAS_ENTRIES) for _ in range(k)]])[0])
+    return a, np.array(b, dtype=object)
+
+
+class TestFarkas:
+    @settings(max_examples=300, deadline=None)
+    @given(_farkas_instances())
+    def test_matches_the_rational_tableau(self, inst):
+        a, b = inst
+        ref, got = _rational_farkas(a, b), linalg.farkas(a, b)
+        if ref is None:
+            assert got is None
+            return
+        assert got is not None and got.tolist() == ref.tolist() and _all_fractions([got])
+        # the witness: A c >= 0 and b . c < 0
+        assert all(v >= 0 for v in linalg.mat_vec(a, got))
+        assert sum(x * y for x, y in zip(b, got)) < 0
+
+    def test_fraction_work_does_not_grow_with_the_pivots(self, monkeypatch):
+        # one call builds a Fraction only to read the dual: at most (m+2)k
+        # Fraction calls whatever the pivot count; the tableau makes
+        # O(pivots k (m+k))
+        rng = np.random.default_rng(1)
+        m, k = 10, 5
+        a = linalg.as_exact([[Fraction(int(x), int(d)) for x, d in zip(row, den)]
+                             for row, den in zip(rng.integers(-9, 10, (m, k)),
+                                                 rng.integers(1, 5, (m, k)))])
+        b = linalg.as_exact([rng.integers(-9, 10, k).tolist()])[0]
+        calls, pivots = [0], [0]
+
+        def counted(name):
+            real = getattr(Fraction, name)
+            if name == "__new__":
+                return staticmethod(lambda *args, **kwargs: calls.__setitem__(0, calls[0] + 1)
+                                    or real(*args, **kwargs))
+            return lambda *args, **kwargs: calls.__setitem__(0, calls[0] + 1) or real(
+                *args, **kwargs)
+
+        names = ["__new__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__neg__", "__abs__", "__eq__",
+                 "__lt__", "__le__", "__gt__", "__ge__", "__bool__"]
+        expected = _rational_farkas(a, b)
+        real_clear = linalg._clear
+        with monkeypatch.context() as patch:
+            for name in names:
+                patch.setattr(Fraction, name, counted(name))
+            patch.setattr(linalg, "_clear", lambda rows, r, col: pivots.__setitem__(
+                0, pivots[0] + 1) or real_clear(rows, r, col))
+            got = linalg.farkas(a, b)
+            new_calls, calls[0] = calls[0], 0
+            _rational_farkas(a, b)
+            old_calls = calls[0]
+        assert expected is not None and got.tolist() == expected.tolist()
+        assert pivots[0] - k >= 10  # simplex pivots, past the k that price out s
+        assert new_calls <= (m + 2) * k < old_calls

@@ -24,8 +24,7 @@ from oiso import linalg
 from oiso import cones
 from oiso.classify import _off_one, classify
 from oiso.cli import _fuzz_instance, main
-from oiso.cones import Certificate, OperatorModel, _indicator, _nonneg_violation, \
-    is_order_isomorphism
+from oiso.cones import Certificate, OperatorModel, _nonneg_violation, is_order_isomorphism
 from oiso.linalg import mat_vec
 from oiso.fuzz import spawn_generators
 from oiso.recovery import AmbiguousIntersectionError, Decomposition, NormalizedOperator, \
@@ -59,7 +58,7 @@ def _dense_certificate(m) -> Certificate:
         hit = _nonneg_violation(mat, DEFAULT_TOL)
         if hit is not None:
             i, j = hit
-            w = _indicator(m.shape[0], j, exact)
+            w = linalg.indicator(m.shape[0], j, exact)
             return Certificate(
                 accept=False, mode="exact", arithmetic="rational" if exact else "float",
                 witness_coeffs=tuple(w), witness_values=tuple(w), side=side, point=i,
@@ -624,7 +623,7 @@ class TestStructuralCost:
         t = parse_operator({**doc, "codomain": doc["domain"]}, "exact")
         floats, solves, lps = [], [], []
         real_witness, real_solve = cones._farkas_witness, linalg.exact_solve_unique
-        real_float, real_lp = linalg.as_float, scipy.optimize.linprog
+        real_float, real_lp = linalg.scaled_float, scipy.optimize.linprog
 
         def witness(a, b, tol):
             solves.append([])
@@ -636,7 +635,7 @@ class TestStructuralCost:
 
         monkeypatch.setattr(cones, "_farkas_witness", witness)
         monkeypatch.setattr(linalg, "exact_solve_unique", solve)
-        monkeypatch.setattr(linalg, "as_float", lambda a: floats.append(1) or real_float(a))
+        monkeypatch.setattr(linalg, "scaled_float", lambda a: floats.append(1) or real_float(a))
         monkeypatch.setattr(scipy.optimize, "linprog",
                             lambda *args, **kwargs: lps.append(1) or real_lp(*args, **kwargs))
         cert = is_order_isomorphism(t)

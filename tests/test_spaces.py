@@ -238,6 +238,13 @@ class TestZeroSet:
         z = ZeroSet.of(np.array([1e-12, 1e-3]), tol=1e-9)
         assert list(z.mask) == [True, False]
 
+    def test_equality_compares_shape_and_entries(self):
+        z = ZeroSet.of(np.array([0.0, 1.0, 0.0]))
+        assert z == ZeroSet(np.array([True, False, True]))
+        assert z != ZeroSet(np.array([True, True, True]))
+        assert z != ZeroSet(np.array([True, False]))
+        assert (z == "mask") is False
+
 
 class TestLipschitzFamily:
     def test_three_point_line(self):

@@ -4,8 +4,7 @@ Usage, from the repository root:
 
     python3 tools/report_digests.py 1 2 > digests.txt
     python3 tools/report_digests.py 1 --workload point-exact
-    python3 tools/report_digests.py 1 2 --workload generator-basis --solves
-    python3 tools/report_digests.py 1 --workload point-exact --counts
+    python3 tools/report_digests.py 1 2 --workload generator-basis --counts
 
 For each seed and workload it generates the `perfbench` plan and runs every
 operation once through `perfbench/ops.execute`, in the plan's order: the
@@ -16,12 +15,12 @@ warm-ups, then each instance set's round. It prints one line per operation:
 `exit` is the exit code, or `raised` when the operation raised. Two checkouts
 print the same lines exactly when every operation exits the same way and
 prints the same bytes, so a `diff` of their outputs checks that a change
-keeps every report. With `--solves` each line ends with one more field, the
+keeps every report. With `--counts` each line ends with two more fields: the
 number of HiGHS solves the operation made (calls of `scipy.optimize.linprog`,
-counted by wrapping it in this process), so the same `diff` shows where a
-change solves fewer or more LPs. With `--counts` it ends with two: the HiGHS
-solves and the calls of `Fraction.__bool__` (each a truth test of one exact
-entry, wrapped the same way), the per-entry work an exact run pays. The tool
+counted by wrapping it in this process), and its calls of `Fraction.__bool__`
+(each a truth test of one exact entry, wrapped the same way), the per-entry
+work an exact run pays. The same `diff` then shows where a change solves
+fewer or more LPs, or tests more or fewer exact entries. The tool
 only reads `perfbench/`; the input documents go to a temporary directory
 that is removed afterwards.
 """
@@ -76,18 +75,14 @@ def main(argv=None) -> int:
     p.add_argument("seeds", type=int, nargs="+")
     p.add_argument("--workload", action="append", choices=gen.WORKLOADS,
                    help="workload to run (repeatable; default: all)")
-    p.add_argument("--solves", action="store_true",
-                   help="end each line with the operation's HiGHS solve count")
     p.add_argument("--counts", action="store_true",
                    help="end each line with the operation's HiGHS solve count and "
                         "its Fraction truth tests")
     args = p.parse_args(argv)
     counters = []
-    if args.solves or args.counts:
-        import scipy.optimize
-        counters.append(count_calls(scipy.optimize, "linprog"))
     if args.counts:
-        counters.append(count_calls(Fraction, "__bool__"))
+        import scipy.optimize
+        counters += [count_calls(scipy.optimize, "linprog"), count_calls(Fraction, "__bool__")]
     for seed in args.seeds:
         for workload in args.workload or gen.WORKLOADS:
             for line in digest_lines(workload, seed, counters):
