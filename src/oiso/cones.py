@@ -84,18 +84,24 @@ class OperatorModel:
     `linalg.monomial` read (columns, entries), and `inverse_monomial`, the
     inverse's (`linalg.monomial_inv`); both are None for any other matrix,
     which is held with its dense inverse. `matrix` and `inverse_matrix` are
-    read-only, built from a read on first read. A given matrix is kept as the
+    read-only, built on first read: from a read, or by `linalg.dense_inv`.
+    The constructor builds a dense inverse at once, so a singular matrix is
+    reported when the operator is built. A given matrix is kept as the
     operator's own: a writeable array is copied, a read-only one kept.
-    `_nonzero`, private to `serialize.parse_operator`, is the matrix's
-    `!= 0` pattern, which the read takes in place of the entries.
+    Two keywords are private to `serialize.parse_operator`: `_nonzero`, the
+    matrix's `!= 0` pattern, which the read takes in place of the entries,
+    and `_defer_inverse`, which leaves the dense inverse to its first read:
+    `as_point` reads it only for a point matrix that is not monomial.
     """
 
     def __init__(self, matrix, domain: FunctionFamily, codomain: FunctionFamily,
-                 basis: str = "point", _nonzero=None):
+                 basis: str = "point", _nonzero=None, _defer_inverse: bool = False):
         m = self._validated(matrix, domain, codomain, basis)
         if m.flags.writeable and (m is matrix or m.base is not None):
             m = m.copy()  # the caller's array or a view of someone's
         self._set(m, None, linalg.monomial(m, _nonzero), domain, codomain, basis)
+        if self.monomial is None and not _defer_inverse:
+            self.inverse_matrix  # a singular matrix raises here
 
     @staticmethod
     def _validated(entries, domain: FunctionFamily, codomain: FunctionFamily,
@@ -127,12 +133,10 @@ class OperatorModel:
         return m
 
     def _set(self, matrix, inverse, read, domain, codomain, basis, inverse_read=None):
-        """Hold a validated operator by its `linalg.monomial` read, or by its
-        matrix and dense inverse (`linalg.dense_inv` unless given) when the
-        read is None; the inverse's read is derived unless given. Raises
-        SingularMatrixError."""
-        if read is None and inverse is None:
-            inverse = linalg.dense_inv(matrix)
+        """Hold a validated operator by its `linalg.monomial` read, or, when
+        the read is None, by its matrix and its dense inverse if given
+        (`inverse_matrix` builds it otherwise); the inverse's read is
+        derived unless given."""
         if read is not None and inverse_read is None:
             inverse_read = linalg.monomial_inv(*read)
         self._matrix = None if matrix is None else linalg.frozen(matrix)
@@ -160,14 +164,18 @@ class OperatorModel:
 
     @property
     def inverse_matrix(self) -> np.ndarray:
+        """The dense inverse, read-only. Raises SingularMatrixError."""
         if self._inverse is None:
-            self._inverse = linalg.frozen(linalg.monomial_matrix(*self.inverse_monomial))
+            self._inverse = linalg.frozen(
+                linalg.dense_inv(self.matrix) if self.inverse_monomial is None
+                else linalg.monomial_matrix(*self.inverse_monomial))
         return self._inverse
 
     def inverse(self) -> "OperatorModel":
         """The inverse operator: the reads and the matrices built so far, swapped."""
         t = type(self).__new__(type(self))
-        t._set(self._inverse, self._matrix, self.inverse_monomial, self.codomain,
+        t._set(self._inverse if self.monomial is not None else self.inverse_matrix,
+               self._matrix, self.inverse_monomial, self.codomain,
                self.domain, self.basis, inverse_read=self.monomial)
         return t
 
@@ -192,32 +200,59 @@ class OperatorModel:
     def point_matrix(self) -> np.ndarray:
         """The value-to-value matrix G_Y^T M inv(G_X^T) (requires full
         families); inv(G_X^T) is the domain's `coefficient_matrix()`."""
+        return self._point_product()[0]
+
+    def _point_product(self):
+        """(`point_matrix()`, its `!= 0` pattern or None): an exact
+        generator-basis product is one `linalg.mat_mat_mat` chain, which
+        reads the pattern from its integers."""
         if self.basis == "point":
-            return self.matrix
+            return self.matrix, None
         if not (self.domain.is_full and self.codomain.is_full):
             raise ValueError("point matrix requires full families")
-        return mat_mat(self.codomain.generators.T,
-                       mat_mat(self.matrix, self.domain.coefficient_matrix()))
+        return linalg.mat_mat_mat(self.codomain.generators.T, self.matrix,
+                                  self.domain.coefficient_matrix())
 
     def as_point(self) -> "OperatorModel":
         """The same operator between the full indicator families, built once.
-        The point matrix P is `point_matrix()` and its inverse is the point
-        matrix of the inverse operator, G_X^T inv(M) inv(G_Y^T), from the
-        inverses this operator and its families hold; a monomial P's inverse
-        is read from its pattern instead. In float mode P must be finite and
-        its inverse must not overflow, as in the generic constructor."""
+        The point matrix P is `point_matrix()`. A monomial P's inverse is
+        read from its pattern. Any other P's inverse is the point matrix of
+        the inverse operator, G_X^T inv(M) inv(G_Y^T), from the inverses
+        this operator and its families hold, the codomain's first; in float
+        mode P must be finite and its inverse must not overflow, as in the
+        generic constructor.
+
+        With G_X^T invertible, P is invertible exactly when G_Y is
+        independent and M invertible (G_Y^T M = P G_X^T), and a monomial P
+        is. So an exact M whose inverse was left to its first read
+        (`_defer_inverse`, beside a codomain built by
+        `FunctionFamily._unchecked`) is inverted only for a P that is not
+        monomial, and then through P: one elimination of P gives its
+        inverse, and only a singular P runs the two checks it stands for,
+        the codomain's rank and then M's inverse, which raise the
+        constructors' errors."""
         if self.basis == "point":
             return self
         if self._point is None:
             dom = FunctionFamily.full(self.domain.space, exact=self.exact)
             cod = FunctionFamily.full(self.codomain.space, exact=self.exact)
-            p = linalg.frozen(self._validated(self.point_matrix(), dom, cod, "point"))
-            read = linalg.monomial(p)
-            self._point = OperatorModel.__new__(OperatorModel)
+            p, nonzero = self._point_product()
+            p = linalg.frozen(self._validated(p, dom, cod, "point"))
+            read = linalg.monomial(p, nonzero)
+            point = OperatorModel.__new__(OperatorModel)
             with np.errstate(over="ignore", invalid="ignore"):  # finite_inverse reports it
-                inv = None if read is not None else linalg.finite_inverse(
-                    self.inverse().point_matrix())
-                self._point._set(p, inv, read, dom, cod, "point")
+                inv = None
+                if read is None and self.exact and self._inverse is None \
+                        and self.monomial is None:
+                    inv, _ = linalg.exact_inv_or_rank(p)
+                    if inv is None:  # one of the two raises
+                        self.codomain.coefficient_matrix()
+                        self.inverse_matrix
+                elif read is None:
+                    self.codomain.coefficient_matrix()
+                    inv = linalg.finite_inverse(self.inverse().point_matrix())
+                point._set(p, inv, read, dom, cod, "point")
+            self._point = point
         return self._point
 
     @classmethod
@@ -356,8 +391,13 @@ def is_order_isomorphism(t: OperatorModel, tol: float = DEFAULT_TOL) -> Certific
         cert = is_order_isomorphism(t.as_point(), tol=tol)
         if cert.accept:
             return cert
-        fam = t.domain if cert.side == "domain" else t.codomain
-        coeffs = mat_vec(fam.coefficient_matrix(), np.asarray(cert.witness_values))
+        w = np.asarray(cert.witness_values)
+        if cert.side == "domain" or not t.exact:
+            fam = t.domain if cert.side == "domain" else t.codomain
+            coeffs = mat_vec(fam.coefficient_matrix(), w)
+        else:  # f = T(T^-1 f): M times the domain coefficients of the values P^-1 w
+            coeffs = mat_vec(t.matrix, mat_vec(t.domain.coefficient_matrix(),
+                                               mat_vec(t.as_point().inverse_matrix, w)))
         return Certificate(accept=False, mode="exact", arithmetic=arith,
                            witness_coeffs=tuple(coeffs), witness_values=cert.witness_values,
                            side=cert.side, point=cert.point, detail=cert.detail)
@@ -376,7 +416,7 @@ def is_order_isomorphism(t: OperatorModel, tol: float = DEFAULT_TOL) -> Certific
 
     for src, dst, mat, side in ((t.domain, t.codomain, t.matrix, "domain"),
                                 (t.codomain, t.domain, t.inverse_matrix, "codomain")):
-        hit = _farkas_witness(src.generators.T, mat_mat(dst.generators.T, mat), tol)
+        hit = _farkas_witness(src.generators.T, _evaluations(dst.generators.T, mat), tol)
         if hit is None:
             continue
         y, c = hit
@@ -386,6 +426,19 @@ def is_order_isomorphism(t: OperatorModel, tol: float = DEFAULT_TOL) -> Certific
             side=side, point=y,
             detail=f"a nonnegative {side} function maps to a negative value at point {y}")
     return Certificate(accept=True, mode="exact", arithmetic=arith)
+
+
+def _evaluations(g_t, mat):
+    """B = G^T mat, the target point evaluations of the images of the source
+    generators. A float B that overflows is formed from the two factors
+    each times the power of two that brings its largest entry into
+    [1/2, 1): a positive multiple of B, whose Farkas alternative and
+    witnesses are B's."""
+    with np.errstate(over="ignore", invalid="ignore"):  # read from the result below
+        b = mat_mat(g_t, mat)
+    if b.dtype != object and not np.all(np.isfinite(b)):
+        b = mat_mat(*(np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1]) for x in (g_t, mat)))
+    return b
 
 
 def _farkas_witness(a, b, tol: float):

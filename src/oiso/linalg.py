@@ -14,14 +14,18 @@ float solver never sees an entry overflow or the whole matrix underflow. A
 weighted permutation (monomial matrix) skips elimination altogether in
 `rank` and `inv`.
 
-`monomial` is the one n^2 scan that reads a matrix as a weighted permutation.
+`monomial` is the one n^2 scan that reads a matrix as a weighted permutation
+(of an exact matrix, through its `!= 0` pattern when a parser hands it over).
 An operator reads its point matrix once, when it is built, and derives the
 inverse's read (`monomial_inv`), its products (`monomial_mat_vec`), its
 certificate and its recovery from that read, in either arithmetic; the
 identity generators of a full family are independent by construction and
-never reach `rank`. A square exact family checks its rank with the same
-Gauss-Jordan pass that inverts it (`exact_inv_or_rank`) and keeps the
-inverse.
+never reach `rank`. A square exact family built by its constructor checks
+its rank with the same Gauss-Jordan pass that inverts it
+(`exact_inv_or_rank`) and keeps the inverse. A parsed exact generator-basis
+operator between two square families makes only the domain's pass: a
+monomial point matrix proves the codomain's rank and M's inverse, and any
+other is inverted by a pass of its own, which proves both when it succeeds.
 
 `solve` is the one rule for "is b in the column span of a", in either
 arithmetic: exact elimination, or a float least-squares solution kept when
@@ -46,6 +50,7 @@ __all__ = [
     "indicator",
     "mat_vec",
     "mat_mat",
+    "mat_mat_mat",
     "exact_inv",
     "exact_inv_or_rank",
     "exact_rank",
@@ -125,14 +130,21 @@ def indicator(n: int, j: int, exact: bool):
 
 
 def mat_vec(a, v):
-    """Matrix times vector, zero-skipping in exact mode."""
+    """Matrix times vector, zero-skipping in exact mode: a zero entry of `a`
+    adds no term, and for an exact `a` neither does a column whose entry of
+    `v` is an exact zero (an int or a Fraction), whose terms are exact zeros
+    that leave each sum's value and type as they are. A float zero of `v`
+    still adds its term, which can make the sum a float."""
     if is_exact(a) or (isinstance(v, np.ndarray) and v.dtype == object):
         m, n = a.shape
+        cols = range(n)
+        if is_exact(a):
+            cols = [j for j in cols if not isinstance(v[j], (int, Fraction)) or v[j]]
         out = np.empty(m, dtype=object)
         for i in range(m):
             acc = Fraction(0)
             row = a[i]
-            for j in range(n):
+            for j in cols:
                 x = row[j]
                 if x:
                     acc += x * v[j]
@@ -153,8 +165,10 @@ def _rational(x):
 def _int_row(row):
     """A row of rationals as (ints, d) with row = ints / d, where d > 0 is
     the least common denominator of its entries."""
-    q = [_rational(x) for x in row]
+    q = [x if type(x) is Fraction or type(x) is int else _rational(x) for x in row]
     d = lcm(*[x.denominator for x in q])
+    if d == 1:
+        return [x.numerator for x in q], 1
     return [x.numerator * (d // x.denominator) for x in q], d
 
 
@@ -174,6 +188,32 @@ def mat_mat(a, b):
             out[i] = [Fraction(sum(map(mul, ra, cb)), da * db) for cb, db in cols]
         return out
     return np.asarray(a, dtype=float) @ np.asarray(b, dtype=float)
+
+
+def mat_mat_mat(a, b, c):
+    """(a @ b @ c, its `!= 0` pattern), the pattern None in float mode,
+    where the product is a @ (b @ c) as `mat_mat` takes it. Exact: the rows
+    of `a` and the columns of `c` are each put over one denominator, and `b`
+    over one as a whole (`_int_row`), so the chain multiplies Python ints
+    and each entry is one Fraction, equal to that of two `mat_mat`s; the
+    pattern is read from the integer numerators, not from the Fractions."""
+    if not (is_exact(a) or is_exact(b) or is_exact(c)):
+        return mat_mat(a, mat_mat(b, c)), None
+    (m, k), (k2, l), (l2, n) = a.shape, b.shape, c.shape
+    if k != k2 or l != l2:
+        raise ValueError("shape mismatch")
+    ints, db = _int_row(b.ravel())
+    b_cols = list(zip(*[ints[r * l:(r + 1) * l] for r in range(k)]))
+    cols = [_int_row(c[:, j]) for j in range(n)]
+    out = np.empty((m, n), dtype=object)
+    nonzero = np.empty((m, n), dtype=bool)
+    for i in range(m):
+        ra, da = _int_row(a[i])
+        ab = [sum(map(mul, ra, bc)) for bc in b_cols]
+        nums = [sum(map(mul, ab, cc)) for cc, _ in cols]
+        out[i] = [Fraction(x, da * db * dc) for x, (_, dc) in zip(nums, cols)]
+        nonzero[i] = [x != 0 for x in nums]
+    return out, nonzero
 
 
 def exact_inv_or_rank(a):
@@ -351,12 +391,13 @@ def monomial(a, _nonzero=None):
     return cols, a[rows, cols]
 
 
-def rank(a, tol: float = 1e-10) -> int:
+def rank(a, tol: float = 1e-10, _nonzero=None) -> int:
     """Rank of `a`; in float mode singular values up to cutoff(a, tol) count
     as zero. A monomial matrix's singular values are its entries' magnitudes,
-    so it is read, not factored."""
+    so it is read, not factored; an exact one's read takes `_nonzero` as
+    `monomial` does."""
     if is_exact(a):
-        return a.shape[0] if monomial(a) is not None else exact_rank(a)
+        return a.shape[0] if monomial(a, _nonzero) is not None else exact_rank(a)
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return 0

@@ -298,24 +298,38 @@ def parse_space(doc) -> PointSpace:
     raise ValueError("space document must be a list of labels or an object")
 
 
-def parse_family(doc, exact: bool = False) -> FunctionFamily:
-    """A family document: a space document (full family), or
-    {"space": ..., "generators": [[...]], "names": [...]}"""
+def _family_parts(doc, exact: bool):
+    """(space, generators, nonzero, names) of a family document, read in
+    `parse_family`'s order; generators, their `_read_matrix` pattern and
+    names are None for a full family."""
     if isinstance(doc, list):
-        return FunctionFamily.full(parse_space(doc), exact=exact)
+        return parse_space(doc), None, None, None
     if not isinstance(doc, dict):
         raise ValueError("family document must be a list of labels or an object")
     if "space" not in doc and "labels" in doc:
-        return FunctionFamily.full(parse_space(doc), exact=exact)
+        return parse_space(doc), None, None, None
     space = parse_space(doc["space"])
     gens = doc.get("generators")
     if gens is None:
-        return FunctionFamily.full(space, exact=exact)
-    matrix = _coerce_matrix(gens, exact)
+        return space, None, None, None
+    matrix, nonzero = _read_matrix(gens, exact)
     names = doc.get("names")
     if names is not None:
         names = tuple(str(x) for x in names)
-    return FunctionFamily(space, matrix, names=names)
+    return space, matrix, nonzero, names
+
+
+def _family(space, matrix, nonzero, names, exact: bool) -> FunctionFamily:
+    if matrix is None:
+        return FunctionFamily.full(space, exact=exact)
+    return FunctionFamily(space, matrix, names=names, _nonzero=nonzero)
+
+
+def parse_family(doc, exact: bool = False) -> FunctionFamily:
+    """A family document: a space document (full family), or
+    {"space": ..., "generators": [[...]], "names": [...]}. An exact
+    family's monomial read takes the zero pattern its parse builds."""
+    return _family(*_family_parts(doc, exact), exact)
 
 
 def parse_operator(doc: dict, mode: str = "float") -> OperatorModel:
@@ -325,6 +339,17 @@ def parse_operator(doc: dict, mode: str = "float") -> OperatorModel:
      "domain": <family doc, optional>, "codomain": <family doc, optional>}
 
     Missing families default to full families sized by the matrix.
+
+    An exact generator-basis operator between two full families is built
+    without M's inverse (`_defer_inverse`), and, where its codomain's square
+    generators are not monomial and pass every other check, with a codomain
+    whose rank is not checked (`FunctionFamily._unchecked`). Its point
+    matrix P = G_Y^T M inv(G_X^T) is formed here (`as_point`), from the
+    domain's one elimination: a monomial P proves G_Y independent and M
+    invertible, any other P is inverted by an elimination of its own, which
+    proves the same, and a singular P runs both checks, codomain first,
+    with the constructors' errors. So a document fails as it would with
+    both checks made when each family and the operator are built.
     """
     if mode not in ("float", "exact"):
         raise ValueError("mode must be 'float' or 'exact'")
@@ -341,11 +366,21 @@ def parse_operator(doc: dict, mode: str = "float") -> OperatorModel:
     else:
         dom = FunctionFamily.full(PointSpace.discrete(n, "x"), exact=exact)
     if "codomain" in doc:
-        cod = parse_family(doc["codomain"], exact=exact)
+        space, gens, gens_nonzero, names = _family_parts(doc["codomain"], exact)
+        unchecked = (exact and basis == "generator" and dom.is_full and gens is not None
+                     and gens.shape == (space.size, space.size) == (n, n) == (dom.rank, dom.rank)
+                     and (names is None or len(names) == n)
+                     and linalg.monomial(gens, gens_nonzero) is None)
+        cod = (FunctionFamily._unchecked(space, gens, names) if unchecked
+               else _family(space, gens, gens_nonzero, names, exact))
     else:
         cod = FunctionFamily.full(PointSpace.discrete(n, "y"), exact=exact)
-    return OperatorModel(linalg.frozen(matrix), domain=dom, codomain=cod, basis=basis,
-                         _nonzero=nonzero)
+    full = exact and basis == "generator" and dom.is_full and cod.is_full
+    t = OperatorModel(linalg.frozen(matrix), domain=dom, codomain=cod, basis=basis,
+                      _nonzero=nonzero, _defer_inverse=full)
+    if full:
+        t.as_point()
+    return t
 
 
 def _parse_sampled_space(doc: dict, default_name: str) -> SampledSpace:

@@ -157,6 +157,11 @@ class FunctionVec:
             return NotImplemented
         return np.array_equal(self.values, other.values)
 
+    def __hash__(self):
+        # Python's numeric hash agrees across int, Fraction and float, and
+        # for 0.0 and -0.0, as `__eq__` does
+        return hash(tuple(self.values.tolist()))
+
 
 class FunctionFamily:
     """Linearly independent generators of a function subspace.
@@ -168,17 +173,23 @@ class FunctionFamily:
     read no matrix.
 
     A full family's `coefficient_matrix()` is inv(G^T), which maps value
-    vectors to generator coefficients. A family computes it once and keeps
-    it, in either arithmetic: a square exact G that is not monomial has its
-    rank checked by one Gauss-Jordan pass over [G^T | I]
-    (`linalg.exact_inv_or_rank`), whose right half is that inverse; any
-    other G is inverted on first use. `tol` is the float rank check's only:
-    the family keeps no tolerance, and `has_constants` and `coefficients_of`
+    vectors to generator coefficients. A family computes it at most once
+    and keeps it, in either arithmetic. The constructor checks every rank
+    when it is built: a square exact G that is not monomial by one
+    Gauss-Jordan pass over [G^T | I] (`linalg.exact_inv_or_rank`), whose
+    right half is kept as the inverse, and any other G by `linalg.rank`,
+    which reads a monomial G as independent; such a G is inverted on first
+    use. An exact G's monomial read takes `_nonzero`, the `!= 0` pattern a
+    parser hands over, when given. The one exception is `_unchecked`, a
+    private path for a square exact codomain whose operator may prove its
+    rank: its first `coefficient_matrix()` makes that same pass and raises
+    the constructor's error. `tol` is the float rank check's only: the
+    family keeps no tolerance, and `has_constants` and `coefficients_of`
     take theirs from the caller.
     """
 
     def __init__(self, space: PointSpace, generators, names: Optional[Sequence[str]] = None,
-                 tol: float = DEFAULT_TOL):
+                 tol: float = DEFAULT_TOL, _nonzero=None):
         gen = np.asarray(generators)
         if gen.dtype != object:
             gen = np.asarray(gen, dtype=float)
@@ -189,15 +200,30 @@ class FunctionFamily:
         if gen.shape[1] != space.size:
             raise DimensionMismatchError("generator columns must match the point count")
         inv_t = None
-        if gen.dtype == object and gen.shape[0] == gen.shape[1] and linalg.monomial(gen) is None:
-            inv_t, r = linalg.exact_inv_or_rank(gen.T)
+        if (gen.dtype == object and gen.shape[0] == gen.shape[1]
+                and linalg.monomial(gen, _nonzero) is None):
+            inv_t = _checked_inv_t(gen)
         else:
-            r = linalg.rank(gen, tol=tol)
-        if r != gen.shape[0]:
-            raise ValueError(f"generators must be linearly independent (rank {r} < {gen.shape[0]})")
+            r = linalg.rank(gen, tol=tol, _nonzero=_nonzero)
+            if r != gen.shape[0]:
+                raise ValueError(_DEPENDENT.format(r, gen.shape[0]))
         self._adopt(space, gen.copy(), gen.shape[0], gen.dtype == object, names)
         if inv_t is not None:
             self._inv_t = linalg.frozen(inv_t)
+
+    @classmethod
+    def _unchecked(cls, space: PointSpace, gen: np.ndarray, names) -> "FunctionFamily":
+        """A square exact family whose rank is checked by the elimination of
+        its first `coefficient_matrix()`, which raises the constructor's
+        error when the generators are dependent. `gen` is taken as it is.
+        Private to `serialize.parse_operator`, which builds a codomain this
+        way only where every other check of the constructor passes; the
+        operator's `as_point` asks for that inverse only where its point
+        matrix does not prove the rank."""
+        fam = cls.__new__(cls)
+        fam._adopt(space, gen, gen.shape[0], True, names)
+        fam._rank_checked = False
+        return fam
 
     def _adopt(self, space: PointSpace, gen: Optional[np.ndarray], rank: int, exact: bool, names):
         """Take a validated, independent generator matrix as this family's
@@ -214,6 +240,7 @@ class FunctionFamily:
         if len(self.names) != rank:
             raise ValueError("one name per generator required")
         self._inv_t = None
+        self._rank_checked = True
 
     @property
     def generators(self) -> np.ndarray:
@@ -232,7 +259,9 @@ class FunctionFamily:
         """inv(G^T) of a full family, read-only: the generator coefficients
         of a function are this matrix times its values."""
         if self._inv_t is None:
-            self._inv_t = linalg.frozen(linalg.inv(self.generators.T))
+            self._inv_t = linalg.frozen(linalg.inv(self.generators.T) if self._rank_checked
+                                        else _checked_inv_t(self.generators))
+            self._rank_checked = True
         return self._inv_t
 
     def ones(self) -> np.ndarray:
@@ -272,6 +301,18 @@ class FunctionFamily:
         return fam
 
 
+_DEPENDENT = "generators must be linearly independent (rank {} < {})"
+
+
+def _checked_inv_t(gen: np.ndarray) -> np.ndarray:
+    """inv(G^T) of a square exact G by one elimination of [G^T | I], which
+    also checks its rank. Raises ValueError when the rows are dependent."""
+    inv_t, r = linalg.exact_inv_or_rank(gen.T)
+    if inv_t is None:
+        raise ValueError(_DEPENDENT.format(r, gen.shape[0]))
+    return inv_t
+
+
 @dataclass(frozen=True)
 class ZeroSet:
     """Points where a function vanishes (`of`: |value| <= tol in float mode)."""
@@ -296,6 +337,9 @@ class ZeroSet:
         if not isinstance(other, ZeroSet):
             return NotImplemented
         return np.array_equal(self.mask, other.mask)
+
+    def __hash__(self):
+        return hash(self.mask.tobytes())
 
     def indices(self) -> np.ndarray:
         return np.nonzero(self.mask)[0]

@@ -323,6 +323,22 @@ class TestRejectedTable:
         assert (cert["witness"], cert["witness_side"], cert["witness_point"]) == (
             ["2", "1", "0"], "domain", 2)
 
+    def test_float_shear_whose_image_overflows_is_rejected(self, tmp_path, capsys):
+        # the same shear at s = 1e308: B = G^T M overflows a double, and the
+        # certificate reads B up to a positive factor, so it rejects as the
+        # unit shear does, with the exact twin's side and point
+        fam = {"space": ["a", "b", "c"], "generators": [[1, 1, 1], [0, 1, 2]]}
+        certs = []
+        for matrix, mode in (([[1e308, 1e308], [0, 1e308]], "float"), ([[1, 1], [0, 1]], "float"),
+                             ([[10**308, 10**308], [0, 10**308]], "exact")):
+            op = _write(tmp_path, "op.json", {"basis": "generator", "domain": fam,
+                                              "codomain": fam, "matrix": matrix})
+            code, out, err = _run(capsys, ["decompose", op, "--mode", mode])
+            assert code == EXIT_REJECTED and err.startswith("elapsed")
+            certs.append(_report(out)["result"]["certificate"])
+        assert certs[0] == certs[1]
+        assert [(c["witness_side"], c["witness_point"]) for c in certs] == [("domain", 2)] * 3
+
     @pytest.mark.parametrize("mode", ["float", "exact"])
     def test_point_matrix_of_the_wrong_size_names_its_shape(self, tmp_path, capsys, mode):
         # a 2 x 2 point matrix from a three-point domain: the shape, not the
@@ -332,6 +348,69 @@ class TestRejectedTable:
             code, out, err = _run(capsys, [command, op, "--mode", mode])
             assert (code, out) == (EXIT_USAGE, "")
             assert err.splitlines() == ["error: point matrix shape must match the spaces"]
+
+
+_SQUARE_DOMAIN = {"space": ["a", "b", "c"], "generators": [[1, 1, 1], [0, 1, 2], [0, 0, 1]]}
+_DEPENDENT_CODOMAIN = {"space": ["p", "q", "r"], "generators": [[1, 1, 1], [0, 1, 2], [1, 2, 3]]}
+_SQUARE_CODOMAIN = {"space": ["p", "q", "r"], "generators": [[1, 0, 0], [1, 1, 0], [0, 0, 1]]}
+_INVERTIBLE = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+_SINGULAR = [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
+_DEPENDENT = "error: generators must be linearly independent (rank 2 < 3)"
+
+
+class TestFullFamilyChecks:
+    """An exact generator-basis operator between square families proves its
+    codomain's rank and M's inverse from a monomial point matrix; any other
+    point matrix makes both checks, codomain first, with the exit codes and
+    messages of checking each when it is built."""
+
+    @pytest.mark.parametrize("domain, codomain, matrix, names", [
+        (_SQUARE_DOMAIN, _DEPENDENT_CODOMAIN, _INVERTIBLE, None),
+        (_SQUARE_DOMAIN, _DEPENDENT_CODOMAIN, _SINGULAR, None),
+        (_SQUARE_DOMAIN, _DEPENDENT_CODOMAIN, [[1, 0], [0, 1]], None),
+        (_SQUARE_DOMAIN, _DEPENDENT_CODOMAIN, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], None),
+        (_SQUARE_DOMAIN, _DEPENDENT_CODOMAIN, _INVERTIBLE, ["u", "v"]),
+        (["a", "b", "c"], _DEPENDENT_CODOMAIN, _INVERTIBLE, None),
+    ], ids=["dependent", "dependent-and-singular", "dependent-and-shape-mismatch",
+            "dependent-monomial-m", "dependent-and-names-mismatch", "dependent-identity-domain"])
+    def test_dependent_codomain_exits_usage(self, tmp_path, capsys, domain, codomain, matrix,
+                                            names):
+        if names is not None:
+            codomain = dict(codomain, names=names)
+        op = _write(tmp_path, "op.json", {"basis": "generator", "domain": domain,
+                                          "codomain": codomain, "matrix": matrix})
+        for command in ("decompose", "classify"):
+            code, out, err = _run(capsys, [command, op, "--mode", "exact"])
+            assert (code, out, err.splitlines()) == (EXIT_USAGE, "", [_DEPENDENT])
+
+    @pytest.mark.parametrize("domain, codomain", [
+        (_SQUARE_DOMAIN, _SQUARE_CODOMAIN), (["a", "b", "c"], _SQUARE_CODOMAIN),
+        (_SQUARE_DOMAIN, ["p", "q", "r"]), (_SQUARE_DOMAIN, None),
+    ], ids=["square-families", "identity-domain", "identity-codomain", "default-codomain"])
+    def test_singular_matrix_is_rejected(self, tmp_path, capsys, domain, codomain):
+        doc = {"basis": "generator", "domain": domain, "matrix": _SINGULAR}
+        if codomain is not None:
+            doc["codomain"] = codomain
+        op = _write(tmp_path, "op.json", doc)
+        for command in ("decompose", "classify"):
+            code, out, _ = _run(capsys, [command, op, "--mode", "exact"])
+            assert code == EXIT_REJECTED
+            assert _report(out)["result"] == {"accepted": False, "reason": "singular",
+                                              "detail": "matrix is singular in exact arithmetic"}
+
+    def test_non_monomial_point_matrix_is_certified(self, tmp_path, capsys):
+        # P = [[1, 0, 0], [-1, 1, 0], [1, -2, 1]], inverted by its own
+        # elimination, which also proves the codomain independent and M
+        # invertible
+        op = _write(tmp_path, "op.json", {"basis": "generator", "domain": _SQUARE_DOMAIN,
+                                          "codomain": _SQUARE_CODOMAIN,
+                                          "matrix": [[1, -1, 0], [0, 1, 0], [0, 0, 1]]})
+        code, out, _ = _run(capsys, ["decompose", op, "--mode", "exact"])
+        assert code == EXIT_REJECTED
+        assert _report(out)["result"]["certificate"] == {
+            "accept": False, "mode": "exact", "schema": "oiso/1", "witness": ["0", "1", "0"],
+            "witness_point": 2, "witness_side": "domain",
+            "detail": "indicator of domain point 1 maps to a negative value at point 2"}
 
 
 class TestUsageErrors:

@@ -196,6 +196,47 @@ class TestConversions:
         out = linalg.mat_vec(a, v)
         assert out[0] == Fraction(7) and out[1] == Fraction(3)
 
+    def test_mat_vec_exact_zero_entries_of_v_add_no_term(self):
+        # an exact zero of v adds an exact zero to each sum: skipping it keeps
+        # the values and their types; a float zero is still added, so a sum
+        # that reads it becomes a float as before
+        a = frac_matrix([[1, 2, 3], [0, 4, 5]])
+        for v, want in (([0, Fraction(2), Fraction(0)], [Fraction(4), Fraction(8)]),
+                        ([Fraction(0), 0, 0], [Fraction(0), Fraction(0)]),
+                        ([Fraction(1), 0.0, 0], [1.0, 0.0])):
+            out = linalg.mat_vec(a, np.array(v, dtype=object))
+            assert [(type(x), x) for x in out] == [(type(x), x) for x in want]
+
+    def test_mat_vec_reads_only_the_columns_of_nonzero_entries(self):
+        # an indicator reads one column of an exact matrix, not n products
+        class Counting(Fraction):
+            reads = 0
+
+            def __bool__(self):
+                Counting.reads += 1
+                return super().__bool__()
+
+        a = np.array([[Counting(i + j + 1) for j in range(4)] for i in range(4)], dtype=object)
+        out = linalg.mat_vec(a, linalg.indicator(4, 2, exact=True))
+        assert list(out) == [Fraction(i + 3) for i in range(4)] and Counting.reads == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=1,
+                    max_size=4),
+           st.lists(st.sampled_from([0, 1, -2, Fraction(0), Fraction(1, 3), 0.0, 0.5]),
+                    min_size=3, max_size=3))
+    def test_mat_vec_exact_matches_every_term(self, rows, v):
+        a, vec = frac_matrix(rows), np.array(v, dtype=object)
+        want = []
+        for row in a:
+            acc = Fraction(0)
+            for x, y in zip(row, vec):
+                if x:
+                    acc += x * y
+            want.append(acc)
+        out = linalg.mat_vec(a, vec)
+        assert [(type(x), x) for x in out] == [(type(x), x) for x in want]
+
     def test_zeros_like_mode(self):
         z = linalg.zeros_like_mode((2, 2), True)
         assert z.dtype == object and z[0, 0] == 0
@@ -355,6 +396,25 @@ class TestIntegerRowsMatchRationalElimination:
         out = linalg.mat_mat(a, b)
         assert out.tolist() == _rational_mat_mat(a, b).tolist()
         assert _all_fractions(out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mat_mat_mat(self, data):
+        # one chain on integer rows: the entries of two rational products,
+        # all Fractions, and the pattern of their nonzeros
+        a = data.draw(_matrices())
+        b = data.draw(_matrices(rows=a.shape[1]))
+        c = data.draw(_matrices(rows=b.shape[1]))
+        out, nonzero = linalg.mat_mat_mat(a, b, c)
+        ref = _rational_mat_mat(a, _rational_mat_mat(b, c))
+        assert out.tolist() == ref.tolist() and _all_fractions(out)
+        assert nonzero.tolist() == [[x != 0 for x in row] for row in ref.tolist()]
+
+    def test_float_mat_mat_mat_is_mat_mat_from_the_right(self):
+        rng = np.random.default_rng(0)
+        a, b, c = (rng.standard_normal((4, 4)) for _ in range(3))
+        out, nonzero = linalg.mat_mat_mat(a, b, c)
+        assert nonzero is None and out.tobytes() == (a @ (b @ c)).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

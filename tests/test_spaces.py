@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oiso import (
     DimensionMismatchError,
     FunctionFamily,
+    FunctionVec,
     PointSpace,
     ZeroSet,
     build_lipschitz_family,
@@ -108,6 +109,18 @@ class TestFunctionFamily:
         g = linalg.as_exact([[1, 1, 1], [0, 1, 2], [1, 2, 3]])
         with pytest.raises(ValueError, match=r"rank 2 < 3"):
             FunctionFamily(PointSpace.discrete(3), g)
+
+    def test_unchecked_square_family_checks_its_rank_with_its_inverse(self):
+        # the private path leaves the check to the elimination that inverts
+        # G^T, which raises the constructor's error
+        g = linalg.as_exact([[1, 1, 1], [0, 1, 2], [1, 2, 3]])
+        fam = FunctionFamily._unchecked(PointSpace.discrete(3), g, None)
+        with pytest.raises(ValueError, match=r"^generators must be linearly independent "
+                                             r"\(rank 2 < 3\)$"):
+            fam.coefficient_matrix()
+        g = linalg.as_exact([[1, 1, 1], [0, 1, 2], [0, 0, 1]])
+        fam = FunctionFamily._unchecked(PointSpace.discrete(3), g, None)
+        assert fam.coefficient_matrix().tolist() == linalg.exact_inv(g.T).tolist()
 
 
 class TestSpanMembership:
@@ -244,6 +257,23 @@ class TestZeroSet:
         assert z != ZeroSet(np.array([True, True, True]))
         assert z != ZeroSet(np.array([True, False]))
         assert (z == "mask") is False
+
+    def test_equal_zero_sets_hash_equal(self):
+        z = ZeroSet.of(np.array([0.0, 1.0, 0.0]))
+        assert hash(z) == hash(ZeroSet(np.array([True, False, True])))
+        assert len({z, ZeroSet(np.array([1, 0, 1])), ZeroSet(np.array([True, True, True]))}) == 2
+
+
+class TestFunctionVec:
+    def test_equal_vectors_hash_equal(self):
+        # equality reads values: 0.0 == -0.0, and an exact vector equals the
+        # float vector of the same values
+        f = FunctionVec(np.array([0.0, 1.5, -2.0]))
+        for g in (FunctionVec(np.array([-0.0, 1.5, -2.0])),
+                  FunctionVec(np.array([Fraction(0), Fraction(3, 2), -2], dtype=object))):
+            assert f == g and hash(f) == hash(g)
+        assert len({f, FunctionVec(np.array([0.0, 1.5, -2.0])),
+                    FunctionVec(np.array([0.0, 1.5, 2.0]))}) == 2
 
 
 class TestLipschitzFamily:

@@ -15,12 +15,15 @@ warm-ups, then each instance set's round. It prints one line per operation:
 `exit` is the exit code, or `raised` when the operation raised. Two checkouts
 print the same lines exactly when every operation exits the same way and
 prints the same bytes, so a `diff` of their outputs checks that a change
-keeps every report. With `--counts` each line ends with two more fields: the
-number of HiGHS solves the operation made (calls of `scipy.optimize.linprog`,
-counted by wrapping it in this process), and its calls of `Fraction.__bool__`
-(each a truth test of one exact entry, wrapped the same way), the per-entry
-work an exact run pays. The same `diff` then shows where a change solves
-fewer or more LPs, or tests more or fewer exact entries. The tool
+keeps every report. With `--counts` each line ends with three more fields:
+the number of HiGHS solves the operation made (calls of
+`scipy.optimize.linprog`, counted by wrapping it in this process), its calls
+of `Fraction.__bool__` (each a truth test of one exact entry, wrapped the
+same way), the per-entry work an exact run pays, and its exact eliminations
+(calls of `oiso.linalg._exact_rref`, which every exact rank, inverse and
+solve runs once). The same `diff` then shows where a change solves fewer or
+more LPs, tests more or fewer exact entries, or eliminates more or fewer
+matrices. The tool
 only reads `perfbench/`; the input documents go to a temporary directory
 that is removed afterwards.
 """
@@ -43,9 +46,9 @@ import ops  # noqa: E402
 
 def count_calls(owner, name: str) -> list:
     """Wrap `owner.name` so each call adds one to the returned one-item list.
-    The package looks `scipy.optimize.linprog` up at call time, and Python
-    finds `Fraction.__bool__` on the class at each truth test (numpy's
-    included), so every call is seen."""
+    The package looks `scipy.optimize.linprog` and `linalg._exact_rref` up
+    at call time, and Python finds `Fraction.__bool__` on the class at each
+    truth test (numpy's included), so every call is seen."""
     calls, real = [0], getattr(owner, name)
 
     def counted(*args, **kwargs):
@@ -77,12 +80,14 @@ def main(argv=None) -> int:
                    help="workload to run (repeatable; default: all)")
     p.add_argument("--counts", action="store_true",
                    help="end each line with the operation's HiGHS solve count and "
-                        "its Fraction truth tests")
+                        "its Fraction truth tests and its exact eliminations")
     args = p.parse_args(argv)
     counters = []
     if args.counts:
         import scipy.optimize
-        counters += [count_calls(scipy.optimize, "linprog"), count_calls(Fraction, "__bool__")]
+        from oiso import linalg
+        counters += [count_calls(scipy.optimize, "linprog"), count_calls(Fraction, "__bool__"),
+                     count_calls(linalg, "_exact_rref")]
     for seed in args.seeds:
         for workload in args.workload or gen.WORKLOADS:
             for line in digest_lines(workload, seed, counters):
