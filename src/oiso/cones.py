@@ -82,25 +82,33 @@ class OperatorModel:
 
     A weighted permutation is held by its reads: `monomial`, the matrix's
     `linalg.monomial` read (columns, entries), and `inverse_monomial`, the
-    inverse's (`linalg.monomial_inv`); both are None for any other matrix,
-    which is held with its dense inverse. `matrix` and `inverse_matrix` are
-    read-only, built on first read: from a read, or by `linalg.dense_inv`.
-    The constructor builds a dense inverse at once, so a singular matrix is
-    reported when the operator is built. A given matrix is kept as the
-    operator's own: a writeable array is copied, a read-only one kept.
-    Two keywords are private to `serialize.parse_operator`: `_nonzero`, the
-    matrix's `!= 0` pattern, which the read takes in place of the entries,
-    and `_defer_inverse`, which leaves the dense inverse to its first read:
-    `as_point` reads it only for a point matrix that is not monomial.
+    inverse's (`linalg.monomial_inv`); both are None for any other matrix.
+    `matrix` and `inverse_matrix` are read-only, built on first read: from
+    a read, or by `linalg.dense_inv`.
+
+    The constructor proves the operator invertible, so a singular one is
+    reported when it is built. An exact generator-basis operator between
+    full families is proved by its point matrix P = G_Y^T M inv(G_X^T),
+    formed at once (`as_point`): with G_X^T invertible, G_Y^T M = P G_X^T,
+    so P is invertible exactly when G_Y is independent and M invertible.
+    Neither M nor G_Y is eliminated for this proof, and a singular P
+    raises the error of the check it stands for, the codomain's rank first,
+    then M's inverse. Any other matrix that is not monomial gets its dense
+    inverse at once. A given matrix is kept as the operator's own: a
+    writeable array is copied, a read-only one kept. `_nonzero`, private to
+    `serialize.parse_operator`, is the matrix's `!= 0` pattern, which the
+    read takes in place of the entries.
     """
 
     def __init__(self, matrix, domain: FunctionFamily, codomain: FunctionFamily,
-                 basis: str = "point", _nonzero=None, _defer_inverse: bool = False):
+                 basis: str = "point", _nonzero=None):
         m = self._validated(matrix, domain, codomain, basis)
         if m.flags.writeable and (m is matrix or m.base is not None):
             m = m.copy()  # the caller's array or a view of someone's
         self._set(m, None, linalg.monomial(m, _nonzero), domain, codomain, basis)
-        if self.monomial is None and not _defer_inverse:
+        if self.exact and basis == "generator" and domain.is_full and codomain.is_full:
+            self.as_point()  # a singular P raises here
+        elif self.monomial is None:
             self.inverse_matrix  # a singular matrix raises here
 
     @staticmethod
@@ -205,32 +213,26 @@ class OperatorModel:
     def _point_product(self):
         """(`point_matrix()`, its `!= 0` pattern or None): an exact
         generator-basis product is one `linalg.mat_mat_mat` chain, which
-        reads the pattern from its integers."""
+        reads the pattern from its integers. A float product that overflows
+        is returned as it is, without a warning: `as_point` reports it."""
         if self.basis == "point":
             return self.matrix, None
         if not (self.domain.is_full and self.codomain.is_full):
             raise ValueError("point matrix requires full families")
-        return linalg.mat_mat_mat(self.codomain.generators.T, self.matrix,
-                                  self.domain.coefficient_matrix())
+        inv_t = self.domain.coefficient_matrix()
+        with np.errstate(over="ignore", invalid="ignore"):
+            return linalg.mat_mat_mat(self.codomain.generators.T, self.matrix, inv_t)
 
     def as_point(self) -> "OperatorModel":
         """The same operator between the full indicator families, built once.
-        The point matrix P is `point_matrix()`. A monomial P's inverse is
-        read from its pattern. Any other P's inverse is the point matrix of
-        the inverse operator, G_X^T inv(M) inv(G_Y^T), from the inverses
-        this operator and its families hold, the codomain's first; in float
-        mode P must be finite and its inverse must not overflow, as in the
-        generic constructor.
-
-        With G_X^T invertible, P is invertible exactly when G_Y is
-        independent and M invertible (G_Y^T M = P G_X^T), and a monomial P
-        is. So an exact M whose inverse was left to its first read
-        (`_defer_inverse`, beside a codomain built by
-        `FunctionFamily._unchecked`) is inverted only for a P that is not
-        monomial, and then through P: one elimination of P gives its
-        inverse, and only a singular P runs the two checks it stands for,
-        the codomain's rank and then M's inverse, which raise the
-        constructors' errors."""
+        The point matrix P is `point_matrix()`; in float mode it must be
+        finite, as in the generic constructor. A monomial P's inverse is
+        read from its pattern. Any other exact P is inverted by one
+        elimination of its own (`linalg.exact_inv_or_rank`), and a singular
+        one raises as the class docstring says. Any other float P's inverse
+        is the point matrix of the inverse operator, G_X^T inv(M) inv(G_Y^T),
+        from the inverses this operator and its families hold, and must not
+        overflow."""
         if self.basis == "point":
             return self
         if self._point is None:
@@ -242,14 +244,12 @@ class OperatorModel:
             point = OperatorModel.__new__(OperatorModel)
             with np.errstate(over="ignore", invalid="ignore"):  # finite_inverse reports it
                 inv = None
-                if read is None and self.exact and self._inverse is None \
-                        and self.monomial is None:
+                if read is None and self.exact:
                     inv, _ = linalg.exact_inv_or_rank(p)
                     if inv is None:  # one of the two raises
-                        self.codomain.coefficient_matrix()
+                        FunctionFamily(self.codomain.space, self.codomain.generators)
                         self.inverse_matrix
                 elif read is None:
-                    self.codomain.coefficient_matrix()
                     inv = linalg.finite_inverse(self.inverse().point_matrix())
                 point._set(p, inv, read, dom, cod, "point")
             self._point = point

@@ -20,12 +20,9 @@ An operator reads its point matrix once, when it is built, and derives the
 inverse's read (`monomial_inv`), its products (`monomial_mat_vec`), its
 certificate and its recovery from that read, in either arithmetic; the
 identity generators of a full family are independent by construction and
-never reach `rank`. A square exact family built by its constructor checks
-its rank with the same Gauss-Jordan pass that inverts it
-(`exact_inv_or_rank`) and keeps the inverse. A parsed exact generator-basis
-operator between two square families makes only the domain's pass: a
-monomial point matrix proves the codomain's rank and M's inverse, and any
-other is inverted by a pass of its own, which proves both when it succeeds.
+never reach `rank`. A square exact family checks its rank with the same
+Gauss-Jordan pass that inverts it (`exact_inv_or_rank`) and keeps the
+inverse.
 
 `solve` is the one rule for "is b in the column span of a", in either
 arithmetic: exact elimination, or a float least-squares solution kept when
@@ -391,13 +388,12 @@ def monomial(a, _nonzero=None):
     return cols, a[rows, cols]
 
 
-def rank(a, tol: float = 1e-10, _nonzero=None) -> int:
+def rank(a, tol: float = 1e-10) -> int:
     """Rank of `a`; in float mode singular values up to cutoff(a, tol) count
     as zero. A monomial matrix's singular values are its entries' magnitudes,
-    so it is read, not factored; an exact one's read takes `_nonzero` as
-    `monomial` does."""
+    so it is read, not factored."""
     if is_exact(a):
-        return a.shape[0] if monomial(a, _nonzero) is not None else exact_rank(a)
+        return a.shape[0] if monomial(a) is not None else exact_rank(a)
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return 0

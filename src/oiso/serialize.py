@@ -338,18 +338,12 @@ def parse_operator(doc: dict, mode: str = "float") -> OperatorModel:
     {"schema": "oiso/1", "matrix": [[...]], "basis": "point"|"generator",
      "domain": <family doc, optional>, "codomain": <family doc, optional>}
 
-    Missing families default to full families sized by the matrix.
-
-    An exact generator-basis operator between two full families is built
-    without M's inverse (`_defer_inverse`), and, where its codomain's square
-    generators are not monomial and pass every other check, with a codomain
-    whose rank is not checked (`FunctionFamily._unchecked`). Its point
-    matrix P = G_Y^T M inv(G_X^T) is formed here (`as_point`), from the
-    domain's one elimination: a monomial P proves G_Y independent and M
-    invertible, any other P is inverted by an elimination of its own, which
-    proves the same, and a singular P runs both checks, codomain first,
-    with the constructors' errors. So a document fails as it would with
-    both checks made when each family and the operator are built.
+    Missing families default to full families sized by the matrix. A
+    square exact codomain of an exact generator-basis operator from a full
+    domain, whose generators are not monomial and pass every other check of
+    the family constructor, is built without its rank check
+    (`FunctionFamily._unchecked`): the operator proves it, with the
+    constructor's error (`OperatorModel`).
     """
     if mode not in ("float", "exact"):
         raise ValueError("mode must be 'float' or 'exact'")
@@ -375,12 +369,8 @@ def parse_operator(doc: dict, mode: str = "float") -> OperatorModel:
                else _family(space, gens, gens_nonzero, names, exact))
     else:
         cod = FunctionFamily.full(PointSpace.discrete(n, "y"), exact=exact)
-    full = exact and basis == "generator" and dom.is_full and cod.is_full
-    t = OperatorModel(linalg.frozen(matrix), domain=dom, codomain=cod, basis=basis,
-                      _nonzero=nonzero, _defer_inverse=full)
-    if full:
-        t.as_point()
-    return t
+    return OperatorModel(linalg.frozen(matrix), domain=dom, codomain=cod, basis=basis,
+                         _nonzero=nonzero)
 
 
 def _parse_sampled_space(doc: dict, default_name: str) -> SampledSpace:

@@ -174,18 +174,16 @@ class FunctionFamily:
 
     A full family's `coefficient_matrix()` is inv(G^T), which maps value
     vectors to generator coefficients. A family computes it at most once
-    and keeps it, in either arithmetic. The constructor checks every rank
-    when it is built: a square exact G that is not monomial by one
-    Gauss-Jordan pass over [G^T | I] (`linalg.exact_inv_or_rank`), whose
-    right half is kept as the inverse, and any other G by `linalg.rank`,
-    which reads a monomial G as independent; such a G is inverted on first
-    use. An exact G's monomial read takes `_nonzero`, the `!= 0` pattern a
-    parser hands over, when given. The one exception is `_unchecked`, a
-    private path for a square exact codomain whose operator may prove its
-    rank: its first `coefficient_matrix()` makes that same pass and raises
-    the constructor's error. `tol` is the float rank check's only: the
-    family keeps no tolerance, and `has_constants` and `coefficients_of`
-    take theirs from the caller.
+    and keeps it, in either arithmetic. The constructor checks the rank
+    when the family is built, by one rule: a float G by `linalg.rank`; an
+    exact G that reads as monomial (`linalg.monomial`, from `_nonzero`, the
+    `!= 0` pattern a parser hands over, when given) is independent; any
+    other square exact G by one Gauss-Jordan pass over [G^T | I]
+    (`linalg.exact_inv_or_rank`), whose right half is kept as the inverse;
+    and any other exact G by `linalg.exact_rank`. The one exception is
+    `_unchecked`, whose rank an operator proves (`OperatorModel`). `tol` is
+    the float rank check's only: the family keeps no tolerance, and
+    `has_constants` and `coefficients_of` take theirs from the caller.
     """
 
     def __init__(self, space: PointSpace, generators, names: Optional[Sequence[str]] = None,
@@ -200,29 +198,28 @@ class FunctionFamily:
         if gen.shape[1] != space.size:
             raise DimensionMismatchError("generator columns must match the point count")
         inv_t = None
-        if (gen.dtype == object and gen.shape[0] == gen.shape[1]
-                and linalg.monomial(gen, _nonzero) is None):
-            inv_t = _checked_inv_t(gen)
+        if gen.dtype != object:
+            r = linalg.rank(gen, tol=tol)
+        elif linalg.monomial(gen, _nonzero) is not None:
+            r = gen.shape[0]
+        elif gen.shape[0] == gen.shape[1]:
+            inv_t, r = linalg.exact_inv_or_rank(gen.T)
         else:
-            r = linalg.rank(gen, tol=tol, _nonzero=_nonzero)
-            if r != gen.shape[0]:
-                raise ValueError(_DEPENDENT.format(r, gen.shape[0]))
+            r = linalg.exact_rank(gen)
+        if r != gen.shape[0]:
+            raise ValueError(
+                f"generators must be linearly independent (rank {r} < {gen.shape[0]})")
         self._adopt(space, gen.copy(), gen.shape[0], gen.dtype == object, names)
         if inv_t is not None:
             self._inv_t = linalg.frozen(inv_t)
 
     @classmethod
     def _unchecked(cls, space: PointSpace, gen: np.ndarray, names) -> "FunctionFamily":
-        """A square exact family whose rank is checked by the elimination of
-        its first `coefficient_matrix()`, which raises the constructor's
-        error when the generators are dependent. `gen` is taken as it is.
-        Private to `serialize.parse_operator`, which builds a codomain this
-        way only where every other check of the constructor passes; the
-        operator's `as_point` asks for that inverse only where its point
-        matrix does not prove the rank."""
+        """A square exact family taken as it is, with no rank check: private
+        to `serialize.parse_operator`, for a codomain whose operator proves
+        its rank."""
         fam = cls.__new__(cls)
         fam._adopt(space, gen, gen.shape[0], True, names)
-        fam._rank_checked = False
         return fam
 
     def _adopt(self, space: PointSpace, gen: Optional[np.ndarray], rank: int, exact: bool, names):
@@ -240,7 +237,6 @@ class FunctionFamily:
         if len(self.names) != rank:
             raise ValueError("one name per generator required")
         self._inv_t = None
-        self._rank_checked = True
 
     @property
     def generators(self) -> np.ndarray:
@@ -259,9 +255,7 @@ class FunctionFamily:
         """inv(G^T) of a full family, read-only: the generator coefficients
         of a function are this matrix times its values."""
         if self._inv_t is None:
-            self._inv_t = linalg.frozen(linalg.inv(self.generators.T) if self._rank_checked
-                                        else _checked_inv_t(self.generators))
-            self._rank_checked = True
+            self._inv_t = linalg.frozen(linalg.inv(self.generators.T))
         return self._inv_t
 
     def ones(self) -> np.ndarray:
@@ -299,18 +293,6 @@ class FunctionFamily:
         fam._adopt(space, None, space.size, exact,
                    tuple(f"e_{lbl}" for lbl in space.labels))
         return fam
-
-
-_DEPENDENT = "generators must be linearly independent (rank {} < {})"
-
-
-def _checked_inv_t(gen: np.ndarray) -> np.ndarray:
-    """inv(G^T) of a square exact G by one elimination of [G^T | I], which
-    also checks its rank. Raises ValueError when the rows are dependent."""
-    inv_t, r = linalg.exact_inv_or_rank(gen.T)
-    if inv_t is None:
-        raise ValueError(_DEPENDENT.format(r, gen.shape[0]))
-    return inv_t
 
 
 @dataclass(frozen=True)

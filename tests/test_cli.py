@@ -413,6 +413,20 @@ class TestFullFamilyChecks:
             "detail": "indicator of domain point 1 maps to a negative value at point 2"}
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_float_point_matrix_is_one_error_line(tmp_path, capsys):
+    # every entry is finite, but P = G_Y^T M inv(G_X^T) overflows: the
+    # product is formed with no numpy warning, and the non-finite P is
+    # refused as the generic constructor refuses a matrix
+    op = _write(tmp_path, "op.json", {
+        "basis": "generator", "matrix": [[1e308, 1e308], [0, 1e308]],
+        "domain": {"space": ["a", "b"], "generators": [[1, 1], [0, 1]]},
+        "codomain": {"space": ["p", "q"], "generators": [[1, 1], [0, 1]]}})
+    for command in ("decompose", "classify"):
+        code, out, err = _run(capsys, [command, op])
+        assert (code, out, err) == (EXIT_USAGE, "", "error: operator entries must be finite\n")
+
+
 class TestUsageErrors:
     def test_missing_file(self, tmp_path, capsys):
         code, out, err = _run(capsys, ["decompose", str(tmp_path / "nope.json")])

@@ -149,6 +149,29 @@ class TestOperatorModel:
         t = OperatorModel(np.eye(2), fam, fam, basis="generator")
         assert np.allclose(t.point_matrix(), np.eye(2))
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_generator_basis_apply_values_maps_coefficients(self, exact):
+        # span{1, t} on t = 0, 1, 2 and M = [[1, 2], [0, 1]]: f = 1 + t has
+        # coefficients (1, 1), so T f has M (1, 1) = (3, 1), the values 3 + t
+        fam = _one_t_family([0, 1, 2], exact=exact)
+        t = OperatorModel(_as_mode([[1, 2], [0, 1]], exact), fam, fam, basis="generator")
+        out = t.apply_values(_as_mode([[1, 2, 3]], exact)[0])
+        if exact:
+            assert out.tolist() == [Fraction(3), Fraction(4), Fraction(5)]
+            assert all(type(v) is Fraction for v in out)
+        else:
+            assert np.allclose(out, [3.0, 4.0, 5.0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_point_basis_image_values_and_point_matrix_are_the_matrix(self, exact):
+        # in the point basis coefficients are values: T c = M c = (1*5 + 2*7, 3*7)
+        m = _as_mode([[1, 2], [0, 3]], exact)
+        sp = FunctionFamily.full(PointSpace.discrete(2), exact=exact)
+        t = OperatorModel(m, sp, sp)
+        assert t.image_values(_as_mode([[5, 7]], exact)[0]).tolist() == [19, 21]
+        assert t.point_matrix() is t.matrix
+        assert t.point_matrix().tolist() == m.tolist()
+
     def test_weighted_permutation_runs_no_factorization(self, monkeypatch):
         # a monomial's rank and inverse are read from its pattern
         def refuse(*args, **kwargs):

@@ -402,6 +402,38 @@ def test_exact_point_operator_matches_the_generic_constructor(t):
             linalg.exact_solve_unique(fam.generators.T, list(cert.witness_values)))
 
 
+def _document(t):
+    """An exact generator-basis operator as the document `parse_operator` reads."""
+    def rows(m):
+        return [[str(x) for x in row] for row in m.tolist()]
+
+    return {"basis": "generator", "matrix": rows(t.matrix),
+            **{side: {"space": list(fam.space.labels), "generators": rows(fam.generators)}
+               for side, fam in (("domain", t.domain), ("codomain", t.codomain))}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_exact_generator_operators())
+def test_exact_full_family_operator_is_one_operator_on_every_path(t):
+    """Built by the public constructor, parsed from its document, or as the
+    point-basis operator of its point matrix, an exact full-family operator
+    gets one certificate and, when accepted, one decomposition."""
+    parsed = parse_operator(_document(t), "exact")
+    point = _model(np.array(t.point_matrix().tolist(), dtype=object))
+    ops = (t, parsed, point)
+    certs = [is_order_isomorphism(op) for op in ops]
+    for cert in certs:
+        assert (cert.accept, cert.side, cert.point, cert.detail) == \
+            (certs[2].accept, certs[2].side, certs[2].point, certs[2].detail)
+        assert _typed(cert.witness_values or ()) == _typed(certs[2].witness_values or ())
+    assert _typed(certs[0].witness_coeffs or ()) == _typed(certs[1].witness_coeffs or ())
+    if certs[2].accept:
+        ds = [decompose(op) for op in ops]
+        for d in ds:
+            assert (d.sigma, d.residual, d.exact) == (ds[2].sigma, ds[2].residual, ds[2].exact)
+            assert _typed(d.weight) == _typed(ds[2].weight)
+
+
 @st.composite
 def _float_generator_operators(draw):
     """`_exact_generator_operators`, with M and both families' generators
@@ -546,6 +578,25 @@ class TestStructuralCost:
         assert self._run(tmp_path, capsys, _generator_doc(matrix), argv, "exact") == code
         assert calls["eliminations"] == (2 if side == "codomain" else 1)  # only that P is not monomial
 
+    def test_exact_full_family_generator_operator_eliminates_its_families_only(
+            self, monkeypatch):
+        # the constructor forms P, here a monomial, which proves M invertible:
+        # building, certifying and decomposing eliminate G_X and G_Y, when
+        # their families are built, and nothing else; a singular M still
+        # raises when the operator is built
+        calls = self._count(monkeypatch)
+        dom, cod = (FunctionFamily(PointSpace(tuple(doc["space"])),
+                                   linalg.as_exact(doc["generators"]))
+                    for doc in (_GEN_DOM, _GEN_COD))
+        t = OperatorModel(linalg.as_exact(_GEN_MATRICES[0][0]), dom, cod, basis="generator")
+        cert = is_order_isomorphism(t)
+        d = decompose(t, cert=cert)
+        assert (cert.accept, d.sigma, calls["eliminations"]) == (True, (1, 2, 0), 2)
+        singular = linalg.as_exact([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+        with pytest.raises(linalg.SingularMatrixError,
+                           match="^matrix is singular in exact arithmetic$"):
+            OperatorModel(singular, dom, cod, basis="generator")
+
     @pytest.mark.parametrize("matrix, code, side", _GEN_MATRICES[1:], ids=_GEN_IDS[1:])
     def test_full_family_witness_coefficients_come_from_the_cached_inverse(
             self, monkeypatch, matrix, code, side):
@@ -686,12 +737,15 @@ class TestStructuralCost:
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_full_family_runs_no_rank_check(self, monkeypatch, exact):
+        # the constructor decides the identity's rank by one monomial read,
+        # inside `linalg.rank` in float mode; the full family decides none
         calls = self._count(monkeypatch)
         space = PointSpace.discrete(5)
         fam = FunctionFamily.full(space, exact=exact)
-        assert calls["rank"] == 0
+        assert (calls["rank"], calls["monomial"]) == (0, 0)
         generic = FunctionFamily(space, fam.generators, names=fam.names)
-        assert calls["rank"] == 1
+        assert calls == {"monomial": 1, "rank": int(not exact), "square_scans": 0,
+                         "eliminations": 0}
         assert _typed(fam.generators.ravel()) == _typed(generic.generators.ravel())
         assert (fam.names, fam.generators.flags.writeable) == (generic.names, False)
 

@@ -75,6 +75,14 @@ class TestRecoverPoint:
         assert recover_point(t, 0) == 1
         assert recover_point(t, 1) == 0
 
+    @pytest.mark.parametrize("weight", [[4.0], [Fraction(4)]], ids=["float", "exact"])
+    def test_one_point_codomain(self, weight):
+        # the zero family at the only anchor has no members; the only
+        # codomain point is its image
+        t = OperatorModel.weighted_permutation((0,), np.array(weight))
+        assert zero_family(t, 0).members == ()
+        assert recover_point(t, 0) == 0
+
     def test_ambiguous_intersection(self):
         sp_x = FunctionFamily.full(PointSpace.discrete(2, "x"))
         sp_y = FunctionFamily.full(PointSpace.discrete(2, "y"))
@@ -308,6 +316,19 @@ class TestNormalize:
         t = OperatorModel(np.array([[1.0, 1.0], [0.0, 1.0]]), sp, sp)
         with pytest.raises(NotOrderIsomorphismError):
             normalize(t)
+
+    def test_accepted_float_matrix_that_is_not_monomial_is_rescaled_whole(self):
+        # 1e-12 lies within the cutoff, so T is accepted but not read as a
+        # weighted permutation: u = 1 + T^-1 1 and S[y, x] = T[y, x] u[x] / (T u)[y]
+        fam = FunctionFamily.full(PointSpace.discrete(2))
+        m = np.array([[2.0, 1e-12], [0.0, 4.0]])
+        t = OperatorModel(m, fam, fam)
+        assert t.monomial is None and is_order_isomorphism(t).accept
+        norm = normalize(t)
+        u = 1.0 + np.linalg.inv(m) @ np.ones(2)
+        tu = m @ u
+        assert norm.u == tuple(u) and norm.sigma == (0, 1)
+        assert norm.operator.matrix.tobytes() == (m * u[None, :] / tu[:, None]).tobytes()
 
 
 class TestFipCheck:
