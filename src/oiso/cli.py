@@ -8,7 +8,10 @@ and settings its report echoes, so `main` can report a rejection raised
 mid-handler. Reports are canonical (sorted keys, fixed indentation, sha256
 digest of the payload), written once by one writer, and contain nothing
 run-dependent; elapsed time goes to stderr. A report that cannot be written
-(text with no UTF-8 encoding) is an input error.
+(text with no UTF-8 encoding, or a `--json-out` path that cannot be opened)
+is an input error, and nothing goes to stdout: the `--json-out` file is
+written first. A tolerance option (`--tol`, `--conv-tol`, `--dedupe-tol`)
+must be a finite nonnegative number, checked when the arguments are parsed.
 """
 from __future__ import annotations
 
@@ -149,6 +152,19 @@ def _cmd_compactify(args, spec):
     return result, EXIT_OK
 
 
+def _tolerance(text: str) -> float:
+    """A tolerance option's value: `float(text)`, refused unless finite and
+    nonnegative (nan fails every comparison)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not 0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(
+            f"invalid tolerance {text!r}: a finite nonnegative number is required")
+    return value
+
+
 def _interval(text: str) -> list:
     """'lo,hi' -> [lo, hi], validated as an IntervalBox."""
     box = IntervalBox(*(float(part) for part in text.split(",")))
@@ -264,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, mode=True, seed=False):
-        p.add_argument("--tol", type=float, default=1e-9,
+        p.add_argument("--tol", type=_tolerance, default=1e-9,
                        help="numerical tolerance (default 1e-9)")
         p.add_argument("--json-out", metavar="PATH",
                        help="also write the report to this path")
@@ -299,9 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="explore boundary points of sampled spaces, optionally through an operator")
     p.add_argument("spec", help="compactification JSON file")
     add_common(p, mode=False)
-    p.add_argument("--conv-tol", type=float, default=1e-3,
+    p.add_argument("--conv-tol", type=_tolerance, default=1e-3,
                    help="tail-variation convergence screen (default 1e-3)")
-    p.add_argument("--dedupe-tol", type=float, default=1e-6,
+    p.add_argument("--dedupe-tol", type=_tolerance, default=1e-6,
                    help="added-point deduplication tolerance (default 1e-6)")
     p.set_defaults(func=_cmd_compactify, command_path="compactify",
                    files=("spec",), inputs=(), settings=("tol", "conv_tol", "dedupe_tol"))
@@ -315,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--interval", required=True, type=_interval, help="'lo,hi' within [0,1]")
     q.add_argument("--depth-cap", type=int, default=40,
                    help="bisection depth cap (default 40)")
-    q.add_argument("--tol", type=float, default=1e-10,
+    q.add_argument("--tol", type=_tolerance, default=1e-10,
                    help="pointwise verification tolerance (default 1e-10)")
     q.add_argument("--json-out", metavar="PATH")
     q.set_defaults(func=_cmd_example_local_form, command_path="example.local-form",
@@ -379,13 +395,13 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         text, code = _report(args)
+        if args.json_out:
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except (OSError, ValueError, KeyError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(text)
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
     print(f"elapsed {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return code
 

@@ -87,17 +87,18 @@ class OperatorModel:
     a read, or by `linalg.dense_inv`.
 
     The constructor proves the operator invertible, so a singular one is
-    reported when it is built. An exact generator-basis operator between
-    full families is proved by its point matrix P = G_Y^T M inv(G_X^T),
-    formed at once (`as_point`): with G_X^T invertible, G_Y^T M = P G_X^T,
-    so P is invertible exactly when G_Y is independent and M invertible.
-    Neither M nor G_Y is eliminated for this proof, and a singular P
-    raises the error of the check it stands for, the codomain's rank first,
-    then M's inverse. Any other matrix that is not monomial gets its dense
-    inverse at once. A given matrix is kept as the operator's own: a
-    writeable array is copied, a read-only one kept. `_nonzero`, private to
-    `serialize.parse_operator`, is the matrix's `!= 0` pattern, which the
-    read takes in place of the entries.
+    reported when it is built. A generator-basis operator between full
+    families, in either arithmetic, is proved by its point matrix
+    P = G_Y^T M inv(G_X^T), formed at once (`as_point`): with G_X^T
+    invertible, G_Y^T M = P G_X^T, so P is invertible exactly when G_Y is
+    independent and M invertible. Neither M nor G_Y is inverted for this
+    proof. A singular P raises the error of the first check it stands for
+    that fails: the codomain's rank, then M's inverse, then P's own (only
+    float rounding can leave the last). Any other matrix that is not
+    monomial gets its dense inverse at once. A given matrix is kept as the
+    operator's own: a writeable array is copied, a read-only one kept.
+    `_nonzero`, private to `serialize.parse_operator`, is the matrix's
+    `!= 0` pattern, which the read takes in place of the entries.
     """
 
     def __init__(self, matrix, domain: FunctionFamily, codomain: FunctionFamily,
@@ -106,7 +107,7 @@ class OperatorModel:
         if m.flags.writeable and (m is matrix or m.base is not None):
             m = m.copy()  # the caller's array or a view of someone's
         self._set(m, None, linalg.monomial(m, _nonzero), domain, codomain, basis)
-        if self.exact and basis == "generator" and domain.is_full and codomain.is_full:
+        if basis == "generator" and domain.is_full and codomain.is_full:
             self.as_point()  # a singular P raises here
         elif self.monomial is None:
             self.inverse_matrix  # a singular matrix raises here
@@ -227,12 +228,9 @@ class OperatorModel:
         """The same operator between the full indicator families, built once.
         The point matrix P is `point_matrix()`; in float mode it must be
         finite, as in the generic constructor. A monomial P's inverse is
-        read from its pattern. Any other exact P is inverted by one
-        elimination of its own (`linalg.exact_inv_or_rank`), and a singular
-        one raises as the class docstring says. Any other float P's inverse
-        is the point matrix of the inverse operator, G_X^T inv(M) inv(G_Y^T),
-        from the inverses this operator and its families hold, and must not
-        overflow."""
+        read from its pattern; any other P's is `linalg.dense_inv`'s, the
+        inverse a point-basis constructor takes, and a singular P raises as
+        the class docstring says."""
         if self.basis == "point":
             return self
         if self._point is None:
@@ -241,17 +239,16 @@ class OperatorModel:
             p, nonzero = self._point_product()
             p = linalg.frozen(self._validated(p, dom, cod, "point"))
             read = linalg.monomial(p, nonzero)
+            inv = None
+            if read is None:
+                try:
+                    inv = linalg.dense_inv(p)
+                except linalg.SingularMatrixError:  # the first check that fails raises
+                    FunctionFamily(self.codomain.space, self.codomain.generators)
+                    self.inverse_matrix
+                    raise
             point = OperatorModel.__new__(OperatorModel)
-            with np.errstate(over="ignore", invalid="ignore"):  # finite_inverse reports it
-                inv = None
-                if read is None and self.exact:
-                    inv, _ = linalg.exact_inv_or_rank(p)
-                    if inv is None:  # one of the two raises
-                        FunctionFamily(self.codomain.space, self.codomain.generators)
-                        self.inverse_matrix
-                elif read is None:
-                    inv = linalg.finite_inverse(self.inverse().point_matrix())
-                point._set(p, inv, read, dom, cod, "point")
+            point._set(p, inv, read, dom, cod, "point")
             self._point = point
         return self._point
 
@@ -392,9 +389,8 @@ def is_order_isomorphism(t: OperatorModel, tol: float = DEFAULT_TOL) -> Certific
         if cert.accept:
             return cert
         w = np.asarray(cert.witness_values)
-        if cert.side == "domain" or not t.exact:
-            fam = t.domain if cert.side == "domain" else t.codomain
-            coeffs = mat_vec(fam.coefficient_matrix(), w)
+        if cert.side == "domain":
+            coeffs = mat_vec(t.domain.coefficient_matrix(), w)
         else:  # f = T(T^-1 f): M times the domain coefficients of the values P^-1 w
             coeffs = mat_vec(t.matrix, mat_vec(t.domain.coefficient_matrix(),
                                                mat_vec(t.as_point().inverse_matrix, w)))

@@ -3,8 +3,7 @@
 Every generator takes a numpy Generator and is deterministic given its state.
 Stream splitting: derive independent per-instance generators with
 `spawn_generators(seed, count)`, which spawns children of one SeedSequence;
-instance i always sees the same stream regardless of execution order, so
-fuzz batches can run concurrently and aggregate by index.
+instance i always sees the same stream regardless of execution order.
 """
 from __future__ import annotations
 

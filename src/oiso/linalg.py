@@ -62,7 +62,6 @@ __all__ = [
     "rank",
     "inv",
     "dense_inv",
-    "finite_inverse",
     "frozen",
 ]
 
@@ -461,13 +460,7 @@ def dense_inv(a):
         out = np.linalg.inv(a)
     except np.linalg.LinAlgError as e:
         raise SingularMatrixError(str(e)) from e
-    return finite_inverse(out)
-
-
-def finite_inverse(out):
-    """`out`, a computed inverse, unless a float entry overflowed. Raises
-    SingularMatrixError."""
-    if not is_exact(out) and not np.all(np.isfinite(out)):
+    if not np.all(np.isfinite(out)):
         raise SingularMatrixError("inverse overflow; matrix numerically singular")
     return out
 

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 import oiso
 from oiso import serialize
 from oiso.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
-from oiso.serialize import report_digest
+from oiso.cones import is_order_isomorphism
+from oiso.linalg import SingularMatrixError
+from oiso.serialize import parse_operator, report_digest
 
 
 def _write(tmp_path, name, doc):
@@ -356,13 +358,16 @@ _SQUARE_CODOMAIN = {"space": ["p", "q", "r"], "generators": [[1, 0, 0], [1, 1, 0
 _INVERTIBLE = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
 _SINGULAR = [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
 _DEPENDENT = "error: generators must be linearly independent (rank 2 < 3)"
+_SINGULAR_DETAIL = {"exact": "matrix is singular in exact arithmetic", "float": "Singular matrix"}
 
 
+@pytest.mark.parametrize("mode", ["float", "exact"])
 class TestFullFamilyChecks:
-    """An exact generator-basis operator between square families proves its
-    codomain's rank and M's inverse from a monomial point matrix; any other
-    point matrix makes both checks, codomain first, with the exit codes and
-    messages of checking each when it is built."""
+    """A generator-basis operator between square families proves its
+    codomain's rank and M's inverse from a monomial point matrix; a point
+    matrix that does not invert makes both checks, codomain first, with the
+    exit codes and messages of checking each when it is built. A float
+    codomain is checked when it is parsed."""
 
     @pytest.mark.parametrize("domain, codomain, matrix, names", [
         (_SQUARE_DOMAIN, _DEPENDENT_CODOMAIN, _INVERTIBLE, None),
@@ -373,42 +378,43 @@ class TestFullFamilyChecks:
         (["a", "b", "c"], _DEPENDENT_CODOMAIN, _INVERTIBLE, None),
     ], ids=["dependent", "dependent-and-singular", "dependent-and-shape-mismatch",
             "dependent-monomial-m", "dependent-and-names-mismatch", "dependent-identity-domain"])
-    def test_dependent_codomain_exits_usage(self, tmp_path, capsys, domain, codomain, matrix,
-                                            names):
+    def test_dependent_codomain_exits_usage(self, tmp_path, capsys, mode, domain, codomain,
+                                            matrix, names):
         if names is not None:
             codomain = dict(codomain, names=names)
         op = _write(tmp_path, "op.json", {"basis": "generator", "domain": domain,
                                           "codomain": codomain, "matrix": matrix})
         for command in ("decompose", "classify"):
-            code, out, err = _run(capsys, [command, op, "--mode", "exact"])
+            code, out, err = _run(capsys, [command, op, "--mode", mode])
             assert (code, out, err.splitlines()) == (EXIT_USAGE, "", [_DEPENDENT])
 
     @pytest.mark.parametrize("domain, codomain", [
         (_SQUARE_DOMAIN, _SQUARE_CODOMAIN), (["a", "b", "c"], _SQUARE_CODOMAIN),
         (_SQUARE_DOMAIN, ["p", "q", "r"]), (_SQUARE_DOMAIN, None),
     ], ids=["square-families", "identity-domain", "identity-codomain", "default-codomain"])
-    def test_singular_matrix_is_rejected(self, tmp_path, capsys, domain, codomain):
+    def test_singular_matrix_is_rejected(self, tmp_path, capsys, mode, domain, codomain):
         doc = {"basis": "generator", "domain": domain, "matrix": _SINGULAR}
         if codomain is not None:
             doc["codomain"] = codomain
         op = _write(tmp_path, "op.json", doc)
         for command in ("decompose", "classify"):
-            code, out, _ = _run(capsys, [command, op, "--mode", "exact"])
+            code, out, _ = _run(capsys, [command, op, "--mode", mode])
             assert code == EXIT_REJECTED
             assert _report(out)["result"] == {"accepted": False, "reason": "singular",
-                                              "detail": "matrix is singular in exact arithmetic"}
+                                              "detail": _SINGULAR_DETAIL[mode]}
 
-    def test_non_monomial_point_matrix_is_certified(self, tmp_path, capsys):
-        # P = [[1, 0, 0], [-1, 1, 0], [1, -2, 1]], inverted by its own
-        # elimination, which also proves the codomain independent and M
-        # invertible
+    def test_non_monomial_point_matrix_is_certified(self, tmp_path, capsys, mode):
+        # P = [[1, 0, 0], [-1, 1, 0], [1, -2, 1]], inverted on its own (an
+        # elimination, or LU), which also proves the codomain independent
+        # and M invertible
         op = _write(tmp_path, "op.json", {"basis": "generator", "domain": _SQUARE_DOMAIN,
                                           "codomain": _SQUARE_CODOMAIN,
                                           "matrix": [[1, -1, 0], [0, 1, 0], [0, 0, 1]]})
-        code, out, _ = _run(capsys, ["decompose", op, "--mode", "exact"])
+        code, out, _ = _run(capsys, ["decompose", op, "--mode", mode])
         assert code == EXIT_REJECTED
+        witness = ["0", "1", "0"] if mode == "exact" else [0.0, 1.0, 0.0]
         assert _report(out)["result"]["certificate"] == {
-            "accept": False, "mode": "exact", "schema": "oiso/1", "witness": ["0", "1", "0"],
+            "accept": False, "mode": "exact", "schema": "oiso/1", "witness": witness,
             "witness_point": 2, "witness_side": "domain",
             "detail": "indicator of domain point 1 maps to a negative value at point 2"}
 
@@ -425,6 +431,25 @@ def test_overflowing_float_point_matrix_is_one_error_line(tmp_path, capsys):
     for command in ("decompose", "classify"):
         code, out, err = _run(capsys, [command, op])
         assert (code, out, err) == (EXIT_USAGE, "", "error: operator entries must be finite\n")
+
+
+# det M = 0 and P = G_Y^T M inv(G_X^T) = [[0, 7.4], [0, 0]]: the float LU
+# of M is finite, and P's own LU finds the operator singular
+_SINGULAR_FLOAT_GENERATOR = {
+    "basis": "generator", "matrix": [[7.4, -7.4], [-3.7, 3.7]],
+    "domain": {"space": ["a0", "a1"], "generators": [[1, 1], [0, -1]]},
+    "codomain": {"space": ["b0", "b1"], "generators": [[1, 1], [0, 2]]}}
+
+
+def test_singular_float_generator_operator_is_singular(tmp_path, capsys):
+    with pytest.raises(SingularMatrixError):
+        is_order_isomorphism(parse_operator(_SINGULAR_FLOAT_GENERATOR, "float"))
+    op = _write(tmp_path, "op.json", _SINGULAR_FLOAT_GENERATOR)
+    for command in ("decompose", "classify"):
+        code, out, _ = _run(capsys, [command, op])
+        assert code == EXIT_REJECTED
+        assert _report(out)["result"] == {"accepted": False, "reason": "singular",
+                                          "detail": "Singular matrix"}
 
 
 class TestUsageErrors:
@@ -494,6 +519,40 @@ class TestUsageErrors:
         assert exact["settings"] == {"mode": "exact", "tol": 0.5}
         assert plain["settings"] == {"mode": "float", "tol": 1e-9}
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv, option", [
+        (["decompose", "doc.json"], "--tol"),
+        (["classify", "doc.json"], "--tol"),
+        (["adequacy", "doc.json"], "--tol"),
+        (["compactify", "doc.json"], "--tol"),
+        (["compactify", "doc.json"], "--conv-tol"),
+        (["compactify", "doc.json"], "--dedupe-tol"),
+        (["example", "local-form", "--expr", "t", "--interval", "0,1"], "--tol"),
+        (["fuzz", "--dim", "2", "--count", "1"], "--tol"),
+    ], ids=["decompose", "classify", "adequacy", "compactify", "compactify-conv",
+            "compactify-dedupe", "local-form", "fuzz"])
+    def test_bad_tolerance_is_refused_when_parsed(self, capsys, monkeypatch, argv, option,
+                                                  value):
+        # the command line parses with a valid value, and with a bad one the
+        # command never runs
+        from oiso import cli
+        runs = []
+        monkeypatch.setattr(cli, "_report", lambda args: runs.append(args) or ("", EXIT_OK))
+        assert _run(capsys, argv + [f"{option}=0.5"])[0] == EXIT_OK and len(runs) == 1
+        code, out, err = _run(capsys, argv + [f"{option}={value}"])
+        assert (code, out, len(runs)) == (EXIT_USAGE, "", 1)
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"oiso {' '.join(argv[:2 if argv[0] == 'example' else 1])}: error: argument "
+            f"{option}: invalid tolerance '{value}': a finite nonnegative number is required"]
+
+    @pytest.mark.parametrize("command", ["decompose", "classify"])
+    def test_negative_tolerance_reports_no_witness(self, tmp_path, capsys, command):
+        # with a negative --tol every positive entry of [[1, 0], [0, 2]]
+        # would read as negative, a false witness
+        op = _write(tmp_path, "op.json", {"matrix": [[1, 0], [0, 2]]})
+        assert _run(capsys, [command, op, "--tol=-1"])[:2] == (EXIT_USAGE, "")
+        assert _run(capsys, [command, op, "--tol=0"])[0] == EXIT_OK
+
     def test_fuzz_flag_validation(self, capsys):
         assert _run(capsys, ["fuzz", "--dim", "0", "--count", "1"])[0] == EXIT_USAGE
         assert _run(capsys, ["fuzz", "--dim", "2", "--count", "0"])[0] == EXIT_USAGE
@@ -549,6 +608,15 @@ class TestReportWriting:
         assert len(encodes) == 1 and "digest" not in encodes[0]
         monkeypatch.undo()
         assert out == cli.canonical_json(_report(out))
+
+
+    def test_json_out_that_cannot_be_opened_is_a_usage_error(self, tmp_path, capsys):
+        # the file is written before stdout, so a failed write leaves no report
+        op = _write(tmp_path, "op.json", {"matrix": [[1, 0], [0, 1]]})
+        dest = tmp_path / "missing" / "report.json"
+        code, out, err = _run(capsys, ["decompose", op, "--json-out", str(dest)])
+        assert (code, out, dest.parent.exists()) == (EXIT_USAGE, "", False)
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(dest) in err
 
 
 class TestClassify:

@@ -966,3 +966,63 @@ def test_float_and_exact_full_family_certificates_agree(draw):
         assert d_f.sigma == d_e.sigma
         w_e = np.array([float(w) for w in d_e.weight])
         assert np.max(np.abs(d_f.weight_array() - w_e)) <= 1e-12 * np.max(w_e)
+
+
+@st.composite
+def _full_generator_documents(draw):
+    """(exact, M, G_X, G_Y): two independent integer families on 2-6 points
+    and an integer M. On half the draws M is random, and mostly singular; on
+    the other half it is G_Y^-T P G_X^T for P a weighted permutation, all
+    weights positive on half of those, plus up to n integer entries, which
+    may make P singular, so every verdict and rejection side occurs. Dependent codomains exit 1 by design and are not
+    drawn."""
+    exact = draw(st.booleans())
+    n = draw(st.integers(2, 6))
+    entries = st.integers(-2, 2)
+    gens = []
+    for _ in "xy":
+        g = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+        assume(linalg.exact_rank(linalg.as_exact(g)) == n)
+        gens.append(linalg.as_exact(g))
+    if draw(st.booleans()):
+        m = linalg.as_exact(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                          min_size=n, max_size=n)))
+    else:
+        weights = st.sampled_from([1, 2, 3] if draw(st.booleans()) else [-3, -2, -1, 1, 2, 3])
+        p = np.zeros((n, n), dtype=int)
+        for y, x in enumerate(draw(st.permutations(range(n)))):
+            p[y, x] = draw(weights)
+        for _ in range(draw(st.integers(0, n))):
+            p[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(entries)
+        gx, gy = gens
+        m = linalg.mat_mat(linalg.exact_inv(gy.T), linalg.mat_mat(linalg.as_exact(p.tolist()), gx.T))
+    conv = (lambda a: a) if exact else as_float
+    return exact, conv(m), conv(gens[0]), conv(gens[1])
+
+
+def _certificate_or_singular(*args):
+    try:
+        return is_order_isomorphism(OperatorModel(*args))
+    except SingularMatrixError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_full_generator_documents())
+def test_full_family_generator_operator_is_its_point_twin(draw):
+    """In float and exact mode alike, a generator-basis operator between full
+    families gets the certificate of the point-basis operator of its point
+    matrix P = G_Y^T M inv(G_X^T): the same accept, side, point, detail and
+    witness values, and where P is singular both raise SingularMatrixError
+    (the generator's message may be M's own check's)."""
+    exact, m, gx, gy = draw
+    dom, cod = (FunctionFamily(PointSpace.discrete(len(g), prefix), g)
+                for g, prefix in ((gx, "x"), (gy, "y")))
+    p, _ = linalg.mat_mat_mat(cod.generators.T, m, dom.coefficient_matrix())
+    fulls = [FunctionFamily.full(f.space, exact=exact) for f in (dom, cod)]
+    gen = _certificate_or_singular(m, dom, cod, "generator")
+    point = _certificate_or_singular(p, *fulls, "point")
+    assert (gen is None) == (point is None)
+    if gen is not None:
+        assert (gen.accept, gen.side, gen.point, gen.detail, gen.witness_values) == \
+            (point.accept, point.side, point.point, point.detail, point.witness_values)

@@ -41,6 +41,17 @@ GEN_REJECT = {"basis": "generator", "domain": GEN_DOM, "codomain": GEN_COD,
 GEN_REJECT_CODOMAIN = {"basis": "generator", "domain": GEN_DOM, "codomain": GEN_COD,
                        "matrix": [["14/5", "18/5", "4/5"], ["1/5", "2/5", "1/5"],
                                   ["3", "0", "0"]]}
+# float generator basis on two-point full families, each with a singular
+# point matrix: det M = 0 and P = [[0, 7.4], [0, 0]]; and the same M with
+# the families swapped, numerically singular (cond(M) about 3.5e17). Both
+# get the verdict of the point-basis document of their P
+GEN_SINGULAR = {"basis": "generator", "matrix": [[7.4, -7.4], [-3.7, 3.7]],
+                "domain": {"space": ["a0", "a1"], "generators": [[1, 1], [0, -1]]},
+                "codomain": {"space": ["b0", "b1"], "generators": [[1, 1], [0, 2]]}}
+GEN_NUMERICALLY_SINGULAR = {"basis": "generator", "matrix": [[7.4, -7.4], [-3.7, 3.7]],
+                            "domain": {"space": ["a0", "a1"], "generators": [[1, 1], [0, 2]]},
+                            "codomain": {"space": ["b0", "b1"],
+                                         "generators": [[1, 1], [0, -1]]}}
 # generator basis on the proper family span{1, t} over t = 0, 1, 2, 3: the
 # shear (a, b) -> (a + 2b, b) sends f >= 0 to a negative value at t = 2 and
 # t = 3, so two target rows fail and the report pins which one comes first
@@ -162,6 +173,20 @@ CASES = [
      ["decompose", "--mode", "exact"], 2,
      "24fc028acedfbfd5eb71bb9aaef407ce50b51b6a3c6a2f5de2e5291367b98043",
      "e9a12bde6e6709217797af63681ace6c4a62212f241e6a07889e1dd8e66cfc01"),
+    ("decompose-float-generator-full-singular", GEN_SINGULAR, ["decompose"], 2,
+     "2d6ff2ba986e6d1d80662fe79df6ea8e16a72a20c3636c2a323fca56c429b53c",
+     "2171c7bc389372ff76634d216264e6da1c84bc3892fcc2f7b35f95f70ddefe2f"),
+    ("classify-float-generator-full-singular", GEN_SINGULAR, ["classify"], 2,
+     "1caecafef40b44fb8ea028a308c1bb638bf52f4fa3a45dc06c172467e33c6276",
+     "0f97f02c6283cc35f2b02546c2e74a0629330d6fd6b20a1d44903a66477eda9d"),
+    ("decompose-float-generator-full-numerically-singular", GEN_NUMERICALLY_SINGULAR,
+     ["decompose"], 2,
+     "c808b5882b6b7c6e22310fa401f86e62fdf7d3655343d052801bd83938a70086",
+     "88028fe05c0aad7fe1a7a25e3c566a7fa849be22e1ab950015f2b394567c565c"),
+    ("classify-float-generator-full-numerically-singular", GEN_NUMERICALLY_SINGULAR,
+     ["classify"], 2,
+     "f734a7911c18c091e29cf96c122b19752a52bd9d78feddfeae557332e6273533",
+     "ac288e77002f7d89a0d6a6ce4ebbd268017d6f9dfea642ebfa783e772ab031a2"),
 ]
 
 

@@ -387,9 +387,9 @@ def _exact_generator_operators(draw):
 @settings(max_examples=100, deadline=None)
 @given(_exact_generator_operators())
 def test_exact_point_operator_matches_the_generic_constructor(t):
-    """`as_point` takes the point matrix's inverse from the inverses already
-    held; the generic constructor eliminates it afresh. Both, and the
-    certificates read from them, agree."""
+    """`as_point` and the generic constructor each take the point matrix's
+    inverse by `linalg.dense_inv`. Both, and the certificates read from
+    them, agree."""
     point = t.as_point()
     generic = _model(np.array(point.matrix.tolist(), dtype=object))
     assert _typed(point.inverse_matrix.ravel()) == _typed(generic.inverse_matrix.ravel())
@@ -456,15 +456,12 @@ def _scan_is_stable(m, delta):
 @settings(max_examples=100, deadline=None)
 @given(_float_generator_operators())
 def test_float_point_operator_matches_the_generic_constructor(t):
-    """The float twin: `as_point`'s inverse, the point matrix of the inverse
-    operator, agrees with the generic constructor's LU inverse of the same
-    point matrix within 1e-9 max|inverse|, or within 1e-12 cond(P) max|inverse|
-    where P is ill-conditioned, the scale of the rounding error in a float
-    inverse. So the verdicts agree, unless P has no negative entry and the
-    LU inverse's read could change under that error: a tie between its most
-    negative entries, or one at the cutoff, which rounding decides on either
-    path (the near-monomials put entries of relative size 1e-9 at the
-    cutoff)."""
+    """The float twin: `as_point` and the generic constructor take the point
+    matrix's inverse by the same LU, so the inverses agree within the
+    rounding scale of a float inverse (1e-9 max|inverse|, or 1e-12 cond(P)
+    max|inverse| where P is ill-conditioned), and so do the verdicts
+    wherever that scale cannot move the inverse's read (`_scan_is_stable`;
+    the near-monomials put entries of relative size 1e-9 at the cutoff)."""
     point = t.as_point()
     generic = _model(np.array(point.matrix))
     inv = generic.inverse_matrix
@@ -610,13 +607,11 @@ class TestStructuralCost:
 
     @pytest.mark.parametrize("argv", [["decompose"], ["classify"]], ids=["decompose", "classify"])
     @pytest.mark.parametrize("matrix, code, side, inverses",
-                             [(*case, n) for case, n in zip(_GEN_MATRICES, (3, 2, 3))],
+                             [(*case, n) for case, n in zip(_GEN_MATRICES, (2, 1, 2))],
                              ids=_GEN_IDS)
     def test_float_full_family_generator_run_inverts_each_matrix_once(
             self, tmp_path, capsys, monkeypatch, argv, matrix, code, side, inverses):
-        # M and G_X always, G_Y only for a point matrix that is not monomial
-        # (its inverse is G_X^T inv(M) inv(G_Y^T)); a witness's coefficients
-        # come from the inverse its family keeps
+        # G_X always, P only when it is not monomial; M and G_Y never
         calls = []
         real = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a) or real(a))
