@@ -152,8 +152,8 @@ def _cmd_compactify(args, spec):
     return result, EXIT_OK
 
 
-def _tolerance(text: str) -> float:
-    """A tolerance option's value: `float(text)`, refused unless finite and
+def _nonnegative(text: str, what: str) -> float:
+    """An option's value: `float(text)`, refused unless finite and
     nonnegative (nan fails every comparison)."""
     try:
         value = float(text)
@@ -161,8 +161,16 @@ def _tolerance(text: str) -> float:
         value = np.nan
     if not 0 <= value < np.inf:
         raise argparse.ArgumentTypeError(
-            f"invalid tolerance {text!r}: a finite nonnegative number is required")
+            f"invalid {what} {text!r}: a finite nonnegative number is required")
     return value
+
+
+def _tolerance(text: str) -> float:
+    return _nonnegative(text, "tolerance")
+
+
+def _perturbation(text: str) -> float:
+    return _nonnegative(text, "perturbation")
 
 
 def _interval(text: str) -> list:
@@ -232,8 +240,6 @@ def _cmd_fuzz(args):
         raise ValueError("--dim must be at least 1")
     if args.count < 1:
         raise ValueError("--count must be at least 1")
-    if args.perturbation < 0:
-        raise ValueError("--perturbation must be nonnegative")
     if args.perturbation > 0 and args.mode == "exact":
         raise ValueError("perturbed fuzzing runs in float mode")
     if args.perturbation > 0 and args.dim < 2:
@@ -356,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="seeded round-trip fuzzing of decompose")
     p.add_argument("--dim", type=int, required=True, help="point count per instance")
     p.add_argument("--count", type=int, required=True, help="instance count")
-    p.add_argument("--perturbation", type=float, default=0.0,
+    p.add_argument("--perturbation", type=_perturbation, default=0.0,
                    help="off-pattern noise magnitude; should exceed --tol to be informative")
     add_common(p, seed=True)
     p.set_defaults(func=_cmd_fuzz, command_path="fuzz",

@@ -25,8 +25,23 @@ else:
   less the caller's stack, which `load_json` reports as a `ValueError`.
 Reports therefore do not depend on whether orjson is installed.
 
-A matrix is converted as a whole. In float mode a matrix of JSON numbers
-only is one `np.array(rows, dtype=float)` call and one finiteness check; a
+One more screen reads the bytes for the matrices: a JSON bool comes only
+from the token `true` or `false`, whichever decoder ran, so a document whose
+bytes hold neither token has no bool in it. Most documents hold no "u" or "f"
+byte at all, which two single-byte searches show; only the others are
+searched for the two tokens. `load_json` returns such a document as a private
+`dict` subclass, and `parse_operator` and `parse_family` read its matrices,
+and those of the families inside it, without a per-entry type check.
+
+A matrix is converted as a whole. In float mode the matrices of a document
+that `load_json` found free of booleans (above) are one inferring
+`np.array(rows)` call in C, taken when it gives a 2-D float64 or int64
+array, then `.astype(float)` and one finiteness check; no entry is looked at
+in Python. numpy folds a bool into either dtype, but a string, None, a
+nested list, a ragged row or an integer outside [-2**63, 2**64) gives another
+dtype or shape, or raises. Any other matrix, and any one that read refuses,
+has the Python type of each entry checked: a matrix of JSON numbers only is
+one `np.array(rows, dtype=float)` call and one finiteness check, and a
 matrix holding any other value is read entry by entry through
 `coerce_number`, as is a refused one, so the message names its first bad
 entry. In exact mode a matrix of integers and strings is read through the
@@ -139,6 +154,20 @@ def _decode(data: bytes):
     return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
 
 
+def _bool_free(data: bytes) -> bool:
+    """Do a document's bytes hold neither the token `true` nor `false`? Each
+    holds a "u" or an "f", so a document with neither byte passes on two
+    single-byte searches, without the two multi-byte ones."""
+    return ((b"u" not in data and b"f" not in data)
+            or (b"true" not in data and b"false" not in data))
+
+
+class _BoolFree(dict):
+    """A document `load_json` decoded from bytes with no `true` or `false`
+    token: no value in it as decoded, at any depth, is a bool."""
+    __slots__ = ()
+
+
 def load_json(path: str, with_digest: bool = False):
     """The JSON object in the file at `path`; with `with_digest`, the pair
     (object, sha256 of the file's bytes), both from one read. The bytes are
@@ -156,6 +185,8 @@ def load_json(path: str, with_digest: bool = False):
     schema = doc.get("schema", SCHEMA)
     if schema != SCHEMA:
         raise ValueError(f"{path}: unsupported schema {schema!r} (expected {SCHEMA!r})")
+    if _bool_free(data):
+        doc = _BoolFree(doc)
     return (doc, hashlib.sha256(data).hexdigest()) if with_digest else doc
 
 
@@ -218,12 +249,33 @@ def _exact_scalar(x) -> Fraction:
     return coerce_number(x, True)
 
 
-def _float_matrix(rows):
+_INFERRED = (np.dtype(np.float64), np.dtype(np.int64))
+
+
+def _numbers_only(rows) -> bool:
+    """Is every entry of the rows an int or a float? bool is its own type,
+    so numpy never reads True as 1.0 from rows that pass."""
+    return set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}
+
+
+def _float_matrix(rows, bool_free: bool):
     """A rectangular matrix of JSON numbers as one array; None when it holds
-    another value, is ragged, or has an entry with no finite double."""
-    if (len({len(r) for r in rows}) != 1
-            or not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
-        return None  # bool is its own type, so numpy never reads True as 1.0
+    another value, is ragged, or has an entry with no finite double.
+
+    Rows known to hold no bool are first read by one inferring `np.array`
+    (see the module docstring); rows it does not give as a finite float64
+    or int64 matrix are read as any others are."""
+    if bool_free:
+        try:
+            data = np.array(rows)
+        except (ValueError, TypeError, OverflowError):
+            data = None
+        if data is not None and data.ndim == 2 and data.dtype in _INFERRED:
+            data = data.astype(float, copy=False)  # an int64 rounds as float(int) does
+            if np.isfinite(data).all():
+                return data
+    if len({len(r) for r in rows}) != 1 or not _numbers_only(rows):
+        return None
     try:
         data = np.array(rows, dtype=float)
     except OverflowError:  # an integer too large for a double
@@ -231,9 +283,10 @@ def _float_matrix(rows):
     return data if np.isfinite(data).all() else None
 
 
-def _read_matrix(rows, exact: bool):
+def _read_matrix(rows, exact: bool, bool_free: bool = False):
     """(matrix, nonzero): the matrix of a document's rows and, in exact mode,
     its nonzero pattern `matrix != 0` as a boolean array (None in float mode).
+    `bool_free` says the rows come from a `_BoolFree` document.
 
     An exact matrix is read through the table of its distinct entries: each
     is parsed once, in row-major order of first appearance, so the first
@@ -244,7 +297,7 @@ def _read_matrix(rows, exact: bool):
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ValueError("matrix must be a non-empty list of rows")
     if not exact:
-        data = _float_matrix(rows)
+        data = _float_matrix(rows, bool_free)
         if data is not None:
             return data, None
     flat = list(itertools.chain.from_iterable(rows))
@@ -298,10 +351,11 @@ def parse_space(doc) -> PointSpace:
     raise ValueError("space document must be a list of labels or an object")
 
 
-def _family_parts(doc, exact: bool):
+def _family_parts(doc, exact: bool, bool_free: bool):
     """(space, generators, nonzero, names) of a family document, read in
     `parse_family`'s order; generators, their `_read_matrix` pattern and
-    names are None for a full family."""
+    names are None for a full family. `bool_free` says the document is, or
+    lies inside, a `_BoolFree` one."""
     if isinstance(doc, list):
         return parse_space(doc), None, None, None
     if not isinstance(doc, dict):
@@ -312,7 +366,7 @@ def _family_parts(doc, exact: bool):
     gens = doc.get("generators")
     if gens is None:
         return space, None, None, None
-    matrix, nonzero = _read_matrix(gens, exact)
+    matrix, nonzero = _read_matrix(gens, exact, bool_free)
     names = doc.get("names")
     if names is not None:
         names = tuple(str(x) for x in names)
@@ -329,7 +383,7 @@ def parse_family(doc, exact: bool = False) -> FunctionFamily:
     """A family document: a space document (full family), or
     {"space": ..., "generators": [[...]], "names": [...]}. An exact
     family's monomial read takes the zero pattern its parse builds."""
-    return _family(*_family_parts(doc, exact), exact)
+    return _family(*_family_parts(doc, exact, isinstance(doc, _BoolFree)), exact)
 
 
 def parse_operator(doc: dict, mode: str = "float") -> OperatorModel:
@@ -350,17 +404,18 @@ def parse_operator(doc: dict, mode: str = "float") -> OperatorModel:
     exact = mode == "exact"
     if "matrix" not in doc:
         raise ValueError("operator document needs 'matrix'")
-    matrix, nonzero = _read_matrix(doc["matrix"], exact)
+    bool_free = isinstance(doc, _BoolFree)
+    matrix, nonzero = _read_matrix(doc["matrix"], exact, bool_free)
     if matrix.shape[0] != matrix.shape[1]:
         raise ValueError("operator matrix must be square")
     basis = doc.get("basis", "point")
     n = matrix.shape[0]
     if "domain" in doc:
-        dom = parse_family(doc["domain"], exact=exact)
+        dom = _family(*_family_parts(doc["domain"], exact, bool_free), exact)
     else:
         dom = FunctionFamily.full(PointSpace.discrete(n, "x"), exact=exact)
     if "codomain" in doc:
-        space, gens, gens_nonzero, names = _family_parts(doc["codomain"], exact)
+        space, gens, gens_nonzero, names = _family_parts(doc["codomain"], exact, bool_free)
         unchecked = (exact and basis == "generator" and dom.is_full and gens is not None
                      and gens.shape == (space.size, space.size) == (n, n) == (dom.rank, dom.rank)
                      and (names is None or len(names) == n)

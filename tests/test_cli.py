@@ -553,6 +553,24 @@ class TestUsageErrors:
         assert _run(capsys, [command, op, "--tol=-1"])[:2] == (EXIT_USAGE, "")
         assert _run(capsys, [command, op, "--tol=0"])[0] == EXIT_OK
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf", "1e400", "x"])
+    def test_bad_perturbation_is_refused_when_parsed(self, capsys, monkeypatch, value):
+        # a bad value runs no instance and writes no report
+        from oiso import cli
+        instances = []
+        real = cli._fuzz_instance
+        monkeypatch.setattr(cli, "_fuzz_instance",
+                            lambda *args: instances.append(args) or real(*args))
+        argv = ["fuzz", "--dim", "2", "--count", "1"]
+        code, out, _ = _run(capsys, argv + ["--perturbation=0.5"])
+        assert code == EXIT_OK and _report(out)["result"]["perturbation"] == 0.5
+        assert len(instances) == 1
+        code, out, err = _run(capsys, argv + [f"--perturbation={value}"])
+        assert (code, out, len(instances)) == (EXIT_USAGE, "", 1)
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"oiso fuzz: error: argument --perturbation: invalid perturbation '{value}': "
+            "a finite nonnegative number is required"]
+
     def test_fuzz_flag_validation(self, capsys):
         assert _run(capsys, ["fuzz", "--dim", "0", "--count", "1"])[0] == EXIT_USAGE
         assert _run(capsys, ["fuzz", "--dim", "2", "--count", "0"])[0] == EXIT_USAGE

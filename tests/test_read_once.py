@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from oiso import linalg
 from oiso import cones
+from oiso import serialize
 from oiso.classify import _off_one, classify
 from oiso.cli import _fuzz_instance, main
 from oiso.cones import Certificate, OperatorModel, _nonneg_violation, is_order_isomorphism
@@ -493,7 +494,8 @@ class TestStructuralCost:
     """The work a run pays for, counted: the n^2 reads of a point-basis run
     (`linalg.monomial`, `linalg.rank` and the sign scans of a whole n x n
     matrix), the exact eliminations (`linalg._exact_rref`) and the HiGHS
-    solves (`scipy.optimize.linprog`) of a proper-family certificate."""
+    solves (`scipy.optimize.linprog`) of a proper-family certificate, and
+    the per-entry type check of a float matrix read."""
 
     @staticmethod
     def _count(monkeypatch):
@@ -764,6 +766,52 @@ class TestStructuralCost:
         assert d.sigma == tuple(sigma.tolist())
         assert peak < 1.5 * matrix.nbytes
         assert _typed(t.domain.generators.ravel()) == _typed(np.eye(n).ravel())
+
+    @staticmethod
+    def _float_document(tmp_path, monkeypatch, decoder, true_at=None):
+        """(path, rows, sigma, scans) of a float n=256 weighted-permutation
+        document, with one zero of row `true_at` written as `true` when it is
+        given; `scans` records each call of `serialize._numbers_only`, the
+        per-entry type check."""
+        if decoder == "orjson" and serialize.orjson is None:
+            pytest.skip("orjson is not installed")
+        if decoder == "stdlib":
+            monkeypatch.setattr(serialize, "orjson", None)
+        n = 256
+        rng = np.random.default_rng(0)
+        sigma = rng.permutation(n)
+        rows = np.zeros((n, n))
+        rows[np.arange(n), sigma] = rng.uniform(0.5, 2.0, n)
+        rows = rows.tolist()
+        if true_at is not None:
+            rows[true_at][(sigma[true_at] + 1) % n] = True
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"matrix": rows, "basis": "point"}))
+        scans = []
+        real = serialize._numbers_only
+        monkeypatch.setattr(serialize, "_numbers_only",
+                            lambda rows: scans.append(len(rows)) or real(rows))
+        return str(path), rows, sigma, scans
+
+    @pytest.mark.parametrize("decoder", ["orjson", "stdlib"])
+    def test_bool_free_float_document_checks_no_entry_type(self, tmp_path, monkeypatch,
+                                                           decoder):
+        # the bytes hold no true or false token, so the matrix is one inferring
+        # np.array and no entry's Python type is looked at
+        path, rows, sigma, scans = self._float_document(tmp_path, monkeypatch, decoder)
+        t = parse_operator(serialize.load_json(path), "float")
+        assert scans == []
+        assert t.matrix.tobytes() == np.array(rows).tobytes()
+        assert t.monomial[0].tolist() == sigma.tolist()
+
+    @pytest.mark.parametrize("decoder", ["orjson", "stdlib"])
+    def test_boolean_entry_is_refused_after_the_type_check(self, tmp_path, capsys,
+                                                           monkeypatch, decoder):
+        path, _, _, scans = self._float_document(tmp_path, monkeypatch, decoder, true_at=7)
+        assert main(["decompose", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["error: booleans are not numeric entries"]
+        assert scans == [256]
 
     def test_exact_parse_makes_no_per_entry_fraction_call(self, monkeypatch):
         # the parse reads the zero pattern from the table of distinct entries,

@@ -1,6 +1,7 @@
 """Tests for JSON parsing, canonical serialization, and report digests."""
 import importlib
 import io
+import itertools
 import json
 import math
 import struct
@@ -435,6 +436,123 @@ class TestDecode:
             monkeypatch.undo()
             importlib.reload(serialize)
         assert serialize.orjson is not None
+
+
+# The float matrix read before documents were screened for booleans, kept as
+# the oracle of the one-pass read.
+def _float_matrix(rows):
+    """A rectangular matrix of JSON numbers as one array; None when it holds
+    another value, is ragged, or has an entry with no finite double."""
+    if (len({len(r) for r in rows}) != 1
+            or not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
+        return None  # bool is its own type, so numpy never reads True as 1.0
+    try:
+        data = np.array(rows, dtype=float)
+    except OverflowError:  # an integer too large for a double
+        return None
+    return data if np.isfinite(data).all() else None
+
+
+_INT_EDGES = (2 ** 53 + 1, -(2 ** 53 + 1), 2 ** 63, -(2 ** 63), 2 ** 63 - 1, -(2 ** 63) - 1,
+              2 ** 63 + 1, 2 ** 64 - 1, 2 ** 64, -(2 ** 64), 10 ** 400)
+_NUMBER_ENTRIES = st.one_of(
+    st.floats(),  # nan and the infinities too, which json.dumps writes as NaN and Infinity
+    st.just(-0.0),
+    st.integers(-9, 9),
+    st.integers(),
+    st.sampled_from(_INT_EDGES),
+)
+_ODD_ENTRIES = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-99, 99), st.integers(0, 99)),
+    st.sampled_from(("-0", "nan", "0", "1.5", "-2.5e-3", "1e400")),
+    st.lists(st.one_of(st.integers(-2, 2), st.floats(-2, 2)), max_size=2),
+)
+# labels that make the byte screen search for the tokens, or find them
+_LABELS = ("u", "f", "fu", "true", "false", "x", "truth", "falsehood")
+
+
+@st.composite
+def _float_documents(draw):
+    """An operator document: a matrix of numbers, now and then with odd
+    entries or a ragged row, and labels that hold "u", "f" or a token."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(_NUMBER_ENTRIES, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(_ODD_ENTRIES)
+    if draw(st.integers(0, 6)) == 0:  # a ragged row, or a matrix nested one level deeper
+        if draw(st.booleans()):
+            rows[draw(st.integers(0, n - 1))].append(draw(_NUMBER_ENTRIES))
+        else:
+            rows = [[[v] for v in row] for row in rows]
+    doc = {"matrix": rows}
+    if draw(st.booleans()):
+        doc["domain"] = draw(st.lists(st.sampled_from(_LABELS), min_size=n, max_size=n,
+                                      unique=True))
+    return doc
+
+
+def _operator_read(path: str):
+    """What `parse_operator(load_json(path), "float")` reads: the operator
+    matrix's shape and bits, or None when it refuses it, and the type and
+    message of what the parse raises, if anything."""
+    read = []
+    real = serialize._read_matrix
+
+    def spy(*args):
+        read.append(real(*args)[0])
+        return read[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serialize, "_read_matrix", spy)
+        try:
+            parse_operator(load_json(path), "float")
+            raised = None
+        except Exception as e:  # a refusal or a singular operator
+            raised = type(e).__name__, str(e)
+    matrix = read[0] if read else None
+    if matrix is not None:
+        assert matrix.dtype == np.float64
+        matrix = matrix.shape, matrix.view(np.int64).tolist()
+    return matrix, raised
+
+
+class TestBoolFreeRead:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_float_documents())
+    @example(doc={"matrix": [[1.5, True], [0, 1]]})
+    @example(doc={"matrix": [[1, False], [0, 1]], "domain": ["u", "f"]})
+    @example(doc={"matrix": [[-0.0, 1], [2 ** 53 + 1, 2 ** 63 + 1]], "domain": ["fu", "x"]})
+    @example(doc={"matrix": [[1, 2 ** 64], [-(2 ** 63) - 1, 0.5]]})
+    @example(doc={"matrix": [[1, "-0"], ["nan", None]]})
+    @example(doc={"matrix": [[1, [2]], [3, 4]]})
+    @example(doc={"matrix": [[1, 2], [3]]})
+    @example(doc={"matrix": [[float("nan"), 10 ** 400], [1, 2]]})
+    @pytest.mark.parametrize("decoder", ["orjson", "stdlib"])
+    def test_matches_the_read_before_the_screen(self, tmp_path_factory, decoder, doc):
+        if decoder == "orjson" and serialize.orjson is None:
+            pytest.skip("orjson is not installed")
+        path = tmp_path_factory.mktemp("doc") / "op.json"
+        path.write_text(json.dumps(doc))
+        with pytest.MonkeyPatch.context() as mp:
+            if decoder == "stdlib":
+                mp.setattr(serialize, "orjson", None)
+            got = _operator_read(str(path))
+            mp.setattr(serialize, "_float_matrix", lambda rows, bool_free: _float_matrix(rows))
+            assert got == _operator_read(str(path))
+
+    @pytest.mark.parametrize("text, free", [
+        (b'{"matrix": [[1, 0.5]]}', True),
+        (b'{"matrix": [[1, 0.5]], "domain": ["u", "f"]}', True),
+        (b'{"matrix": [[1, true]]}', False),
+        (b'{"matrix": [[1, 0]], "domain": ["false", "x"]}', False),
+    ])
+    def test_screen_reads_the_bytes(self, tmp_path, text, free):
+        path = tmp_path / "op.json"
+        path.write_bytes(text)
+        assert isinstance(load_json(str(path)), serialize._BoolFree) == free
 
 
 class TestParseSpace:
