@@ -695,9 +695,12 @@ def test_scaled_operator_gets_the_same_verdict(construction, seed, variant, expo
 def _elastic_witness(a, b):
     """The exact certificate's former Farkas test on one side, kept as an
     oracle: one elastic HiGHS LP, B = Lambda A + S+ - S- with Lambda, S+- >= 0
-    and min sum(S+ + S-), posed on A / max|A| and B / max|B|. Rows are taken
-    by decreasing slack; a row whose multiplier support re-solves exactly to
-    a nonnegative row is settled, any other goes to the exact simplex.
+    and min sum(S+ + S-), posed on A / max|A| and B / max|B| and solved to
+    feasibility tolerances of 1e-10 (at HiGHS's default 1e-7 a slack can be
+    off by more than the 1e-9 relative its callers compare it to). Rows are
+    taken by decreasing slack; a row whose multiplier support re-solves
+    exactly to a nonnegative row is settled, any other goes to the exact
+    simplex.
     Returns each row's slack in B's units, and (y, c) for the first row that
     fails, or None."""
     fa, fb = as_float(a), as_float(b)
@@ -706,7 +709,9 @@ def _elastic_witness(a, b):
     res = linprog(c=np.tile(np.r_[np.zeros(m), np.ones(2 * k)], n),
                   A_eq=kron(identity(n), hstack([fa.T / np.max(np.abs(fa)), identity(k),
                                                  -identity(k)])),
-                  b_eq=(fb / scale).ravel(), bounds=(0.0, None), method="highs")
+                  b_eq=(fb / scale).ravel(), bounds=(0.0, None), method="highs",
+                  options=dict(primal_feasibility_tolerance=1e-10,
+                               dual_feasibility_tolerance=1e-10))
     assert res.status == 0
     x = res.x.reshape(n, m + 2 * k)
     slack = x[:, m:].sum(axis=1) * scale
