@@ -154,7 +154,7 @@ def _cmd_compactify(args, spec):
 
 def _nonnegative(text: str, what: str) -> float:
     """An option's value: `float(text)`, refused unless finite and
-    nonnegative (nan fails every comparison)."""
+    nonnegative (nan fails every comparison), with -0 read as 0."""
     try:
         value = float(text)
     except ValueError:
@@ -162,7 +162,7 @@ def _nonnegative(text: str, what: str) -> float:
     if not 0 <= value < np.inf:
         raise argparse.ArgumentTypeError(
             f"invalid {what} {text!r}: a finite nonnegative number is required")
-    return value
+    return value + 0.0
 
 
 def _tolerance(text: str) -> float:

@@ -15,10 +15,10 @@ On full families Lambda is the point matrix itself. On proper subfamilies
 one pass per side decides it (`_farkas_witness`): A and B go to float once
 (an exact matrix at its own binary scale, `linalg.scaled_float`), and one
 non-negative least-squares fit per row of B settles what it can. A float
-side with a row left unsettled builds one HiGHS LP, whose most negative
-value decides; an exact side decides those rows by `linalg.farkas`, a
-simplex that pivots integer rows and builds Fractions only to read its
-witness, and builds the LP only to rank two or more.
+side with a row left unsettled solves one HiGHS LP (`linalg.block_lp`),
+whose most negative value decides; an exact side decides those rows by
+`linalg.farkas`, a simplex that pivots integer rows and builds Fractions
+only to read its witness, and solves the LP only to rank two or more.
 
 An operator reads its matrix as a weighted permutation (`linalg.monomial`)
 once, when it is built, and holds one by that read and its inverse's. A
@@ -453,18 +453,17 @@ def _farkas_witness(a, b, tol: float):
     in rational arithmetic to lam >= 0 (`_resolves`). A side with every row
     settled is accepted.
 
-    Float, otherwise: one HiGHS LP, min b_y . c_y with A c_y >= 0 and
-    |c_y| <= 1 for every y, gives row y the value -min |b_y - lam A|_1 over
-    lam >= 0, and the most negative value below -linalg.cutoff(B, tol)
-    decides, with its c_y as witness. HiGHS's tolerances are absolute, so
+    Float, otherwise: one HiGHS LP (`linalg.block_lp`), min b_y . c_y with
+    A c_y >= 0 and |c_y| <= 1 for every y, gives row y the value
+    -min |b_y - lam A|_1 over lam >= 0, and the most negative value below
+    -linalg.cutoff(B, tol) decides, with its c_y as witness. HiGHS's tolerances are absolute, so
     its costs are B / max|B| and its constraints A times the power of two
     that brings max|A| into [1/2, 1) (exact, same feasible set). Exact,
     otherwise: `linalg.farkas` decides the unsettled rows and the first
     witness is reported; two or more go in the order of their values in the
     same LP (stable; index order if HiGHS fails).
     """
-    from scipy.optimize import linprog, nnls
-    from scipy.sparse import identity, kron
+    from scipy.optimize import nnls
 
     exact = b.dtype == object
     fa, fb = linalg.scaled_float(a), linalg.scaled_float(b)
@@ -479,7 +478,7 @@ def _farkas_witness(a, b, tol: float):
             break
         supports.append(lam > 0)
 
-    (n, k), m = fb.shape, fa.shape[0]
+    n = len(fb)
     if exact:
         failing = [y for y in range(n)
                    if y >= len(supports) or not _resolves(a[supports[y]], b[y])]
@@ -487,18 +486,15 @@ def _farkas_witness(a, b, tol: float):
         return None
     if not exact or len(failing) > 1:
         fa = np.ldexp(fa, -np.frexp(np.max(np.abs(fa)))[1])
-        res = linprog(c=(fb / np.max(np.abs(fb))).ravel(),
-                      A_ub=-kron(identity(n), fa, format="csr"), b_ub=np.zeros(n * m),
-                      bounds=(-1.0, 1.0), method="highs")
-        if res.status == 0:
-            cs = res.x.reshape(n, k)
+        cs = linalg.block_lp(fa, fb / np.max(np.abs(fb)))
+        if cs is not None:
             vals = np.einsum("yk,yk->y", fb, cs)
             if not exact:
                 y = int(np.argmin(vals))
                 return (y, cs[y]) if vals[y] < -bound else None
             failing.sort(key=vals.__getitem__)
         elif not exact:  # bounded and feasible (c = 0) by construction
-            raise RuntimeError(f"LP solver failed: {res.message}")
+            raise RuntimeError("LP solver failed: HiGHS reported no optimum")
     for y in failing:
         c = linalg.farkas(a, b[y])
         if c is not None:

@@ -27,6 +27,10 @@ inverse.
 `solve` is the one rule for "is b in the column span of a", in either
 arithmetic: exact elimination, or a float least-squares solution kept when
 its residual is within `cutoff(b, tol)`.
+
+`block_lp` is the one place that calls HiGHS: the float block LP of Farkas'
+alternative, handed to scipy's bundled HiGHS binding as CSC arrays built
+here in numpy, with no LP front end or sparse matrix class in between.
 """
 from __future__ import annotations
 
@@ -53,6 +57,7 @@ __all__ = [
     "exact_rank",
     "exact_solve_unique",
     "farkas",
+    "block_lp",
     "solve",
     "cutoff",
     "monomial",
@@ -346,6 +351,46 @@ def farkas(a, b_y):
     *costs, rhs, scale = rows[k]
     return None if not rhs else np.array(
         [Fraction(-s * (scale - u), scale) for s, u in zip(sign, costs[m:])], dtype=object)
+
+
+def block_lp(a, costs):
+    """The float block LP of Farkas' alternative: c minimising the sum of
+    costs_y . c_y with a c_y >= 0 and -1 <= c <= 1 for every row y of
+    `costs`, as an (n, k) array, or None when HiGHS does not report an
+    optimum.
+
+    One direct call of scipy's bundled HiGHS binding, with the model and
+    options scipy's own `method="highs"` front end hands it for costs
+    costs.ravel(), inequalities -kron(I_n, a) c <= 0 and bounds (-1, 1), so
+    HiGHS returns the same vertex: the constraint matrix in CSC form (column
+    y*k + i holds -a[:, i] at rows y*m + r, zeros dropped, rows ascending),
+    row bounds (-inf, 0], presolve on, the dual simplex, no output."""
+    from scipy.optimize._highspy import _core as highs
+
+    (n, k), m = costs.shape, a.shape[0]
+    cols, rows = np.nonzero(a.T)  # column-major, rows ascending in each column
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n * k
+    lp.num_row_ = lp.a_matrix_.num_row_ = n * m
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.r_[0, np.cumsum(np.tile(np.bincount(cols, minlength=k), n))]
+    lp.a_matrix_.index_ = (np.arange(n)[:, None] * m + rows).ravel()
+    lp.a_matrix_.value_ = np.tile(-a.T[cols, rows], n)
+    lp.col_cost_ = costs.ravel()
+    lp.col_lower_, lp.col_upper_ = np.full(n * k, -1.0), np.full(n * k, 1.0)
+    lp.row_lower_, lp.row_upper_ = np.full(n * m, -highs.kHighsInf), np.zeros(n * m)
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = options.output_flag = False
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    solver = highs._Highs()
+    solver.passOptions(options)
+    solver.passModel(lp)
+    solver.run()
+    if solver.getModelStatus() != highs.HighsModelStatus.kOptimal:
+        return None
+    return np.array(solver.getSolution().col_value).reshape(n, k)
 
 
 def solve(a, b, tol: float):

@@ -145,10 +145,9 @@ def _decode(data: bytes):
         except orjson.JSONDecodeError:
             pass
         else:
-            # the count of opening brackets bounds the depth, and scanning is
-            # needed only past it
-            structure = data.translate(None, _NOT_STRUCTURE)
-            if (structure.count(b"[") + structure.count(b"{") < _ORJSON_MAX_DEPTH
+            # the count of opening brackets (those in strings included) bounds
+            # the depth, and scanning is needed only past it
+            if (data.count(b"[") + data.count(b"{") < _ORJSON_MAX_DEPTH
                     or _nesting_depth(data) < _ORJSON_MAX_DEPTH):
                 return doc
     return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())

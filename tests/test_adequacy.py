@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from oiso import linalg
 from oiso.adequacy import (
     SeparationInfeasibleError,
     build_precise_bump,
@@ -115,7 +116,7 @@ class TestCheckAdequate:
         def refuse(*args, **kwargs):
             raise AssertionError("an exact family needs no LP")
 
-        monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+        monkeypatch.setattr(linalg, "block_lp", refuse)
         gen = np.array([[Fraction(t) for t in ts]], dtype=object)
         fam = FunctionFamily(PointSpace.grid([float(t) for t in ts]), gen, names=("t",))
         rep = check_adequate(fam)
@@ -139,7 +140,7 @@ class TestCheckAdequate:
         def refuse(*args, **kwargs):
             raise AssertionError("cone generation needs no LP")
 
-        monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+        monkeypatch.setattr(linalg, "block_lp", refuse)
         fam = FunctionFamily(PointSpace.discrete(len(gen[0])), np.array(gen))
         rep = check_adequate(fam)
         assert not rep.has_constants
@@ -228,7 +229,7 @@ class TestCheckAdequate:
             raise AssertionError("a full family needs no least squares or LP")
 
         monkeypatch.setattr(np.linalg, "lstsq", refuse)
-        monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+        monkeypatch.setattr(linalg, "block_lp", refuse)
         rep = check_adequate(fam)
         assert rep.adequate and rep.g_residual == 0.0
         for x, w in enumerate(rep.separation_witnesses):

@@ -571,6 +571,13 @@ class TestUsageErrors:
             f"oiso fuzz: error: argument --perturbation: invalid perturbation '{value}': "
             "a finite nonnegative number is required"]
 
+    def test_negative_zero_options_read_as_zero(self, capsys):
+        # -0 is a nonnegative value equal to 0, so it gets 0's report bytes
+        argv = ["fuzz", "--dim", "2", "--count", "1"]
+        code, out, _ = _run(capsys, argv + ["--tol=-0", "--perturbation=-0"])
+        assert (code, out) == _run(capsys, argv + ["--tol", "0", "--perturbation", "0"])[:2]
+        assert code == EXIT_OK and '"perturbation": 0.0' in out and '"tol": 0.0' in out
+
     def test_fuzz_flag_validation(self, capsys):
         assert _run(capsys, ["fuzz", "--dim", "0", "--count", "1"])[0] == EXIT_USAGE
         assert _run(capsys, ["fuzz", "--dim", "2", "--count", "0"])[0] == EXIT_USAGE

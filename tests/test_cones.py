@@ -6,7 +6,7 @@ import pytest
 import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult, linprog
+from scipy.optimize import linprog
 from scipy.sparse import hstack, identity, kron
 
 from oiso import cones, linalg, serialize
@@ -510,8 +510,7 @@ class TestFarkasGeneratorBasis:
         fam, (eye, shear) = self._shear_pair()
         models = [OperatorModel(m, fam, fam, basis="generator") for m in (eye, shear)]
         before = [is_order_isomorphism(t) for t in models]
-        failed = OptimizeResult(status=4, x=None, message="numerical difficulties")
-        monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: failed)
+        monkeypatch.setattr(linalg, "block_lp", lambda *args, **kwargs: None)
         after = [is_order_isomorphism(t) for t in models]
         assert before[0].accept and after[0].accept
         # the LP's order puts t = 3 first; without it, rows go in index order
@@ -543,8 +542,9 @@ class TestFarkasGeneratorBasis:
             raise RuntimeError("Maximum number of iterations reached.")
 
         monkeypatch.setattr(scipy.optimize, "nnls", no_fit)
-        monkeypatch.setattr(scipy.optimize, "linprog",
-                            lambda *args, **kwargs: solves.append(1) or linprog(*args, **kwargs))
+        real = linalg.block_lp
+        monkeypatch.setattr(linalg, "block_lp",
+                            lambda *args, **kwargs: solves.append(1) or real(*args, **kwargs))
         assert [is_order_isomorphism(t) for t in models] == before
         assert before[0].accept and not before[1].accept
         assert len(solves) == 3  # both sides of the identity, one of the shear
@@ -599,6 +599,26 @@ def _generators(rng, kind, k, m):
 # subfamilies of rank 3-5 and 13
 CONSTRUCTIONS = [("int", 3, 3), ("int", 5, 5), ("lipschitz", 4, 4), ("lipschitz", 6, 6),
                  ("int", 3, 7), ("int", 4, 9), ("int", 5, 8), ("int", 13, 16)]
+
+
+def _float_operator(construction, seed, variant):
+    """A float generator-basis construction: (G_X, G_Y, B^-1) with codomain
+    generators B G_X Lambda^T, so the matrix B^-T gives G_Y^T M = Lambda G_X^T,
+    Lambda a positive weighted permutation, with one weight negated, or plus
+    a nonnegative mixing."""
+    kind, k, m = construction
+    rng = np.random.default_rng(seed)
+    g = np.asarray(_generators(rng, kind, k, m), dtype=float)
+    b, b_inv = _unimodular(rng, k)
+    w = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=m))
+    lam = np.zeros((m, m))
+    lam[np.arange(m), rng.permutation(m)] = w
+    if variant == "negative weight":
+        lam[int(rng.integers(m))] *= -1.0
+    elif variant == "mixed":
+        # each row's mixing stays below half its weight, so Lambda is invertible
+        lam += w[:, None] * rng.uniform(0.0, 0.5 / m, size=(m, m)) * (rng.random((m, m)) < 0.3)
+    return g, b @ g @ lam.T, b_inv
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -666,19 +686,8 @@ def test_scaled_operator_gets_the_same_verdict(construction, seed, variant, expo
     G_Y^T M = Lambda G_X^T: Lambda a positive weighted permutation (accepted),
     with one weight negated (rejected on the domain side), or plus a
     nonnegative mixing (T maps the cone into, usually not onto, itself)."""
-    kind, k, m = construction
-    rng = np.random.default_rng(seed)
-    g = np.asarray(_generators(rng, kind, k, m), dtype=float)
-    b, b_inv = _unimodular(rng, k)
-    w = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=m))
-    lam = np.zeros((m, m))
-    lam[np.arange(m), rng.permutation(m)] = w
-    if variant == "negative weight":
-        lam[int(rng.integers(m))] *= -1.0
-    elif variant == "mixed":
-        # each row's mixing stays below half its weight, so Lambda is invertible
-        lam += w[:, None] * rng.uniform(0.0, 0.5 / m, size=(m, m)) * (rng.random((m, m)) < 0.3)
-    g_cod = b @ g @ lam.T
+    m = construction[2]
+    g, g_cod, b_inv = _float_operator(construction, seed, variant)
 
     def verdict(alpha, beta, gamma):
         dom = FunctionFamily(PointSpace.discrete(m, "x"), alpha * g)
@@ -816,16 +825,14 @@ def test_exact_certificate_matches_the_elastic_oracle(construction, seed, varian
     when the rejected side has two or more rows with positive elastic
     slack, and then its value for each row is minus its slack."""
     t, g, g_cod = _proper_operator(construction, seed, variant, exponents)
-    k, m = g.shape
-
-    solved = []
+    solved, real = [], linalg.block_lp
 
     def recorded(*args, **kwargs):
-        solved.append(linprog(*args, **kwargs))
+        solved.append(real(*args, **kwargs))
         return solved[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scipy.optimize, "linprog", recorded)
+        mp.setattr(linalg, "block_lp", recorded)
         cert = is_order_isomorphism(t)
 
     want = None
@@ -842,7 +849,7 @@ def test_exact_certificate_matches_the_elastic_oracle(construction, seed, varian
         assert cert.accept
     else:
         if solved:
-            vals = np.einsum("yk,yk->y", as_float(bmat), solved[0].x.reshape(m, k))
+            vals = np.einsum("yk,yk->y", as_float(bmat), solved[0])
             assert np.max(np.abs(vals + slack)) <= 1e-9 * scale
         assert (cert.side, cert.point, cert.witness_coeffs) == want
 
@@ -864,17 +871,59 @@ def test_nnls_screen_keeps_the_lp_certificate(construction, seed, variant, expon
         assert (cert.accept, cert.side) == (False, "domain")
 
 
+def _linprog_block(fa, costs):
+    """`linalg.block_lp`'s LP as `scipy.optimize.linprog` poses it, kept as
+    its oracle: min costs_y . c_y with fa c_y >= 0 and |c_y| <= 1 for every
+    y, solved as an (n, k) array, or None when HiGHS finds no optimum."""
+    (n, k), m = costs.shape, fa.shape[0]
+    res = linprog(c=costs.ravel(), A_ub=-kron(identity(n), fa, format="csr"),
+                  b_ub=np.zeros(n * m), bounds=(-1.0, 1.0), method="highs")
+    return res.x.reshape(n, k) if res.status == 0 else None
+
+
+def _scaled_block(a, b):
+    """The arguments `cones._farkas_witness` hands `linalg.block_lp` for one
+    side: A at its binary scale times the power of two that brings max|A|
+    into [1/2, 1), and B / max|B|."""
+    fa, fb = linalg.scaled_float(a), linalg.scaled_float(b)
+    return np.ldexp(fa, -np.frexp(np.max(np.abs(fa)))[1]), fb / np.max(np.abs(fb))
+
+
 def _lp_values(a, b):
     """Each row's value in `_farkas_lp`'s block LP, in B's units: minus the
     least L1 residual of b_y = lam A over lam >= 0, as HiGHS finds it."""
     fa, fb = as_float(a), as_float(b)
     fa = np.ldexp(fa, -np.frexp(np.max(np.abs(fa)))[1])
-    (n, k), m = fb.shape, fa.shape[0]
-    res = linprog(c=(fb / np.max(np.abs(fb))).ravel(),
-                  A_ub=-kron(identity(n), fa, format="csr"), b_ub=np.zeros(n * m),
-                  bounds=(-1.0, 1.0), method="highs")
-    assert res.status == 0
-    return np.einsum("yk,yk->y", fb, res.x.reshape(n, k))
+    cs = _linprog_block(fa, fb / np.max(np.abs(fb)))
+    assert cs is not None
+    return np.einsum("yk,yk->y", fb, cs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(construction=st.sampled_from(CONSTRUCTIONS), seed=st.integers(0, 2**32 - 1),
+       variant=st.sampled_from(["positive", "negative weight", "mixed"]))
+def test_block_lp_returns_linprogs_vertex(construction, seed, variant):
+    """On both sides of every float construction, the direct HiGHS call
+    returns the solution `linprog` returns, bit for bit."""
+    g, g_cod, b_inv = _float_operator(construction, seed, variant)
+    for a, b in ((g.T, g_cod.T @ b_inv.T), (g_cod.T, g.T @ np.linalg.inv(b_inv.T))):
+        fa, costs = _scaled_block(a, b)
+        x, want = linalg.block_lp(fa, costs), _linprog_block(fa, costs)
+        assert want is not None and x.shape == want.shape
+        assert x.tobytes() == want.tobytes()
+
+
+def test_block_lp_ranks_two_failing_exact_rows_as_linprog(monkeypatch):
+    # the shear on span{1, t} over t = 0..3 fails at t = 2 and t = 3 in
+    # rational arithmetic; the one LP that ranks them gets linprog's vertex
+    fam, (_, shear) = TestFarkasGeneratorBasis._shear_pair()
+    calls, real = [], linalg.block_lp
+    monkeypatch.setattr(linalg, "block_lp",
+                        lambda fa, costs: calls.append((fa, costs)) or real(fa, costs))
+    cert = is_order_isomorphism(OperatorModel(shear, fam, fam, basis="generator"))
+    assert (cert.accept, cert.side, cert.point, len(calls)) == (False, "domain", 3, 1)
+    fa, costs = calls[0]
+    assert real(fa, costs).tobytes() == _linprog_block(fa, costs).tobytes()
 
 
 @settings(max_examples=40, deadline=None)

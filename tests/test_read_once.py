@@ -16,7 +16,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -494,7 +493,7 @@ class TestStructuralCost:
     """The work a run pays for, counted: the n^2 reads of a point-basis run
     (`linalg.monomial`, `linalg.rank` and the sign scans of a whole n x n
     matrix), the exact eliminations (`linalg._exact_rref`) and the HiGHS
-    solves (`scipy.optimize.linprog`) of a proper-family certificate, and
+    solves (`linalg.block_lp`) of a proper-family certificate, and
     the per-entry type check of a float matrix read."""
 
     @staticmethod
@@ -633,8 +632,8 @@ class TestStructuralCost:
         # witness; each rejected exact side here has one failing row, which
         # the rational test decides with no LP to rank it
         calls = []
-        real = scipy.optimize.linprog
-        monkeypatch.setattr(scipy.optimize, "linprog",
+        real = linalg.block_lp
+        monkeypatch.setattr(linalg, "block_lp",
                             lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
         conv = linalg.as_exact if mode == "exact" else linalg.as_float
         fam = FunctionFamily(PointSpace.discrete(3), conv([[1, 1, 1], [0, 1, 2]]))
@@ -651,8 +650,8 @@ class TestStructuralCost:
                "domain": {"space": list("abcd"), "generators": [[1, 1, 1, 1], [0, 1, 2, 3]]}}
         t = parse_operator({**doc, "codomain": doc["domain"]}, mode)
         calls = []
-        real = scipy.optimize.linprog
-        monkeypatch.setattr(scipy.optimize, "linprog",
+        real = linalg.block_lp
+        monkeypatch.setattr(linalg, "block_lp",
                             lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
         cert = is_order_isomorphism(t)
         assert (cert.accept, cert.side, cert.point, len(calls)) == (False, "domain", 3, 1)
@@ -672,7 +671,7 @@ class TestStructuralCost:
         t = parse_operator({**doc, "codomain": doc["domain"]}, "exact")
         floats, solves, lps = [], [], []
         real_witness, real_solve = cones._farkas_witness, linalg.exact_solve_unique
-        real_float, real_lp = linalg.scaled_float, scipy.optimize.linprog
+        real_float, real_lp = linalg.scaled_float, linalg.block_lp
 
         def witness(a, b, tol):
             solves.append([])
@@ -685,7 +684,7 @@ class TestStructuralCost:
         monkeypatch.setattr(cones, "_farkas_witness", witness)
         monkeypatch.setattr(linalg, "exact_solve_unique", solve)
         monkeypatch.setattr(linalg, "scaled_float", lambda a: floats.append(1) or real_float(a))
-        monkeypatch.setattr(scipy.optimize, "linprog",
+        monkeypatch.setattr(linalg, "block_lp",
                             lambda *args, **kwargs: lps.append(1) or real_lp(*args, **kwargs))
         cert = is_order_isomorphism(t)
         assert (cert.accept, cert.side) == (side is None, side)

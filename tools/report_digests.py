@@ -17,7 +17,7 @@ print the same lines exactly when every operation exits the same way and
 prints the same bytes, so a `diff` of their outputs checks that a change
 keeps every report. With `--counts` each line ends with four more fields:
 the number of HiGHS solves the operation made (calls of
-`scipy.optimize.linprog`, counted by wrapping it in this process), its calls
+`oiso.linalg.block_lp`, counted by wrapping it in this process), its calls
 of `Fraction.__bool__` (each a truth test of one exact entry, wrapped the
 same way), the per-entry work an exact run pays, its exact eliminations
 (calls of `oiso.linalg._exact_rref`, which every exact rank, inverse and
@@ -46,7 +46,7 @@ import ops  # noqa: E402
 
 def count_calls(owner, name: str) -> list:
     """Wrap `owner.name` so each call adds one to the returned one-item list.
-    The package looks `scipy.optimize.linprog`, `linalg._exact_rref` and
+    The package looks `linalg.block_lp`, `linalg._exact_rref` and
     `numpy.linalg.inv` up at call time, and Python finds `Fraction.__bool__` on the class at each
     truth test (numpy's included), so every call is seen."""
     calls, real = [0], getattr(owner, name)
@@ -86,9 +86,8 @@ def main(argv=None) -> int:
     counters = []
     if args.counts:
         import numpy as np
-        import scipy.optimize
         from oiso import linalg
-        counters += [count_calls(scipy.optimize, "linprog"), count_calls(Fraction, "__bool__"),
+        counters += [count_calls(linalg, "block_lp"), count_calls(Fraction, "__bool__"),
                      count_calls(linalg, "_exact_rref"), count_calls(np.linalg, "inv")]
     for seed in args.seeds:
         for workload in args.workload or gen.WORKLOADS:
