@@ -486,7 +486,7 @@ def _farkas_witness(a, b, tol: float):
         return None
     if not exact or len(failing) > 1:
         fa = np.ldexp(fa, -np.frexp(np.max(np.abs(fa)))[1])
-        cs = linalg.block_lp(fa, fb / np.max(np.abs(fb)))
+        cs, status = linalg.block_lp(fa, fb / np.max(np.abs(fb)))
         if cs is not None:
             vals = np.einsum("yk,yk->y", fb, cs)
             if not exact:
@@ -494,7 +494,7 @@ def _farkas_witness(a, b, tol: float):
                 return (y, cs[y]) if vals[y] < -bound else None
             failing.sort(key=vals.__getitem__)
         elif not exact:  # bounded and feasible (c = 0) by construction
-            raise RuntimeError("LP solver failed: HiGHS reported no optimum")
+            raise RuntimeError(f"LP solver failed: HiGHS reported {status}")
     for y in failing:
         c = linalg.farkas(a, b[y])
         if c is not None:

@@ -354,10 +354,12 @@ def farkas(a, b_y):
 
 
 def block_lp(a, costs):
-    """The float block LP of Farkas' alternative: c minimising the sum of
-    costs_y . c_y with a c_y >= 0 and -1 <= c <= 1 for every row y of
-    `costs`, as an (n, k) array, or None when HiGHS does not report an
-    optimum.
+    """The float block LP of Farkas' alternative: (c, status) with c
+    minimising the sum of costs_y . c_y with a c_y >= 0 and -1 <= c <= 1
+    for every row y of `costs`, as an (n, k) array, and HiGHS's model
+    status text. c is None when HiGHS reports an error or no optimum, or
+    when its optimum breaks a bound or a row by more than 10 * sqrt(1e-9),
+    the check scipy's front end makes of it.
 
     One direct call of scipy's bundled HiGHS binding, with the model and
     options scipy's own `method="highs"` front end hands it for costs
@@ -386,11 +388,17 @@ def block_lp(a, costs):
     options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     solver = highs._Highs()
     solver.passOptions(options)
-    solver.passModel(lp)
-    solver.run()
-    if solver.getModelStatus() != highs.HighsModelStatus.kOptimal:
-        return None
-    return np.array(solver.getSolution().col_value).reshape(n, k)
+    ran = (solver.passModel(lp) != highs.HighsStatus.kError
+           and solver.run() != highs.HighsStatus.kError)
+    status = solver.getModelStatus()
+    text = solver.modelStatusToString(status)
+    if not ran or status != highs.HighsModelStatus.kOptimal:
+        return None, text
+    c = np.array(solver.getSolution().col_value).reshape(n, k)
+    tol = 10 * np.sqrt(1e-9)
+    if not ((np.abs(c) <= 1 + tol).all() and (a @ c.T >= -tol).all()):  # nan fails too
+        return None, f"{text}, but off its constraints by more than {tol:.1e}"
+    return c, text
 
 
 def solve(a, b, tol: float):

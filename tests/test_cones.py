@@ -510,7 +510,7 @@ class TestFarkasGeneratorBasis:
         fam, (eye, shear) = self._shear_pair()
         models = [OperatorModel(m, fam, fam, basis="generator") for m in (eye, shear)]
         before = [is_order_isomorphism(t) for t in models]
-        monkeypatch.setattr(linalg, "block_lp", lambda *args, **kwargs: None)
+        monkeypatch.setattr(linalg, "block_lp", lambda *args, **kwargs: (None, "Solve error"))
         after = [is_order_isomorphism(t) for t in models]
         assert before[0].accept and after[0].accept
         # the LP's order puts t = 3 first; without it, rows go in index order
@@ -523,7 +523,7 @@ class TestFarkasGeneratorBasis:
         # float mode has no rational fallback; the shear, which the NNLS fits
         # do not settle, reaches the failed LP
         float_fam = _one_t_family([0.0, 1.0, 2.0, 3.0])
-        with pytest.raises(RuntimeError, match="LP solver failed"):
+        with pytest.raises(RuntimeError, match="LP solver failed: HiGHS reported Solve error"):
             is_order_isomorphism(OperatorModel(np.array([[1.0, 2.0], [0.0, 1.0]]), float_fam,
                                                float_fam, basis="generator"))
 
@@ -828,8 +828,9 @@ def test_exact_certificate_matches_the_elastic_oracle(construction, seed, varian
     solved, real = [], linalg.block_lp
 
     def recorded(*args, **kwargs):
-        solved.append(real(*args, **kwargs))
-        return solved[-1]
+        cs, status = real(*args, **kwargs)
+        solved.append(cs)
+        return cs, status
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "block_lp", recorded)
@@ -892,11 +893,9 @@ def _scaled_block(a, b):
 def _lp_values(a, b):
     """Each row's value in `_farkas_lp`'s block LP, in B's units: minus the
     least L1 residual of b_y = lam A over lam >= 0, as HiGHS finds it."""
-    fa, fb = as_float(a), as_float(b)
-    fa = np.ldexp(fa, -np.frexp(np.max(np.abs(fa)))[1])
-    cs = _linprog_block(fa, fb / np.max(np.abs(fb)))
+    cs = _linprog_block(*_scaled_block(a, b))
     assert cs is not None
-    return np.einsum("yk,yk->y", fb, cs)
+    return np.einsum("yk,yk->y", as_float(b), cs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -908,8 +907,8 @@ def test_block_lp_returns_linprogs_vertex(construction, seed, variant):
     g, g_cod, b_inv = _float_operator(construction, seed, variant)
     for a, b in ((g.T, g_cod.T @ b_inv.T), (g_cod.T, g.T @ np.linalg.inv(b_inv.T))):
         fa, costs = _scaled_block(a, b)
-        x, want = linalg.block_lp(fa, costs), _linprog_block(fa, costs)
-        assert want is not None and x.shape == want.shape
+        (x, status), want = linalg.block_lp(fa, costs), _linprog_block(fa, costs)
+        assert want is not None and status == "Optimal" and x.shape == want.shape
         assert x.tobytes() == want.tobytes()
 
 
@@ -923,7 +922,19 @@ def test_block_lp_ranks_two_failing_exact_rows_as_linprog(monkeypatch):
     cert = is_order_isomorphism(OperatorModel(shear, fam, fam, basis="generator"))
     assert (cert.accept, cert.side, cert.point, len(calls)) == (False, "domain", 3, 1)
     fa, costs = calls[0]
-    assert real(fa, costs).tobytes() == _linprog_block(fa, costs).tobytes()
+    assert real(fa, costs)[0].tobytes() == _linprog_block(fa, costs).tobytes()
+
+
+def test_block_lp_gives_no_solution_without_a_checked_optimum():
+    # an infinite cost leaves HiGHS with no optimum, and a nan in A gives an
+    # "optimum" whose rows fail the check linprog made; each reports its status
+    a, costs = np.array([[1.0, 0.5], [0.25, 1.0]]), np.array([[1.0, -2.0]])
+    c, status = linalg.block_lp(a, costs)
+    assert (c.tolist(), status) == ([[-0.5, 1.0]], "Optimal")
+    c, status = linalg.block_lp(a, np.array([[np.inf, 1.0]]))
+    assert c is None and status != "Optimal"
+    c, status = linalg.block_lp(np.where(a == 1.0, np.nan, a), costs)
+    assert (c, status) == (None, "Optimal, but off its constraints by more than 3.2e-04")
 
 
 @settings(max_examples=40, deadline=None)
