@@ -345,17 +345,20 @@ def decay_check(u: Expr, t_max: float = 1e6, grid: int = 257) -> bool:
     maximum must not exceed the previous decade's (envelope decrease; the
     pointwise values oscillate for any expression with a sine term)."""
     t_max = float(t_max)
+    if not math.isfinite(t_max * t_max):  # nan, an infinity, or past 1.3e154
+        raise ValueError(f"t_max must be finite with a finite square, got {t_max!r}")
     if t_max < 100:
         raise ValueError("t_max must cover at least two decades")
     if grid < 16:
         raise ValueError("grid too coarse")
-    ts = np.logspace(0.0, math.log10(t_max), grid)
+    # logspace may end an ulp or so past t_max; clipped there, no square overflows
+    ts = np.minimum(np.logspace(0.0, math.log10(t_max), grid), t_max)
     vals = np.abs(eval_expr(u, ts)) / ts**2
     if vals[-1] >= DECAY_THRESHOLD:
         return False
     last = ts >= t_max / 10
     prev = (ts >= t_max / 100) & ~last
-    if not last.any() or not prev.any():  # pragma: no cover - guarded by t_max check
+    if not last.any() or not prev.any():  # a grid too coarse for the decades up to t_max
         raise ValueError("grid too coarse for a decade comparison")
     return bool(np.max(vals[last]) <= np.max(vals[prev]) + 1e-18)
 

@@ -33,26 +33,27 @@ searched for the two tokens. `load_json` returns such a document as a private
 `dict` subclass, and `parse_operator` and `parse_family` read its matrices,
 and those of the families inside it, without a per-entry type check.
 
-A matrix is converted as a whole. In float mode the matrices of a document
-that `load_json` found free of booleans (above) are one inferring
-`np.array(rows)` call in C, taken when it gives a 2-D float64 or int64
-array, then `.astype(float)` and one finiteness check; no entry is looked at
-in Python. numpy folds a bool into either dtype, but a string, None, a
-nested list, a ragged row or an integer outside [-2**63, 2**64) gives another
-dtype or shape, or raises. Any other matrix, and any one that read refuses,
-has the Python type of each entry checked: a matrix of JSON numbers only is
-one `np.array(rows, dtype=float)` call and one finiteness check, and a
-matrix holding any other value is read entry by entry through
-`coerce_number`, as is a refused one, so the message names its first bad
-entry. In exact mode a matrix of integers and strings is read through the
-table of its distinct entries: each is parsed once (a plain "p" or "p/q"
-string is split into two integers rather than run through `Fraction`'s
-string parser), every entry is mapped to its id in the table in C, and the
-matrix and its zero pattern are the table, and its `!= 0`, taken at the
-ids. The pattern goes with the matrix to `OperatorModel`, so the
-weighted-permutation read is `np.nonzero` of a boolean array and asks no
-`Fraction` for its truth. An exact matrix holding any other value is
-refused, and read entry by entry only to name its first bad entry.
+A matrix is converted as a whole, by `_read_matrix` alone. In float mode
+it is one inferring `np.array(rows)` call in C when no bool can be among its
+entries: its document is one `load_json` found free of booleans (above), in
+which case no entry is looked at in Python, or a check of each entry's
+Python type finds only ints and floats. The read is taken when it gives a
+finite 2-D float64 or int64 array, then `.astype(float)`. numpy would fold a
+bool into either dtype, but a string, None, a nested list, a ragged row or
+an integer outside [-2**63, 2**64) gives another dtype or shape, or raises.
+Any other matrix, and any read that is not taken, is read entry by entry
+through `coerce_number`, to the same values or to the message naming its
+first bad entry.
+
+In exact mode a matrix of integers and strings is read through the table of
+its distinct entries: each is parsed once (a plain "p" or "p/q" string is
+split into two integers rather than run through `Fraction`'s string
+parser), every entry is mapped to its id in the table in C, and the matrix
+and its zero pattern are the table, and its `!= 0`, taken at the ids. The
+pattern goes with the matrix to `OperatorModel`, so the weighted-permutation
+read is `np.nonzero` of a boolean array and asks no `Fraction` for its
+truth. An exact matrix holding any other value is refused, and read entry
+by entry only to name its first bad entry.
 
 A report is written once, by a single writer (`canonical_json`) that goes
 straight from result values to canonical text: sorted keys, two-space
@@ -60,7 +61,9 @@ indentation, one value per line, the same text `json.dumps(..., sort_keys=True,
 indent=2, ensure_ascii=False)` gives for the converted values. Fractions are
 "p/q" strings, numpy scalars and arrays their Python values, tuples lists,
 and infinities the strings "inf"/"-inf" (extended coordinates); nan and
-unknown types are refused. A list of plain strings, integers or finite floats
+unknown types are refused. A scalar is written by the first class along its
+type's `__mro__` that has a text, so a subclass (an `IntEnum` member, a str
+subclass) is written as its base, and one lookup serves them all. A list of plain strings, integers or finite floats
 is one join. The CLI adds the digest line, the sha256 of the payload's
 canonical text, to that same text (`with_digest`), so the payload is encoded
 once. A report holds nothing run-dependent (timing goes to stderr), so
@@ -257,35 +260,17 @@ def _numbers_only(rows) -> bool:
     return set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}
 
 
-def _float_matrix(rows, bool_free: bool):
-    """A rectangular matrix of JSON numbers as one array; None when it holds
-    another value, is ragged, or has an entry with no finite double.
-
-    Rows known to hold no bool are first read by one inferring `np.array`
-    (see the module docstring); rows it does not give as a finite float64
-    or int64 matrix are read as any others are."""
-    if bool_free:
-        try:
-            data = np.array(rows)
-        except (ValueError, TypeError, OverflowError):
-            data = None
-        if data is not None and data.ndim == 2 and data.dtype in _INFERRED:
-            data = data.astype(float, copy=False)  # an int64 rounds as float(int) does
-            if np.isfinite(data).all():
-                return data
-    if len({len(r) for r in rows}) != 1 or not _numbers_only(rows):
-        return None
-    try:
-        data = np.array(rows, dtype=float)
-    except OverflowError:  # an integer too large for a double
-        return None
-    return data if np.isfinite(data).all() else None
-
-
 def _read_matrix(rows, exact: bool, bool_free: bool = False):
     """(matrix, nonzero): the matrix of a document's rows and, in exact mode,
     its nonzero pattern `matrix != 0` as a boolean array (None in float mode).
     `bool_free` says the rows come from a `_BoolFree` document.
+
+    A float matrix is one inferring `np.array(rows)` when its document is
+    bool-free or `_numbers_only` holds, so no bool reaches it; a 2-D float64
+    or int64 result that is finite is the matrix (an int64 rounds as
+    `float(int)` does). Any other result (uint64, object, a 3-D or ragged
+    read, a non-finite entry) is read entry by entry, to the same values or
+    the message naming the first bad entry.
 
     An exact matrix is read through the table of its distinct entries: each
     is parsed once, in row-major order of first appearance, so the first
@@ -295,10 +280,15 @@ def _read_matrix(rows, exact: bool, bool_free: bool = False):
     and strings has a refused entry, which the per-entry reading names."""
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ValueError("matrix must be a non-empty list of rows")
-    if not exact:
-        data = _float_matrix(rows, bool_free)
-        if data is not None:
-            return data, None
+    if not exact and (bool_free or _numbers_only(rows)):
+        try:
+            data = np.array(rows)
+        except (ValueError, TypeError, OverflowError):  # ragged rows, among others
+            data = None
+        if data is not None and data.ndim == 2 and data.dtype in _INFERRED:
+            data = data.astype(float, copy=False)
+            if np.isfinite(data).all():
+                return data, None
     flat = list(itertools.chain.from_iterable(rows))
     # a bool or float key would merge with an equal integer, so those are not
     # read through the table
@@ -316,11 +306,6 @@ def _read_matrix(rows, exact: bool, bool_free: bool = False):
     ids = np.fromiter(map(index.__getitem__, flat), dtype=np.intp, count=len(flat))
     ids = ids.reshape(shape)
     return table[ids], (table != 0)[ids]
-
-
-def _coerce_matrix(rows, exact: bool) -> np.ndarray:
-    """The matrix of `_read_matrix`, for a reader that needs no pattern."""
-    return _read_matrix(rows, exact)[0]
 
 
 def _real(x, what: str) -> float:
@@ -343,7 +328,7 @@ def parse_space(doc) -> PointSpace:
         metric = doc.get("metric")
         if metric is not None:
             try:  # the float matrix rule: no booleans, no non-finite entries
-                metric = _coerce_matrix(metric, exact=False)
+                metric = _read_matrix(metric, False)[0]
             except ValueError as e:
                 raise ValueError(f"metric {e}") from None
         return PointSpace(tuple(str(x) for x in labels), metric=metric)
@@ -393,10 +378,10 @@ def parse_operator(doc: dict, mode: str = "float") -> OperatorModel:
 
     Missing families default to full families sized by the matrix. A
     square exact codomain of an exact generator-basis operator from a full
-    domain, whose generators are not monomial and pass every other check of
-    the family constructor, is built without its rank check
-    (`FunctionFamily._unchecked`): the operator proves it, with the
-    constructor's error (`OperatorModel`).
+    domain, whose generators pass every other check of the family
+    constructor, is built without its rank check
+    (`FunctionFamily._unchecked`): the operator's point matrix proves it,
+    with the constructor's error (`OperatorModel`), monomial or not.
     """
     if mode not in ("float", "exact"):
         raise ValueError("mode must be 'float' or 'exact'")
@@ -417,8 +402,7 @@ def parse_operator(doc: dict, mode: str = "float") -> OperatorModel:
         space, gens, gens_nonzero, names = _family_parts(doc["codomain"], exact, bool_free)
         unchecked = (exact and basis == "generator" and dom.is_full and gens is not None
                      and gens.shape == (space.size, space.size) == (n, n) == (dom.rank, dom.rank)
-                     and (names is None or len(names) == n)
-                     and linalg.monomial(gens, gens_nonzero) is None)
+                     and (names is None or len(names) == n))
         cod = (FunctionFamily._unchecked(space, gens, names) if unchecked
                else _family(space, gens, gens_nonzero, names, exact))
     else:
@@ -511,30 +495,31 @@ def _fraction_text(x: Fraction) -> str:
     return f'"{x.numerator}/{x.denominator}"' if x.denominator != 1 else f'"{x.numerator}"'
 
 
-# the text of a value by its exact type; subclasses and other numpy scalars
-# take the isinstance ladder in _scalar_text
+def _bool_text(x) -> str:
+    return "true" if x else "false"
+
+
+# the text of a scalar by the first of its type's classes (`__mro__`) listed
+# here, so subclasses and numpy scalars find their Python base or numpy kind
 _SCALAR_TEXT = {
     str: _ESCAPE,
     int: int.__repr__,
     float: _float_text,
     np.float64: _float_text,  # float-mode weights; float.__repr__ reads its double
-    bool: lambda x: "true" if x else "false",
+    bool: _bool_text,
     type(None): lambda x: "null",
     Fraction: _fraction_text,
+    np.bool_: _bool_text,
+    np.integer: lambda x: int.__repr__(int(x)),
+    np.floating: lambda x: _float_text(float(x)),
 }
 
 
 def _scalar_text(x) -> str:
-    if isinstance(x, Fraction):
-        return _fraction_text(x)
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return int.__repr__(int(x))
-    if isinstance(x, (float, np.floating)):
-        return _float_text(float(x))
-    if isinstance(x, str):
-        return _ESCAPE(x)
+    for kind in type(x).__mro__:
+        text = _SCALAR_TEXT.get(kind)
+        if text is not None:
+            return text(x)
     raise TypeError(f"not JSON-serializable: {type(x).__name__}")
 
 

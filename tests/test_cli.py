@@ -816,6 +816,20 @@ class TestExample:
         assert code == EXIT_REJECTED
         assert _report(out)["result"]["passes"] is False
 
+    @pytest.mark.parametrize("t_max, message", [
+        ("inf", "t_max must be finite with a finite square, got inf"),
+        ("nan", "t_max must be finite with a finite square, got nan"),
+        ("1e200", "t_max must be finite with a finite square, got 1e+200"),
+        ("1e150", "grid too coarse for a decade comparison"),
+    ], ids=["inf", "nan", "square-overflows", "coarse-grid"])
+    def test_decay_t_max_without_a_grid_is_a_usage_error(self, capsys, t_max, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns of nothing on the way
+            code, out, err = _run(capsys, ["example", "decay", "--expr", "(lin (0.5) (t))",
+                                           "--t-max", t_max, "--grid", "16"])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.splitlines() == [f"error: {message}"]
+
     def test_witness(self, capsys):
         code, out, _ = _run(capsys, ["example", "witness",
                                      "--a", "0.25", "--b", "0.5", "--at", "0.375"])

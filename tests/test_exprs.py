@@ -1,5 +1,7 @@
 """Tests for the symbolic expression space, interval certification, and decay."""
 import math
+import sys
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -351,6 +353,26 @@ class TestDecayCheck:
             decay_check(Ident(), t_max=50)
         with pytest.raises(ValueError):
             decay_check(Ident(), grid=8)
+
+    @pytest.mark.parametrize("t_max", [math.inf, -math.inf, math.nan, 1e200,
+                                       math.nextafter(math.sqrt(sys.float_info.max), math.inf)],
+                             ids=["inf", "-inf", "nan", "1e200", "past-sqrt-max"])
+    def test_t_max_without_a_finite_square_refused_before_the_grid(self, monkeypatch, t_max):
+        monkeypatch.setattr(np, "logspace", None)  # the grid is never built
+        with pytest.raises(ValueError, match="t_max must be finite with a finite square"):
+            decay_check(Ident(), t_max=t_max)
+
+    def test_largest_t_max_squares_no_grid_point_past_it(self):
+        # logspace may end past t_max (3e6 gives 3000000.000000001); at the
+        # largest t_max allowed, that would overflow the last square
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert decay_check(Ident(), t_max=math.sqrt(sys.float_info.max), grid=4000)
+
+    def test_grid_too_coarse_for_the_decades(self):
+        # 16 points over 150 decades leave the last two decades holding one
+        with pytest.raises(ValueError, match="grid too coarse for a decade comparison"):
+            decay_check(Ident(), t_max=1e150, grid=16)
 
 
 class TestSexpr:

@@ -6,6 +6,7 @@ import json
 import math
 import struct
 import sys
+from enum import IntEnum
 from fractions import Fraction
 
 import numpy as np
@@ -81,11 +82,16 @@ class TestCoerceNumber:
 
 
 def _reference_matrix(rows, exact):
-    """The per-entry reading that `_coerce_matrix` must agree with."""
+    """The per-entry reading that `_read_matrix` must agree with."""
     data = [[coerce_number(v, exact) for v in row] for row in rows]
     if len({len(r) for r in data}) != 1:
         raise ValueError("matrix rows must have equal length")
     return np.array(data, dtype=object if exact else float)
+
+
+def _matrix(rows, exact):
+    """The matrix `_read_matrix` reads, without its pattern."""
+    return serialize._read_matrix(rows, exact)[0]
 
 
 def _outcome(read, rows, exact):
@@ -194,7 +200,7 @@ class TestCoerceMatrix:
     @example(case=(True, [["0", 0, "0/5", "-0"], [" 1/2 ", "1/2", "2/4", 1]]))
     def test_matches_the_per_entry_reading(self, case):
         exact, rows = case
-        got = _outcome(serialize._coerce_matrix, rows, exact)
+        got = _outcome(_matrix, rows, exact)
         want = _outcome(_reference_matrix, rows, exact)
         if isinstance(want, str):
             assert got == want
@@ -211,9 +217,9 @@ class TestCoerceMatrix:
             raise AssertionError(f"per-entry reading of {x!r}")
 
         monkeypatch.setattr(serialize, "coerce_number", refuse)
-        floats = serialize._coerce_matrix([[1, 0.5, -0.0], [2 ** 60, -3, 1e300]], False)
+        floats = _matrix([[1, 0.5, -0.0], [2 ** 60, -3, 1e300]], False)
         assert floats.tobytes() == np.array([[1, 0.5, -0.0], [2.0 ** 60, -3, 1e300]]).tobytes()
-        exact = serialize._coerce_matrix([["1/2", "0", "-3/4"], ["0", "6/4", "-7"]], True)
+        exact = _matrix([["1/2", "0", "-3/4"], ["0", "6/4", "-7"]], True)
         assert exact.tolist() == [[Fraction(1, 2), 0, Fraction(-3, 4)],
                                   [0, Fraction(3, 2), -7]]
 
@@ -222,13 +228,13 @@ class TestCoerceMatrix:
     def test_refusals_name_the_first_bad_entry(self, exact, unhashable):
         tail = [[1]] if unhashable else [None]
         with pytest.raises(ValueError, match="booleans"):
-            serialize._coerce_matrix([[0, 1], [1, True], tail], exact)
+            _matrix([[0, 1], [1, True], tail], exact)
         with pytest.raises(ValueError, match="zero denominator in '1/0'"):
-            serialize._coerce_matrix([[1, "1/0"], ["x", tail[0]]], exact)
+            _matrix([[1, "1/0"], ["x", tail[0]]], exact)
 
     def test_exact_mode_refuses_floats_equal_to_integers(self):
         with pytest.raises(ValueError, match="refuses the float 0.0"):
-            serialize._coerce_matrix([[0, 1], [0.0, 1.0]], True)
+            _matrix([[0, 1], [0.0, 1.0]], True)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 10 ** 400, "1e400"],
                              ids=["nan", "inf", "int", "string"])
@@ -236,7 +242,7 @@ class TestCoerceMatrix:
     def test_float_entries_with_no_finite_double_refused(self, bad, ragged):
         rows = [[1, 2], [bad]] if ragged else [[1, 2], [3, bad]]
         with pytest.raises(ValueError, match="entries must be finite"):
-            serialize._coerce_matrix(rows, False)
+            _matrix(rows, False)
 
 
 class TestLoadJson:
@@ -457,7 +463,7 @@ _INT_EDGES = (2 ** 53 + 1, -(2 ** 53 + 1), 2 ** 63, -(2 ** 63), 2 ** 63 - 1, -(2
               2 ** 63 + 1, 2 ** 64 - 1, 2 ** 64, -(2 ** 64), 10 ** 400)
 _NUMBER_ENTRIES = st.one_of(
     st.floats(),  # nan and the infinities too, which json.dumps writes as NaN and Infinity
-    st.just(-0.0),
+    st.sampled_from((-0.0, 1e308, -1e308)),
     st.integers(-9, 9),
     st.integers(),
     st.sampled_from(_INT_EDGES),
@@ -519,6 +525,50 @@ def _operator_read(path: str):
     return matrix, raised
 
 
+def _read_before_the_screen(rows, exact, bool_free=False):
+    """`_read_matrix` on float rows as it read them before the byte screen:
+    the typed read of `_float_matrix`, and the per-entry reading of what it
+    refuses."""
+    assert not exact
+    data = _float_matrix(rows)
+    return (_reference_matrix(rows, exact) if data is None else data), None
+
+
+class TestFloatRead:
+    @settings(max_examples=400, deadline=None)
+    @given(rows=_float_documents().map(lambda doc: doc["matrix"]))
+    @example(rows=[[2 ** 53 + 1, -(2 ** 63)], [2 ** 63 - 1, -0.0]])
+    @example(rows=[[2 ** 63 + 1, 2 ** 64 - 1], [2 ** 63, 1]])
+    @example(rows=[[2 ** 63 + 1, -1], [1e308, -0.0]])
+    @example(rows=[[2 ** 64, 1.5], [-(2 ** 63) - 1, 0]])
+    @example(rows=[[1.5, True], [None, "1/0"]])
+    @example(rows=[[1, [2]], [3, 4]])
+    @example(rows=[[[1], [2]], [[3], [4]]])
+    @example(rows=[[1, 2], [3]])
+    @example(rows=[[], []])
+    @example(rows=[[float("nan"), 2 ** 1024], [1, 2]])
+    @pytest.mark.parametrize("decoder", ["orjson", "stdlib"])
+    def test_matches_the_per_entry_reading(self, decoder, rows):
+        # the one inferring read, taken or passed to the per-entry reading,
+        # against one coerce_number per entry: the same bits, the sign of a
+        # zero included, or the same message
+        if decoder == "orjson" and serialize.orjson is None:
+            pytest.skip("orjson is not installed")
+        data = json.dumps(rows).encode("ascii")
+        with pytest.MonkeyPatch.context() as mp:
+            if decoder == "stdlib":
+                mp.setattr(serialize, "orjson", None)
+            rows = serialize._decode(data)
+        want = _outcome(_reference_matrix, rows, False)
+        for bool_free in (False, True) if serialize._bool_free(data) else (False,):
+            got = _outcome(lambda r, e: serialize._read_matrix(r, e, bool_free)[0], rows, False)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert got.dtype == want.dtype == np.float64
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestBoolFreeRead:
     @settings(max_examples=300, deadline=None)
     @given(doc=_float_documents())
@@ -540,7 +590,7 @@ class TestBoolFreeRead:
             if decoder == "stdlib":
                 mp.setattr(serialize, "orjson", None)
             got = _operator_read(str(path))
-            mp.setattr(serialize, "_float_matrix", lambda rows, bool_free: _float_matrix(rows))
+            mp.setattr(serialize, "_read_matrix", _read_before_the_screen)
             assert got == _operator_read(str(path))
 
     @pytest.mark.parametrize("text, free", [
@@ -760,6 +810,55 @@ class TestJsonable:
                              ids=["in-list", "set", "bytes", "complex"])
     def test_other_unknown_types_rejected(self, x):
         with pytest.raises(TypeError):
+            canonical_json(x)
+
+    def test_subclasses_and_numpy_scalars_take_their_base_text(self):
+        class Label(str):
+            pass
+
+        class Weight(float):
+            pass
+
+        class Ratio(Fraction):
+            pass
+
+        class Colour(IntEnum):
+            RED = 3
+
+        value = {
+            "float32": [np.float32(0.5), np.float32(-0.0), np.float32("inf")],
+            "int8": np.int8(-7),
+            "uint64": [np.uint64(2 ** 64 - 1), "x"],
+            "bool": (np.bool_(True), np.bool_(False)),
+            "str": np.str_("\u00e9\n"),
+            "enum": [Colour.RED, Colour.RED],
+            "weight": [Weight(2.5), Weight(-0.0)],
+            "label": [Label('a"b'), Label("\u2028")],
+            "ratio": [Ratio(3, 4), Ratio(-8, 2), 1],
+            Label("key"): Weight(1e16),
+        }
+        converted = {
+            "float32": [0.5, -0.0, "inf"],
+            "int8": -7,
+            "uint64": [2 ** 64 - 1, "x"],
+            "bool": [True, False],
+            "str": "\u00e9\n",
+            "enum": [3, 3],
+            "weight": [2.5, -0.0],
+            "label": ['a"b', "\u2028"],
+            "ratio": ["3/4", "-4", 1],
+            "key": 1e16,
+        }
+        want = json.dumps(converted, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        assert canonical_json(value) == want
+        for key in value:  # each value alone, where a list is joined in one pass
+            assert canonical_json(value[key]) == canonical_json(converted[str(key)])
+
+    @pytest.mark.parametrize("x", [np.complex128(1j), np.datetime64("2020-01-01"),
+                                   [np.complex128(1), np.complex128(2)]],
+                             ids=["complex128", "datetime64", "complex-list"])
+    def test_numpy_scalars_without_a_json_kind_rejected(self, x):
+        with pytest.raises(TypeError, match="not JSON-serializable"):
             canonical_json(x)
 
 
