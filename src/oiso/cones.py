@@ -455,8 +455,10 @@ def _farkas_witness(a, b, tol: float):
 
     Float, otherwise: one HiGHS LP (`linalg.block_lp`), min b_y . c_y with
     A c_y >= 0 and |c_y| <= 1 for every y, gives row y the value
-    -min |b_y - lam A|_1 over lam >= 0, and the most negative value below
-    -linalg.cutoff(B, tol) decides, with its c_y as witness. HiGHS's tolerances are absolute, so
+    -min |b_y - lam A|_1 over lam >= 0. When the least value is below
+    -linalg.cutoff(B, tol), the first row within that cutoff of it decides,
+    with its c_y as witness, so rounding does not choose among tied rows
+    (`_nonneg_violation`'s rule). HiGHS's tolerances are absolute, so
     its costs are B / max|B| and its constraints A times the power of two
     that brings max|A| into [1/2, 1) (exact, same feasible set). Exact,
     otherwise: `linalg.farkas` decides the unsettled rows and the first
@@ -489,9 +491,9 @@ def _farkas_witness(a, b, tol: float):
         cs, status = linalg.block_lp(fa, fb / np.max(np.abs(fb)))
         if cs is not None:
             vals = np.einsum("yk,yk->y", fb, cs)
-            if not exact:
-                y = int(np.argmin(vals))
-                return (y, cs[y]) if vals[y] < -bound else None
+            if not exact:  # the first of the rows within bound of the least
+                y = int(np.argmax(vals <= vals.min() + bound))
+                return (y, cs[y]) if vals.min() < -bound else None
             failing.sort(key=vals.__getitem__)
         elif not exact:  # bounded and feasible (c = 0) by construction
             raise RuntimeError(f"LP solver failed: HiGHS reported {status}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -41,6 +42,10 @@ __all__ = [
 
 DECAY_THRESHOLD = 1e-6
 MIN_INTERVAL_WIDTH = 1e-12
+# Bisections one clamp's search may make, per unit of the depth cap: without
+# a bound, a clamp no box settles has its search test about 2^depth_cap boxes.
+BISECTIONS_PER_DEPTH = 2
+MAX_NESTING = 200
 
 
 def sin_ramp(t):
@@ -284,8 +289,9 @@ def local_form(f: Expr, box: IntervalBox, depth_cap: int = 40,
     interval arithmetic certifies its argument's range is either entirely at
     or below 0 (clamp = 0), entirely at or above 1 (clamp = 1), or entirely
     inside (0,1), where the saturation equals the analytic ramp. Raises
-    InconclusiveError past the depth cap. The result is verified pointwise on
-    `check_points` samples before returning.
+    InconclusiveError past the depth cap, or when one clamp's search has made
+    BISECTIONS_PER_DEPTH * depth_cap bisections. The result is verified
+    pointwise on `check_points` samples before returning.
     """
     j, u = _local(f, box, depth_cap)
     ts = j.sample(check_points)
@@ -311,7 +317,8 @@ def _local(e: Expr, box: IntervalBox, depth_cap: int):
         # earlier children were certified on larger intervals; shrinking is safe
         return cur, LinComb(e.coeffs, tuple(parts))
     if isinstance(e, Clamp):
-        sub, case = _certify_clamp(e.child, box, depth_cap, 0)
+        bisections = iter(range(BISECTIONS_PER_DEPTH * depth_cap))
+        sub, case = _certify_clamp(e.child, box, depth_cap, 0, bisections)
         if case == "zero":
             return sub, Const(0.0)
         if case == "one":
@@ -321,7 +328,7 @@ def _local(e: Expr, box: IntervalBox, depth_cap: int):
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _certify_clamp(arg: Expr, box: IntervalBox, depth_cap: int, depth: int):
+def _certify_clamp(arg: Expr, box: IntervalBox, depth_cap: int, depth: int, bisections):
     env = interval_eval(arg, box)
     if env.hi <= 0.0:
         return box, "zero"
@@ -332,11 +339,14 @@ def _certify_clamp(arg: Expr, box: IntervalBox, depth_cap: int, depth: int):
     if depth >= depth_cap or box.width < 2 * MIN_INTERVAL_WIDTH:
         raise InconclusiveError(
             f"cannot certify saturation case on [{box.lo}, {box.hi}] at depth {depth}")
+    if next(bisections, None) is None:
+        raise InconclusiveError(f"cannot certify saturation case in "
+                                f"{BISECTIONS_PER_DEPTH * depth_cap} bisections")
     left, right = box.halves()
     try:
-        return _certify_clamp(arg, left, depth_cap, depth + 1)
+        return _certify_clamp(arg, left, depth_cap, depth + 1, bisections)
     except InconclusiveError:
-        return _certify_clamp(arg, right, depth_cap, depth + 1)
+        return _certify_clamp(arg, right, depth_cap, depth + 1, bisections)
 
 
 def decay_check(u: Expr, t_max: float = 1e6, grid: int = 257) -> bool:
@@ -365,8 +375,11 @@ def decay_check(u: Expr, t_max: float = 1e6, grid: int = 257) -> bool:
 
 def parse_sexpr(text: str) -> Expr:
     """Grammar: (const c) | t | (clamp e) | (sinramp e) |
-    (lin (c0 c1 ...) (e1 e2 ...))."""
+    (lin (c0 c1 ...) (e1 e2 ...)). Nesting stops at MAX_NESTING parentheses,
+    as it does in Python's parser, so no input ends in a RecursionError."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    if max(accumulate((tok == "(") - (tok == ")") for tok in tokens), default=0) > MAX_NESTING:
+        raise ValueError(f"expression nested deeper than {MAX_NESTING} parentheses")
     pos = 0
 
     def read():

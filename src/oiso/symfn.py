@@ -1,12 +1,29 @@
 """Minimal arithmetic expressions in one variable, compiled to numpy callables.
 
-Grammar: numbers, `pi`, the variable name, + - * / with the usual precedence,
-unary minus, parentheses, and sin(...). Division by zero yields +-inf, which
-downstream code treats as a boundary marker.
+Grammar: numbers written with ASCII digits (`2`, `007`, `.5`, `1e-3`), `pi`,
+the variable name, + - * / with the usual precedence, unary minus,
+parentheses, and sin(...). Any whitespace separates tokens. Division by zero
+yields +-inf, which downstream code treats as a boundary marker.
+
+The text is read by Python's own parser (`ast.parse`) and only the grammar's
+nodes are compiled; any other node is a `ValueError`. Before the parser runs,
+a character outside the grammar's alphabet is refused (`,`, `%`, quotes, `#`),
+whitespace runs become one space, and the leading zeros of integers are
+dropped (Python refuses `01`). A number's own text is read by `float`, so
+`1_0`, `0x1`, `1j` and `True` are refused, and so are digits outside ASCII
+(`٣`) and an integer literal past Python's limit on integer text (4300
+digits by default). Nesting stops at 200 parentheses,
+the parser's limit, and an expression nested deeper (in parentheses or in a
+long chain of operators) is a `ValueError`. The variable name must be a
+Python identifier other than a keyword, `pi` or `sin`.
 """
 from __future__ import annotations
 
+import ast
 import math
+import operator
+import re
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,105 +50,50 @@ class SymFn:
         return f"SymFn({self.text!r})"
 
 
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/()":
-            tokens.append(ch)
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] in ".eE"
-                                     or (text[j] in "+-" and text[j - 1] in "eE")):
-                j += 1
-            tokens.append(("num", float(text[i:j])))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-            continue
-        raise ValueError(f"unexpected character {ch!r} in {text!r}")
-    return tokens
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
+# a character outside the grammar's alphabet: \w is str.isalnum() and `_`,
+# \s is str.isspace()
+_OUTSIDE = re.compile(r"[^\w\s+\-*/().]")
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=[0-9])")
+_NUMBER = re.compile(r"[0-9.eE+-]+")
 
 
 def parse_symfn(text: str, var: str = "t") -> SymFn:
-    tokens = _tokenize(text)
-    pos = 0
+    if bad := _OUTSIDE.search(text):
+        raise ValueError(f"unexpected character {bad.group()!r} in {text!r}")
+    src = _LEADING_ZEROS.sub("", " ".join(text.split()))
+    raw = src.encode()  # one line; node offsets count its UTF-8 bytes
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def expr():
-        node = term()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = term()
-            node = (lambda a, b: (lambda x: a(x) + b(x)))(node, rhs) if op == "+" \
-                else (lambda a, b: (lambda x: a(x) - b(x)))(node, rhs)
-        return node
-
-    def term():
-        node = unary()
-        while peek() in ("*", "/"):
-            op = take()
-            rhs = unary()
-            node = (lambda a, b: (lambda x: a(x) * b(x)))(node, rhs) if op == "*" \
-                else (lambda a, b: (lambda x: a(x) / b(x)))(node, rhs)
-        return node
-
-    def unary():
-        if peek() == "-":
-            take()
-            inner = unary()
+    def build(node):
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            op, a, b = _BINARY[type(node.op)], build(node.left), build(node.right)
+            return lambda x: op(a(x), b(x))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            inner = build(node.operand)
             return lambda x: -inner(x)
-        return atom()
-
-    def atom():
-        tok = take()
-        if tok == "(":
-            node = expr()
-            if take() != ")":
-                raise ValueError("missing closing parenthesis")
-            return node
-        if isinstance(tok, tuple) and tok[0] == "num":
-            val = tok[1]
+        seg = raw[node.col_offset:node.end_col_offset].decode()
+        # a parenthesized callee, `(sin)(t)`, is not the grammar's `sin(...)`
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "sin" and seg.startswith("sin")
+                and len(node.args) == 1 and not node.keywords):
+            inner = build(node.args[0])
+            return lambda x: np.sin(inner(x))
+        if seg == "pi" or isinstance(node, ast.Constant) and _NUMBER.fullmatch(seg):
+            val = math.pi if seg == "pi" else float(seg)
             return lambda x: np.full_like(np.asarray(x, dtype=float), val)
-        if isinstance(tok, tuple) and tok[0] == "name":
-            name = tok[1]
-            if name == "pi":
-                return lambda x: np.full_like(np.asarray(x, dtype=float), math.pi)
-            if name == "sin":
-                if take() != "(":
-                    raise ValueError("sin expects parentheses")
-                inner = expr()
-                if take() != ")":
-                    raise ValueError("missing closing parenthesis")
-                return lambda x: np.sin(inner(x))
-            if name == var:
-                return lambda x: np.asarray(x, dtype=float)
-            raise ValueError(f"unknown name {name!r} (variable is {var!r})")
-        raise ValueError(f"unexpected token {tok!r}")
+        if seg == var != "sin":
+            return lambda x: np.asarray(x, dtype=float)
+        if isinstance(node, ast.Name):
+            raise ValueError(f"unknown name {seg!r} (variable is {var!r})")
+        raise ValueError(f"unexpected {seg!r} in {text!r}")
 
     try:
-        fn = expr()
-    except IndexError:
-        raise ValueError("unexpected end of expression") from None
-    if pos != len(tokens):
-        raise ValueError("trailing tokens")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # `1if` warns; the grammar refuses it
+            fn = build(ast.parse(src, mode="eval").body)
+    except SyntaxError as err:
+        raise ValueError(f"cannot read expression: {err.msg}") from None
+    except (RecursionError, MemoryError):
+        raise ValueError("expression nested too deeply") from None
     return SymFn(text=text, var=var, _fn=fn)

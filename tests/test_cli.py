@@ -251,6 +251,33 @@ def test_one_malformed_entry_is_a_usage_error(matrix, data, bad, mode):
 class TestRejectedTable:
     """Outcome exceptions a handler raises are reported with exit 2."""
 
+    @staticmethod
+    def _compactify(tmp_path, capsys, **changes):
+        # the operator-matching document of TestCompactify, on 8 samples
+        samples = [(i + 0.5) / 8 for i in range(8)]
+        seqs = [{"name": "to0", "n": 10000, "rule": "1/(k+1)"},
+                {"name": "to1", "n": 10000, "rule": "1 - 1/(k+1)"}]
+        doc = {"domain": {"samples": samples, "generators": ["t"], "name": "X"},
+               "codomain": {"samples": samples, "generators": ["t"], "name": "Y"},
+               "sequences": seqs, "sequences_codomain": seqs,
+               "operator": {"pullback": "1 - t", "weight": "1"}}
+        code, out, err = _run(capsys, ["compactify", _write(tmp_path, "spec.json",
+                                                            dict(doc, **changes))])
+        assert code == EXIT_REJECTED and err.startswith("elapsed")
+        return _report(out)["result"]
+
+    def test_negative_weight_is_not_an_order_isomorphism(self, tmp_path, capsys):
+        rep = self._compactify(tmp_path, capsys, operator={"pullback": "t", "weight": "-1"})
+        assert (rep["accepted"], rep["reason"]) == (False, "not-order-isomorphism")
+        assert rep["certificate"]["accept"] is False
+        assert (rep["certificate"]["witness_side"], rep["certificate"]["witness_point"]) == (
+            "domain", 0)
+
+    def test_codomain_boundary_with_no_domain_candidate_is_ambiguous(self, tmp_path, capsys):
+        rep = self._compactify(tmp_path, capsys, sequences=[])
+        assert rep == {"accepted": False, "reason": "ambiguous-boundary",
+                       "detail": "no added domain candidates for boundary point 'to0'"}
+
     def test_singular_matrix(self, tmp_path, capsys):
         op = _write(tmp_path, "op.json", {"matrix": [[1, 1], [1, 1]]})
         for command, mode in itertools.product(("decompose", "classify"), ("float", "exact")):
@@ -772,6 +799,15 @@ class TestCompactify:
         assert rep["result"]["sequence"] == "osc"
         assert rep["result"]["coordinate"] == "sin(1/t)"
 
+    def test_deeply_nested_generator_is_a_usage_error(self, tmp_path, capsys):
+        spec = _write(tmp_path, "spec.json", {
+            "domain": {"samples": [0.25, 0.5], "generators": ["(" * 400 + "t" + ")" * 400]},
+            "sequences": [],
+        })
+        code, out, err = _run(capsys, ["compactify", spec])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.splitlines() == ["error: cannot read expression: too many nested parentheses"]
+
     def test_non_object_sequence_is_a_usage_error(self, tmp_path, capsys):
         spec = _write(tmp_path, "spec.json", {
             "domain": {"samples": [0.25, 0.5], "generators": ["t"]},
@@ -804,6 +840,23 @@ class TestExample:
         assert rep["result"]["reason"] == "inconclusive"
         assert rep["settings"] == {"depth-cap": 0, "tol": 1e-10}
         assert rep["inputs"]["interval"] == [0.0, 1.0]
+
+    def test_local_form_clamp_no_box_settles_is_inconclusive(self):
+        # t - t: no box settles the clamp, and a search of every box to the
+        # default depth cap of 40 would not finish; the command times itself
+        proc = _run_module("example", "local-form", "--expr", "(clamp (lin (1 -1) (t t)))",
+                           "--interval", "0.1,0.2", timeout=60)
+        assert proc.returncode == EXIT_REJECTED
+        assert float(proc.stderr.removeprefix("elapsed ").removesuffix("s\n")) < 1.0
+        assert _report(proc.stdout)["result"] == {
+            "succeeded": False, "reason": "inconclusive",
+            "detail": "cannot certify saturation case in 80 bisections"}
+
+    def test_deeply_nested_expression_is_a_usage_error(self, capsys):
+        expr = "(sinramp " * 2000 + "t" + ")" * 2000
+        code, out, err = _run(capsys, ["example", "decay", "--expr", expr])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.splitlines() == ["error: expression nested deeper than 200 parentheses"]
 
     def test_decay_pass_and_fail(self, capsys):
         code, out, _ = _run(capsys, ["example", "decay",
@@ -894,12 +947,12 @@ class TestDeterminism:
         assert dest.read_text() == out
 
 
-def _run_module(*argv):
+def _run_module(*argv, timeout=None):
     """`python -m oiso argv`, importing the same package these tests import."""
     root = os.path.dirname(os.path.dirname(oiso.__file__))
     path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-m", "oiso", *argv], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path))
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=timeout)
 
 
 class TestEntryPoint:

@@ -1,6 +1,7 @@
 """Tests for the symbolic expression space, interval certification, and decay."""
 import math
 import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -305,6 +306,19 @@ class TestLocalForm:
         with pytest.raises(InconclusiveError):
             local_form(f, IntervalBox(0.0, 1.0), depth_cap=0)
 
+    @pytest.mark.parametrize("depth_cap", [12, 16])
+    def test_clamp_no_box_settles_is_inconclusive_at_once(self, depth_cap):
+        # t - t encloses to [lo - hi, hi - lo] on every box, which straddles 0:
+        # a search that tries every box to the depth cap tests ~2^depth_cap
+        # (23 s at 16; the default cap of 40 is run by the CLI test, in a
+        # subprocess with a timeout)
+        f = Clamp(LinComb((1.0, -1.0), (Ident(), Ident())))
+        start = time.perf_counter()
+        with pytest.raises(InconclusiveError) as info:
+            local_form(f, IntervalBox(0.1, 0.2), depth_cap=depth_cap)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == f"cannot certify saturation case in {2 * depth_cap} bisections"
+
     def test_analytic_input_is_returned_unchanged(self):
         e = LinComb((1.0, 0.3), (Ident(), SinRamp(Ident())))
         lf = local_form(e, IntervalBox(0.0, 1.0))
@@ -389,6 +403,20 @@ class TestSexpr:
             e = (random_clamp_expr(rng) if rng.random() < 0.5
                  else random_analytic_expr(rng))
             assert parse_sexpr(to_sexpr(e)) == e
+
+    def test_nesting_stops_at_two_hundred_parentheses(self):
+        e = parse_sexpr("(sinramp " * 200 + "t" + ")" * 200)
+        for _ in range(200):
+            e = e.child
+        assert e == Ident()
+        for depth in (201, 2000):
+            with pytest.raises(ValueError, match="nested deeper than 200 parentheses"):
+                parse_sexpr("(sinramp " * depth + "t" + ")" * depth)
+
+    def test_deep_nesting_refused_before_any_node(self, monkeypatch):
+        monkeypatch.setattr("oiso.exprs.SinRamp", None)
+        with pytest.raises(ValueError, match="nested deeper"):
+            parse_sexpr("(sinramp " * 201 + "t" + ")" * 201)
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):
