@@ -21,13 +21,14 @@ whose most negative value decides; an exact side decides those rows by
 only to read its witness, and solves the LP only to rank two or more.
 
 An operator reads its matrix as a weighted permutation (`linalg.monomial`)
-once, when it is built, and holds one by that read and its inverse's. A
-parsed exact matrix is read from the boolean zero pattern its parse hands
-over, not by asking each `Fraction` for its truth. Its dense matrices are
-built only if read. Whether the read exists, not the arithmetic, picks the
-path: a point-basis weighted permutation's certificate, recovery, T1 and
-isometry reduction are O(n) in the two reads, in float and exact mode alike,
-and a matrix that is not monomial is scanned whole.
+once, when it is built, and holds one by that read and its inverse's. An
+exact matrix is held as a `linalg.ExactMatrix` (integer rows), read through
+its zero pattern, scanned for signs in its integers, and made `Fraction`s
+only for the read's n entries or a witness; its dense arrays are built only
+if read. Whether the read exists, not the arithmetic, picks the path: a
+point-basis weighted permutation's certificate, recovery, T1 and isometry
+reduction are O(n) in the two reads, in float and exact mode alike, and a
+matrix that is not monomial is scanned whole.
 """
 from __future__ import annotations
 
@@ -83,8 +84,10 @@ class OperatorModel:
     A weighted permutation is held by its reads: `monomial`, the matrix's
     `linalg.monomial` read (columns, entries), and `inverse_monomial`, the
     inverse's (`linalg.monomial_inv`); both are None for any other matrix.
-    `matrix` and `inverse_matrix` are read-only, built on first read: from
-    a read, or by `linalg.dense_inv`.
+    An exact matrix is held as a `linalg.ExactMatrix` and a float one as its
+    array; `matrix` and `inverse_matrix` are read-only arrays, built on first
+    read: from a read, from the ExactMatrix's integers, or by
+    `linalg.dense_inv`.
 
     The constructor proves the operator invertible, so a singular one is
     reported when it is built. A generator-basis operator between full
@@ -92,42 +95,44 @@ class OperatorModel:
     P = G_Y^T M inv(G_X^T), formed at once (`as_point`): with G_X^T
     invertible, G_Y^T M = P G_X^T, so P is invertible exactly when G_Y is
     independent and M invertible. Neither M nor G_Y is inverted for this
-    proof. A singular P raises the error of the first check it stands for
-    that fails: the codomain's rank, then M's inverse, then P's own (only
-    float rounding can leave the last). Any other matrix that is not
-    monomial gets its dense inverse at once. A given matrix is kept as the
-    operator's own: a writeable array is copied, a read-only one kept.
-    `_nonzero`, private to `serialize.parse_operator`, is the matrix's
-    `!= 0` pattern, which the read takes in place of the entries.
+    proof, which is also the proof of a codomain rank that
+    `serialize.parse_operator` states. A singular P raises the error of the
+    first check it stands for that fails: the codomain's rank, then M's
+    inverse, then P's own (only float rounding can leave the last). Any
+    other matrix that is not monomial gets its dense inverse at once. A
+    given matrix is kept as the operator's own (`linalg.matrix_value`): a
+    writeable array is copied, a read-only one or an ExactMatrix kept.
     """
 
     def __init__(self, matrix, domain: FunctionFamily, codomain: FunctionFamily,
-                 basis: str = "point", _nonzero=None):
+                 basis: str = "point"):
         m = self._validated(matrix, domain, codomain, basis)
-        if m.flags.writeable and (m is matrix or m.base is not None):
+        if isinstance(m, np.ndarray) and m.flags.writeable and (
+                m is matrix or m.base is not None):
             m = m.copy()  # the caller's array or a view of someone's
-        self._set(m, None, linalg.monomial(m, _nonzero), domain, codomain, basis)
+        self._set(m, None, linalg.monomial(m), domain, codomain, basis)
         if basis == "generator" and domain.is_full and codomain.is_full:
             self.as_point()  # a singular P raises here
         elif self.monomial is None:
-            self.inverse_matrix  # a singular matrix raises here
+            self._inverse_value()  # a singular matrix raises here
 
     @staticmethod
     def _validated(entries, domain: FunctionFamily, codomain: FunctionFamily,
-                   basis: str, shape=None) -> np.ndarray:
-        """The operator matrix, or a weighted permutation's weights for a
-        matrix of `shape`, as an array checked against the families."""
+                   basis: str, shape=None):
+        """The operator matrix (`linalg.matrix_value`), or a weighted
+        permutation's weights for a matrix of `shape` as an array, checked
+        against the families."""
         if basis not in ("point", "generator"):
             raise ValueError("basis must be 'point' or 'generator'")
-        m = np.asarray(entries)
-        if m.dtype != object:
+        m = linalg.matrix_value(entries) if shape is None else np.asarray(entries)
+        if not linalg.is_exact(m):
             m = np.asarray(m, dtype=float)
             if not np.all(np.isfinite(m)):
                 raise ValueError("operator entries must be finite")
         shape = m.shape if shape is None else shape
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError("operator matrix must be square")
-        exact = m.dtype == object
+        exact = linalg.is_exact(m)
         if exact != domain.exact or exact != codomain.exact:
             raise ValueError("operator and families must share one arithmetic mode")
         if basis == "point":
@@ -144,12 +149,12 @@ class OperatorModel:
     def _set(self, matrix, inverse, read, domain, codomain, basis, inverse_read=None):
         """Hold a validated operator by its `linalg.monomial` read, or, when
         the read is None, by its matrix and its dense inverse if given
-        (`inverse_matrix` builds it otherwise); the inverse's read is
+        (`_inverse_value` builds it otherwise); the inverse's read is
         derived unless given."""
         if read is not None and inverse_read is None:
             inverse_read = linalg.monomial_inv(*read)
-        self._matrix = None if matrix is None else linalg.frozen(matrix)
-        self._inverse = None if inverse is None else linalg.frozen(inverse)
+        self._matrix = linalg.frozen(matrix)
+        self._inverse = linalg.frozen(inverse)
         self.monomial = read
         self.inverse_monomial = inverse_read
         self.basis = basis
@@ -165,25 +170,37 @@ class OperatorModel:
     def size(self) -> int:
         return self.domain.rank
 
+    def _value(self):
+        """The matrix as the operator holds it: an ExactMatrix or a float
+        array, built from the read on first use."""
+        if self._matrix is None:
+            # the read's own objects: an exact read may hold ints
+            self._matrix = linalg.matrix_value(
+                linalg.frozen(linalg.monomial_matrix(*self.monomial)))
+        return self._matrix
+
+    def _inverse_value(self):
+        """The inverse as the operator holds it, built on first use.
+        Raises SingularMatrixError."""
+        if self._inverse is None:
+            self._inverse = linalg.frozen(
+                linalg.dense_inv(self._value()) if self.inverse_monomial is None
+                else linalg.monomial_value(*self.inverse_monomial))
+        return self._inverse
+
     @property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = linalg.frozen(linalg.monomial_matrix(*self.monomial))
-        return self._matrix
+        return linalg.dense(self._value())
 
     @property
     def inverse_matrix(self) -> np.ndarray:
         """The dense inverse, read-only. Raises SingularMatrixError."""
-        if self._inverse is None:
-            self._inverse = linalg.frozen(
-                linalg.dense_inv(self.matrix) if self.inverse_monomial is None
-                else linalg.monomial_matrix(*self.inverse_monomial))
-        return self._inverse
+        return linalg.dense(self._inverse_value())
 
     def inverse(self) -> "OperatorModel":
         """The inverse operator: the reads and the matrices built so far, swapped."""
         t = type(self).__new__(type(self))
-        t._set(self._inverse if self.monomial is not None else self.inverse_matrix,
+        t._set(self._inverse if self.monomial is not None else self._inverse_value(),
                self._matrix, self.inverse_monomial, self.codomain,
                self.domain, self.basis, inverse_read=self.monomial)
         return t
@@ -196,56 +213,59 @@ class OperatorModel:
         if self.basis == "point":
             if self.monomial is not None:
                 return linalg.monomial_mat_vec(*self.monomial, v)
-            return mat_vec(self.matrix, v)
+            return mat_vec(self._value(), v)
         c = self.domain.coefficients_of(v)
-        return self.codomain.values(mat_vec(self.matrix, c))
+        return self.codomain.values(mat_vec(self._value(), c))
 
     def image_values(self, coeffs) -> np.ndarray:
         """Values of T f at the codomain points, from domain coefficients."""
         if self.basis == "point":
-            return mat_vec(self.matrix, np.asarray(coeffs))
-        return self.codomain.values(mat_vec(self.matrix, np.asarray(coeffs)))
+            return mat_vec(self._value(), np.asarray(coeffs))
+        return self.codomain.values(mat_vec(self._value(), np.asarray(coeffs)))
 
     def point_matrix(self) -> np.ndarray:
         """The value-to-value matrix G_Y^T M inv(G_X^T) (requires full
         families); inv(G_X^T) is the domain's `coefficient_matrix()`."""
-        return self._point_product()[0]
+        return linalg.dense(self._point_product())
 
     def _point_product(self):
-        """(`point_matrix()`, its `!= 0` pattern or None): an exact
-        generator-basis product is one `linalg.mat_mat_mat` chain, which
-        reads the pattern from its integers. A float product that overflows
-        is returned as it is, without a warning: `as_point` reports it."""
+        """The point matrix as an ExactMatrix or a float array: an exact
+        generator-basis product is one `linalg.mat_mat_mat` chain of integer
+        rows. A float product that overflows is returned as it is, without a
+        warning: `as_point` reports it."""
         if self.basis == "point":
-            return self.matrix, None
+            return self._value()
         if not (self.domain.is_full and self.codomain.is_full):
             raise ValueError("point matrix requires full families")
-        inv_t = self.domain.coefficient_matrix()
         with np.errstate(over="ignore", invalid="ignore"):
-            return linalg.mat_mat_mat(self.codomain.generators.T, self.matrix, inv_t)
+            return linalg.mat_mat_mat(self.codomain.generator_value.T, self._value(),
+                                      self.domain.coefficient_value())
 
     def as_point(self) -> "OperatorModel":
         """The same operator between the full indicator families, built once.
         The point matrix P is `point_matrix()`; in float mode it must be
-        finite, as in the generic constructor. A monomial P's inverse is
-        read from its pattern; any other P's is `linalg.dense_inv`'s, the
-        inverse a point-basis constructor takes, and a singular P raises as
-        the class docstring says."""
+        finite, as in the generic constructor. P is read as a weighted
+        permutation through its zero pattern, and an exact P's entries are
+        made Fractions only for that read. A monomial P's inverse is read
+        from its pattern; any other P's is `linalg.dense_inv`'s, the inverse
+        a point-basis constructor takes, and a singular P raises as the
+        class docstring says."""
         if self.basis == "point":
             return self
         if self._point is None:
             dom = FunctionFamily.full(self.domain.space, exact=self.exact)
             cod = FunctionFamily.full(self.codomain.space, exact=self.exact)
-            p, nonzero = self._point_product()
-            p = linalg.frozen(self._validated(p, dom, cod, "point"))
-            read = linalg.monomial(p, nonzero)
+            p = linalg.frozen(self._validated(self._point_product(), dom, cod, "point"))
+            read = linalg.monomial(p)
             inv = None
             if read is None:
                 try:
                     inv = linalg.dense_inv(p)
                 except linalg.SingularMatrixError:  # the first check that fails raises
-                    FunctionFamily(self.codomain.space, self.codomain.generators)
-                    self.inverse_matrix
+                    gens = self.codomain.generator_value
+                    FunctionFamily(self.codomain.space,
+                                   gens.with_rank(None) if self.exact else gens)
+                    self._inverse_value()
                     raise
             point = OperatorModel.__new__(OperatorModel)
             point._set(p, inv, read, dom, cod, "point")
@@ -322,7 +342,16 @@ def _jsonable(v):
 def _nonneg_violation(m, tol: float):
     """Most negative entry of a matrix, as (i, j) or None; of tied entries,
     the first in row-major order. Float mode reads every entry within
-    linalg.cutoff of the minimum as tied, so rounding does not choose."""
+    linalg.cutoff of the minimum as tied, so rounding does not choose. An
+    ExactMatrix is scanned in its integers: each row's least numerator over
+    the row's positive denominator, compared across rows by cross products."""
+    if isinstance(m, linalg.ExactMatrix):
+        worst, least = None, None
+        for i, (row, d) in enumerate(zip(m.rows, m.dens)):
+            x = min(row, default=0)
+            if x < 0 and (least is None or x * least[1] < least[0] * d):
+                worst, least = (i, row.index(x)), (x, d)
+        return worst
     if m.dtype == object:
         worst = None
         for i in range(m.shape[0]):
@@ -352,7 +381,7 @@ def _point_violation(t: OperatorModel, tol: float):
     """
     for read, side in ((t.monomial, "domain"), (t.inverse_monomial, "codomain")):
         if read is None:
-            hit = _nonneg_violation(t.matrix if side == "domain" else t.inverse_matrix, tol)
+            hit = _nonneg_violation(t._value() if side == "domain" else t._inverse_value(), tol)
         else:
             cols, entries = read
             hit = _nonneg_violation(entries[:, None], tol)
@@ -390,10 +419,10 @@ def is_order_isomorphism(t: OperatorModel, tol: float = DEFAULT_TOL) -> Certific
             return cert
         w = np.asarray(cert.witness_values)
         if cert.side == "domain":
-            coeffs = mat_vec(t.domain.coefficient_matrix(), w)
+            coeffs = mat_vec(t.domain.coefficient_value(), w)
         else:  # f = T(T^-1 f): M times the domain coefficients of the values P^-1 w
-            coeffs = mat_vec(t.matrix, mat_vec(t.domain.coefficient_matrix(),
-                                               mat_vec(t.as_point().inverse_matrix, w)))
+            coeffs = mat_vec(t._value(), mat_vec(t.domain.coefficient_value(),
+                                                 mat_vec(t.as_point()._inverse_value(), w)))
         return Certificate(accept=False, mode="exact", arithmetic=arith,
                            witness_coeffs=tuple(coeffs), witness_values=cert.witness_values,
                            side=cert.side, point=cert.point, detail=cert.detail)
@@ -410,9 +439,10 @@ def is_order_isomorphism(t: OperatorModel, tol: float = DEFAULT_TOL) -> Certific
             detail=(f"indicator of {side} point {j} maps to a negative "
                     f"value at point {i}"))
 
-    for src, dst, mat, side in ((t.domain, t.codomain, t.matrix, "domain"),
-                                (t.codomain, t.domain, t.inverse_matrix, "codomain")):
-        hit = _farkas_witness(src.generators.T, _evaluations(dst.generators.T, mat), tol)
+    for src, dst, mat, side in ((t.domain, t.codomain, t._value(), "domain"),
+                                (t.codomain, t.domain, t._inverse_value(), "codomain")):
+        hit = _farkas_witness(src.generator_value.T,
+                              _evaluations(dst.generator_value.T, mat), tol)
         if hit is None:
             continue
         y, c = hit
@@ -432,7 +462,7 @@ def _evaluations(g_t, mat):
     witnesses are B's."""
     with np.errstate(over="ignore", invalid="ignore"):  # read from the result below
         b = mat_mat(g_t, mat)
-    if b.dtype != object and not np.all(np.isfinite(b)):
+    if not linalg.is_exact(b) and not np.all(np.isfinite(b)):
         b = mat_mat(*(np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1]) for x in (g_t, mat)))
     return b
 
@@ -467,7 +497,7 @@ def _farkas_witness(a, b, tol: float):
     """
     from scipy.optimize import nnls
 
-    exact = b.dtype == object
+    exact = linalg.is_exact(b)
     fa, fb = linalg.scaled_float(a), linalg.scaled_float(b)
     bound = linalg.cutoff(fb, tol)
     supports = []
@@ -483,7 +513,7 @@ def _farkas_witness(a, b, tol: float):
     n = len(fb)
     if exact:
         failing = [y for y in range(n)
-                   if y >= len(supports) or not _resolves(a[supports[y]], b[y])]
+                   if y >= len(supports) or not _resolves(a, supports[y], b.take([y]))]
     elif len(supports) == n:
         return None
     if not exact or len(failing) > 1:
@@ -498,13 +528,14 @@ def _farkas_witness(a, b, tol: float):
         elif not exact:  # bounded and feasible (c = 0) by construction
             raise RuntimeError(f"LP solver failed: HiGHS reported {status}")
     for y in failing:
-        c = linalg.farkas(a, b[y])
+        c = linalg.farkas(a, b.take([y]))
         if c is not None:
             return y, c
     return None
 
 
-def _resolves(a, b_y) -> bool:
-    """Whether b_y = lam A with lam >= 0 on A's rows, re-solved exactly."""
-    lam = linalg.exact_solve_unique(a.T, b_y)
+def _resolves(a, support, b_y) -> bool:
+    """Whether b_y = lam A with lam >= 0 on the rows of A in `support`,
+    re-solved exactly: A's rows and b_y are ExactMatrix values."""
+    lam = linalg.exact_solve_unique(a.take(np.flatnonzero(support)).T, b_y.T)
     return lam is not None and all(v >= 0 for v in lam)

@@ -1,28 +1,40 @@
-"""Dual-mode linear algebra: float64 via numpy, exact rationals via Fraction.
+"""Dual-mode linear algebra: float64 via numpy, exact rationals in integers.
 
-Exact matrices are numpy object arrays holding fractions.Fraction entries
-(Python ints are accepted and promoted to Fraction before any division).
-Exact kernels pivot integer rows, and Fractions appear only at their edges:
-each row is put over one denominator once (`_int_row`), and every pivot is
-the one fraction-free step `_clear`, which costs integer products and one
-gcd per row rather than a gcd per entry. `_exact_rref` (rank, inverse,
-solve) and `farkas`, the phase-one simplex that decides Farkas' alternative
-for one row, both pivot with it; `mat_mat` takes one dot product of integers
-per entry. Each gives back Fractions equal to those of rational arithmetic.
-`scaled_float` takes an exact matrix to float at its own binary scale, so a
-float solver never sees an entry overflow or the whole matrix underflow. A
-weighted permutation (monomial matrix) skips elimination altogether in
-`rank` and `inv`.
+A float matrix is a numpy array. An exact matrix is an `ExactMatrix`: integer
+rows with one positive denominator per row, so row i is rows[i] / dens[i].
+The value is frozen and carries what is known of it: its `!= 0` pattern
+(handed over by a parser, or read from its integers on first use), its rank
+when known (an identity's or an inverse's, or one a caller states with
+`with_rank`) and its transpose once taken. It builds the read-only numpy
+object array of `Fraction`s (`array`) only when a caller first reads it;
+`matrix_value` is the one call that wraps a given matrix, so an object array
+of ints and Fractions is put over one denominator per row (`_int_row`) once,
+there, and keeps that array as its own.
+
+The exact kernels read and write integer rows, and a Fraction is built only
+for a value handed back one entry at a time. `_exact_rref` (rank, inverse,
+solve) is fraction-free Gauss-Jordan elimination, whose exact divisions keep
+every entry a minor of its input, and `farkas`, the phase-one simplex that
+decides Farkas' alternative for one row, pivots by `_clear`, which costs
+integer products and one gcd per row rather than a gcd per entry.
+`exact_inv_or_rank` returns the inverse as its rows over their pivots,
+`mat_mat` takes one dot product of integers per entry and `mat_mat_mat`
+puts its product over one denominator per row. Each equals rational
+arithmetic. A kernel given `ExactMatrix` values returns one; given object
+arrays it wraps them and returns an array. `scaled_float` takes an exact
+matrix to float at its own binary scale, so a float solver never sees an
+entry overflow or the whole matrix underflow. A weighted permutation
+(monomial matrix) skips elimination altogether in `rank` and `inv`.
 
 `monomial` is the one n^2 scan that reads a matrix as a weighted permutation
-(of an exact matrix, through its `!= 0` pattern when a parser hands it over).
-An operator reads its point matrix once, when it is built, and derives the
-inverse's read (`monomial_inv`), its products (`monomial_mat_vec`), its
-certificate and its recovery from that read, in either arithmetic; the
-identity generators of a full family are independent by construction and
-never reach `rank`. A square exact family checks its rank with the same
-Gauss-Jordan pass that inverts it (`exact_inv_or_rank`) and keeps the
-inverse.
+(of an exact matrix, through its `!= 0` pattern, with one Fraction per row
+for the entries). An operator reads its point matrix once, when it is built,
+and derives the inverse's read (`monomial_inv`), its products
+(`monomial_mat_vec`), its certificate and its recovery from that read, in
+either arithmetic; the identity generators of a full family are independent
+by construction and never reach `rank`. A square exact family checks its
+rank with the same Gauss-Jordan pass that inverts it (`exact_inv_or_rank`)
+and keeps the inverse.
 
 `solve` is the one rule for "is b in the column span of a", in either
 arithmetic: exact elimination, or a float least-squares solution kept when
@@ -43,6 +55,10 @@ import numpy as np
 
 __all__ = [
     "SingularMatrixError",
+    "ExactMatrix",
+    "matrix_value",
+    "dense",
+    "identity",
     "is_exact",
     "as_exact",
     "as_float",
@@ -63,6 +79,7 @@ __all__ = [
     "monomial",
     "monomial_inv",
     "monomial_matrix",
+    "monomial_value",
     "monomial_mat_vec",
     "rank",
     "inv",
@@ -75,8 +92,116 @@ class SingularMatrixError(ValueError):
     """Raised when an operator matrix is not invertible."""
 
 
+class ExactMatrix:
+    """An exact matrix as integer rows: row i is rows[i] / dens[i], dens[i] > 0.
+
+    `rows` is a tuple of int tuples and `dens` a tuple of ints; a row's
+    denominator is one its entries share, not always their least. The value
+    is frozen: nothing changes its entries, and what it computes on first use
+    is kept (`array`, `nonzero`, `T`). `rank` is the rank when it is known,
+    else None: an identity's and an inverse's are full, and `with_rank`
+    states one a caller proves otherwise."""
+
+    __slots__ = ("rows", "dens", "shape", "rank", "_nonzero", "_array", "_t")
+    ndim = 2
+
+    def __init__(self, rows, dens, ncols: int, nonzero=None, rank=None, array=None):
+        self.rows = rows
+        self.dens = dens
+        self.shape = (len(rows), ncols)
+        self.rank = rank
+        self._nonzero = nonzero
+        self._array = array
+        self._t = None
+
+    @classmethod
+    def of_array(cls, a: np.ndarray) -> "ExactMatrix":
+        """A 2-D object array of rationals (ints, numpy ints, Fractions), each
+        row over its least common denominator. The array is kept as `array`:
+        a read-only one as it is, a writeable one as a read-only copy."""
+        parts = [_int_row(row) for row in a]
+        if a.flags.writeable:
+            a = frozen(a.copy())
+        return cls(tuple(tuple(ints) for ints, _ in parts), tuple(d for _, d in parts),
+                   a.shape[1], array=a)
+
+    @property
+    def array(self) -> np.ndarray:
+        """The read-only object array of Fractions, built on first read."""
+        if self._array is None:
+            out = np.empty(self.shape, dtype=object)
+            zero = Fraction(0)
+            for i, (row, d) in enumerate(zip(self.rows, self.dens)):
+                out[i] = [Fraction(x, d) if x else zero for x in row]
+            self._array = frozen(out)
+        return self._array
+
+    @property
+    def nonzero(self) -> np.ndarray:
+        """The boolean `!= 0` pattern, read from the integers on first use."""
+        if self._nonzero is None:
+            self._nonzero = frozen(np.array(self.rows, dtype=object).reshape(self.shape) != 0)
+        return self._nonzero
+
+    @property
+    def T(self) -> "ExactMatrix":
+        """The transpose, its columns over the rows' least common multiple."""
+        if self._t is None:
+            d = lcm(*self.dens)
+            rows = [row if e == d else [x * (d // e) for x in row]
+                    for row, e in zip(self.rows, self.dens)]
+            m, n = self.shape
+            t = ExactMatrix(tuple(zip(*rows)) if m else ((),) * n, (d,) * n, m,
+                            nonzero=None if self._nonzero is None else self._nonzero.T,
+                            rank=self.rank,
+                            array=None if self._array is None else self._array.T)
+            t._t = self
+            self._t = t
+        return self._t
+
+    def take(self, index) -> "ExactMatrix":
+        """The rows at the given indices."""
+        return ExactMatrix(tuple(self.rows[i] for i in index),
+                           tuple(self.dens[i] for i in index), self.shape[1])
+
+    def with_rank(self, rank) -> "ExactMatrix":
+        """The same matrix with `rank` as its known rank (None: unknown)."""
+        return ExactMatrix(self.rows, self.dens, self.shape[1], self._nonzero, rank,
+                           self._array)
+
+
+def matrix_value(a):
+    """The one wrapping call for a given matrix: an `ExactMatrix` as it is,
+    a 2-D object array as `ExactMatrix.of_array` reads it, anything else as
+    `np.asarray` gives it (a float matrix stays a numpy array)."""
+    if isinstance(a, ExactMatrix):
+        return a
+    a = np.asarray(a)
+    return ExactMatrix.of_array(a) if a.dtype == object and a.ndim == 2 else a
+
+
+def _exact_value(a) -> ExactMatrix:
+    """`a` as an ExactMatrix, whatever its arithmetic (a float entry is its
+    exact binary value)."""
+    return a if isinstance(a, ExactMatrix) else ExactMatrix.of_array(
+        np.asarray(a, dtype=object))
+
+
+def dense(a):
+    """An exact matrix's object array of Fractions, or a float array as it is."""
+    return a.array if isinstance(a, ExactMatrix) else a
+
+
+def identity(n: int, exact: bool):
+    """The n x n identity: an ExactMatrix of rank n, or a read-only float array."""
+    if exact:
+        return ExactMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
+                           (1,) * n, n, nonzero=frozen(np.eye(n, dtype=bool)), rank=n)
+    return frozen(np.eye(n))
+
+
 def is_exact(a) -> bool:
-    return isinstance(a, np.ndarray) and a.dtype == object
+    return isinstance(a, ExactMatrix) or (isinstance(a, np.ndarray) and a.dtype == object)
 
 
 def as_exact(rows) -> np.ndarray:
@@ -104,14 +229,17 @@ def scaled_float(a) -> np.ndarray:
     """A float copy of `a` on a scale that cannot overflow or underflow
     whole. Exact: each entry times 2**-e, rounded once by integer true
     division, where e is the largest of the nonzero entries' binary
-    exponents read from bit lengths, so the largest magnitude lies in
-    [1/2, 2] at any scale of `a`. Float: `a` as it is."""
+    exponents read from the bit lengths of their numerators and
+    denominators in lowest terms, so the largest magnitude lies in [1/2, 2]
+    at any scale of `a`. Float: `a` as it is."""
     if not is_exact(a):
         return np.asarray(a, dtype=float)
-    q = [_rational(x) for x in a.flat]
-    e = max((abs(x.numerator).bit_length() - x.denominator.bit_length()
-             for x in q if x.numerator), default=0)
-    return np.array([(x.numerator << max(-e, 0)) / (x.denominator << max(e, 0)) for x in q],
+    a = _exact_value(a)
+    e = max((abs(x // g).bit_length() - (d // g).bit_length()
+             for row, d in zip(a.rows, a.dens) for x in row if x
+             for g in (gcd(x, d),)), default=0)
+    up, down = max(-e, 0), max(e, 0)
+    return np.array([[(x << up) / (d << down) for x in row] for row, d in zip(a.rows, a.dens)],
                     dtype=float).reshape(a.shape)
 
 
@@ -131,11 +259,23 @@ def indicator(n: int, j: int, exact: bool):
 
 
 def mat_vec(a, v):
-    """Matrix times vector, zero-skipping in exact mode: a zero entry of `a`
-    adds no term, and for an exact `a` neither does a column whose entry of
-    `v` is an exact zero (an int or a Fraction), whose terms are exact zeros
-    that leave each sum's value and type as they are. A float zero of `v`
-    still adds its term, which can make the sum a float."""
+    """Matrix times vector, zero-skipping in exact mode. An `ExactMatrix`
+    times a vector of ints and Fractions is one dot product of integers per
+    entry, each made one Fraction. Otherwise a zero entry of `a` adds no
+    term, and for an exact `a` neither does a column whose entry of `v` is
+    an exact zero (an int or a Fraction), whose terms are exact zeros that
+    leave each sum's value and type as they are. A float zero of `v` still
+    adds its term, which can make the sum a float."""
+    if isinstance(a, ExactMatrix):
+        if all(type(x) is int or type(x) is Fraction for x in v):
+            ints, d = _int_row(v)
+            cols = [j for j, x in enumerate(ints) if x]
+            vals = [ints[j] for j in cols]
+            out = np.empty(a.shape[0], dtype=object)
+            out[:] = [Fraction(sum(map(mul, map(row.__getitem__, cols), vals)), e * d)
+                      for row, e in zip(a.rows, a.dens)]
+            return out
+        a = a.array
     if is_exact(a) or (isinstance(v, np.ndarray) and v.dtype == object):
         m, n = a.shape
         cols = range(n)
@@ -173,64 +313,79 @@ def _int_row(row):
     return [x.numerator * (d // x.denominator) for x in q], d
 
 
+def _over(a: ExactMatrix):
+    """The integer rows of `a` all over one denominator: (rows, d)."""
+    d = lcm(*a.dens)
+    return [row if e == d else [x * (d // e) for x in row] for row, e in zip(a.rows, a.dens)], d
+
+
+def _given(result: ExactMatrix, *inputs):
+    """A kernel's exact result as its inputs came: an ExactMatrix when they
+    all are one, else its array."""
+    return result if all(isinstance(x, ExactMatrix) for x in inputs) else result.array
+
+
 def mat_mat(a, b):
-    """Matrix product. Exact: the rows of `a` and the columns of `b` are
-    each put over one common denominator (`_int_row`), so an entry is one
-    dot product of Python ints and one Fraction."""
-    if is_exact(a) or is_exact(b):
-        m, k = a.shape
-        k2, n = b.shape
-        if k != k2:
-            raise ValueError("shape mismatch")
-        rows = [_int_row(a[i]) for i in range(m)]
-        cols = [_int_row(b[:, j]) for j in range(n)]
-        out = np.empty((m, n), dtype=object)
-        for i, (ra, da) in enumerate(rows):
-            out[i] = [Fraction(sum(map(mul, ra, cb)), da * db) for cb, db in cols]
-        return out
-    return np.asarray(a, dtype=float) @ np.asarray(b, dtype=float)
+    """Matrix product. Exact: each row of `a` times the columns of `b` over
+    their one denominator (`ExactMatrix.T`), one dot product of Python ints
+    per entry; row i of the product is over a's row denominator times b's."""
+    if not (is_exact(a) or is_exact(b)):
+        return np.asarray(a, dtype=float) @ np.asarray(b, dtype=float)
+    va, vb = _exact_value(a), _exact_value(b)
+    (m, k), (k2, n) = va.shape, vb.shape
+    if k != k2:
+        raise ValueError("shape mismatch")
+    bt = vb.T
+    db = bt.dens[0] if n else 1
+    rows = tuple(tuple(sum(map(mul, ra, cb)) for cb in bt.rows) for ra in va.rows)
+    return _given(ExactMatrix(rows, tuple(d * db for d in va.dens), n), a, b)
 
 
 def mat_mat_mat(a, b, c):
-    """(a @ b @ c, its `!= 0` pattern), the pattern None in float mode,
-    where the product is a @ (b @ c) as `mat_mat` takes it. Exact: the rows
-    of `a` and the columns of `c` are each put over one denominator, and `b`
-    over one as a whole (`_int_row`), so the chain multiplies Python ints
-    and each entry is one Fraction, equal to that of two `mat_mat`s; the
-    pattern is read from the integer numerators, not from the Fractions."""
+    """a @ b @ c, where the float product is a @ (b @ c) as `mat_mat` takes
+    it. Exact: `b` and `c` are each put over one denominator, so the chain
+    multiplies Python ints, the rows of `a` by the columns of b and then of
+    c, and row i of the product is over a's row denominator times those two;
+    its entries equal those of two `mat_mat`s."""
     if not (is_exact(a) or is_exact(b) or is_exact(c)):
-        return mat_mat(a, mat_mat(b, c)), None
-    (m, k), (k2, l), (l2, n) = a.shape, b.shape, c.shape
+        return mat_mat(a, mat_mat(b, c))
+    va, vb, vc = _exact_value(a), _exact_value(b), _exact_value(c)
+    (m, k), (k2, l), (l2, n) = va.shape, vb.shape, vc.shape
     if k != k2 or l != l2:
         raise ValueError("shape mismatch")
-    ints, db = _int_row(b.ravel())
-    b_cols = list(zip(*[ints[r * l:(r + 1) * l] for r in range(k)]))
-    cols = [_int_row(c[:, j]) for j in range(n)]
-    out = np.empty((m, n), dtype=object)
-    nonzero = np.empty((m, n), dtype=bool)
-    for i in range(m):
-        ra, da = _int_row(a[i])
+    b_rows, db = _over(vb)
+    c_rows, dc = _over(vc)
+    b_cols = list(zip(*b_rows)) if k else [()] * l
+    c_cols = list(zip(*c_rows)) if l else [()] * n
+    rows = []
+    for ra in va.rows:
         ab = [sum(map(mul, ra, bc)) for bc in b_cols]
-        nums = [sum(map(mul, ab, cc)) for cc, _ in cols]
-        out[i] = [Fraction(x, da * db * dc) for x, (_, dc) in zip(nums, cols)]
-        nonzero[i] = [x != 0 for x in nums]
-    return out, nonzero
+        rows.append(tuple(sum(map(mul, ab, cc)) for cc in c_cols))
+    return _given(ExactMatrix(tuple(rows), tuple(d * db * dc for d in va.dens), n), a, b, c)
 
 
 def exact_inv_or_rank(a):
     """One Gauss-Jordan pass over [a | I] for a square exact matrix: returns
     (inverse, n) when `a` is invertible, else (None, rank of a). The pivots
-    left of the bar are the pivots of `a` alone."""
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
+    left of the bar are the pivots of `a` alone. Row i of [a | I] is taken
+    times a's row denominator d_i, as [a's integers | d_i e_i], and each
+    reduced row of the inverse is the right half of its integer row over
+    the row's pivot entry."""
+    v = _exact_value(a)
+    n = v.shape[0]
+    if v.shape[0] != v.shape[1]:
         raise ValueError("square matrix required")
-    aug = [list(a[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-    right, pivots = _exact_rref(aug, first=n)
+    mat, pivots = _exact_rref([[*row, *(d if i == j else 0 for j in range(n))]
+                               for i, (row, d) in enumerate(zip(v.rows, v.dens))])
     r = sum(1 for col in pivots if col < n)
-    return (np.array(right, dtype=object) if r == n else None), r
+    if r < n:
+        return None, r
+    inv = ExactMatrix(tuple(tuple(row[n:]) for row in mat),
+                      tuple(row[col] for row, col in zip(mat, pivots)), n, rank=n)
+    return _given(inv, a), n
 
 
-def exact_inv(a) -> np.ndarray:
+def exact_inv(a):
     """Gauss-Jordan inverse over the rationals. Raises SingularMatrixError."""
     inv, _ = exact_inv_or_rank(a)
     if inv is None:
@@ -260,84 +415,115 @@ def _clear(rows, r, col):
             rows[i] = _primitive([p * x - q * y for x, y in zip(row, prow)])
 
 
-def _exact_rref(rows, first: int = 0):
-    """Reduced row echelon form over the rationals; returns (rref, pivot_cols)
-    with each row of rref read from column `first` on.
+def _exact_rref(rows):
+    """Reduced row echelon form of integer rows over the rationals: returns
+    (rows, pivot_cols), where the first len(pivot_cols) rows have a positive
+    entry at their pivot column, over which each reads as its unique reduced
+    row, and the rest are zero.
 
-    Elimination runs in integer rows. Each row is cleared of its
-    denominators once (`_int_row`) and divided by the gcd of its entries;
-    each pivot is one `_clear`. A pivot is the first nonzero entry at or
-    below the current row, which scaling a row does not move, so the pivots
-    are those of rational elimination and each row, read back as
-    Fraction(x, pivot entry), is its unique reduced row.
+    Fraction-free Gauss-Jordan elimination (Bareiss): each row is first
+    divided by the gcd of its entries; at a pivot pv every other row
+    becomes (pv row - f prow) / prev, for its entry f in the pivot column
+    and the previous pivot prev (1 at first). The division is exact, since
+    every entry is then a minor of the rows as divided, so no gcd is taken
+    per step. A pivot is the first nonzero entry at or below the current
+    row, which scaling a row does not move, so the pivots are those of
+    rational elimination. The list `rows` is taken over.
     """
-    mat = [_primitive(_int_row(row)[0]) for row in rows]
+    mat = [_primitive(row) for row in rows]
     m = len(mat)
     n = len(mat[0]) if m else 0
     pivots = []
-    r = 0
+    r, prev = 0, 1
     for col in range(n):
         piv = next((i for i in range(r, m) if mat[i][col]), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        _clear(mat, r, col)
+        prow = mat[r]
+        pv = prow[col]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if i == r:
+                continue
+            if f:
+                mat[i] = [(pv * x - f * y) // prev for x, y in zip(row, prow)]
+            elif pv != prev:
+                mat[i] = [pv * x // prev for x in row]
+        prev = pv
         pivots.append(col)
         r += 1
         if r == m:
             break
-    zero = Fraction(0)
-    rref = [[Fraction(x, mat[i][col]) if x else zero for x in mat[i][first:]]
-            for i, col in enumerate(pivots)]
-    rref += [[zero] * (n - first) for _ in range(m - r)]
-    return rref, pivots
+    for i, col in enumerate(pivots):
+        if mat[i][col] < 0:
+            mat[i] = [-x for x in mat[i]]
+    return mat, pivots
 
 
 def exact_rank(a) -> int:
-    _, pivots = _exact_rref(a, first=a.shape[1])
+    _, pivots = _exact_rref(list(_exact_value(a).rows))
     return len(pivots)
 
 
+def _column(b, m: int):
+    """The entries of an exact column as (numerator, denominator) pairs: of
+    an m x 1 ExactMatrix, or of a sequence of rationals."""
+    if isinstance(b, ExactMatrix):
+        return [(row[0], d) for row, d in zip(b.rows, b.dens)]
+    q = [_rational(x) for x in b]
+    if len(q) != m:
+        raise ValueError("shape mismatch")
+    return [(x.numerator, x.denominator) for x in q]
+
+
 def exact_solve_unique(a, b):
-    """Solve a @ x = b over the rationals; None if inconsistent. The solution
-    has every free variable (non-pivot column of `a`) set to zero, so it is
-    the unique one when `a` has full column rank. The reduced rows are exact,
-    so a system with no pivot in the column of b is solved by x as read."""
-    m, k = a.shape
-    aug = [list(a[i]) + [b[i]] for i in range(m)]
-    rhs, pivots = _exact_rref(aug, first=k)
-    x = [Fraction(0)] * k
+    """Solve a @ x = b over the rationals; None if inconsistent. `b` is a
+    sequence of rationals or an m x 1 ExactMatrix. The solution has every
+    free variable (non-pivot column of `a`) set to zero, so it is the unique
+    one when `a` has full column rank. The reduced rows are exact, so a
+    system with no pivot in the column of b is solved by x as read, one
+    Fraction per pivot. Row i of [a | b] is taken times d_i q_i, for a's row
+    denominator d_i and b_i = p_i / q_i."""
+    v = _exact_value(a)
+    m, k = v.shape
+    aug = [[*(x * q for x in row), p * d]
+           for (row, d), (p, q) in zip(zip(v.rows, v.dens), _column(b, m))]
+    mat, pivots = _exact_rref(aug)
+    zero = Fraction(0)
+    x = [zero] * k
     for r, col in enumerate(pivots):
         if col == k:
             return None  # a zero row equals a nonzero rhs
-        x[col] = rhs[r][0]
+        x[col] = Fraction(mat[r][k], mat[r][col])
     return np.array(x, dtype=object)
 
 
 def farkas(a, b_y):
     """Farkas' alternative for one target row, in exact arithmetic: None when
     b_y = lam A for some lam >= 0, else c (Fractions) with A c >= 0 and
-    b_y . c < 0.
+    b_y . c < 0. `b_y` is a sequence of rationals or a 1 x k ExactMatrix.
 
     Phase one of the simplex method with Bland's rule (so it terminates) on
     D A^T lam + s = D b_y with lam, s >= 0, where D flips rows so the right
-    side is nonnegative, from the basis s. Each row of the tableau is put
-    over one denominator once (`_int_row`), and every pivot is a `_clear`
-    with a positive pivot, so each integer row stays a positive multiple of
-    its rational row: the reduced costs' signs and the ratio test (by cross
-    products) read as in rational arithmetic. The objective, min sum(s)
-    priced out on the basis s, carries its positive scale in one extra
-    column. A zero optimum gives lam; a positive one leaves the dual u with
-    A D u <= 0 and (D b_y) . u > 0, read from the slacks' reduced costs
+    side is nonnegative, from the basis s. Row i of the tableau is column i
+    of A (a row of `A.T`) and b_i over one denominator, and every pivot is a
+    `_clear` with a positive pivot, so each integer row stays a positive
+    multiple of its rational row: the reduced costs' signs and the ratio
+    test (by cross products) read as in rational arithmetic. The objective,
+    min sum(s) priced out on the basis s, carries its positive scale in one
+    extra column. A zero optimum gives lam; a positive one leaves the dual u
+    with A D u <= 0 and (D b_y) . u > 0, read from the slacks' reduced costs
     1 - u_i, so c = -D u.
     """
-    m, k = a.shape
+    at = _exact_value(a).T
+    k, m = at.shape
+    b = _column(b_y.T if isinstance(b_y, ExactMatrix) else b_y, k)
     rows, sign = [], []
-    for i in range(k):
-        ints, d = _int_row([*a[:, i], b_y[i]])
-        sign.append(-1 if ints[-1] < 0 else 1)
-        rows.append([sign[i] * x for x in ints[:m]] + [d * (r == i) for r in range(k)]
-                    + [sign[i] * ints[-1], 0])
+    for i, (row, d, (p, q)) in enumerate(zip(at.rows, at.dens, b)):
+        sign.append(-1 if p < 0 else 1)
+        rows.append([sign[i] * x * q for x in row] + [d * q * (r == i) for r in range(k)]
+                    + [sign[i] * p * d, 0])
     rows.append([0] * m + [1] * k + [0, 1])  # the costs of sum(s), over scale 1
     basis = list(range(m, m + k))
     for i, col in enumerate(basis):
@@ -424,20 +610,26 @@ def cutoff(a, tol: float) -> float:
     return tol * abs(max(float(a.max()), -float(a.min())))  # abs: never -0.0
 
 
-def monomial(a, _nonzero=None):
+def monomial(a):
     """Read a square matrix as a weighted permutation: exactly one nonzero
     entry per row, in distinct columns. Returns (columns, entries), with
-    entries[y] = a[y, columns[y]], or None when `a` is not monomial.
-    `_nonzero` is `a != 0` when the caller holds it (a parsed exact matrix),
-    so an object array's entries are not asked for their truth one by one."""
+    entries[y] = a[y, columns[y]], or None when `a` is not monomial. An
+    `ExactMatrix` is read through its `nonzero` pattern, so no `Fraction`
+    is asked for its truth, and its entries are the n Fractions of its
+    integers, or its array's own objects when it holds one."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return None
-    rows, cols = np.nonzero(a if _nonzero is None else _nonzero)
+    value = isinstance(a, ExactMatrix)
+    rows, cols = np.nonzero(a.nonzero if value else a)
     n = a.shape[0]
     if rows.shape[0] != n or np.any(rows != np.arange(n)) or np.any(
             np.bincount(cols, minlength=n) != 1):
         return None
-    return cols, a[rows, cols]
+    if value and a._array is None:
+        entries = np.empty(n, dtype=object)
+        entries[:] = [Fraction(row[c], d) for row, d, c in zip(a.rows, a.dens, cols.tolist())]
+        return cols, entries
+    return cols, dense(a)[rows, cols]
 
 
 def rank(a, tol: float = 1e-10) -> int:
@@ -445,6 +637,7 @@ def rank(a, tol: float = 1e-10) -> int:
     as zero. A monomial matrix's singular values are its entries' magnitudes,
     so it is read, not factored."""
     if is_exact(a):
+        a = matrix_value(a)
         return a.shape[0] if monomial(a) is not None else exact_rank(a)
     a = np.asarray(a, dtype=float)
     if a.size == 0:
@@ -464,7 +657,9 @@ def monomial_inv(cols, entries):
     n = len(cols)
     if entries.dtype == object:
         recip = np.empty(n, dtype=object)
-        recip[:] = [Fraction(1) / e for e in entries]
+        # 1 / e builds one Fraction from a Fraction; Fraction(1) / e keeps
+        # an int entry's reciprocal exact
+        recip[:] = [1 / e if type(e) is Fraction else Fraction(1) / e for e in entries]
     else:
         recip = 1.0 / entries
         if not np.all(np.isfinite(recip)):
@@ -481,6 +676,20 @@ def monomial_matrix(cols, entries) -> np.ndarray:
     out = zeros_like_mode((n, n), entries.dtype == object)
     out[np.arange(n), cols] = entries
     return out
+
+
+def monomial_value(cols, entries):
+    """The matrix read as (cols, entries) with Fraction entries (an
+    inverse's read, `monomial_inv`) as an ExactMatrix of one integer per row
+    over its entry's denominator; `monomial_matrix`'s array for float ones."""
+    if entries.dtype != object:
+        return monomial_matrix(cols, entries)
+    n = len(cols)
+    rows = [[0] * n for _ in range(n)]
+    for row, c, e in zip(rows, cols.tolist(), entries):
+        row[c] = e.numerator
+    return ExactMatrix(tuple(map(tuple, rows)), tuple(e.denominator for e in entries), n,
+                       rank=n)
 
 
 def monomial_mat_vec(cols, entries, v) -> np.ndarray:
@@ -501,7 +710,10 @@ def inv(a):
     if not is_exact(a):
         a = np.asarray(a, dtype=float)
     read = monomial(a)
-    return monomial_matrix(*monomial_inv(*read)) if read is not None else dense_inv(a)
+    if read is None:
+        return dense_inv(a)
+    out = monomial_value(*monomial_inv(*read))
+    return dense(out) if isinstance(a, np.ndarray) else out
 
 
 def dense_inv(a):
@@ -518,9 +730,10 @@ def dense_inv(a):
     return out
 
 
-def frozen(a: np.ndarray) -> np.ndarray:
-    """`a`, made read-only in place and returned. `OperatorModel` keeps a
-    read-only array without a copy, so a caller hands over a fresh array
-    this way."""
-    a.setflags(write=False)
+def frozen(a):
+    """`a`, made read-only in place and returned; an ExactMatrix is frozen
+    already. `OperatorModel` keeps a read-only array without a copy, so a
+    caller hands over a fresh array this way."""
+    if isinstance(a, np.ndarray):
+        a.setflags(write=False)
     return a

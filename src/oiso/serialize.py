@@ -25,13 +25,17 @@ else:
   less the caller's stack, which `load_json` reports as a `ValueError`.
 Reports therefore do not depend on whether orjson is installed.
 
-One more screen reads the bytes for the matrices: a JSON bool comes only
+Two more screens read the bytes for the matrices. A JSON bool comes only
 from the token `true` or `false`, whichever decoder ran, so a document whose
 bytes hold neither token has no bool in it. Most documents hold no "u" or "f"
 byte at all, which two single-byte searches show; only the others are
-searched for the two tokens. `load_json` returns such a document as a private
-`dict` subclass, and `parse_operator` and `parse_family` read its matrices,
-and those of the families inside it, without a per-entry type check.
+searched for the two tokens. A JSON float has a "." or an exponent right
+after a digit (or is NaN or Infinity), so a bool-free document with none of
+those holds only integer numbers (`_float_free`); a float document is told
+apart by its first ".". `load_json` returns a bool-free document as a private
+`dict` subclass (`_BoolFree`, or `_IntegersOnly` when it is float-free too),
+and `parse_operator` and `parse_family` read its matrices, and those of the
+families inside it, without a per-entry type check.
 
 A matrix is converted as a whole, by `_read_matrix` alone. In float mode
 it is one inferring `np.array(rows)` call in C when no bool can be among its
@@ -46,14 +50,17 @@ through `coerce_number`, to the same values or to the message naming its
 first bad entry.
 
 In exact mode a matrix of integers and strings is read through the table of
-its distinct entries: each is parsed once (a plain "p" or "p/q" string is
-split into two integers rather than run through `Fraction`'s string
-parser), every entry is mapped to its id in the table in C, and the matrix
-and its zero pattern are the table, and its `!= 0`, taken at the ids. The
-pattern goes with the matrix to `OperatorModel`, so the weighted-permutation
-read is `np.nonzero` of a boolean array and asks no `Fraction` for its
-truth. An exact matrix holding any other value is refused, and read entry
-by entry only to name its first bad entry.
+its distinct entries: each is parsed once, to a numerator and a denominator
+(a plain "p" or "p/q" string is split into two integers rather than run
+through `Fraction`'s string parser), and each row is the table's integers
+taken at its entries, over the least common denominator of the row. The
+result is a `linalg.ExactMatrix`: no `Fraction` is built, and the zero
+pattern that the weighted-permutation read takes is read from the integers.
+A bool or a float would merge with an equal integer in the table, so an
+`_IntegersOnly` document's entries have their types checked one distinct
+entry at a time, as each enters the table, and any other document's every
+entry first. An exact matrix holding any other value is refused, and read
+entry by entry only to name its first bad entry.
 
 A report is written once, by a single writer (`canonical_json`) that goes
 straight from result values to canonical text: sorted keys, two-space
@@ -78,6 +85,9 @@ import json
 import math
 import re
 from fractions import Fraction
+from itertools import repeat
+from math import gcd, lcm
+from operator import floordiv, mul
 from typing import Optional
 
 import numpy as np
@@ -164,9 +174,25 @@ def _bool_free(data: bytes) -> bool:
             or (b"true" not in data and b"false" not in data))
 
 
+def _float_free(data: bytes) -> bool:
+    """Do a document's bytes hold no float token? A JSON float has a "."
+    or an exponent right after a digit, and the stdlib decoder also reads
+    NaN and Infinity. A "." anywhere answers no at once (a float document
+    holds one early); then the number marks (`_NUMBER_MARKS`) show an
+    exponent after a digit, in a string too, which also answers no."""
+    return not (b"." in data or b"NaN" in data or b"Infinity" in data
+                or b"0." in data.translate(_NUMBER_MARKS))
+
+
 class _BoolFree(dict):
     """A document `load_json` decoded from bytes with no `true` or `false`
     token: no value in it as decoded, at any depth, is a bool."""
+    __slots__ = ()
+
+
+class _IntegersOnly(_BoolFree):
+    """A `_BoolFree` document whose bytes hold no float token either
+    (`_float_free`): every number in it as decoded is an int."""
     __slots__ = ()
 
 
@@ -188,7 +214,7 @@ def load_json(path: str, with_digest: bool = False):
     if schema != SCHEMA:
         raise ValueError(f"{path}: unsupported schema {schema!r} (expected {SCHEMA!r})")
     if _bool_free(data):
-        doc = _BoolFree(doc)
+        doc = (_IntegersOnly if _float_free(data) else _BoolFree)(doc)
     return (doc, hashlib.sha256(data).hexdigest()) if with_digest else doc
 
 
@@ -237,18 +263,21 @@ def _fraction(text: str) -> Fraction:
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _exact_scalar(x) -> Fraction:
-    """coerce_number(x, exact=True), without the string parser for plain "p/q"."""
+def _exact_pair(x):
+    """coerce_number(x, exact=True) as (numerator, denominator) in lowest
+    terms, without a Fraction for an int or a plain "p/q" string."""
     if type(x) is int:
-        return Fraction(x)
+        return x, 1
     if type(x) is str:
         m = _PLAIN_RATIONAL.fullmatch(x)
         if m is not None:
             p, q = m.groups()
-            q = 1 if q is None else int(q)
+            p, q = int(p), 1 if q is None else int(q)
             if q:
-                return Fraction(int(p), q)
-    return coerce_number(x, True)
+                g = gcd(p, q)
+                return p // g, q // g
+    f = coerce_number(x, True)
+    return f.numerator, f.denominator
 
 
 _INFERRED = (np.dtype(np.float64), np.dtype(np.int64))
@@ -260,10 +289,11 @@ def _numbers_only(rows) -> bool:
     return set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}
 
 
-def _read_matrix(rows, exact: bool, bool_free: bool = False):
-    """(matrix, nonzero): the matrix of a document's rows and, in exact mode,
-    its nonzero pattern `matrix != 0` as a boolean array (None in float mode).
-    `bool_free` says the rows come from a `_BoolFree` document.
+def _read_matrix(rows, exact: bool, screen=None):
+    """The matrix of a document's rows: a float array, or in exact mode a
+    `linalg.ExactMatrix` with its `!= 0` pattern. `screen` is the document
+    `load_json` returned when the rows come from it: a `_BoolFree` one holds
+    no bool, and an `_IntegersOnly` one no float either.
 
     A float matrix is one inferring `np.array(rows)` when its document is
     bool-free or `_numbers_only` holds, so no bool reaches it; a 2-D float64
@@ -273,14 +303,20 @@ def _read_matrix(rows, exact: bool, bool_free: bool = False):
     the message naming the first bad entry.
 
     An exact matrix is read through the table of its distinct entries: each
-    is parsed once, in row-major order of first appearance, so the first
-    refused one is the first refused entry; every entry is mapped to its id
-    in the table in C, and the matrix and its pattern are the table and its
-    `!= 0` taken at the ids. An exact matrix holding anything but integers
-    and strings has a refused entry, which the per-entry reading names."""
+    is parsed once, to a numerator and a denominator, in row-major order of
+    first appearance, so the first refused one is the first refused entry;
+    every entry is mapped to its id in the table in C, and the integer rows
+    (each over the least common denominator of its entries) and the pattern
+    are the table's numerators, denominators and `!= 0` taken at the ids.
+    A bool or a float key would merge with an equal integer, so the table
+    needs every entry to be an int or a string: of an `_IntegersOnly`
+    document each distinct entry's type is checked as it enters the table,
+    and of any other every entry's type is checked first. A matrix holding
+    anything else, an unhashable entry included, is read entry by entry to
+    name its first refused entry."""
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ValueError("matrix must be a non-empty list of rows")
-    if not exact and (bool_free or _numbers_only(rows)):
+    if not exact and (isinstance(screen, _BoolFree) or _numbers_only(rows)):
         try:
             data = np.array(rows)
         except (ValueError, TypeError, OverflowError):  # ragged rows, among others
@@ -288,24 +324,37 @@ def _read_matrix(rows, exact: bool, bool_free: bool = False):
         if data is not None and data.ndim == 2 and data.dtype in _INFERRED:
             data = data.astype(float, copy=False)
             if np.isfinite(data).all():
-                return data, None
+                return data
     flat = list(itertools.chain.from_iterable(rows))
-    # a bool or float key would merge with an equal integer, so those are not
-    # read through the table
-    if exact and all(t is not bool and issubclass(t, (int, str)) for t in set(map(type, flat))):
-        index = dict.fromkeys(flat)
-        table = np.fromiter(map(_exact_scalar, index), dtype=object, count=len(index))
+    index = None
+    if exact and (isinstance(screen, _IntegersOnly) or all(
+            t is not bool and issubclass(t, (int, str)) for t in set(map(type, flat)))):
+        try:
+            index = dict.fromkeys(flat)
+        except TypeError:  # an unhashable entry: read entry by entry below
+            pass
+    if index is not None:
+        pairs = list(map(_exact_pair, index))
     else:
         values = [coerce_number(v, exact) for v in flat]
     if len({len(r) for r in rows}) != 1:
         raise ValueError("matrix rows must have equal length")
     shape = len(rows), len(rows[0])
     if not exact:
-        return np.array(values, dtype=float).reshape(shape), None
-    index = dict(zip(index, range(len(index))))
-    ids = np.fromiter(map(index.__getitem__, flat), dtype=np.intp, count=len(flat))
-    ids = ids.reshape(shape)
-    return table[ids], (table != 0)[ids]
+        return np.array(values, dtype=float).reshape(shape)
+    # an exact matrix left without a table has had its refused entry named
+    nums = dict(zip(index, [p for p, _ in pairs]))
+    if all(q == 1 for _, q in pairs):
+        return linalg.ExactMatrix(tuple([tuple(map(nums.__getitem__, r)) for r in rows]),
+                                  (1,) * shape[0], shape[1])
+    dens = dict(zip(index, [q for _, q in pairs]))
+    int_rows, row_dens = [], []
+    for r in rows:
+        d = lcm(*set(map(dens.__getitem__, r)))
+        int_rows.append(tuple(map(nums.__getitem__, r)) if d == 1 else tuple(
+            map(mul, map(nums.__getitem__, r), map(floordiv, repeat(d), map(dens.__getitem__, r)))))
+        row_dens.append(d)
+    return linalg.ExactMatrix(tuple(int_rows), tuple(row_dens), shape[1])
 
 
 def _real(x, what: str) -> float:
@@ -328,46 +377,46 @@ def parse_space(doc) -> PointSpace:
         metric = doc.get("metric")
         if metric is not None:
             try:  # the float matrix rule: no booleans, no non-finite entries
-                metric = _read_matrix(metric, False)[0]
+                metric = _read_matrix(metric, False)
             except ValueError as e:
                 raise ValueError(f"metric {e}") from None
         return PointSpace(tuple(str(x) for x in labels), metric=metric)
     raise ValueError("space document must be a list of labels or an object")
 
 
-def _family_parts(doc, exact: bool, bool_free: bool):
-    """(space, generators, nonzero, names) of a family document, read in
-    `parse_family`'s order; generators, their `_read_matrix` pattern and
-    names are None for a full family. `bool_free` says the document is, or
-    lies inside, a `_BoolFree` one."""
+def _family_parts(doc, exact: bool, screen):
+    """(space, generators, names) of a family document, read in
+    `parse_family`'s order; generators and names are None for a full
+    family. `screen` is the document `load_json` returned, which this one
+    is or lies inside (`_read_matrix`)."""
     if isinstance(doc, list):
-        return parse_space(doc), None, None, None
+        return parse_space(doc), None, None
     if not isinstance(doc, dict):
         raise ValueError("family document must be a list of labels or an object")
     if "space" not in doc and "labels" in doc:
-        return parse_space(doc), None, None, None
+        return parse_space(doc), None, None
     space = parse_space(doc["space"])
     gens = doc.get("generators")
     if gens is None:
-        return space, None, None, None
-    matrix, nonzero = _read_matrix(gens, exact, bool_free)
+        return space, None, None
+    matrix = _read_matrix(gens, exact, screen)
     names = doc.get("names")
     if names is not None:
         names = tuple(str(x) for x in names)
-    return space, matrix, nonzero, names
+    return space, matrix, names
 
 
-def _family(space, matrix, nonzero, names, exact: bool) -> FunctionFamily:
+def _family(space, matrix, names, exact: bool) -> FunctionFamily:
     if matrix is None:
         return FunctionFamily.full(space, exact=exact)
-    return FunctionFamily(space, matrix, names=names, _nonzero=nonzero)
+    return FunctionFamily(space, matrix, names=names)
 
 
 def parse_family(doc, exact: bool = False) -> FunctionFamily:
     """A family document: a space document (full family), or
     {"space": ..., "generators": [[...]], "names": [...]}. An exact
     family's monomial read takes the zero pattern its parse builds."""
-    return _family(*_family_parts(doc, exact, isinstance(doc, _BoolFree)), exact)
+    return _family(*_family_parts(doc, exact, doc), exact)
 
 
 def parse_operator(doc: dict, mode: str = "float") -> OperatorModel:
@@ -379,36 +428,35 @@ def parse_operator(doc: dict, mode: str = "float") -> OperatorModel:
     Missing families default to full families sized by the matrix. A
     square exact codomain of an exact generator-basis operator from a full
     domain, whose generators pass every other check of the family
-    constructor, is built without its rank check
-    (`FunctionFamily._unchecked`): the operator's point matrix proves it,
-    with the constructor's error (`OperatorModel`), monomial or not.
+    constructor, is built with its rank stated on its value
+    (`linalg.ExactMatrix.with_rank`), not eliminated: the operator's point
+    matrix proves it, with the constructor's error (`OperatorModel`),
+    monomial or not.
     """
     if mode not in ("float", "exact"):
         raise ValueError("mode must be 'float' or 'exact'")
     exact = mode == "exact"
     if "matrix" not in doc:
         raise ValueError("operator document needs 'matrix'")
-    bool_free = isinstance(doc, _BoolFree)
-    matrix, nonzero = _read_matrix(doc["matrix"], exact, bool_free)
+    matrix = _read_matrix(doc["matrix"], exact, doc)
     if matrix.shape[0] != matrix.shape[1]:
         raise ValueError("operator matrix must be square")
     basis = doc.get("basis", "point")
     n = matrix.shape[0]
     if "domain" in doc:
-        dom = _family(*_family_parts(doc["domain"], exact, bool_free), exact)
+        dom = _family(*_family_parts(doc["domain"], exact, doc), exact)
     else:
         dom = FunctionFamily.full(PointSpace.discrete(n, "x"), exact=exact)
     if "codomain" in doc:
-        space, gens, gens_nonzero, names = _family_parts(doc["codomain"], exact, bool_free)
-        unchecked = (exact and basis == "generator" and dom.is_full and gens is not None
-                     and gens.shape == (space.size, space.size) == (n, n) == (dom.rank, dom.rank)
-                     and (names is None or len(names) == n))
-        cod = (FunctionFamily._unchecked(space, gens, names) if unchecked
-               else _family(space, gens, gens_nonzero, names, exact))
+        space, gens, names = _family_parts(doc["codomain"], exact, doc)
+        if (exact and basis == "generator" and dom.is_full and gens is not None
+                and gens.shape == (space.size, space.size) == (n, n) == (dom.rank, dom.rank)
+                and (names is None or len(names) == n)):
+            gens = gens.with_rank(n)
+        cod = _family(space, gens, names, exact)
     else:
         cod = FunctionFamily.full(PointSpace.discrete(n, "y"), exact=exact)
-    return OperatorModel(linalg.frozen(matrix), domain=dom, codomain=cod, basis=basis,
-                         _nonzero=nonzero)
+    return OperatorModel(linalg.frozen(matrix), domain=dom, codomain=cod, basis=basis)
 
 
 def _parse_sampled_space(doc: dict, default_name: str) -> SampledSpace:

@@ -167,29 +167,34 @@ class FunctionFamily:
     """Linearly independent generators of a function subspace.
 
     `generators` is a (rank x n_points) matrix, one generator per row; float64
-    or exact (object dtype of Fractions). A family is *full* when its rank
+    or exact (object dtype of Fractions). The family holds them as
+    `generator_value`: the float array itself, or a `linalg.ExactMatrix`
+    (integer rows), which the exact kernels read and whose Fraction array
+    `generators` builds on first read. A family is *full* when its rank
     equals the point count, in which case its span is every function. `rank`
     and `exact` are recorded when the family is built, so they and `is_full`
     read no matrix.
 
     A full family's `coefficient_matrix()` is inv(G^T), which maps value
     vectors to generator coefficients. A family computes it at most once
-    and keeps it, in either arithmetic. The constructor checks the rank
-    when the family is built, by one rule: a float G by `linalg.rank`; an
-    exact G that reads as monomial (`linalg.monomial`, from `_nonzero`, the
-    `!= 0` pattern a parser hands over, when given) is independent; any
-    other square exact G by one Gauss-Jordan pass over [G^T | I]
-    (`linalg.exact_inv_or_rank`), whose right half is kept as the inverse;
-    and any other exact G by `linalg.exact_rank`. The one exception is
-    `_unchecked`, whose rank an operator proves (`OperatorModel`). `tol` is
+    (`coefficient_value`) and keeps it, in either arithmetic. The
+    constructor takes an array or an ExactMatrix (`linalg.matrix_value`)
+    and checks the rank when the family is built, by one rule: a float G by
+    `linalg.rank`; an exact G whose value states its rank (`rank`, which
+    `serialize.parse_operator` states for a codomain its operator proves)
+    by that; an exact G that reads as monomial (`linalg.monomial`, through
+    its zero pattern) is independent; any other square exact G by one
+    Gauss-Jordan pass over [G^T | I] (`linalg.exact_inv_or_rank`), whose
+    inverse is kept; and any other exact G by `linalg.exact_rank`. `tol` is
     the float rank check's only: the family keeps no tolerance, and
     `has_constants` and `coefficients_of` take theirs from the caller.
     """
 
     def __init__(self, space: PointSpace, generators, names: Optional[Sequence[str]] = None,
-                 tol: float = DEFAULT_TOL, _nonzero=None):
-        gen = np.asarray(generators)
-        if gen.dtype != object:
+                 tol: float = DEFAULT_TOL):
+        gen = linalg.matrix_value(generators)
+        exact = linalg.is_exact(gen)
+        if not exact:
             gen = np.asarray(gen, dtype=float)
             if not np.all(np.isfinite(gen)):
                 raise ValueError("generator values must be finite")
@@ -198,9 +203,11 @@ class FunctionFamily:
         if gen.shape[1] != space.size:
             raise DimensionMismatchError("generator columns must match the point count")
         inv_t = None
-        if gen.dtype != object:
+        if not exact:
             r = linalg.rank(gen, tol=tol)
-        elif linalg.monomial(gen, _nonzero) is not None:
+        elif gen.rank is not None:
+            r = gen.rank
+        elif linalg.monomial(gen) is not None:
             r = gen.shape[0]
         elif gen.shape[0] == gen.shape[1]:
             inv_t, r = linalg.exact_inv_or_rank(gen.T)
@@ -209,27 +216,15 @@ class FunctionFamily:
         if r != gen.shape[0]:
             raise ValueError(
                 f"generators must be linearly independent (rank {r} < {gen.shape[0]})")
-        self._adopt(space, gen.copy(), gen.shape[0], gen.dtype == object, names)
-        if inv_t is not None:
-            self._inv_t = linalg.frozen(inv_t)
+        self._adopt(space, gen if exact else gen.copy(), gen.shape[0], exact, names)
+        self._inv_t = inv_t
 
-    @classmethod
-    def _unchecked(cls, space: PointSpace, gen: np.ndarray, names) -> "FunctionFamily":
-        """A square exact family taken as it is, with no rank check: private
-        to `serialize.parse_operator`, for a codomain whose operator proves
-        its rank."""
-        fam = cls.__new__(cls)
-        fam._adopt(space, gen, gen.shape[0], True, names)
-        return fam
-
-    def _adopt(self, space: PointSpace, gen: Optional[np.ndarray], rank: int, exact: bool, names):
+    def _adopt(self, space: PointSpace, gen, rank: int, exact: bool, names):
         """Take a validated, independent generator matrix as this family's
         own; None stands for the identity of a full family, built on first
-        read of `generators`."""
-        if gen is not None:
-            gen.setflags(write=False)
+        read of `generator_value`."""
         self.space = space
-        self._generators = gen
+        self._generators = linalg.frozen(gen)
         self.rank = rank
         self.exact = exact
         self.names = tuple(names) if names is not None else tuple(
@@ -239,24 +234,32 @@ class FunctionFamily:
         self._inv_t = None
 
     @property
+    def generator_value(self):
+        """The generators as the family holds them: a `linalg.ExactMatrix`
+        in exact mode, a read-only array in float mode."""
+        if self._generators is None:
+            self._generators = linalg.identity(self.rank, self.exact)
+        return self._generators
+
+    @property
     def generators(self) -> np.ndarray:
         """The (rank x n_points) generator matrix, read-only."""
-        if self._generators is None:
-            gen = linalg.zeros_like_mode((self.rank, self.rank), self.exact)
-            np.fill_diagonal(gen, Fraction(1) if self.exact else 1.0)
-            self._generators = linalg.frozen(gen)
-        return self._generators
+        return linalg.dense(self.generator_value)
 
     @property
     def is_full(self) -> bool:
         return self.rank == self.space.size
 
+    def coefficient_value(self):
+        """inv(G^T) of a full family, as the family holds its generators."""
+        if self._inv_t is None:
+            self._inv_t = linalg.frozen(linalg.inv(self.generator_value.T))
+        return self._inv_t
+
     def coefficient_matrix(self) -> np.ndarray:
         """inv(G^T) of a full family, read-only: the generator coefficients
         of a function are this matrix times its values."""
-        if self._inv_t is None:
-            self._inv_t = linalg.frozen(linalg.inv(self.generators.T))
-        return self._inv_t
+        return linalg.dense(self.coefficient_value())
 
     def ones(self) -> np.ndarray:
         if self.exact:
@@ -269,7 +272,7 @@ class FunctionFamily:
         if c.shape != (self.rank,):
             raise DimensionMismatchError("one coefficient per generator required")
         if self.exact or c.dtype == object:
-            return linalg.mat_vec(self.generators.T, c)
+            return linalg.mat_vec(self.generator_value.T, c)
         return c @ self.generators
 
     def has_constants(self, tol: float = DEFAULT_TOL) -> bool:
@@ -347,8 +350,8 @@ def span_membership(fam: FunctionFamily, f, tol: float = DEFAULT_TOL):
     if fam.exact and v.dtype != object:  # values_of made it float
         raise TypeError("exact family requires exact function values")
     if fam.is_full:
-        return True, linalg.mat_vec(fam.coefficient_matrix(), v)
-    c = linalg.solve(fam.generators.T, v, tol)
+        return True, linalg.mat_vec(fam.coefficient_value(), v)
+    c = linalg.solve(fam.generator_value.T, v, tol)
     return (c is not None), c
 
 

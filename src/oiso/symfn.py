@@ -16,10 +16,17 @@ digits by default). Nesting stops at 200 parentheses,
 the parser's limit, and an expression nested deeper (in parentheses or in a
 long chain of operators) is a `ValueError`. The variable name must be a
 Python identifier other than a keyword, `pi` or `sin`.
+
+`parse_symfn` keeps its last `PARSE_CACHE_SIZE` results in a
+`functools.lru_cache`: a compactification reads the same generators, rules
+and weights again and again, and a `SymFn` is frozen and holds only
+closures, so one object serves every caller. A refused text is not kept and
+raises on every call.
 """
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import operator
 import re
@@ -57,8 +64,10 @@ _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
 _OUTSIDE = re.compile(r"[^\w\s+\-*/().]")
 _LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=[0-9])")
 _NUMBER = re.compile(r"[0-9.eE+-]+")
+PARSE_CACHE_SIZE = 512  # distinct (text, var) pairs kept by `parse_symfn`
 
 
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_symfn(text: str, var: str = "t") -> SymFn:
     if bad := _OUTSIDE.search(text):
         raise ValueError(f"unexpected character {bad.group()!r} in {text!r}")

@@ -212,7 +212,8 @@ class TestMatrixOwnership:
         read = serialize._read_matrix
         monkeypatch.setattr(serialize, "_read_matrix", spy)
         t = serialize.parse_operator({"matrix": [[0, 2], [3, 0]]}, mode)
-        assert t.matrix is built[0][0]
+        # an exact matrix is the parsed ExactMatrix, whose array it builds once
+        assert t.matrix is linalg.dense(built[0])
         assert not t.matrix.flags.writeable
 
     def test_read_only_array_is_kept_as_given(self):
@@ -750,8 +751,10 @@ def _farkas_lp(a, b, tol: float):
     within that cutoff of it decides. Exact
     (`tol` unused): rows go in the stable order of their values, and one
     whose multiplier support re-solves exactly to lam >= 0 is settled; any
-    other is decided by `linalg.farkas`, in index order if HiGHS fails.
+    other is decided by `linalg.farkas`, in index order if HiGHS fails. An
+    exact A and B come as `linalg.ExactMatrix` values and are read as arrays.
     """
+    a, b = linalg.dense(a), linalg.dense(b)
     fa, fb = linalg.as_float(a), linalg.as_float(b)
     fa = np.ldexp(fa, -np.frexp(np.max(np.abs(fa)))[1])
     (n, k), m = fb.shape, fa.shape[0]
@@ -1087,7 +1090,7 @@ def test_full_family_generator_operator_is_its_point_twin(draw):
     exact, m, gx, gy = draw
     dom, cod = (FunctionFamily(PointSpace.discrete(len(g), prefix), g)
                 for g, prefix in ((gx, "x"), (gy, "y")))
-    p, _ = linalg.mat_mat_mat(cod.generators.T, m, dom.coefficient_matrix())
+    p = linalg.mat_mat_mat(cod.generators.T, m, dom.coefficient_matrix())
     fulls = [FunctionFamily.full(f.space, exact=exact) for f in (dom, cod)]
     gen = _certificate_or_singular(m, dom, cod, "generator")
     point = _certificate_or_singular(p, *fulls, "point")

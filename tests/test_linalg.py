@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oiso import linalg
+from oiso import linalg, serialize
 
 
 def frac_matrix(rows):
@@ -362,16 +362,17 @@ def _all_fractions(rows):
 
 class TestIntegerRowsMatchRationalElimination:
     @settings(max_examples=300, deadline=None)
-    @given(_matrices(), st.integers(0, 6))
-    def test_rref_and_pivots(self, a, first):
-        rows = [list(r) for r in a]
-        ref, ref_pivots = _rational_rref(rows)
-        rref, pivots = linalg._exact_rref(rows)
-        assert (rref, pivots) == (ref, ref_pivots)
-        assert _all_fractions(rref)
-        first = min(first, a.shape[1])
-        tail, tail_pivots = linalg._exact_rref(rows, first=first)
-        assert (tail, tail_pivots) == ([r[first:] for r in ref], ref_pivots)
+    @given(_matrices())
+    def test_rref_and_pivots(self, a):
+        # the integer rows of the wrapped matrix, each pivot row read over
+        # its positive pivot entry, are the rational reduced rows
+        ref, ref_pivots = _rational_rref([list(r) for r in a])
+        rows, pivots = linalg._exact_rref(list(linalg.matrix_value(a).rows))
+        assert pivots == ref_pivots
+        assert all(rows[i][col] > 0 for i, col in enumerate(pivots))
+        rref = [[Fraction(x, rows[i][col]) for x in rows[i]] for i, col in enumerate(pivots)]
+        assert rref == ref[:len(pivots)]
+        assert all(not any(row) for row in rows[len(pivots):])
         assert linalg.exact_rank(a) == len(ref_pivots)
 
     @settings(max_examples=200, deadline=None)
@@ -401,20 +402,22 @@ class TestIntegerRowsMatchRationalElimination:
     @given(st.data())
     def test_mat_mat_mat(self, data):
         # one chain on integer rows: the entries of two rational products,
-        # all Fractions, and the pattern of their nonzeros
+        # all Fractions, as an array from arrays and as an ExactMatrix,
+        # which carries the pattern of their nonzeros, from values
         a = data.draw(_matrices())
         b = data.draw(_matrices(rows=a.shape[1]))
         c = data.draw(_matrices(rows=b.shape[1]))
-        out, nonzero = linalg.mat_mat_mat(a, b, c)
+        out = linalg.mat_mat_mat(a, b, c)
         ref = _rational_mat_mat(a, _rational_mat_mat(b, c))
         assert out.tolist() == ref.tolist() and _all_fractions(out)
-        assert nonzero.tolist() == [[x != 0 for x in row] for row in ref.tolist()]
+        value = linalg.mat_mat_mat(*map(linalg.matrix_value, (a, b, c)))
+        assert isinstance(value, linalg.ExactMatrix) and value.array.tolist() == ref.tolist()
+        assert value.nonzero.tolist() == [[x != 0 for x in row] for row in ref.tolist()]
 
     def test_float_mat_mat_mat_is_mat_mat_from_the_right(self):
         rng = np.random.default_rng(0)
         a, b, c = (rng.standard_normal((4, 4)) for _ in range(3))
-        out, nonzero = linalg.mat_mat_mat(a, b, c)
-        assert nonzero is None and out.tobytes() == (a @ (b @ c)).tobytes()
+        assert linalg.mat_mat_mat(a, b, c).tobytes() == (a @ (b @ c)).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -553,3 +556,108 @@ class TestFarkas:
         assert expected is not None and got.tolist() == expected.tolist()
         assert pivots[0] - k >= 10  # simplex pivots, past the k that price out s
         assert new_calls <= (m + 2) * k < old_calls
+
+
+# ---------------------------------------------------------------------------
+# The exact kernels on `ExactMatrix` values, as a document's parse builds
+# them, against the Fraction oracles above.
+
+_HUGE = 2 ** 63
+# ints and "p/q" strings, small and with numerators past 2**63; zero often
+_DOC_ENTRIES = st.one_of(
+    st.just(0),
+    st.just("0"),
+    st.integers(-4, 4),
+    st.integers(_HUGE, 2 ** 70).flatmap(lambda k: st.sampled_from([k, -k])),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 7)),
+    st.builds("{}/{}".format, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 66)),
+)
+
+
+@st.composite
+def _documents(draw, rows=None, cols=None):
+    """The rows of a matrix document: now and then with zero rows and with
+    rows repeated (possibly scaled by a "p/q" factor, so of lower rank)."""
+    m = rows or draw(st.integers(1, 5))
+    n = cols or draw(st.integers(1, 5))
+    doc = [[draw(_DOC_ENTRIES) for _ in range(n)] for _ in range(m)]
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+        doc[i] = [0] * n
+    if m > 1 and draw(st.booleans()):  # a repeated row, as it is or scaled
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        k = draw(st.sampled_from([Fraction(1), Fraction(-2, 3), Fraction(2 ** 65, 3)]))
+        doc[j] = [str(Fraction(x) * k) for x in doc[i]]
+    return doc
+
+
+def _value(doc):
+    """(ExactMatrix as the parse reads it, the Fraction array of the oracles)."""
+    return serialize._read_matrix(doc, True), linalg.as_exact(doc)
+
+
+def _old_scaled_float(a):
+    """`scaled_float` as it read Fractions, kept as the oracle."""
+    e = max((abs(x.numerator).bit_length() - x.denominator.bit_length()
+             for x in a.flat if x.numerator), default=0)
+    return np.array([(x.numerator << max(-e, 0)) / (x.denominator << max(e, 0))
+                     for x in a.flat], dtype=float).reshape(a.shape)
+
+
+class TestExactMatrixMatchesTheFractionOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_kernels(self, data):
+        value, a = _value(data.draw(_documents()))
+        m, n = a.shape
+        assert isinstance(value, linalg.ExactMatrix) and value.shape == a.shape
+        assert all(d > 0 for d in value.dens)
+        assert value.array.tolist() == a.tolist() and _all_fractions(value.array)
+        assert value.nonzero.tolist() == (a != 0).tolist()
+        assert value.T.array.tolist() == a.T.tolist()
+        assert linalg.scaled_float(value).tobytes() == _old_scaled_float(a).tobytes()
+        ref, ref_pivots = _rational_rref([list(r) for r in a])
+        assert linalg.exact_rank(value) == len(ref_pivots)
+
+        other, b = _value(data.draw(_documents(rows=n)))
+        assert linalg.mat_mat(value, other).array.tolist() == _rational_mat_mat(a, b).tolist()
+        third, c = _value(data.draw(_documents(rows=b.shape[1])))
+        assert linalg.mat_mat_mat(value, other, third).array.tolist() == \
+            _rational_mat_mat(a, _rational_mat_mat(b, c)).tolist()
+
+        v = np.array([Fraction(x) for x in data.draw(_documents(rows=1, cols=n))[0]],
+                     dtype=object)
+        want = [sum((x * y for x, y in zip(row, v) if x), Fraction(0)) for row in a]
+        got = linalg.mat_vec(value, v)
+        assert [(type(x), x) for x in got] == [(type(x), x) for x in want]
+
+        rhs, rhs_array = _value(data.draw(_documents(cols=1, rows=m)))
+        ref_x = _rational_solve(a, list(rhs_array[:, 0]))
+        x = linalg.exact_solve_unique(value, rhs)
+        assert (x is None) == (ref_x is None)
+        if x is not None:
+            assert x.tolist() == ref_x and _all_fractions([x])
+
+        row, row_array = _value(data.draw(_documents(rows=1, cols=n)))
+        ref_c, c = _rational_farkas(a, row_array[0]), linalg.farkas(value, row)
+        assert (c is None) == (ref_c is None)
+        if c is not None:
+            assert c.tolist() == ref_c.tolist() and _all_fractions([c])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_square_kernels(self, data):
+        n = data.draw(st.integers(1, 5))
+        value, a = _value(data.draw(_documents(rows=n, cols=n)))
+        ref = _rational_inv(a)
+        inv, rank = linalg.exact_inv_or_rank(value)
+        assert rank == len(_rational_rref([list(r) for r in a])[1])
+        assert (inv is None) == (ref is None)
+        if inv is not None:
+            assert isinstance(inv, linalg.ExactMatrix) and inv.rank == n
+            assert all(d > 0 for d in inv.dens)
+            assert inv.array.tolist() == ref.tolist()
+        read, ref_read = linalg.monomial(value), linalg.monomial(a)
+        assert (read is None) == (ref_read is None)
+        if read is not None:
+            assert read[0].tolist() == ref_read[0].tolist()
+            assert read[1].tolist() == ref_read[1].tolist() and _all_fractions([read[1]])

@@ -606,6 +606,65 @@ class TestStructuralCost:
         assert _typed(mat_vec(fam.generators.T, np.array(cert.witness_coeffs))) == \
             _typed(cert.witness_values)
 
+    @staticmethod
+    def _count_fractions(monkeypatch):
+        """A one-item list counting the Fractions built from now on."""
+        calls, real = [0], Fraction.__new__
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        return calls
+
+    @staticmethod
+    def _full_family_generator_doc(n, accept):
+        """An exact generator-basis document between full families on n
+        points whose point matrix is the weighted permutation
+        diag(w) Pi^T, w_y = 1 + y mod 3 (w_0 negated to reject), written as
+        strings: G_X upper triangular with a constant first row, G_Y =
+        B (G_X Pi) diag(w) for the unimodular B = I + the subdiagonal, and
+        M = B^-T, so G_Y^T M = (G_X Pi diag(w))^T."""
+        gx = np.array([[1] * n] + [[int(j == i) + (i * j) % 3 * (j > i) for j in range(n)]
+                                   for i in range(1, n)], dtype=object)
+        sigma = [(3 * y + 1) % n if n % 3 else (n - 1 - y) for y in range(n)]
+        w = [(1 + y % 3) * (-1 if y == 0 and not accept else 1) for y in range(n)]
+        b = np.eye(n, dtype=int) + np.eye(n, k=-1, dtype=int)
+        gy = b.astype(object) @ (gx[:, sigma] * np.array(w, dtype=object)[None, :])
+        m = linalg.exact_inv(b.astype(object)).T
+
+        def rows(a):
+            return [[str(x) for x in row] for row in a.tolist()]
+
+        return {"basis": "generator", "matrix": rows(m),
+                "domain": {"space": [f"x{i}" for i in range(n)], "generators": rows(gx)},
+                "codomain": {"space": [f"y{i}" for i in range(n)], "generators": rows(gy)}}
+
+    @pytest.mark.parametrize("n", [7, 16])
+    @pytest.mark.parametrize("accept", [True, False], ids=["accept", "reject"])
+    def test_exact_full_family_generator_decompose_builds_at_most_4n_fractions(
+            self, tmp_path, capsys, monkeypatch, n, accept):
+        # the matrices stay integer rows from the parse to P: Fractions are
+        # built for P's n weights, its inverse's n, and a rejection's
+        # witness coefficients (n of them) and indicator
+        doc = self._full_family_generator_doc(n, accept)
+        calls = self._count_fractions(monkeypatch)
+        assert self._run(tmp_path, capsys, doc, ["decompose"], "exact") == (0 if accept else 2)
+        assert calls[0] <= 4 * n, calls
+
+    def test_exact_non_monomial_point_decompose_builds_no_dense_inverse(
+            self, tmp_path, capsys, monkeypatch):
+        # I + J is nonnegative and not monomial; its inverse I - J / (n + 1)
+        # is dense and negative off the diagonal. The inverse stays integer
+        # rows, scanned in integers, so the rejection builds O(n) Fractions,
+        # not n^2
+        n = 64
+        matrix = [[str(1 + int(i == j)) for j in range(n)] for i in range(n)]
+        calls = self._count_fractions(monkeypatch)
+        assert self._run(tmp_path, capsys, matrix, ["decompose"], "exact") == 2
+        assert calls[0] <= 4 * n, calls
+
     @pytest.mark.parametrize("argv", [["decompose"], ["classify"]], ids=["decompose", "classify"])
     @pytest.mark.parametrize("matrix, code, side, inverses",
                              [(*case, n) for case, n in zip(_GEN_MATRICES, (2, 1, 2))],
@@ -678,7 +737,7 @@ class TestStructuralCost:
             return real_witness(a, b, tol)
 
         def solve(a, b):
-            solves[-1].append(tuple(b))
+            solves[-1].append(tuple(linalg.dense(b).ravel()))
             return real_solve(a, b)
 
         monkeypatch.setattr(cones, "_farkas_witness", witness)

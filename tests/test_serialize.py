@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oiso import serialize
+from oiso import linalg, serialize
 from oiso.serialize import (
     SCHEMA,
     build_report,
@@ -90,8 +90,8 @@ def _reference_matrix(rows, exact):
 
 
 def _matrix(rows, exact):
-    """The matrix `_read_matrix` reads, without its pattern."""
-    return serialize._read_matrix(rows, exact)[0]
+    """The matrix `_read_matrix` reads, as an array."""
+    return linalg.dense(serialize._read_matrix(rows, exact))
 
 
 def _outcome(read, rows, exact):
@@ -182,17 +182,26 @@ class TestCoerceMatrix:
     @example(rows=[["1/2", 0], [0, "abc"], [1]])
     def test_exact_reading_matches_the_per_entry_reading(self, rows):
         # the table of distinct entries against one coerce_number per entry:
-        # the same Fractions, the pattern m != 0, and the same first refusal
-        got = _outcome(serialize._read_matrix, rows, True)
+        # integer rows over positive denominators, the same Fractions, the
+        # pattern m != 0, and the same first refusal; rows with no bool or
+        # float are read the same when their document's screen vouches for it
         want = _outcome(_reference_matrix, rows, True)
-        if isinstance(want, str):
-            assert got == want
-            return
-        m, nonzero = got
-        assert m.shape == nonzero.shape == want.shape and m.dtype == object
-        assert all(type(v) is Fraction for v in m.flat)
-        assert (m == want).all()
-        assert nonzero.dtype == bool and (nonzero == (want != 0)).all()
+        entries = [v for row in rows for v in row]
+        screens = [None]
+        if not any(type(v) in (bool, float) for v in entries):
+            screens.append(serialize._IntegersOnly())
+        for screen in screens:
+            got = _outcome(lambda r, e: serialize._read_matrix(r, e, screen), rows, True)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert isinstance(got, linalg.ExactMatrix) and got.shape == want.shape
+            assert all(d > 0 for d in got.dens)
+            assert all(type(x) is int for row in got.rows for x in row)
+            m = got.array
+            assert all(type(v) is Fraction for v in m.flat)
+            assert (m == want).all()
+            assert got.nonzero.dtype == bool and (got.nonzero == (want != 0)).all()
 
     @settings(max_examples=300, deadline=None)
     @given(case=_MODE_AND_MATRIX)
@@ -508,7 +517,7 @@ def _operator_read(path: str):
     real = serialize._read_matrix
 
     def spy(*args):
-        read.append(real(*args)[0])
+        read.append(real(*args))
         return read[-1]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -525,13 +534,13 @@ def _operator_read(path: str):
     return matrix, raised
 
 
-def _read_before_the_screen(rows, exact, bool_free=False):
+def _read_before_the_screen(rows, exact, screen=None):
     """`_read_matrix` on float rows as it read them before the byte screen:
     the typed read of `_float_matrix`, and the per-entry reading of what it
     refuses."""
     assert not exact
     data = _float_matrix(rows)
-    return (_reference_matrix(rows, exact) if data is None else data), None
+    return _reference_matrix(rows, exact) if data is None else data
 
 
 class TestFloatRead:
@@ -561,7 +570,8 @@ class TestFloatRead:
             rows = serialize._decode(data)
         want = _outcome(_reference_matrix, rows, False)
         for bool_free in (False, True) if serialize._bool_free(data) else (False,):
-            got = _outcome(lambda r, e: serialize._read_matrix(r, e, bool_free)[0], rows, False)
+            screen = serialize._BoolFree() if bool_free else None
+            got = _outcome(lambda r, e: serialize._read_matrix(r, e, screen), rows, False)
             if isinstance(want, str):
                 assert got == want
             else:

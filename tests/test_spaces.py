@@ -110,13 +110,19 @@ class TestFunctionFamily:
         with pytest.raises(ValueError, match=r"rank 2 < 3"):
             FunctionFamily(PointSpace.discrete(3), g)
 
-    def test_unchecked_square_family_checks_its_rank_with_its_inverse(self):
-        # the private path adopts G, whose rank its operator proves; its
-        # inverse is eliminated on first use (a dependent codomain's error
-        # is pinned at parse, in test_cli.TestFullFamilyChecks)
+    def test_stated_rank_skips_the_check_and_inverts_on_first_use(self, monkeypatch):
+        # a value whose rank is stated (as parse_operator states a codomain's,
+        # which its operator proves) is adopted with no elimination; its
+        # inverse is eliminated on first use (a dependent codomain's error is
+        # pinned at parse, in test_cli.TestFullFamilyChecks)
         g = linalg.as_exact([[1, 1, 1], [0, 1, 2], [0, 0, 1]])
-        fam = FunctionFamily._unchecked(PointSpace.discrete(3), g, None)
+        calls = []
+        real = linalg._exact_rref
+        monkeypatch.setattr(linalg, "_exact_rref", lambda rows: calls.append(1) or real(rows))
+        fam = FunctionFamily(PointSpace.discrete(3), linalg.matrix_value(g).with_rank(3))
+        assert calls == []
         assert fam.coefficient_matrix().tolist() == linalg.exact_inv(g.T).tolist()
+        assert len(calls) == 2
 
 
 class TestSpanMembership:

@@ -316,3 +316,22 @@ class TestNesting:
         with pytest.raises(ValueError):
             parse_symfn("1if 1else 2")
         assert not recwarn.list
+
+
+class TestCache:
+    def test_a_repeat_returns_the_same_object(self):
+        f = parse_symfn("2*t + sin(1/t)", "t")
+        assert parse_symfn("2*t + sin(1/t)", "t") is f
+        g = parse_symfn("2*x + sin(1/x)", "x")
+        assert g is not f and g.var == "x"
+        assert parse_symfn.cache_info().maxsize == symfn.PARSE_CACHE_SIZE
+        x = np.linspace(0.1, 1.0, 7)
+        assert f(x).tobytes() == parse_symfn.__wrapped__("2*t + sin(1/t)", "t")(x).tobytes()
+
+    @pytest.mark.parametrize("text, message", [("2 *% t", "unexpected character '%'"),
+                                               ("sin(u)", "unknown name 'u'"),
+                                               ("(t", "cannot read expression")])
+    def test_a_refused_text_raises_every_time(self, text, message):
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                parse_symfn(text, "t")
