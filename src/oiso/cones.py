@@ -83,7 +83,9 @@ class OperatorModel:
 
     A weighted permutation is held by its reads: `monomial`, the matrix's
     `linalg.monomial` read (columns, entries), and `inverse_monomial`, the
-    inverse's (`linalg.monomial_inv`); both are None for any other matrix.
+    inverse's (`linalg.monomial_inv`, derived when the operator is built in
+    float mode, where a reciprocal may overflow, and on first use in exact
+    mode); both are None for any other matrix.
     An exact matrix is held as a `linalg.ExactMatrix` and a float one as its
     array; `matrix` and `inverse_matrix` are read-only arrays, built on first
     read: from a read, from the ExactMatrix's integers, or by
@@ -149,14 +151,14 @@ class OperatorModel:
     def _set(self, matrix, inverse, read, domain, codomain, basis, inverse_read=None):
         """Hold a validated operator by its `linalg.monomial` read, or, when
         the read is None, by its matrix and its dense inverse if given
-        (`_inverse_value` builds it otherwise); the inverse's read is
-        derived unless given."""
-        if read is not None and inverse_read is None:
+        (`_inverse_value` builds it otherwise); a float read's inverse read
+        is derived here unless given (an exact one's, on first use)."""
+        if read is not None and inverse_read is None and read[1].dtype != object:
             inverse_read = linalg.monomial_inv(*read)
         self._matrix = linalg.frozen(matrix)
         self._inverse = linalg.frozen(inverse)
         self.monomial = read
-        self.inverse_monomial = inverse_read
+        self._inverse_read = inverse_read
         self.basis = basis
         self.domain = domain
         self.codomain = codomain
@@ -165,6 +167,13 @@ class OperatorModel:
     @property
     def exact(self) -> bool:
         return self.domain.exact
+
+    @property
+    def inverse_monomial(self):
+        """The inverse's `linalg.monomial_inv` read, or None."""
+        if self._inverse_read is None and self.monomial is not None:
+            self._inverse_read = linalg.monomial_inv(*self.monomial)
+        return self._inverse_read
 
     @property
     def size(self) -> int:
@@ -376,10 +385,16 @@ def _point_violation(t: OperatorModel, tol: float):
     A monomial matrix and its inverse are scanned along their n read
     entries. Those are all the nonzero entries, one per row, so the entries
     column has the dense matrix's most negative value, first held by the
-    same row, and its `linalg.cutoff`. A matrix that is not monomial is
-    scanned whole; only then is a dense matrix read.
+    same row, and its `linalg.cutoff`. An exact inverse's entries are the
+    reciprocals, of the same signs, so an exact read with none negative
+    leaves its inverse nothing to scan. A matrix that is not monomial is
+    scanned whole, in an exact one's integers; only a float one is a dense
+    array.
     """
-    for read, side in ((t.monomial, "domain"), (t.inverse_monomial, "codomain")):
+    for side in ("domain", "codomain"):
+        if side == "codomain" and t.exact and t.monomial is not None:
+            return None
+        read = t.monomial if side == "domain" else t.inverse_monomial
         if read is None:
             hit = _nonneg_violation(t._value() if side == "domain" else t._inverse_value(), tol)
         else:

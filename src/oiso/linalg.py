@@ -12,11 +12,11 @@ of ints and Fractions is put over one denominator per row (`_int_row`) once,
 there, and keeps that array as its own.
 
 The exact kernels read and write integer rows, and a Fraction is built only
-for a value handed back one entry at a time. `_exact_rref` (rank, inverse,
-solve) is fraction-free Gauss-Jordan elimination, whose exact divisions keep
-every entry a minor of its input, and `farkas`, the phase-one simplex that
-decides Farkas' alternative for one row, pivots by `_clear`, which costs
-integer products and one gcd per row rather than a gcd per entry.
+for a value handed back one entry at a time. Each pivot is the one
+fraction-free step `_clear`, which costs integer products and one gcd per
+row rather than a gcd per entry. `_exact_rref` (rank, inverse, solve) and
+`farkas`, the phase-one simplex that decides Farkas' alternative for one
+row, both pivot with it.
 `exact_inv_or_rank` returns the inverse as its rows over their pivots,
 `mat_mat` takes one dot product of integers per entry and `mat_mat_mat`
 puts its product over one denominator per row. Each equals rational
@@ -140,7 +140,7 @@ class ExactMatrix:
     def nonzero(self) -> np.ndarray:
         """The boolean `!= 0` pattern, read from the integers on first use."""
         if self._nonzero is None:
-            self._nonzero = frozen(np.array(self.rows, dtype=object).reshape(self.shape) != 0)
+            self._nonzero = frozen(np.array(self.rows, dtype=bool).reshape(self.shape))
         return self._nonzero
 
     @property
@@ -421,36 +421,23 @@ def _exact_rref(rows):
     entry at their pivot column, over which each reads as its unique reduced
     row, and the rest are zero.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss): each row is first
-    divided by the gcd of its entries; at a pivot pv every other row
-    becomes (pv row - f prow) / prev, for its entry f in the pivot column
-    and the previous pivot prev (1 at first). The division is exact, since
-    every entry is then a minor of the rows as divided, so no gcd is taken
-    per step. A pivot is the first nonzero entry at or below the current
-    row, which scaling a row does not move, so the pivots are those of
-    rational elimination. The list `rows` is taken over.
+    Each row is divided by the gcd of its entries, and each pivot is one
+    `_clear`, which leaves a row with a zero in the pivot column as it is. A
+    pivot is the first nonzero entry at or below the current row, which
+    scaling a row does not move, so the pivots are those of rational
+    elimination. The list `rows` is taken over.
     """
     mat = [_primitive(row) for row in rows]
     m = len(mat)
     n = len(mat[0]) if m else 0
     pivots = []
-    r, prev = 0, 1
+    r = 0
     for col in range(n):
         piv = next((i for i in range(r, m) if mat[i][col]), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        prow = mat[r]
-        pv = prow[col]
-        for i, row in enumerate(mat):
-            f = row[col]
-            if i == r:
-                continue
-            if f:
-                mat[i] = [(pv * x - f * y) // prev for x, y in zip(row, prow)]
-            elif pv != prev:
-                mat[i] = [pv * x // prev for x in row]
-        prev = pv
+        _clear(mat, r, col)
         pivots.append(col)
         r += 1
         if r == m:
@@ -657,9 +644,7 @@ def monomial_inv(cols, entries):
     n = len(cols)
     if entries.dtype == object:
         recip = np.empty(n, dtype=object)
-        # 1 / e builds one Fraction from a Fraction; Fraction(1) / e keeps
-        # an int entry's reciprocal exact
-        recip[:] = [1 / e if type(e) is Fraction else Fraction(1) / e for e in entries]
+        recip[:] = [Fraction(e.denominator, e.numerator) for e in entries]
     else:
         recip = 1.0 / entries
         if not np.all(np.isfinite(recip)):

@@ -85,9 +85,7 @@ import json
 import math
 import re
 from fractions import Fraction
-from itertools import repeat
 from math import gcd, lcm
-from operator import floordiv, mul
 from typing import Optional
 
 import numpy as np
@@ -343,16 +341,19 @@ def _read_matrix(rows, exact: bool, screen=None):
     if not exact:
         return np.array(values, dtype=float).reshape(shape)
     # an exact matrix left without a table has had its refused entry named
-    nums = dict(zip(index, [p for p, _ in pairs]))
-    if all(q == 1 for _, q in pairs):
+    d = lcm(*[q for _, q in pairs])
+    if d.bit_length() <= 64:  # every row over the one least common denominator
+        nums = dict(zip(index, [p * (d // q) for p, q in pairs]))
         return linalg.ExactMatrix(tuple([tuple(map(nums.__getitem__, r)) for r in rows]),
-                                  (1,) * shape[0], shape[1])
+                                  (d,) * shape[0], shape[1])
+    nums = dict(zip(index, [p for p, _ in pairs]))
     dens = dict(zip(index, [q for _, q in pairs]))
     int_rows, row_dens = [], []
-    for r in rows:
-        d = lcm(*set(map(dens.__getitem__, r)))
-        int_rows.append(tuple(map(nums.__getitem__, r)) if d == 1 else tuple(
-            map(mul, map(nums.__getitem__, r), map(floordiv, repeat(d), map(dens.__getitem__, r)))))
+    for r in rows:  # over the least common denominator of the row's distinct entries
+        keys = set(r)
+        d = lcm(*map(dens.__getitem__, keys))
+        scaled = nums if d == 1 else {k: nums[k] * (d // dens[k]) for k in keys}
+        int_rows.append(tuple(map(scaled.__getitem__, r)))
         row_dens.append(d)
     return linalg.ExactMatrix(tuple(int_rows), tuple(row_dens), shape[1])
 

@@ -180,6 +180,7 @@ class TestCoerceMatrix:
     @example(rows=[[0, "0", 1], [True, 1, "1"]])
     @example(rows=[[1, 1.0], [0, 0]])
     @example(rows=[["1/2", 0], [0, "abc"], [1]])
+    @example(rows=[[f"1/{2 ** 40 + 1}", f"3/{2 ** 40 + 3}"], ["0", "-5/2"]])  # rows over their own
     def test_exact_reading_matches_the_per_entry_reading(self, rows):
         # the table of distinct entries against one coerce_number per entry:
         # integer rows over positive denominators, the same Fractions, the
