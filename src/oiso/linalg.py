@@ -2,9 +2,9 @@
 
 A float matrix is a numpy array. An exact matrix is an `ExactMatrix`: integer
 rows with one positive denominator per row, so row i is rows[i] / dens[i].
-The value is frozen and carries what is known of it: its `!= 0` pattern
-(handed over by a parser, or read from its integers on first use), its rank
-when known (an identity's or an inverse's, or one a caller states with
+The value is frozen and carries what is known of it: its weighted-permutation
+read once taken (`monomial`, which reads the zeros from the integers in C), its
+rank when known (an identity's or an inverse's, or one a caller states with
 `with_rank`) and its transpose once taken. It builds the read-only numpy
 object array of `Fraction`s (`array`) only when a caller first reads it;
 `matrix_value` is the one call that wraps a given matrix, so an object array
@@ -27,8 +27,8 @@ entry overflow or the whole matrix underflow. A weighted permutation
 (monomial matrix) skips elimination altogether in `rank` and `inv`.
 
 `monomial` is the one n^2 scan that reads a matrix as a weighted permutation
-(of an exact matrix, through its `!= 0` pattern, with one Fraction per row
-for the entries). An operator reads its point matrix once, when it is built,
+(of an exact matrix, from its integers, with one Fraction per row for the
+entries). An operator reads its point matrix once, when it is built,
 and derives the inverse's read (`monomial_inv`), its products
 (`monomial_mat_vec`), its certificate and its recovery from that read, in
 either arithmetic; the identity generators of a full family are independent
@@ -98,21 +98,21 @@ class ExactMatrix:
     `rows` is a tuple of int tuples and `dens` a tuple of ints; a row's
     denominator is one its entries share, not always their least. The value
     is frozen: nothing changes its entries, and what it computes on first use
-    is kept (`array`, `nonzero`, `T`). `rank` is the rank when it is known,
-    else None: an identity's and an inverse's are full, and `with_rank`
-    states one a caller proves otherwise."""
+    is kept (`array`, `T`, and the `monomial` read, None when it has none). `rank` is the rank when it is known, else None: an identity's
+    and an inverse's are full, and `with_rank` states one a caller proves
+    otherwise."""
 
-    __slots__ = ("rows", "dens", "shape", "rank", "_nonzero", "_array", "_t")
+    __slots__ = ("rows", "dens", "shape", "rank", "_array", "_t", "_read")
     ndim = 2
 
-    def __init__(self, rows, dens, ncols: int, nonzero=None, rank=None, array=None):
+    def __init__(self, rows, dens, ncols: int, rank=None, array=None):
         self.rows = rows
         self.dens = dens
         self.shape = (len(rows), ncols)
         self.rank = rank
-        self._nonzero = nonzero
         self._array = array
         self._t = None
+        self._read = False  # not read yet
 
     @classmethod
     def of_array(cls, a: np.ndarray) -> "ExactMatrix":
@@ -137,13 +137,6 @@ class ExactMatrix:
         return self._array
 
     @property
-    def nonzero(self) -> np.ndarray:
-        """The boolean `!= 0` pattern, read from the integers on first use."""
-        if self._nonzero is None:
-            self._nonzero = frozen(np.array(self.rows, dtype=bool).reshape(self.shape))
-        return self._nonzero
-
-    @property
     def T(self) -> "ExactMatrix":
         """The transpose, its columns over the rows' least common multiple."""
         if self._t is None:
@@ -151,9 +144,7 @@ class ExactMatrix:
             rows = [row if e == d else [x * (d // e) for x in row]
                     for row, e in zip(self.rows, self.dens)]
             m, n = self.shape
-            t = ExactMatrix(tuple(zip(*rows)) if m else ((),) * n, (d,) * n, m,
-                            nonzero=None if self._nonzero is None else self._nonzero.T,
-                            rank=self.rank,
+            t = ExactMatrix(tuple(zip(*rows)) if m else ((),) * n, (d,) * n, m, rank=self.rank,
                             array=None if self._array is None else self._array.T)
             t._t = self
             self._t = t
@@ -166,8 +157,7 @@ class ExactMatrix:
 
     def with_rank(self, rank) -> "ExactMatrix":
         """The same matrix with `rank` as its known rank (None: unknown)."""
-        return ExactMatrix(self.rows, self.dens, self.shape[1], self._nonzero, rank,
-                           self._array)
+        return ExactMatrix(self.rows, self.dens, self.shape[1], rank, self._array)
 
 
 def matrix_value(a):
@@ -196,7 +186,7 @@ def identity(n: int, exact: bool):
     """The n x n identity: an ExactMatrix of rank n, or a read-only float array."""
     if exact:
         return ExactMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
-                           (1,) * n, n, nonzero=frozen(np.eye(n, dtype=bool)), rank=n)
+                           (1,) * n, n, rank=n)
     return frozen(np.eye(n))
 
 
@@ -601,22 +591,43 @@ def monomial(a):
     """Read a square matrix as a weighted permutation: exactly one nonzero
     entry per row, in distinct columns. Returns (columns, entries), with
     entries[y] = a[y, columns[y]], or None when `a` is not monomial. An
-    `ExactMatrix` is read through its `nonzero` pattern, so no `Fraction`
-    is asked for its truth, and its entries are the n Fractions of its
-    integers, or its array's own objects when it holds one."""
+    `ExactMatrix` is read from its integers (`_exact_monomial`) and keeps
+    its read."""
+    if isinstance(a, ExactMatrix):
+        if a._read is False:
+            a._read = _exact_monomial(a)
+        return a._read
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return None
-    value = isinstance(a, ExactMatrix)
-    rows, cols = np.nonzero(a.nonzero if value else a)
+    rows, cols = np.nonzero(a)
     n = a.shape[0]
     if rows.shape[0] != n or np.any(rows != np.arange(n)) or np.any(
             np.bincount(cols, minlength=n) != 1):
         return None
-    if value and a._array is None:
-        entries = np.empty(n, dtype=object)
-        entries[:] = [Fraction(row[c], d) for row, d, c in zip(a.rows, a.dens, cols.tolist())]
-        return cols, entries
-    return cols, dense(a)[rows, cols]
+    return cols, a[rows, cols]
+
+
+def _exact_monomial(a: ExactMatrix):
+    """`monomial` of an ExactMatrix: each row's first nonzero and its count
+    of nonzeros are found in C, so no `Fraction` is asked for its truth and
+    a row with two nonzeros ends the read. The entries are the n Fractions
+    of the integers, or the array's own objects when the value holds one."""
+    n = a.shape[0]
+    if a.shape[1] != n:
+        return None
+    cols = []
+    for row in a.rows:
+        x = next(filter(None, row), 0)
+        if not x or sum(map(bool, row)) != 1:
+            return None
+        cols.append(row.index(x))
+    if len(set(cols)) != n:
+        return None
+    if a._array is not None:
+        return np.array(cols, dtype=np.intp), a._array[np.arange(n), cols]
+    entries = np.empty(n, dtype=object)
+    entries[:] = [Fraction(row[c], d) for row, d, c in zip(a.rows, a.dens, cols)]
+    return np.array(cols, dtype=np.intp), entries
 
 
 def rank(a, tol: float = 1e-10) -> int:

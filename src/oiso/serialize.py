@@ -289,7 +289,7 @@ def _numbers_only(rows) -> bool:
 
 def _read_matrix(rows, exact: bool, screen=None):
     """The matrix of a document's rows: a float array, or in exact mode a
-    `linalg.ExactMatrix` with its `!= 0` pattern. `screen` is the document
+    `linalg.ExactMatrix`. `screen` is the document
     `load_json` returned when the rows come from it: a `_BoolFree` one holds
     no bool, and an `_IntegersOnly` one no float either.
 
@@ -301,11 +301,14 @@ def _read_matrix(rows, exact: bool, screen=None):
     the message naming the first bad entry.
 
     An exact matrix is read through the table of its distinct entries: each
-    is parsed once, to a numerator and a denominator, in row-major order of
-    first appearance, so the first refused one is the first refused entry;
-    every entry is mapped to its id in the table in C, and the integer rows
-    (each over the least common denominator of its entries) and the pattern
-    are the table's numerators, denominators and `!= 0` taken at the ids.
+    is parsed once, to a numerator and a denominator in lowest terms, in
+    row-major order of first appearance, so the first refused one is the
+    first refused entry. Every row is then its entries' numerators looked up
+    in C, over the least common denominator of the whole table when that
+    fits in 64 bits (one scaled numerator per distinct entry), else over the
+    least common denominator of the row's own distinct entries, so a row's
+    integers grow with its own denominators only. No Fraction is built, and
+    the zero pattern is left for the value to read from its integers.
     A bool or a float key would merge with an equal integer, so the table
     needs every entry to be an int or a string: of an `_IntegersOnly`
     document each distinct entry's type is checked as it enters the table,

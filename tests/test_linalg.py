@@ -402,8 +402,8 @@ class TestIntegerRowsMatchRationalElimination:
     @given(st.data())
     def test_mat_mat_mat(self, data):
         # one chain on integer rows: the entries of two rational products,
-        # all Fractions, as an array from arrays and as an ExactMatrix,
-        # which carries the pattern of their nonzeros, from values
+        # all Fractions, as an array from arrays and as an ExactMatrix from
+        # values
         a = data.draw(_matrices())
         b = data.draw(_matrices(rows=a.shape[1]))
         c = data.draw(_matrices(rows=b.shape[1]))
@@ -412,7 +412,6 @@ class TestIntegerRowsMatchRationalElimination:
         assert out.tolist() == ref.tolist() and _all_fractions(out)
         value = linalg.mat_mat_mat(*map(linalg.matrix_value, (a, b, c)))
         assert isinstance(value, linalg.ExactMatrix) and value.array.tolist() == ref.tolist()
-        assert value.nonzero.tolist() == [[x != 0 for x in row] for row in ref.tolist()]
 
     def test_float_mat_mat_mat_is_mat_mat_from_the_right(self):
         rng = np.random.default_rng(0)
@@ -612,7 +611,6 @@ class TestExactMatrixMatchesTheFractionOracles:
         assert isinstance(value, linalg.ExactMatrix) and value.shape == a.shape
         assert all(d > 0 for d in value.dens)
         assert value.array.tolist() == a.tolist() and _all_fractions(value.array)
-        assert value.nonzero.tolist() == (a != 0).tolist()
         assert value.T.array.tolist() == a.T.tolist()
         assert linalg.scaled_float(value).tobytes() == _old_scaled_float(a).tobytes()
         ref, ref_pivots = _rational_rref([list(r) for r in a])

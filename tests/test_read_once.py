@@ -872,8 +872,8 @@ class TestStructuralCost:
         assert scans == [256]
 
     def test_exact_parse_makes_no_per_entry_fraction_call(self, monkeypatch):
-        # the parse reads the zero pattern from the table of distinct entries,
-        # so no entry is asked for its truth (np.nonzero of the entries asks 2 n^2 times)
+        # the parse builds integer rows, whose zeros the read finds in C, so
+        # no entry is asked for its truth (np.nonzero of the entries asks 2 n^2 times)
         n = 256
         rng = np.random.default_rng(0)
         sigma = rng.permutation(n)
