@@ -22,9 +22,9 @@ only to read its witness, and solves the LP only to rank two or more.
 
 An operator reads its matrix as a weighted permutation (`linalg.monomial`)
 once, when it is built, and holds one by that read and its inverse's. An
-exact matrix is held as a `linalg.ExactMatrix` (integer rows), read through
-its zero pattern, scanned for signs in its integers, and made `Fraction`s
-only for the read's n entries or a witness; its dense arrays are built only
+exact matrix is held as a `linalg.ExactMatrix` (integer rows), read and
+scanned for signs in its integers, and made `Fraction`s only for the read's
+n entries or a witness; its dense arrays are built only
 if read. Whether the read exists, not the arithmetic, picks the path: a
 point-basis weighted permutation's certificate, recovery, T1 and isometry
 reduction are O(n) in the two reads, in float and exact mode alike, and a
@@ -85,11 +85,10 @@ class OperatorModel:
     `linalg.monomial` read (columns, entries), and `inverse_monomial`, the
     inverse's (`linalg.monomial_inv`, derived when the operator is built in
     float mode, where a reciprocal may overflow, and on first use in exact
-    mode); both are None for any other matrix.
-    An exact matrix is held as a `linalg.ExactMatrix` and a float one as its
-    array; `matrix` and `inverse_matrix` are read-only arrays, built on first
-    read: from a read, from the ExactMatrix's integers, or by
-    `linalg.dense_inv`.
+    mode); both are None for any other matrix. An exact matrix is held as a
+    `linalg.ExactMatrix` and a float one as its array; `matrix` and
+    `inverse_matrix` are read-only arrays, built on first read: from a read,
+    from the ExactMatrix's integers, or by `linalg.dense_inv`.
 
     The constructor proves the operator invertible, so a singular one is
     reported when it is built. A generator-basis operator between full
@@ -253,9 +252,9 @@ class OperatorModel:
     def as_point(self) -> "OperatorModel":
         """The same operator between the full indicator families, built once.
         The point matrix P is `point_matrix()`; in float mode it must be
-        finite, as in the generic constructor. P is read as a weighted
-        permutation through its zero pattern, and an exact P's entries are
-        made Fractions only for that read. A monomial P's inverse is read
+        finite, as in the generic constructor. An exact P is read as a
+        weighted permutation from its integers, and its entries are made
+        Fractions only for that read. A monomial P's inverse is read
         from its pattern; any other P's is `linalg.dense_inv`'s, the inverse
         a point-basis constructor takes, and a singular P raises as the
         class docstring says."""

@@ -3,33 +3,33 @@
 A float matrix is a numpy array. An exact matrix is an `ExactMatrix`: integer
 rows with one positive denominator per row, so row i is rows[i] / dens[i].
 The value is frozen and carries what is known of it: its weighted-permutation
-read once taken (`monomial`, which reads the zeros from the integers in C), its
+read once taken (`monomial`, which finds the zeros in the integers in C), its
 rank when known (an identity's or an inverse's, or one a caller states with
 `with_rank`) and its transpose once taken. It builds the read-only numpy
-object array of `Fraction`s (`array`) only when a caller first reads it;
-`matrix_value` is the one call that wraps a given matrix, so an object array
-of ints and Fractions is put over one denominator per row (`_int_row`) once,
-there, and keeps that array as its own.
+object array of `Fraction`s (`array`) only when a caller first reads it.
+`matrix_value` is the one call that wraps a given matrix: it puts an object
+array of ints and Fractions over one denominator per row (`_int_row`) once,
+and keeps that array as the value's own.
 
 The exact kernels read and write integer rows, and a Fraction is built only
 for a value handed back one entry at a time. Each pivot is the one
 fraction-free step `_clear`, which costs integer products and one gcd per
 row rather than a gcd per entry. `_exact_rref` (rank, inverse, solve) and
 `farkas`, the phase-one simplex that decides Farkas' alternative for one
-row, both pivot with it.
-`exact_inv_or_rank` returns the inverse as its rows over their pivots,
-`mat_mat` takes one dot product of integers per entry and `mat_mat_mat`
-puts its product over one denominator per row. Each equals rational
-arithmetic. A kernel given `ExactMatrix` values returns one; given object
-arrays it wraps them and returns an array. `scaled_float` takes an exact
-matrix to float at its own binary scale, so a float solver never sees an
-entry overflow or the whole matrix underflow. A weighted permutation
-(monomial matrix) skips elimination altogether in `rank` and `inv`.
+row, both pivot with it. `exact_inv_or_rank` returns the inverse as its rows
+over their pivots, `mat_mat` takes one dot product of integers per entry
+and `mat_mat_mat` puts its product over one denominator per row. Each
+equals rational arithmetic. A kernel given `ExactMatrix` values returns
+one; given object arrays it wraps them and returns an array. `scaled_float`
+takes an exact matrix to float at its own binary scale, so a float solver
+never sees an entry overflow or the whole matrix underflow. A weighted
+permutation (monomial matrix) skips elimination altogether in `rank` and
+`inv`.
 
 `monomial` is the one n^2 scan that reads a matrix as a weighted permutation
 (of an exact matrix, from its integers, with one Fraction per row for the
-entries). An operator reads its point matrix once, when it is built,
-and derives the inverse's read (`monomial_inv`), its products
+entries). An operator reads its point matrix once, when it is built, and
+derives the inverse's read (`monomial_inv`), its products
 (`monomial_mat_vec`), its certificate and its recovery from that read, in
 either arithmetic; the identity generators of a full family are independent
 by construction and never reach `rank`. A square exact family checks its
@@ -97,9 +97,10 @@ class ExactMatrix:
 
     `rows` is a tuple of int tuples and `dens` a tuple of ints; a row's
     denominator is one its entries share, not always their least. The value
-    is frozen: nothing changes its entries, and what it computes on first use
-    is kept (`array`, `T`, and the `monomial` read, None when it has none). `rank` is the rank when it is known, else None: an identity's
-    and an inverse's are full, and `with_rank` states one a caller proves
+    is frozen: nothing changes its entries, and what it computes on first
+    use is kept (`array`, `T`, and the `monomial` read, None when it has
+    none). `rank` is the rank when it is known, else None: an identity's and
+    an inverse's are full, and `with_rank` states one a caller proves
     otherwise."""
 
     __slots__ = ("rows", "dens", "shape", "rank", "_array", "_t", "_read")

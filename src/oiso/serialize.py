@@ -53,9 +53,10 @@ In exact mode a matrix of integers and strings is read through the table of
 its distinct entries: each is parsed once, to a numerator and a denominator
 (a plain "p" or "p/q" string is split into two integers rather than run
 through `Fraction`'s string parser), and each row is the table's integers
-taken at its entries, over the least common denominator of the row. The
-result is a `linalg.ExactMatrix`: no `Fraction` is built, and the zero
-pattern that the weighted-permutation read takes is read from the integers.
+taken at its entries, over one least common denominator (the table's, or
+the row's own when the table's passes 64 bits). The result is a
+`linalg.ExactMatrix`: no `Fraction` is built, and the weighted-permutation
+read finds the zeros in the integers.
 A bool or a float would merge with an equal integer in the table, so an
 `_IntegersOnly` document's entries have their types checked one distinct
 entry at a time, as each enters the table, and any other document's every
@@ -289,9 +290,9 @@ def _numbers_only(rows) -> bool:
 
 def _read_matrix(rows, exact: bool, screen=None):
     """The matrix of a document's rows: a float array, or in exact mode a
-    `linalg.ExactMatrix`. `screen` is the document
-    `load_json` returned when the rows come from it: a `_BoolFree` one holds
-    no bool, and an `_IntegersOnly` one no float either.
+    `linalg.ExactMatrix`. `screen` is the document `load_json` returned when
+    the rows come from it: a `_BoolFree` one holds no bool, and an
+    `_IntegersOnly` one no float either.
 
     A float matrix is one inferring `np.array(rows)` when its document is
     bool-free or `_numbers_only` holds, so no bool reaches it; a 2-D float64
@@ -307,8 +308,7 @@ def _read_matrix(rows, exact: bool, screen=None):
     in C, over the least common denominator of the whole table when that
     fits in 64 bits (one scaled numerator per distinct entry), else over the
     least common denominator of the row's own distinct entries, so a row's
-    integers grow with its own denominators only. No Fraction is built, and
-    the zero pattern is left for the value to read from its integers.
+    integers grow with its own denominators only. No Fraction is built.
     A bool or a float key would merge with an equal integer, so the table
     needs every entry to be an int or a string: of an `_IntegersOnly`
     document each distinct entry's type is checked as it enters the table,
@@ -419,7 +419,7 @@ def _family(space, matrix, names, exact: bool) -> FunctionFamily:
 def parse_family(doc, exact: bool = False) -> FunctionFamily:
     """A family document: a space document (full family), or
     {"space": ..., "generators": [[...]], "names": [...]}. An exact
-    family's monomial read takes the zero pattern its parse builds."""
+    family holds the `linalg.ExactMatrix` its parse builds."""
     return _family(*_family_parts(doc, exact, doc), exact)
 
 

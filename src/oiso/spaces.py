@@ -182,8 +182,8 @@ class FunctionFamily:
     and checks the rank when the family is built, by one rule: a float G by
     `linalg.rank`; an exact G whose value states its rank (`rank`, which
     `serialize.parse_operator` states for a codomain its operator proves)
-    by that; an exact G that reads as monomial (`linalg.monomial`, through
-    its zero pattern) is independent; any other square exact G by one
+    by that; an exact G that reads as monomial (`linalg.monomial`, from its
+    integers) is independent; any other square exact G by one
     Gauss-Jordan pass over [G^T | I] (`linalg.exact_inv_or_rank`), whose
     inverse is kept; and any other exact G by `linalg.exact_rank`. `tol` is
     the float rank check's only: the family keeps no tolerance, and
