@@ -304,12 +304,6 @@ def _int_row(row):
     return [x.numerator * (d // x.denominator) for x in q], d
 
 
-def _over(a: ExactMatrix):
-    """The integer rows of `a` all over one denominator: (rows, d)."""
-    d = lcm(*a.dens)
-    return [row if e == d else [x * (d // e) for x in row] for row, e in zip(a.rows, a.dens)], d
-
-
 def _given(result: ExactMatrix, *inputs):
     """A kernel's exact result as its inputs came: an ExactMatrix when they
     all are one, else its array."""
@@ -334,25 +328,24 @@ def mat_mat(a, b):
 
 def mat_mat_mat(a, b, c):
     """a @ b @ c, where the float product is a @ (b @ c) as `mat_mat` takes
-    it. Exact: `b` and `c` are each put over one denominator, so the chain
-    multiplies Python ints, the rows of `a` by the columns of b and then of
-    c, and row i of the product is over a's row denominator times those two;
-    its entries equal those of two `mat_mat`s."""
+    it. Exact: the rows of `a` times the columns of `b` and then those of
+    `c`, each matrix's columns over its one denominator (`ExactMatrix.T`),
+    so the chain multiplies Python ints, and row i of the product is over
+    a's row denominator times those two; its entries equal those of two
+    `mat_mat`s."""
     if not (is_exact(a) or is_exact(b) or is_exact(c)):
         return mat_mat(a, mat_mat(b, c))
     va, vb, vc = _exact_value(a), _exact_value(b), _exact_value(c)
     (m, k), (k2, l), (l2, n) = va.shape, vb.shape, vc.shape
     if k != k2 or l != l2:
         raise ValueError("shape mismatch")
-    b_rows, db = _over(vb)
-    c_rows, dc = _over(vc)
-    b_cols = list(zip(*b_rows)) if k else [()] * l
-    c_cols = list(zip(*c_rows)) if l else [()] * n
+    bt, ct = vb.T, vc.T
+    d = (bt.dens[0] if l else 1) * (ct.dens[0] if n else 1)
     rows = []
     for ra in va.rows:
-        ab = [sum(map(mul, ra, bc)) for bc in b_cols]
-        rows.append(tuple(sum(map(mul, ab, cc)) for cc in c_cols))
-    return _given(ExactMatrix(tuple(rows), tuple(d * db * dc for d in va.dens), n), a, b, c)
+        ab = [sum(map(mul, ra, bc)) for bc in bt.rows]
+        rows.append(tuple(sum(map(mul, ab, cc)) for cc in ct.rows))
+    return _given(ExactMatrix(tuple(rows), tuple(e * d for e in va.dens), n), a, b, c)
 
 
 def exact_inv_or_rank(a):
