@@ -177,10 +177,19 @@ def _float_free(data: bytes) -> bool:
     """Do a document's bytes hold no float token? A JSON float has a "."
     or an exponent right after a digit, and the stdlib decoder also reads
     NaN and Infinity. A "." anywhere answers no at once (a float document
-    holds one early); then the number marks (`_NUMBER_MARKS`) show an
-    exponent after a digit, in a string too, which also answers no."""
-    return not (b"." in data or b"NaN" in data or b"Infinity" in data
-                or b"0." in data.translate(_NUMBER_MARKS))
+    holds one early), and so does an "e" or "E" after a digit, in a string
+    too. Single-byte searches go first; the few "e"s of keys such as
+    "schema" are looked at one by one."""
+    if (b"." in data or (b"N" in data and b"NaN" in data)
+            or (b"I" in data and b"Infinity" in data)):
+        return False
+    for e in (b"e", b"E"):
+        i = data.find(e)
+        while i > 0:
+            if 48 <= data[i - 1] <= 57:
+                return False
+            i = data.find(e, i + 1)
+    return True
 
 
 class _BoolFree(dict):

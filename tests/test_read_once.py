@@ -646,8 +646,8 @@ class TestStructuralCost:
     def test_exact_full_family_generator_decompose_builds_at_most_4n_fractions(
             self, tmp_path, capsys, monkeypatch, n, accept):
         # the matrices stay integer rows from the parse to P: Fractions are
-        # built for P's n weights, its inverse's n, and a rejection's
-        # witness coefficients (n of them) and indicator
+        # built for P's n weights and, on a rejection, for the witness's n
+        # coefficients and its indicator
         doc = self._full_family_generator_doc(n, accept)
         calls = self._count_fractions(monkeypatch)
         assert self._run(tmp_path, capsys, doc, ["decompose"], "exact") == (0 if accept else 2)
