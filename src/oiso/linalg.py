@@ -461,8 +461,7 @@ def exact_solve_unique(a, b):
     aug = [[*(x * q for x in row), p * d]
            for (row, d), (p, q) in zip(zip(v.rows, v.dens), _column(b, m))]
     mat, pivots = _exact_rref(aug)
-    zero = Fraction(0)
-    x = [zero] * k
+    x = [Fraction(0)] * k
     for r, col in enumerate(pivots):
         if col == k:
             return None  # a zero row equals a nonzero rhs
