@@ -483,7 +483,8 @@ def _evaluations(g_t, mat):
 
 def _farkas_witness(a, b, tol: float):
     """Farkas' alternative at every target point y: None when each b_y is
-    lam A for some lam >= 0, else (y, c) with A c >= 0 and b_y . c < 0.
+    lam A for some lam >= 0, else (y, c) with A c >= 0 and b_y . c < 0. A
+    and B are float arrays, or in exact mode `linalg.ExactMatrix` values.
 
     A and B are taken to float once (`linalg.scaled_float`: an exact matrix
     times the power of two that brings its largest entry near 1, so no
