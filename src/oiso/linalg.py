@@ -116,15 +116,16 @@ class ExactMatrix:
         self._read = False  # not read yet
 
     @classmethod
-    def of_array(cls, a: np.ndarray) -> "ExactMatrix":
+    def of_array(cls, a: np.ndarray, keep: bool = False) -> "ExactMatrix":
         """A 2-D object array of rationals (ints, numpy ints, Fractions), each
-        row over its least common denominator. The array is kept as `array`:
-        a read-only one as it is, a writeable one as a read-only copy."""
+        row over its least common denominator. With `keep`, the array is kept
+        as `array`: a read-only one as it is, a writeable one as a read-only
+        copy."""
         parts = [_int_row(row) for row in a]
-        if a.flags.writeable:
+        if keep and a.flags.writeable:
             a = frozen(a.copy())
         return cls(tuple(tuple(ints) for ints, _ in parts), tuple(d for _, d in parts),
-                   a.shape[1], array=a)
+                   a.shape[1], array=a if keep else None)
 
     @property
     def array(self) -> np.ndarray:
@@ -163,17 +164,19 @@ class ExactMatrix:
 
 def matrix_value(a):
     """The one wrapping call for a given matrix: an `ExactMatrix` as it is,
-    a 2-D object array as `ExactMatrix.of_array` reads it, anything else as
-    `np.asarray` gives it (a float matrix stays a numpy array)."""
+    a 2-D object array as `ExactMatrix.of_array` reads it, keeping the array
+    as the value's own, anything else as `np.asarray` gives it (a float
+    matrix stays a numpy array)."""
     if isinstance(a, ExactMatrix):
         return a
     a = np.asarray(a)
-    return ExactMatrix.of_array(a) if a.dtype == object and a.ndim == 2 else a
+    return ExactMatrix.of_array(a, keep=True) if a.dtype == object and a.ndim == 2 else a
 
 
 def _exact_value(a) -> ExactMatrix:
     """`a` as an ExactMatrix, whatever its arithmetic (a float entry is its
-    exact binary value)."""
+    exact binary value); a kernel reads its rows only, so a given array is
+    neither copied nor kept."""
     return a if isinstance(a, ExactMatrix) else ExactMatrix.of_array(
         np.asarray(a, dtype=object))
 
@@ -211,6 +214,11 @@ def as_exact(rows) -> np.ndarray:
 
 
 def as_float(a) -> np.ndarray:
+    """A float copy of `a`, each exact entry rounded once: an `ExactMatrix`
+    from its integer rows, by correctly rounded integer true division."""
+    if isinstance(a, ExactMatrix):
+        return np.array([[x / d for x in row] for row, d in zip(a.rows, a.dens)],
+                        dtype=float).reshape(a.shape)
     if is_exact(a):
         return np.array([[float(v) for v in row] for row in a], dtype=float)
     return np.asarray(a, dtype=float)
@@ -573,8 +581,9 @@ def cutoff(a, tol: float) -> float:
     """The float zero rule: a value computed from or tested in `a` counts as
     zero when its magnitude is at most tol * max|a|, so alpha * a gets the
     decisions of a for every alpha > 0. An empty `a` gives 0. max|a| is read
-    from the extremes, with no |a| copy the size of `a`."""
-    a = np.asarray(a, dtype=float)
+    from the extremes, with no |a| copy the size of `a`. An `ExactMatrix`
+    is read as `as_float` gives it."""
+    a = as_float(a) if isinstance(a, ExactMatrix) else np.asarray(a, dtype=float)
     if a.size == 0:
         return 0.0
     return tol * abs(max(float(a.max()), -float(a.min())))  # abs: never -0.0

@@ -25,17 +25,14 @@ else:
   less the caller's stack, which `load_json` reports as a `ValueError`.
 Reports therefore do not depend on whether orjson is installed.
 
-Two more screens read the bytes for the matrices. A JSON bool comes only
+One more screen reads the bytes for the matrices: a JSON bool comes only
 from the token `true` or `false`, whichever decoder ran, so a document whose
 bytes hold neither token has no bool in it. Most documents hold no "u" or "f"
 byte at all, which two single-byte searches show; only the others are
-searched for the two tokens. A JSON float has a "." or an exponent right
-after a digit (or is NaN or Infinity), so a bool-free document with none of
-those holds only integer numbers (`_float_free`); a float document is told
-apart by its first ".". `load_json` returns a bool-free document as a private
-`dict` subclass (`_BoolFree`, or `_IntegersOnly` when it is float-free too),
-and `parse_operator` and `parse_family` read its matrices, and those of the
-families inside it, without a per-entry type check.
+searched for the two tokens. `load_json` returns such a document as a private
+`dict` subclass, and `parse_operator` and `parse_family` read its float
+matrices, and those of the families inside it, without a per-entry type
+check.
 
 A matrix is converted as a whole, by `_read_matrix` alone. In float mode
 it is one inferring `np.array(rows)` call in C when no bool can be among its
@@ -53,14 +50,12 @@ In exact mode a matrix of integers and strings is read through the table of
 its distinct entries: each is parsed once, to a numerator and a denominator
 (a plain "p" or "p/q" string is split into two integers rather than run
 through `Fraction`'s string parser), and each row is the table's integers
-taken at its entries, over one least common denominator (the table's, or
-the row's own when the table's passes 64 bits). The result is a
-`linalg.ExactMatrix`: no `Fraction` is built, and the weighted-permutation
-read finds the zeros in the integers.
-A bool or a float would merge with an equal integer in the table, so an
-`_IntegersOnly` document's entries have their types checked one distinct
-entry at a time, as each enters the table, and any other document's every
-entry first. An exact matrix holding any other value is refused, and read
+taken at its entries, over the least common denominator of the row's own
+entries, as `linalg` puts a row of rationals over one denominator. The
+result is a `linalg.ExactMatrix`: no `Fraction` is built, and the
+weighted-permutation read finds the zeros in the integers. A bool or a float
+would merge with an equal integer in the table, so every entry's type is
+checked first. An exact matrix holding any other value is refused, and read
 entry by entry only to name its first bad entry.
 
 A report is written once, by a single writer (`canonical_json`) that goes
@@ -173,34 +168,9 @@ def _bool_free(data: bytes) -> bool:
             or (b"true" not in data and b"false" not in data))
 
 
-def _float_free(data: bytes) -> bool:
-    """Do a document's bytes hold no float token? A JSON float has a "."
-    or an exponent right after a digit, and the stdlib decoder also reads
-    NaN and Infinity. A "." anywhere answers no at once (a float document
-    holds one early), and so does an "e" or "E" after a digit, in a string
-    too. Single-byte searches go first; the few "e"s of keys such as
-    "schema" are looked at one by one."""
-    if (b"." in data or (b"N" in data and b"NaN" in data)
-            or (b"I" in data and b"Infinity" in data)):
-        return False
-    for e in (b"e", b"E"):
-        i = data.find(e)
-        while i > 0:
-            if 48 <= data[i - 1] <= 57:
-                return False
-            i = data.find(e, i + 1)
-    return True
-
-
 class _BoolFree(dict):
     """A document `load_json` decoded from bytes with no `true` or `false`
     token: no value in it as decoded, at any depth, is a bool."""
-    __slots__ = ()
-
-
-class _IntegersOnly(_BoolFree):
-    """A `_BoolFree` document whose bytes hold no float token either
-    (`_float_free`): every number in it as decoded is an int."""
     __slots__ = ()
 
 
@@ -222,7 +192,7 @@ def load_json(path: str, with_digest: bool = False):
     if schema != SCHEMA:
         raise ValueError(f"{path}: unsupported schema {schema!r} (expected {SCHEMA!r})")
     if _bool_free(data):
-        doc = (_IntegersOnly if _float_free(data) else _BoolFree)(doc)
+        doc = _BoolFree(doc)
     return (doc, hashlib.sha256(data).hexdigest()) if with_digest else doc
 
 
@@ -297,11 +267,10 @@ def _numbers_only(rows) -> bool:
     return set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}
 
 
-def _read_matrix(rows, exact: bool, screen=None):
+def _read_matrix(rows, exact: bool, bool_free: bool = False):
     """The matrix of a document's rows: a float array, or in exact mode a
-    `linalg.ExactMatrix`. `screen` is the document `load_json` returned when
-    the rows come from it: a `_BoolFree` one holds no bool, and an
-    `_IntegersOnly` one no float either.
+    `linalg.ExactMatrix`. `bool_free` says the rows come from a `_BoolFree`
+    document.
 
     A float matrix is one inferring `np.array(rows)` when its document is
     bool-free or `_numbers_only` holds, so no bool reaches it; a 2-D float64
@@ -313,20 +282,16 @@ def _read_matrix(rows, exact: bool, screen=None):
     An exact matrix is read through the table of its distinct entries: each
     is parsed once, to a numerator and a denominator in lowest terms, in
     row-major order of first appearance, so the first refused one is the
-    first refused entry. Every row is then its entries' numerators looked up
-    in C, over the least common denominator of the whole table when that
-    fits in 64 bits (one scaled numerator per distinct entry), else over the
-    least common denominator of the row's own distinct entries, so a row's
-    integers grow with its own denominators only. No Fraction is built.
-    A bool or a float key would merge with an equal integer, so the table
-    needs every entry to be an int or a string: of an `_IntegersOnly`
-    document each distinct entry's type is checked as it enters the table,
-    and of any other every entry's type is checked first. A matrix holding
-    anything else, an unhashable entry included, is read entry by entry to
-    name its first refused entry."""
+    first refused entry. Every row is then its entries' numerators, scaled
+    to the least common denominator of the row's distinct entries, looked
+    up in C, so a row's integers grow with its own denominators only, not
+    with those of the whole matrix. No Fraction is built. A bool or a float
+    key would merge with an equal integer, so the table is taken only when
+    every entry is an int or a string; a matrix holding anything else is
+    read entry by entry to name its first refused entry."""
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ValueError("matrix must be a non-empty list of rows")
-    if not exact and (isinstance(screen, _BoolFree) or _numbers_only(rows)):
+    if not exact and (bool_free or _numbers_only(rows)):
         try:
             data = np.array(rows)
         except (ValueError, TypeError, OverflowError):  # ragged rows, among others
@@ -336,14 +301,8 @@ def _read_matrix(rows, exact: bool, screen=None):
             if np.isfinite(data).all():
                 return data
     flat = list(itertools.chain.from_iterable(rows))
-    index = None
-    if exact and (isinstance(screen, _IntegersOnly) or all(
-            t is not bool and issubclass(t, (int, str)) for t in set(map(type, flat)))):
-        try:
-            index = dict.fromkeys(flat)
-        except TypeError:  # an unhashable entry: read entry by entry below
-            pass
-    if index is not None:
+    if exact and all(t is not bool and issubclass(t, (int, str)) for t in set(map(type, flat))):
+        index = dict.fromkeys(flat)
         pairs = list(map(_exact_pair, index))
     else:
         values = [coerce_number(v, exact) for v in flat]
@@ -353,11 +312,6 @@ def _read_matrix(rows, exact: bool, screen=None):
     if not exact:
         return np.array(values, dtype=float).reshape(shape)
     # an exact matrix left without a table has had its refused entry named
-    d = lcm(*[q for _, q in pairs])
-    if d.bit_length() <= 64:  # every row over the one least common denominator
-        nums = dict(zip(index, [p * (d // q) for p, q in pairs]))
-        return linalg.ExactMatrix(tuple([tuple(map(nums.__getitem__, r)) for r in rows]),
-                                  (d,) * shape[0], shape[1])
     nums = dict(zip(index, [p for p, _ in pairs]))
     dens = dict(zip(index, [q for _, q in pairs]))
     int_rows, row_dens = [], []
@@ -397,11 +351,11 @@ def parse_space(doc) -> PointSpace:
     raise ValueError("space document must be a list of labels or an object")
 
 
-def _family_parts(doc, exact: bool, screen):
+def _family_parts(doc, exact: bool, bool_free: bool):
     """(space, generators, names) of a family document, read in
     `parse_family`'s order; generators and names are None for a full
-    family. `screen` is the document `load_json` returned, which this one
-    is or lies inside (`_read_matrix`)."""
+    family. `bool_free` says the document is, or lies inside, a `_BoolFree`
+    one."""
     if isinstance(doc, list):
         return parse_space(doc), None, None
     if not isinstance(doc, dict):
@@ -412,7 +366,7 @@ def _family_parts(doc, exact: bool, screen):
     gens = doc.get("generators")
     if gens is None:
         return space, None, None
-    matrix = _read_matrix(gens, exact, screen)
+    matrix = _read_matrix(gens, exact, bool_free)
     names = doc.get("names")
     if names is not None:
         names = tuple(str(x) for x in names)
@@ -429,7 +383,7 @@ def parse_family(doc, exact: bool = False) -> FunctionFamily:
     """A family document: a space document (full family), or
     {"space": ..., "generators": [[...]], "names": [...]}. An exact
     family holds the `linalg.ExactMatrix` its parse builds."""
-    return _family(*_family_parts(doc, exact, doc), exact)
+    return _family(*_family_parts(doc, exact, isinstance(doc, _BoolFree)), exact)
 
 
 def parse_operator(doc: dict, mode: str = "float") -> OperatorModel:
@@ -451,17 +405,18 @@ def parse_operator(doc: dict, mode: str = "float") -> OperatorModel:
     exact = mode == "exact"
     if "matrix" not in doc:
         raise ValueError("operator document needs 'matrix'")
-    matrix = _read_matrix(doc["matrix"], exact, doc)
+    bool_free = isinstance(doc, _BoolFree)
+    matrix = _read_matrix(doc["matrix"], exact, bool_free)
     if matrix.shape[0] != matrix.shape[1]:
         raise ValueError("operator matrix must be square")
     basis = doc.get("basis", "point")
     n = matrix.shape[0]
     if "domain" in doc:
-        dom = _family(*_family_parts(doc["domain"], exact, doc), exact)
+        dom = _family(*_family_parts(doc["domain"], exact, bool_free), exact)
     else:
         dom = FunctionFamily.full(PointSpace.discrete(n, "x"), exact=exact)
     if "codomain" in doc:
-        space, gens, names = _family_parts(doc["codomain"], exact, doc)
+        space, gens, names = _family_parts(doc["codomain"], exact, bool_free)
         if (exact and basis == "generator" and dom.is_full and gens is not None
                 and gens.shape == (space.size, space.size) == (n, n) == (dom.rank, dom.rank)
                 and (names is None or len(names) == n)):

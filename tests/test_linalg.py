@@ -617,7 +617,11 @@ class TestExactMatrixMatchesTheFractionOracles:
         assert linalg.exact_rank(value) == len(ref_pivots)
 
         other, b = _value(data.draw(_documents(rows=n)))
-        assert linalg.mat_mat(value, other).array.tolist() == _rational_mat_mat(a, b).tolist()
+        product = linalg.mat_mat(value, other)
+        assert product.array.tolist() == _rational_mat_mat(a, b).tolist()
+        # a kernel's result reads as float as its Fractions do
+        assert linalg.as_float(product).tobytes() == linalg.as_float(product.array).tobytes()
+        assert linalg.cutoff(product, 1e-9) == linalg.cutoff(product.array, 1e-9)
         third, c = _value(data.draw(_documents(rows=b.shape[1])))
         assert linalg.mat_mat_mat(value, other, third).array.tolist() == \
             _rational_mat_mat(a, _rational_mat_mat(b, c)).tolist()
@@ -659,3 +663,10 @@ class TestExactMatrixMatchesTheFractionOracles:
         if read is not None:
             assert read[0].tolist() == ref_read[0].tolist()
             assert read[1].tolist() == ref_read[1].tolist() and _all_fractions([read[1]])
+
+    def test_a_kernel_reads_a_given_array_without_keeping_it(self):
+        a = linalg.as_exact([[1, "1/2"], [0, 3]])
+        assert linalg._exact_value(a)._array is None
+        kept = linalg.matrix_value(a).array
+        assert kept is not a and not kept.flags.writeable and kept.tolist() == a.tolist()
+        assert linalg.exact_inv(a).tolist() == _rational_inv(a).tolist()

@@ -180,28 +180,22 @@ class TestCoerceMatrix:
     @example(rows=[[0, "0", 1], [True, 1, "1"]])
     @example(rows=[[1, 1.0], [0, 0]])
     @example(rows=[["1/2", 0], [0, "abc"], [1]])
-    @example(rows=[[f"1/{2 ** 40 + 1}", f"3/{2 ** 40 + 3}"], ["0", "-5/2"]])  # rows over their own
+    @example(rows=[[f"1/{2 ** 40 + 1}", f"3/{2 ** 40 + 3}"], ["0", "-5/2"]])
     def test_exact_reading_matches_the_per_entry_reading(self, rows):
         # the table of distinct entries against one coerce_number per entry:
-        # integer rows over positive denominators, the same Fractions and
-        # the same first refusal; rows with no bool or
-        # float are read the same when their document's screen vouches for it
+        # integer rows, each over its entries' least common denominator, the
+        # same Fractions and the same first refusal
+        got = _outcome(serialize._read_matrix, rows, True)
         want = _outcome(_reference_matrix, rows, True)
-        entries = [v for row in rows for v in row]
-        screens = [None]
-        if not any(type(v) in (bool, float) for v in entries):
-            screens.append(serialize._IntegersOnly())
-        for screen in screens:
-            got = _outcome(lambda r, e: serialize._read_matrix(r, e, screen), rows, True)
-            if isinstance(want, str):
-                assert got == want
-                continue
-            assert isinstance(got, linalg.ExactMatrix) and got.shape == want.shape
-            assert all(d > 0 for d in got.dens)
-            assert all(type(x) is int for row in got.rows for x in row)
-            m = got.array
-            assert all(type(v) is Fraction for v in m.flat)
-            assert (m == want).all()
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert isinstance(got, linalg.ExactMatrix) and got.shape == want.shape
+        assert got.dens == tuple(math.lcm(*(x.denominator for x in row)) for row in want)
+        assert all(type(x) is int for row in got.rows for x in row)
+        m = got.array
+        assert all(type(v) is Fraction for v in m.flat)
+        assert (m == want).all()
 
     @settings(max_examples=300, deadline=None)
     @given(case=_MODE_AND_MATRIX)
@@ -534,7 +528,7 @@ def _operator_read(path: str):
     return matrix, raised
 
 
-def _read_before_the_screen(rows, exact, screen=None):
+def _read_before_the_screen(rows, exact, bool_free=False):
     """`_read_matrix` on float rows as it read them before the byte screen:
     the typed read of `_float_matrix`, and the per-entry reading of what it
     refuses."""
@@ -570,8 +564,7 @@ class TestFloatRead:
             rows = serialize._decode(data)
         want = _outcome(_reference_matrix, rows, False)
         for bool_free in (False, True) if serialize._bool_free(data) else (False,):
-            screen = serialize._BoolFree() if bool_free else None
-            got = _outcome(lambda r, e: serialize._read_matrix(r, e, screen), rows, False)
+            got = _outcome(lambda r, e: serialize._read_matrix(r, e, bool_free), rows, False)
             if isinstance(want, str):
                 assert got == want
             else:
