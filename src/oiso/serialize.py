@@ -283,9 +283,10 @@ def _read_matrix(rows, exact: bool, bool_free: bool = False):
     is parsed once, to a numerator and a denominator in lowest terms, in
     row-major order of first appearance, so the first refused one is the
     first refused entry. Every row is then its entries' numerators, scaled
-    to the least common denominator of the row's distinct entries, looked
-    up in C, so a row's integers grow with its own denominators only, not
-    with those of the whole matrix. No Fraction is built. A bool or a float
+    to the least common denominator of the row's entries (1, with no look
+    at the rows, when every entry is an integer), looked up in C, so a row's
+    integers grow with its own denominators only, not with those of the
+    whole matrix. No Fraction is built. A bool or a float
     key would merge with an equal integer, so the table is taken only when
     every entry is an int or a string; a matrix holding anything else is
     read entry by entry to name its first refused entry."""
@@ -313,12 +314,11 @@ def _read_matrix(rows, exact: bool, bool_free: bool = False):
         return np.array(values, dtype=float).reshape(shape)
     # an exact matrix left without a table has had its refused entry named
     nums = dict(zip(index, [p for p, _ in pairs]))
-    dens = dict(zip(index, [q for _, q in pairs]))
+    dens = {k: q for k, (_, q) in zip(index, pairs) if q != 1}  # the entries that are not integers
     int_rows, row_dens = [], []
-    for r in rows:  # over the least common denominator of the row's distinct entries
-        keys = set(r)
-        d = lcm(*map(dens.__getitem__, keys))
-        scaled = nums if d == 1 else {k: nums[k] * (d // dens[k]) for k in keys}
+    for r in rows:  # over the least common denominator of the row's entries
+        d = lcm(*map(dens.__getitem__, dens.keys() & r)) if dens else 1
+        scaled = nums if d == 1 else {k: nums[k] * (d // dens.get(k, 1)) for k in set(r)}
         int_rows.append(tuple(map(scaled.__getitem__, r)))
         row_dens.append(d)
     return linalg.ExactMatrix(tuple(int_rows), tuple(row_dens), shape[1])
