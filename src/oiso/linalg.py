@@ -610,19 +610,18 @@ def monomial(a):
 
 
 def _exact_monomial(a: ExactMatrix):
-    """`monomial` of an ExactMatrix: each row's first nonzero and its count
-    of nonzeros are found in C, so no `Fraction` is asked for its truth and
-    a row with two nonzeros ends the read. The entries are the n Fractions
+    """`monomial` of an ExactMatrix: each row's count of zeros and its first
+    nonzero are found in C, so no `Fraction` is asked for its truth and a
+    row with two nonzeros ends the read. The entries are the n Fractions
     of the integers, or the array's own objects when the value holds one."""
     n = a.shape[0]
     if a.shape[1] != n:
         return None
     cols = []
     for row in a.rows:
-        x = next(filter(None, row), 0)
-        if not x or sum(map(bool, row)) != 1:
+        if row.count(0) != n - 1:
             return None
-        cols.append(row.index(x))
+        cols.append(row.index(next(filter(None, row))))
     if len(set(cols)) != n:
         return None
     if a._array is not None:

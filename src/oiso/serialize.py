@@ -314,11 +314,13 @@ def _read_matrix(rows, exact: bool, bool_free: bool = False):
         return np.array(values, dtype=float).reshape(shape)
     # an exact matrix left without a table has had its refused entry named
     nums = dict(zip(index, [p for p, _ in pairs]))
-    dens = {k: q for k, (_, q) in zip(index, pairs) if q != 1}  # the entries that are not integers
+    dens = dict(zip(index, [q for _, q in pairs]))
+    integers = all(q == 1 for _, q in pairs)  # then every row is over 1
     int_rows, row_dens = [], []
-    for r in rows:  # over the least common denominator of the row's entries
-        d = lcm(*map(dens.__getitem__, dens.keys() & r)) if dens else 1
-        scaled = nums if d == 1 else {k: nums[k] * (d // dens.get(k, 1)) for k in set(r)}
+    for r in rows:  # over the least common denominator of the row's distinct entries
+        keys = () if integers else set(r)
+        d = lcm(*map(dens.__getitem__, keys))
+        scaled = nums if d == 1 else {k: nums[k] * (d // dens[k]) for k in keys}
         int_rows.append(tuple(map(scaled.__getitem__, r)))
         row_dens.append(d)
     return linalg.ExactMatrix(tuple(int_rows), tuple(row_dens), shape[1])
