@@ -319,7 +319,7 @@ def _read_matrix(rows, exact: bool, bool_free: bool = False):
     int_rows, row_dens = [], []
     for r in rows:  # over the least common denominator of the row's distinct entries
         keys = () if integers else set(r)
-        d = lcm(*map(dens.__getitem__, keys))
+        d = lcm(*map(dens.__getitem__, keys)) if keys else 1
         scaled = nums if d == 1 else {k: nums[k] * (d // dens[k]) for k in keys}
         int_rows.append(tuple(map(scaled.__getitem__, r)))
         row_dens.append(d)
