@@ -286,10 +286,9 @@ def _read_matrix(rows, exact: bool, bool_free: bool = False):
     to the least common denominator of the row's entries (1, with no look
     at the rows, when every entry is an integer), looked up in C, so a row's
     integers grow with its own denominators only, not with those of the
-    whole matrix. No Fraction is built. A bool or a float
-    key would merge with an equal integer, so the table is taken only when
-    every entry is an int or a string; a matrix holding anything else is
-    read entry by entry to name its first refused entry."""
+    whole matrix. No Fraction is built. An exact matrix holding anything
+    but integers and strings has a refused entry, which the per-entry
+    reading names."""
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ValueError("matrix must be a non-empty list of rows")
     if not exact and (bool_free or _numbers_only(rows)):
@@ -302,6 +301,8 @@ def _read_matrix(rows, exact: bool, bool_free: bool = False):
             if np.isfinite(data).all():
                 return data
     flat = list(itertools.chain.from_iterable(rows))
+    # a bool or float key would merge with an equal integer, so those are not
+    # read through the table
     if exact and all(t is not bool and issubclass(t, (int, str)) for t in set(map(type, flat))):
         index = dict.fromkeys(flat)
         pairs = list(map(_exact_pair, index))
