@@ -116,6 +116,32 @@ CASES = [
      ["example", "witness", "--a", "0.25", "--b", "0.5", "--at", "0.375"], 0,
      "dc7eb80cca294bb05d73389487bd7624fd91af0d3424faabc68ba2856177b005",
      "9b9434eee7dda91f3dc38aaaee854ec72e9627b1d750d8dadc5253a5d82ed995"),
+    # the example space reads --expr with exprs.parse_sexpr and writes the
+    # certified form with to_sexpr; the first case bisects to a saturated half
+    ("example-local-form-saturated", None,
+     ["example", "local-form", "--expr", "(clamp (lin (-0.5 2.0) ((const 1.0) t)))",
+      "--interval", "0.1,0.9"], 0,
+     "1033b12b18ec91d0611b5d8caf5a7e2a4548e487d7676eeb5128beb9ac6e6de7",
+     "57641b9e009b9f9ab470ba63da38cf03a476e6aef7dcc104cc8ed65a91c0b6a5"),
+    ("example-local-form-nested", None,
+     ["example", "local-form", "--expr",
+      "(lin (0.5 -1.25) ((clamp (lin (1 -1) ((const 0.75) t))) (clamp (clamp t))))",
+      "--interval", "0.2,0.6"], 0,
+     "2f1e7ede22dcd9806fa3a780708baaaee79e26129b3bbc89edab33509c825bda",
+     "ab02c66c6c0d3bd40bfdb213832abd3e0d762eab19f7ff49f2ded77b533cbc9c"),
+    ("example-local-form-inconclusive", None,
+     ["example", "local-form", "--expr", "(clamp (lin (-1.0 2.0) ((const 1.0) t)))",
+      "--interval", "0,1", "--depth-cap", "0"], 2,
+     "85b70c4ae42fe272f30836b2a37e057f4fe25669292124a8adcd61e18e79ea77",
+     "140024d984fd2bd74dd63ca6156bd09de0b138d9d3f1e479a84f9b4854c71ad0"),
+    ("example-decay-passes", None,
+     ["example", "decay", "--expr", "(lin (2.5 -1.0) ((sinramp (sinramp t)) (const 3.0)))"], 0,
+     "e9201ddd137051b8eb6ed6af73209c31b9ad4d62804dc2829712824f33d41bc7",
+     "cbf284738be53e29cd449f7938db95fd653e37b7b00c7796bb8df3ddb5f7c5ea"),
+    ("example-decay-fails", None,
+     ["example", "decay", "--expr", "(lin (1.0) (t))", "--t-max", "1e4"], 2,
+     "cbe40d0b78d335bd941f7b5142aa30775e7680bef3f7422c8f5522841c40c724",
+     "f5b855ae8cc86ccd8777b838ddaeb2c07e8ff86fb148a84419160c2e97243e82"),
     ("decompose-exact-tied-negatives", TIED_NEGATIVES, ["decompose", "--mode", "exact"], 2,
      "d3192ad8446e845b2acd2a38676ea952d7aae1cc863511eb0ee86b3944843a07",
      "d2825bf497ec3ca7108d0e77c332783e6bf363a39383a221fd42e2e6a8b9aec1"),
