@@ -46,6 +46,8 @@ MIN_INTERVAL_WIDTH = 1e-12
 # a bound, a clamp no box settles has its search test about 2^depth_cap boxes.
 BISECTIONS_PER_DEPTH = 2
 MAX_NESTING = 200
+# Samples of the certified interval on which local_form checks its result
+CHECK_POINTS = 64
 
 
 def sin_ramp(t):
@@ -281,8 +283,7 @@ class LocalForm:
     residual: float
 
 
-def local_form(f: Expr, box: IntervalBox, depth_cap: int = 40,
-               tol: float = 1e-10, check_points: int = 64) -> LocalForm:
+def local_form(f: Expr, box: IntervalBox, depth_cap: int = 40, tol: float = 1e-10) -> LocalForm:
     """Find a subinterval J of the box and an analytic expression equal to f on J.
 
     Each clamp node is resolved by bisecting (midpoint, left half first) until
@@ -291,10 +292,10 @@ def local_form(f: Expr, box: IntervalBox, depth_cap: int = 40,
     inside (0,1), where the saturation equals the analytic ramp. Raises
     InconclusiveError past the depth cap, or when one clamp's search has made
     BISECTIONS_PER_DEPTH * depth_cap bisections. The result is verified
-    pointwise on `check_points` samples before returning.
+    pointwise on CHECK_POINTS samples before returning.
     """
     j, u = _local(f, box, depth_cap)
-    ts = j.sample(check_points)
+    ts = j.sample(CHECK_POINTS)
     residual = float(np.max(np.abs(eval_expr(f, ts) - eval_expr(u, ts))))
     if residual > tol:
         raise InconclusiveError(
@@ -380,56 +381,39 @@ def parse_sexpr(text: str) -> Expr:
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if max(accumulate((tok == "(") - (tok == ")") for tok in tokens), default=0) > MAX_NESTING:
         raise ValueError(f"expression nested deeper than {MAX_NESTING} parentheses")
-    pos = 0
-
-    def read():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of expression")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "(":
-            head = tokens[pos]
-            pos += 1
-            if head == "const":
-                val = float(tokens[pos]); pos += 1
-                node = Const(val)
-            elif head == "clamp":
-                node = Clamp(read())
-            elif head == "sinramp":
-                node = SinRamp(read())
-            elif head == "lin":
-                if tokens[pos] != "(":
-                    raise ValueError("lin expects a coefficient list")
-                pos += 1
-                coeffs = []
-                while tokens[pos] != ")":
-                    coeffs.append(float(tokens[pos])); pos += 1
-                pos += 1
-                if tokens[pos] != "(":
-                    raise ValueError("lin expects a child list")
-                pos += 1
-                children = []
-                while tokens[pos] != ")":
-                    children.append(read())
-                pos += 1
-                node = LinComb(tuple(coeffs), tuple(children))
-            else:
-                raise ValueError(f"unknown form {head!r}")
-            if tokens[pos] != ")":
-                raise ValueError("missing closing parenthesis")
-            pos += 1
-            return node
-        if tok == "t":
-            return Ident()
-        raise ValueError(f"unexpected token {tok!r}")
-
-    try:
-        node = read()
-    except IndexError:
-        raise ValueError("unexpected end of expression") from None
-    if pos != len(tokens):
+    rest = iter(tokens)
+    node = _read(next(rest, None), rest)
+    if next(rest, None) is not None:
         raise ValueError("trailing tokens after expression")
+    return node
+
+
+def _read(tok, rest) -> Expr:
+    """The expression that opens with token tok, read on from the iterator
+    rest of the tokens after it; tok is None past the end of the input."""
+    if tok == "t":
+        return Ident()
+    if tok != "(":
+        raise ValueError(f"unexpected token {tok!r}" if tok else "unexpected end of expression")
+    head = next(rest, None)
+    if head == "const":
+        value = next(rest, None)
+        if value is None:
+            raise ValueError("const expects a number")
+        node = Const(float(value))
+    elif head in ("clamp", "sinramp"):
+        node = (Clamp if head == "clamp" else SinRamp)(_read(next(rest, None), rest))
+    elif head == "lin":
+        if next(rest, None) != "(":
+            raise ValueError("lin expects a coefficient list")
+        coeffs = [float(c) for c in iter(rest.__next__, ")")]
+        if next(rest, None) != "(":
+            raise ValueError("lin expects a child list")
+        node = LinComb(coeffs, [_read(tok, rest) for tok in iter(rest.__next__, ")")])
+    else:
+        raise ValueError(f"unknown form {head!r}" if head else "unexpected end of expression")
+    if next(rest, None) != ")":
+        raise ValueError("missing closing parenthesis")
     return node
 
 

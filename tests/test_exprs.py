@@ -4,6 +4,7 @@ import sys
 import time
 import warnings
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oiso.exprs import (
+    MAX_NESTING,
     Clamp,
     Const,
     Ident,
@@ -389,6 +391,95 @@ class TestDecayCheck:
             decay_check(Ident(), t_max=1e150, grid=16)
 
 
+def _index_reader(text: str):
+    """The reader `parse_sexpr` replaced, kept as its reference: the same
+    tokens read by a position index, every missing token caught as an
+    IndexError."""
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    if max(accumulate((tok == "(") - (tok == ")") for tok in tokens), default=0) > MAX_NESTING:
+        raise ValueError(f"expression nested deeper than {MAX_NESTING} parentheses")
+    pos = 0
+
+    def read():
+        nonlocal pos
+        if pos >= len(tokens):
+            raise ValueError("unexpected end of expression")
+        tok = tokens[pos]
+        pos += 1
+        if tok == "(":
+            head = tokens[pos]
+            pos += 1
+            if head == "const":
+                val = float(tokens[pos]); pos += 1
+                node = Const(val)
+            elif head == "clamp":
+                node = Clamp(read())
+            elif head == "sinramp":
+                node = SinRamp(read())
+            elif head == "lin":
+                if tokens[pos] != "(":
+                    raise ValueError("lin expects a coefficient list")
+                pos += 1
+                coeffs = []
+                while tokens[pos] != ")":
+                    coeffs.append(float(tokens[pos])); pos += 1
+                pos += 1
+                if tokens[pos] != "(":
+                    raise ValueError("lin expects a child list")
+                pos += 1
+                children = []
+                while tokens[pos] != ")":
+                    children.append(read())
+                pos += 1
+                node = LinComb(tuple(coeffs), tuple(children))
+            else:
+                raise ValueError(f"unknown form {head!r}")
+            if tokens[pos] != ")":
+                raise ValueError("missing closing parenthesis")
+            pos += 1
+            return node
+        if tok == "t":
+            return Ident()
+        raise ValueError(f"unexpected token {tok!r}")
+
+    try:
+        node = read()
+    except IndexError:
+        raise ValueError("unexpected end of expression") from None
+    if pos != len(tokens):
+        raise ValueError("trailing tokens after expression")
+    return node
+
+
+_NUMBERS = st.sampled_from(["0", "-1.5", "2e3", "0.25", "nan", "-inf", "1e999", "1_0", "-0.0"])
+_JUNK = ["(", ")", "t", "const", "clamp", "sinramp", "lin", "x", "1", "()", ")("]
+_WELL_FORMED = st.recursive(
+    st.one_of(st.just(["t"]), _NUMBERS.map(lambda c: ["(", "const", c, ")"])),
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from(["clamp", "sinramp"]), kids).map(
+            lambda p: ["(", p[0], *p[1], ")"]),
+        st.lists(st.tuples(_NUMBERS, kids), max_size=3).map(
+            lambda terms: ["(", "lin", "(", *(c for c, _ in terms), ")",
+                           "(", *(tok for _, kid in terms for tok in kid), ")", ")"])),
+    max_leaves=8)
+
+
+@st.composite
+def _mutated(draw):
+    """A well-formed token list with up to three tokens inserted, deleted or
+    replaced."""
+    tokens = list(draw(_WELL_FORMED))  # st.just hands out one list
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(tokens)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        junk = draw(st.one_of(st.sampled_from(_JUNK), _NUMBERS))
+        if edit == "insert":
+            tokens.insert(i, junk)
+        elif i < len(tokens):
+            tokens[i:i + 1] = [junk] if edit == "replace" else []
+    return " ".join(tokens)
+
+
 class TestSexpr:
     def test_parse_worked_example(self):
         e = parse_sexpr("(clamp (lin (1.0 -2.0) ((const 1.0) t)))")
@@ -418,12 +509,41 @@ class TestSexpr:
         with pytest.raises(ValueError, match="nested deeper"):
             parse_sexpr("(sinramp " * 201 + "t" + ")" * 201)
 
-    def test_parse_errors(self):
-        with pytest.raises(ValueError):
-            parse_sexpr("(foo t)")
-        with pytest.raises(ValueError):
-            parse_sexpr("t t")
-        with pytest.raises(ValueError):
-            parse_sexpr("(clamp t")
-        with pytest.raises(ValueError):
-            parse_sexpr("(lin 1.0 (t))")
+    @pytest.mark.parametrize("text, message", [
+        ("(foo t)", "unknown form 'foo'"),
+        ("(clamp t t)", "missing closing parenthesis"),
+        ("(clamp t", "missing closing parenthesis"),
+        ("t t", "trailing tokens after expression"),
+        ("t )", "trailing tokens after expression"),
+        ("", "unexpected end of expression"),
+        ("(clamp", "unexpected end of expression"),
+        ("(", "unexpected end of expression"),
+        ("(const", "const expects a number"),
+        ("(const x)", "could not convert string to float: 'x'"),
+        ("(lin 1.0 (t))", "lin expects a coefficient list"),
+        ("(lin (1.0) t)", "lin expects a child list"),
+        (")", "unexpected token '\\)'"),
+        ("(clamp )", "unexpected token '\\)'"),
+    ])
+    def test_parse_errors(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_sexpr(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.lists(st.sampled_from(_JUNK), max_size=16).map(" ".join), _mutated()))
+    @example("")
+    @example("(const 1 2)")
+    @example("(lin (1) (t")
+    @example("(lin (1 2")
+    @example("(lin () ())")
+    @example("(lin (1) x t))")
+    @example("(sinramp (clamp t))")
+    def test_reader_agrees_with_the_index_reader(self, text):
+        # nan is unequal to itself, so the two results are compared as text
+        try:
+            expected = to_sexpr(_index_reader(text))
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse_sexpr(text)
+        else:
+            assert to_sexpr(parse_sexpr(text)) == expected
