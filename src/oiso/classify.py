@@ -16,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from .cones import Certificate, OperatorModel, _jsonable, is_order_isomorphism
-from .linalg import frozen
 from .recovery import Decomposition, decompose
 from .spaces import DEFAULT_TOL
 
@@ -50,17 +49,7 @@ def isometry_reduce(t: OperatorModel, tol: float = DEFAULT_TOL):
     g = t.apply_values(t.domain.ones())
     if _off_one("|T(1)|", [abs(x) for x in g], t.exact, tol):
         return None
-    return g, _divide_rows(t, g)
-
-
-def _divide_rows(t: OperatorModel, g) -> OperatorModel:
-    """diag(1/g) T for a point-basis T. A monomial T is divided along its
-    read, so the reduced operator needs no scan of its own."""
-    if t.monomial is not None:
-        cols, entries = t.monomial
-        return OperatorModel.weighted_permutation(cols, entries / g, t.domain, t.codomain)
-    return OperatorModel(frozen(t.matrix / g[:, None]), domain=t.domain,
-                         codomain=t.codomain, basis="point")
+    return g, t.rescaled(g)
 
 
 def lattice_check(t: OperatorModel, tol: float = DEFAULT_TOL) -> bool:
@@ -128,7 +117,7 @@ def classify(t: OperatorModel, tol: float = DEFAULT_TOL) -> ClassificationReport
     elif iso:
         kind = "rejected"
     else:
-        reduced = _divide_rows(t, g)
+        reduced = t.rescaled(g)
         cert_red = is_order_isomorphism(reduced, tol=tol)
         if cert_red.accept:
             decomposition = decompose(reduced, tol=tol, cert=cert_red)

@@ -213,6 +213,21 @@ class OperatorModel:
                self.domain, self.basis, inverse_read=self.monomial)
         return t
 
+    def rescaled(self, row, col=None) -> "OperatorModel":
+        """diag(1/row) T diag(col) for a point-basis T; no col is the
+        identity. A weighted permutation is rescaled along its read, each
+        entry formed as the dense product forms it, so the result needs no
+        scan of its own."""
+        if self.monomial is not None:
+            cols, entries = self.monomial
+            if col is not None:
+                entries = entries * col[cols]
+            return OperatorModel.weighted_permutation(cols, entries / row,
+                                                      self.domain, self.codomain)
+        m = self.matrix if col is None else self.matrix * col[None, :]
+        return OperatorModel(linalg.frozen(m / row[:, None]), domain=self.domain,
+                             codomain=self.codomain, basis="point")
+
     def apply_values(self, v) -> np.ndarray:
         """Values of T f at the codomain points, from the values of f. A
         monomial point matrix is applied along its read

@@ -291,13 +291,7 @@ def normalize(t: OperatorModel, tol: float = DEFAULT_TOL,
     base = decompose(t, tol=tol, cert=cert)
     u = t.domain.ones() + t.inverse().apply_values(t.codomain.ones())
     tu = t.apply_values(u)
-    if t.monomial is not None:  # S's one entry per row, as the dense product gives it
-        cols, entries = t.monomial
-        s = OperatorModel.weighted_permutation(cols, entries * u[cols] / tu,
-                                               domain=t.domain, codomain=t.codomain)
-    else:
-        s = OperatorModel(linalg.frozen(t.matrix * u[None, :] / tu[:, None]),
-                          domain=t.domain, codomain=t.codomain, basis="point")
+    s = t.rescaled(tu, u)
     d_s = decompose(s, tol=tol)
     # re-derive the weight of T from the unital S: T f = (T u / u o sigma) * (f o sigma)
     rederived = tu / u[d_s.sigma_array()]

@@ -172,6 +172,23 @@ class TestOperatorModel:
         assert t.point_matrix() is t.matrix
         assert t.point_matrix().tolist() == m.tolist()
 
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("matrix", [[[0, 2, 0], [0, 0, 5], [3, 0, 0]],
+                                        [[1, 2, 0], [0, 1, 0], [0, 0, 4]]],
+                             ids=["monomial", "dense"])
+    def test_rescaled_is_the_diagonal_product(self, exact, matrix):
+        # diag(1/row) T diag(col): a weighted permutation along its read, so
+        # the result keeps one; any other matrix whole
+        sp = FunctionFamily.full(PointSpace.discrete(3), exact=exact)
+        t = OperatorModel(_as_mode(matrix, exact), sp, sp)
+        row, col = _as_mode([[2, -1, 4], [3, 5, -7]], exact)
+        m = t.matrix
+        for s, expected in ((t.rescaled(row), m / row[:, None]),
+                            (t.rescaled(row, col), m * col[None, :] / row[:, None])):
+            assert s.matrix.tolist() == expected.tolist()
+            assert (s.monomial is None) == (t.monomial is None) == (matrix[0][0] == 1)
+            assert (s.domain, s.codomain, s.exact) == (t.domain, t.codomain, exact)
+
     def test_weighted_permutation_runs_no_factorization(self, monkeypatch):
         # a monomial's rank and inverse are read from its pattern
         def refuse(*args, **kwargs):
