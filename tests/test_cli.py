@@ -479,6 +479,36 @@ def test_singular_float_generator_operator_is_singular(tmp_path, capsys):
                                           "detail": "Singular matrix"}
 
 
+# P = G_Y^T M inv(G_X^T) = [[1, 0, 0], [1, -1, 1], [2, 1, -1]], exact in
+# float too, and det P = 0; float LU runs to the end on it all the same and
+# returns an "inverse" with entries near 3.6e16 (ROADMAP item 7)
+_LU_SINGULAR_MISS = {
+    "basis": "generator", "matrix": [[0, 0, 1], [0, 1, 0], [0, 0, 0]],
+    "domain": {"space": ["a", "b", "c"], "generators": [[0, 1, 1], [1, 0, 0], [0, 0, 1]]},
+    "codomain": {"space": ["p", "q", "r"], "generators": [[0, 1, -1], [1, 1, 2], [0, 0, 1]]}}
+
+
+def test_exact_mode_finds_the_lu_miss_singular(tmp_path, capsys):
+    op = _write(tmp_path, "op.json", _LU_SINGULAR_MISS)
+    for command in ("decompose", "classify"):
+        code, out, _ = _run(capsys, [command, op, "--mode", "exact"])
+        assert code == EXIT_REJECTED
+        assert _report(out)["result"] == {"accepted": False, "reason": "singular",
+                                          "detail": _SINGULAR_DETAIL["exact"]}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 7: float singularity is decided by LU alone, "
+                          "which certifies this singular operator and rejects it "
+                          "with a domain witness at point 1")
+def test_float_mode_finds_the_lu_miss_singular(tmp_path, capsys):
+    op = _write(tmp_path, "op.json", _LU_SINGULAR_MISS)
+    for command in ("decompose", "classify"):
+        code, out, _ = _run(capsys, [command, op])
+        assert code == EXIT_REJECTED
+        assert _report(out)["result"].get("reason") == "singular"
+
+
 class TestUsageErrors:
     def test_missing_file(self, tmp_path, capsys):
         code, out, err = _run(capsys, ["decompose", str(tmp_path / "nope.json")])
