@@ -406,6 +406,8 @@ def _read(tok, rest) -> Expr:
     elif head == "lin":
         if next(rest, None) != "(":
             raise ValueError("lin expects a coefficient list")
+        # a list that the end of the input cuts short ends there; the next
+        # check for a parenthesis refuses it
         coeffs = [float(c) for c in iter(rest.__next__, ")")]
         if next(rest, None) != "(":
             raise ValueError("lin expects a child list")
