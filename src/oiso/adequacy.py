@@ -157,11 +157,10 @@ def _positive_element(fam: FunctionFamily, nonzero, tol: float) -> Optional[tupl
     g = fam.generators.T[nonzero]
     target = np.array([0] * fam.rank + [1], dtype=object)
     if not fam.exact:
-        from scipy.optimize import nnls
         scale = float(np.abs(fam.generators).max(initial=0.0))
         rows, t = np.c_[g / scale, np.ones(len(g))], target.astype(float)
         try:
-            lam, _ = nnls(rows.T, t)
+            lam, _ = linalg.nnls(rows.T, t)
         except RuntimeError:  # no convergence: decided exactly below
             pass
         else:

@@ -524,16 +524,18 @@ def _farkas_witness(a, b, tol: float):
     otherwise: `linalg.farkas` decides the unsettled rows and the first
     witness is reported; two or more go in the order of their values in the
     same LP (stable; index order if HiGHS fails).
-    """
-    from scipy.optimize import nnls
 
+    The fits are `linalg.nnls` and the LP `linalg.block_lp`: scipy's
+    NNLS and HiGHS kernels, loaded from their own compiled files so that a
+    certificate never pays the import of `scipy.optimize`.
+    """
     exact = linalg.is_exact(b)
     fa, fb = linalg.scaled_float(a), linalg.scaled_float(b)
     bound = linalg.cutoff(fb, tol)
     supports = []
     for b_y in fb:
         try:
-            lam, _ = nnls(fa.T, b_y)
+            lam, _ = linalg.nnls(fa.T, b_y)
         except (RuntimeError, ValueError):  # no convergence, or entries not finite
             break
         if not exact and np.abs(b_y - fa.T @ lam).sum() > bound:

@@ -292,12 +292,14 @@ def local_form(f: Expr, box: IntervalBox, depth_cap: int = 40, tol: float = 1e-1
     inside (0,1), where the saturation equals the analytic ramp. Raises
     InconclusiveError past the depth cap, or when one clamp's search has made
     BISECTIONS_PER_DEPTH * depth_cap bisections. The result is verified
-    pointwise on CHECK_POINTS samples before returning.
+    pointwise on CHECK_POINTS samples before returning, and InconclusiveError
+    is raised when the residual is above tol or not a number (an overflow).
     """
     j, u = _local(f, box, depth_cap)
     ts = j.sample(CHECK_POINTS)
-    residual = float(np.max(np.abs(eval_expr(f, ts) - eval_expr(u, ts))))
-    if residual > tol:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads nan: inconclusive
+        residual = float(np.max(np.abs(eval_expr(f, ts) - eval_expr(u, ts))))
+    if not residual <= tol:
         raise InconclusiveError(
             f"certified form disagrees with the input (residual {residual:.3e})")
     return LocalForm(interval=j, expr=u, residual=residual)

@@ -43,9 +43,23 @@ its residual is within `cutoff(b, tol)`.
 `block_lp` is the one place that calls HiGHS: the float block LP of Farkas'
 alternative, handed to scipy's bundled HiGHS binding as CSC arrays built
 here in numpy, with no LP front end or sparse matrix class in between.
+`nnls` is scipy's non-negative least squares: Lawson and Hanson's
+active-set method, the kernel and arguments `scipy.optimize.nnls` uses,
+so every fit is bit-for-bit scipy's.
+
+Both kernels are compiled modules inside `scipy.optimize`
+(`_highspy._core` and `_slsqplib`). `_scipy_extension` loads each from its
+own file, without running `scipy/optimize/__init__.py`: that import is
+most of the start-up cost of a process that certifies a proper family or
+checks adequacy, and loading the two files costs a small part of it. A
+later `import scipy.optimize` reuses the modules it registered.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
@@ -74,6 +88,7 @@ __all__ = [
     "exact_solve_unique",
     "farkas",
     "block_lp",
+    "nnls",
     "solve",
     "cutoff",
     "monomial",
@@ -531,8 +546,7 @@ def block_lp(a, costs):
     HiGHS returns the same vertex: the constraint matrix in CSC form (column
     y*k + i holds -a[:, i] at rows y*m + r, zeros dropped, rows ascending),
     row bounds (-inf, 0], presolve on, the dual simplex, no output."""
-    from scipy.optimize._highspy import _core as highs
-
+    highs = _scipy_extension("scipy.optimize._highspy._core")
     (n, k), m = costs.shape, a.shape[0]
     cols, rows = np.nonzero(a.T)  # column-major, rows ascending in each column
     lp = highs.HighsLp()
@@ -563,6 +577,44 @@ def block_lp(a, costs):
     if not ((np.abs(c) <= 1 + tol).all() and (a @ c.T >= -tol).all()):  # nan fails too
         return None, f"{text}, but off its constraints by more than {tol:.1e}"
     return c, text
+
+
+def nnls(a, b):
+    """(x, rnorm): x >= 0 with the least |a @ x - b|, and that norm; the
+    body of `scipy.optimize.nnls`, calling its kernel with its arguments.
+    Raises ValueError when an entry is not finite and RuntimeError when the
+    fit reaches its 3 * a.shape[1] iterations."""
+    a = np.asarray_chkfinite(a, dtype=np.float64, order="C")
+    b = np.asarray_chkfinite(b, dtype=np.float64)
+    x, rnorm, info = _scipy_extension("scipy.optimize._slsqplib").nnls(a, b, 3 * a.shape[1])
+    if info == 3:
+        raise RuntimeError("Maximum number of iterations reached.")
+    return x, rnorm
+
+
+def _scipy_extension(name: str):
+    """The compiled scipy module `name`, loaded from its own file so that
+    no package `__init__` above it runs, and registered in sys.modules
+    under `name`. A module already there is returned as it is; a name
+    with no extension file where scipy's layout puts it is imported."""
+    if name in sys.modules:
+        return sys.modules[name]
+    parents = name.split(".")[:-1]
+    root = importlib.util.find_spec(parents[0]).submodule_search_locations[0]
+    finder = importlib.machinery.FileFinder(
+        os.path.join(root, *parents[1:]),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        return importlib.import_module(name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
 
 
 def solve(a, b, tol: float):

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -169,7 +168,7 @@ class TestCheckAdequate:
         def no_fit(*args, **kwargs):
             raise RuntimeError("Maximum number of iterations reached.")
 
-        monkeypatch.setattr(scipy.optimize, "nnls", no_fit)
+        monkeypatch.setattr(linalg, "nnls", no_fit)
         rep = check_adequate(fam)
         assert rep.cone_generates is want
         if want:

@@ -882,6 +882,16 @@ class TestExample:
             "succeeded": False, "reason": "inconclusive",
             "detail": "cannot certify saturation case in 80 bisections"}
 
+    def test_local_form_overflow_is_inconclusive(self):
+        # 1e308 t + 1e308 t overflows to inf on [1, 2]; the check's residual
+        # is then nan, which no tolerance settles
+        proc = _run_module("example", "local-form", "--expr", "(lin (1e308 1e308) (t t))",
+                           "--interval", "1,2")
+        assert proc.returncode == EXIT_REJECTED
+        assert proc.stderr.startswith("elapsed ") and proc.stderr.count("\n") == 1
+        result = _report(proc.stdout)["result"]
+        assert (result["succeeded"], result["reason"]) == (False, "inconclusive")
+
     def test_deeply_nested_expression_is_a_usage_error(self, capsys):
         expr = "(sinramp " * 2000 + "t" + ")" * 2000
         code, out, err = _run(capsys, ["example", "decay", "--expr", expr])

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -559,7 +558,7 @@ class TestFarkasGeneratorBasis:
         def no_fit(*args, **kwargs):
             raise RuntimeError("Maximum number of iterations reached.")
 
-        monkeypatch.setattr(scipy.optimize, "nnls", no_fit)
+        monkeypatch.setattr(linalg, "nnls", no_fit)
         real = linalg.block_lp
         monkeypatch.setattr(linalg, "block_lp",
                             lambda *args, **kwargs: solves.append(1) or real(*args, **kwargs))

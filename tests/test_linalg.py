@@ -1,12 +1,19 @@
 """Exact and float linear-algebra helpers."""
+import importlib
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import oiso
 from oiso import linalg, serialize
 
 
@@ -670,3 +677,114 @@ class TestExactMatrixMatchesTheFractionOracles:
         kept = linalg.matrix_value(a).array
         assert kept is not a and not kept.flags.writeable and kept.tolist() == a.tolist()
         assert linalg.exact_inv(a).tolist() == _rational_inv(a).tolist()
+
+
+@st.composite
+def _nnls_problems(draw):
+    """(a, b) of small float or int entries, m < n as often as not, `a`
+    sometimes a transposed (F-ordered) view and, for floats, sometimes
+    holding one entry that is not finite."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    ints = draw(st.booleans())
+    dtype, elements = ((np.int64, st.integers(-9, 9)) if ints
+                       else (np.float64, st.floats(-1e3, 1e3, width=64)))
+    transposed = draw(st.booleans())
+    a = draw(hnp.arrays(dtype, (n, m) if transposed else (m, n), elements=elements))
+    a = a.T if transposed else a
+    b = draw(hnp.arrays(dtype, m, elements=elements))
+    if not ints and draw(st.booleans()):
+        bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        if draw(st.booleans()):
+            a = a.copy()
+            a[draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))] = bad
+        else:
+            b[draw(st.integers(0, m - 1))] = bad
+    return a, b
+
+
+def _outcome(fit, a, b):
+    try:
+        x, rnorm = fit(a, b)
+    except (ValueError, RuntimeError) as e:
+        return type(e)
+    return x.tobytes(), np.float64(rnorm).tobytes()
+
+
+class TestScipyKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(_nnls_problems())
+    def test_nnls_is_scipys_bit_for_bit(self, problem):
+        a, b = problem
+        got = _outcome(linalg.nnls, a, b)
+        assert got == _outcome(scipy.optimize.nnls, a, b)
+        finite = np.isfinite(a).all() and np.isfinite(b).all()
+        assert (got is ValueError) == (not finite)
+
+    def test_a_name_with_no_extension_file_is_imported(self, monkeypatch):
+        # scipy.optimize._nnls is a Python file, so no extension file matches it
+        name, imported = "scipy.optimize._nnls", []
+        monkeypatch.delitem(sys.modules, name)
+        monkeypatch.setattr(scipy.optimize, "_nnls", scipy.optimize._nnls)  # rebound by import
+        real = importlib.import_module
+        monkeypatch.setattr(importlib, "import_module",
+                            lambda n, *args: imported.append(n) or real(n, *args))
+        module = linalg._scipy_extension(name)
+        assert imported == [name] and module is sys.modules[name]
+        assert module.nnls([[1.0]], [2.0])[0].tolist() == [2.0]
+
+
+_COLD_PATH = textwrap.dedent("""
+    import sys
+    from fractions import Fraction
+
+    import numpy as np
+
+    from oiso import (FunctionFamily, OperatorModel, PointSpace, check_adequate,
+                      is_order_isomorphism, linalg)
+
+    calls = {"nnls": 0, "block_lp": 0}
+    for name in calls:
+        def counted(*args, name=name, real=getattr(linalg, name)):
+            calls[name] += 1
+            return real(*args)
+        setattr(linalg, name, counted)
+
+    def one_t(conv, dtype):
+        gen = np.array([[conv(1)] * 4, [conv(t) for t in range(4)]], dtype=dtype)
+        return FunctionFamily(PointSpace.grid([0.0, 1.0, 2.0, 3.0]), gen)
+
+    fam = one_t(float, float)
+    shear = OperatorModel(np.array([[1.0, 2.0], [0.0, 1.0]]), fam, fam, basis="generator")
+    assert not is_order_isomorphism(shear).accept and calls["block_lp"] == 1
+    fam = one_t(Fraction, object)
+    eye = np.array([[Fraction(int(i == j)) for j in range(2)] for i in range(2)], dtype=object)
+    fits = calls["nnls"]
+    assert is_order_isomorphism(OperatorModel(eye, fam, fam, basis="generator")).accept
+    assert calls["nnls"] > fits
+    fits = calls["nnls"]
+    gen = np.array([[0.2, 0.5, 0.8], [0.16, 0.25, 0.16]])
+    assert check_adequate(FunctionFamily(PointSpace.discrete(3), gen)).cone_generates
+    assert calls["nnls"] > fits
+    assert "scipy.optimize" not in sys.modules
+    core = sys.modules["scipy.optimize._highspy._core"]
+    slsqplib = sys.modules["scipy.optimize._slsqplib"]
+
+    import scipy.optimize
+    from scipy.optimize import _nnls
+    from scipy.optimize._highspy import _highs_wrapper
+    assert sys.modules["scipy.optimize._highspy._core"] is core and _highs_wrapper._h is core
+    assert sys.modules["scipy.optimize._slsqplib"] is slsqplib and _nnls._nnls is slsqplib.nnls
+    lp = scipy.optimize.linprog([1.0, 1.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
+    assert lp.status == 0 and abs(lp.fun - 1.0) < 1e-9
+    assert scipy.optimize.nnls(np.eye(2), np.array([1.0, -1.0]))[0].tolist() == [1.0, 0.0]
+    print("ok")
+""")
+
+
+def test_a_fresh_process_reaches_both_kernels_without_scipy_optimize():
+    # test modules import scipy.optimize, so only a new process loads the files
+    root = os.path.dirname(os.path.dirname(oiso.__file__))
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _COLD_PATH], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
