@@ -724,7 +724,7 @@ class TestScipyKernels:
         # scipy.optimize._nnls is a Python file, so no extension file matches it
         name, imported = "scipy.optimize._nnls", []
         monkeypatch.delitem(sys.modules, name)
-        monkeypatch.setattr(scipy.optimize, "_nnls", scipy.optimize._nnls)  # rebound by import
+        monkeypatch.setattr(scipy.optimize, "_nnls", scipy.optimize._nnls)  # the import rebinds it
         real = importlib.import_module
         monkeypatch.setattr(importlib, "import_module",
                             lambda n, *args: imported.append(n) or real(n, *args))
