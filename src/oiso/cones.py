@@ -14,7 +14,9 @@ evaluation of T is a nonnegative combination of domain point evaluations.
 On full families Lambda is the point matrix itself. On proper subfamilies
 one pass per side decides it (`_farkas_witness`): A and B go to float once
 (an exact matrix at its own binary scale, `linalg.scaled_float`), and one
-non-negative least-squares fit per row of B settles what it can. A float
+non-negative least-squares fit per row of B settles what it can (exact: by
+one integer product of its multipliers, made small rationals, with A, or
+else by re-solving its support). A float
 side with a row left unsettled solves one HiGHS LP (`linalg.block_lp`),
 whose most negative value decides; an exact side decides those rows by
 `linalg.farkas`, a simplex that pivots integer rows and builds Fractions
@@ -32,8 +34,10 @@ matrix that is not monomial is scanned whole.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -509,9 +513,11 @@ def _farkas_witness(a, b, tol: float):
     settles what it can; a fit that raises or does not converge ends the
     fits. Float: a row is settled when its residual's L1 norm is at most
     linalg.cutoff(B, tol), and rows are fitted up to the first that is not.
-    Exact (`tol` unused): a row is settled when its fit's support re-solves
-    in rational arithmetic to lam >= 0 (`_resolves`). A side with every row
-    settled is accepted.
+    Exact (`tol` unused): a row is settled when its fit, taken to small
+    rationals at A's and B's own scales (`linalg.binary_exponent`), times A
+    is b_y exactly, by one integer product (`_settles_by_product`), or else
+    when its fit's support re-solves in rational arithmetic to lam >= 0
+    (`_resolves`). A side with every row settled is accepted.
 
     Float, otherwise: one HiGHS LP (`linalg.block_lp`), min b_y . c_y with
     A c_y >= 0 and |c_y| <= 1 for every y, gives row y the value
@@ -532,7 +538,7 @@ def _farkas_witness(a, b, tol: float):
     exact = linalg.is_exact(b)
     fa, fb = linalg.scaled_float(a), linalg.scaled_float(b)
     bound = linalg.cutoff(fb, tol)
-    supports = []
+    fits = []
     for b_y in fb:
         try:
             lam, _ = linalg.nnls(fa.T, b_y)
@@ -540,13 +546,15 @@ def _farkas_witness(a, b, tol: float):
             break
         if not exact and np.abs(b_y - fa.T @ lam).sum() > bound:
             break
-        supports.append(lam > 0)
+        fits.append(lam)
 
     n = len(fb)
-    if exact:
-        failing = [y for y in range(n)
-                   if y >= len(supports) or not _resolves(a, supports[y], b.take([y]))]
-    elif len(supports) == n:
+    if exact:  # the fits of B * 2**-e_B by A * 2**-e_A, at A's and B's own scales
+        shift = linalg.binary_exponent(b) - linalg.binary_exponent(a)
+        failing = [y for y in range(n) if y >= len(fits) or not (
+            _settles_by_product(a, fits[y], shift, b, y)
+            or _resolves(a, fits[y] > 0, b.take([y])))]
+    elif len(fits) == n:
         return None
     if not exact or len(failing) > 1:
         fa = np.ldexp(fa, -np.frexp(np.max(np.abs(fa)))[1])
@@ -564,6 +572,34 @@ def _farkas_witness(a, b, tol: float):
         if c is not None:
             return y, c
     return None
+
+
+def _small_rational(v: float) -> tuple:
+    """(p, q): the first convergent p/q of v's continued fraction within
+    1e-9 relative of v, an integer when v is one to that bound (or the last
+    with q <= 2**20), in integers: no Fraction is built."""
+    p0, q0, p1, q1, x = 0, 1, 1, 0, v
+    while True:
+        a = math.floor(x)
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        if abs(v - p1 / q1) <= 1e-9 * max(1.0, abs(v)) or x == a or q1 > 1 << 20:
+            return p1, q1
+        x = 1 / (x - a)
+
+
+def _settles_by_product(a, lam, shift: int, b, y: int) -> bool:
+    """Whether b_y = mu A holds exactly for mu = lam 2**shift, lam the float
+    multipliers of the row's fit, each taken to a small rational
+    (`_small_rational`; one that rounds to zero adds nothing) before the
+    power of two is applied exactly: one integer product of mu, over its
+    common denominator, with the columns of A (`a.T`'s rows), checked
+    against b_y's integers. A and B are ExactMatrix values."""
+    mu = [_small_rational(v) for v in lam.tolist()]
+    q = math.lcm(*(d for _, d in mu))
+    ks = [p * (q // d) for p, d in mu]
+    up, down, e, t = max(shift, 0), max(-shift, 0), b.dens[y], a.T
+    return all((sum(map(mul, ks, col)) << up) * e == (v * q * d) << down
+               for col, d, v in zip(t.rows, t.dens, b.rows[y]))
 
 
 def _resolves(a, support, b_y) -> bool:

@@ -226,7 +226,9 @@ def interval_eval(e: Expr, box: IntervalBox) -> IntervalBox:
 
     Monotone profiles are evaluated at the endpoints with outward widening for
     the float rounding; the analytic ramp falls back to its global range
-    [-1, 1] when the child's box leaves the monotone window.
+    [-1, 1] when the child's box leaves the monotone window. A sum whose
+    enclosure overflows the doubles has no finite box, and raises
+    InconclusiveError.
     """
     if isinstance(e, Const):
         return IntervalBox(e.value, e.value)
@@ -258,6 +260,8 @@ def interval_eval(e: Expr, box: IntervalBox) -> IntervalBox:
             a, b = (inner.lo, inner.hi) if c >= 0 else (inner.hi, inner.lo)
             lo = _down(lo + _down(c * a, 1), 1)
             hi = _up(hi + _up(c * b, 1), 1)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InconclusiveError(f"the enclosure on [{box.lo}, {box.hi}] overflows")
         return IntervalBox(lo, hi)
     raise TypeError(f"not an expression: {e!r}")
 

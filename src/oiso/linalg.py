@@ -3,7 +3,8 @@
 A float matrix is a numpy array. An exact matrix is an `ExactMatrix`: integer
 rows with one positive denominator per row, so row i is rows[i] / dens[i].
 The value is frozen and carries what is known of it: its weighted-permutation
-read once taken (`monomial`, which finds the zeros in the integers in C), its
+read once taken (`monomial`, which finds the zeros in the integers in C, or
+from the pattern its builder hands over, as the document reader does), its
 rank when known (an identity's or an inverse's, or one a caller states with
 `with_rank`) and its transpose once taken. It builds the read-only numpy
 object array of `Fraction`s (`array`) only when a caller first reads it.
@@ -28,7 +29,8 @@ permutation (monomial matrix) skips elimination altogether in `rank` and
 
 `monomial` is the one n^2 scan that reads a matrix as a weighted permutation
 (of an exact matrix, from its integers, with one Fraction per row for the
-entries). An operator reads its point matrix once, when it is built, and
+entries; a parsed one's pattern was found in its document's entries, and
+its read is built from it in O(n)). An operator reads its point matrix once, when it is built, and
 derives the inverse's read (`monomial_inv`), its products
 (`monomial_mat_vec`), its certificate and its recovery from that read, in
 either arithmetic; the identity generators of a full family are independent
@@ -77,6 +79,7 @@ __all__ = [
     "as_exact",
     "as_float",
     "scaled_float",
+    "binary_exponent",
     "zeros_like_mode",
     "indicator",
     "mat_vec",
@@ -116,19 +119,23 @@ class ExactMatrix:
     use is kept (`array`, `T`, and the `monomial` read, None when it has
     none). `rank` is the rank when it is known, else None: an identity's and
     an inverse's are full, and `with_rank` states one a caller proves
-    otherwise."""
+    otherwise. A caller that has read the matrix's pattern hands it over as
+    `read`: the column of each row's one nonzero entry, of a square matrix
+    with one per row in distinct columns, from which the `monomial` read is
+    built, or None when the matrix has no such pattern."""
 
     __slots__ = ("rows", "dens", "shape", "rank", "_array", "_t", "_read")
     ndim = 2
 
-    def __init__(self, rows, dens, ncols: int, rank=None, array=None):
+    def __init__(self, rows, dens, ncols: int, rank=None, array=None, read=False):
         self.rows = rows
         self.dens = dens
         self.shape = (len(rows), ncols)
         self.rank = rank
         self._array = array
         self._t = None
-        self._read = False  # not read yet
+        # False: not read yet
+        self._read = read if read is None or read is False else _exact_read(self, read)
 
     @classmethod
     def of_array(cls, a: np.ndarray, keep: bool = False) -> "ExactMatrix":
@@ -249,12 +256,20 @@ def scaled_float(a) -> np.ndarray:
     if not is_exact(a):
         return np.asarray(a, dtype=float)
     a = _exact_value(a)
-    e = max((abs(x // g).bit_length() - (d // g).bit_length()
-             for row, d in zip(a.rows, a.dens) for x in row if x
-             for g in (gcd(x, d),)), default=0)
+    e = binary_exponent(a)
     up, down = max(-e, 0), max(e, 0)
     return np.array([[(x << up) / (d << down) for x in row] for row, d in zip(a.rows, a.dens)],
                     dtype=float).reshape(a.shape)
+
+
+def binary_exponent(a) -> int:
+    """The largest binary exponent of an exact matrix's nonzero entries (0
+    when it has none), the e of `scaled_float`, which takes `a` to float
+    as a times 2**-e."""
+    a = _exact_value(a)
+    return max((abs(x // g).bit_length() - (d // g).bit_length()
+                for row, d in zip(a.rows, a.dens) for x in row if x
+                for g in (gcd(x, d),)), default=0)
 
 
 def zeros_like_mode(shape, exact: bool):
@@ -664,8 +679,7 @@ def monomial(a):
 def _exact_monomial(a: ExactMatrix):
     """`monomial` of an ExactMatrix: each row's count of zeros and its first
     nonzero are found in C, so no `Fraction` is asked for its truth and a
-    row with two nonzeros ends the read. The entries are the n Fractions
-    of the integers, or the array's own objects when the value holds one."""
+    row with two nonzeros ends the read."""
     n = a.shape[0]
     if a.shape[1] != n:
         return None
@@ -676,6 +690,14 @@ def _exact_monomial(a: ExactMatrix):
         cols.append(row.index(next(filter(None, row))))
     if len(set(cols)) != n:
         return None
+    return _exact_read(a, cols)
+
+
+def _exact_read(a: ExactMatrix, cols):
+    """The `monomial` read of a weighted permutation from the column of each
+    row's nonzero: the n Fractions of the integers there, or the array's own
+    objects when the value holds one."""
+    n = a.shape[0]
     if a._array is not None:
         return np.array(cols, dtype=np.intp), a._array[np.arange(n), cols]
     entries = np.empty(n, dtype=object)

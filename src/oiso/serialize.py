@@ -16,7 +16,8 @@ else:
   or refuses with its own message, so a document orjson refuses is decoded
   again;
 - a run of 19 or more ASCII digits that does not follow ".", "e" or "E"
-  (one `bytes.translate` and one search): orjson reads an integer outside
+  (one `bytes.translate`, one search for 19 digit marks and, only when they
+  are there, one for them after another byte): orjson reads an integer outside
   [-2**63, 2**64) as a float, and every integer of 18 digits or fewer lies
   inside. Fraction digits are read exactly, so they do not count;
 - nesting 600 deep or more, read from the brackets outside strings (only
@@ -46,17 +47,22 @@ Any other matrix, and any read that is not taken, is read entry by entry
 through `coerce_number`, to the same values or to the message naming its
 first bad entry.
 
-In exact mode a matrix of integers and strings is read through the table of
-its distinct entries: each is parsed once, to a numerator and a denominator
-(a plain "p" or "p/q" string is split into two integers rather than run
-through `Fraction`'s string parser), and each row is the table's integers
-taken at its entries, over the least common denominator of the row's own
-entries, as `linalg` puts a row of rationals over one denominator. The
-result is a `linalg.ExactMatrix`: no `Fraction` is built, and the
-weighted-permutation read finds the zeros in the integers. A bool or a float
-would merge with an equal integer in the table, so every entry's type is
-checked first. An exact matrix holding any other value is refused, and read
-entry by entry only to name its first bad entry.
+In exact mode a matrix is read through the table of its distinct entries,
+one `dict.fromkeys` over the rows: each is parsed once, to a numerator and a
+denominator (a plain "p" or "p/q" string is split into two integers rather
+than run through `Fraction`'s string parser). Only the table's keys have
+their types checked, unless a key is not a string: 1, 1.0 and True are one
+key, so then every entry's type is. A weighted permutation, the input of
+every accepted point-basis run, is found from the zero keys in O(n) Python
+steps, each a C pass over a row; its rows are built from each row's one
+nonzero, and its pattern goes to the `linalg.ExactMatrix` as its
+weighted-permutation read, so the n^2 integers are never scanned again. Any
+other matrix has each row as the table's integers taken at its entries, over
+the least common denominator of the row's own entries, as `linalg` puts a
+row of rationals over one denominator. No `Fraction` is built but a weighted
+permutation's n weights. An exact matrix holding any value but an integer or
+a string (or one that is not hashable) is refused, and read entry by entry
+only to name its first bad entry.
 
 A report is written once, by a single writer (`canonical_json`) that goes
 straight from result values to canonical text: sorted keys, two-space
@@ -129,7 +135,8 @@ def _long_integer(data: bytes) -> bool:
     or "E"; a run of digits in a string or an exponent may also answer yes,
     one after a decimal point does not."""
     marks = data.translate(_NUMBER_MARKS)
-    return marks.startswith(_LONG_RUN) or (b" " + _LONG_RUN) in marks
+    # the needle of zeros alone is searched fast, with a skip on each other byte
+    return _LONG_RUN in marks and (marks.startswith(_LONG_RUN) or b" " + _LONG_RUN in marks)
 
 
 def _nesting_depth(data: bytes) -> int:
@@ -269,29 +276,20 @@ def _numbers_only(rows) -> bool:
 
 def _read_matrix(rows, exact: bool, bool_free: bool = False):
     """The matrix of a document's rows: a float array, or in exact mode a
-    `linalg.ExactMatrix`. `bool_free` says the rows come from a `_BoolFree`
-    document.
+    `linalg.ExactMatrix` (`_read_exact`). `bool_free` says the rows come
+    from a `_BoolFree` document.
 
     A float matrix is one inferring `np.array(rows)` when its document is
     bool-free or `_numbers_only` holds, so no bool reaches it; a 2-D float64
     or int64 result that is finite is the matrix (an int64 rounds as
     `float(int)` does). Any other result (uint64, object, a 3-D or ragged
     read, a non-finite entry) is read entry by entry, to the same values or
-    the message naming the first bad entry.
-
-    An exact matrix is read through the table of its distinct entries: each
-    is parsed once, to a numerator and a denominator in lowest terms, in
-    row-major order of first appearance, so the first refused one is the
-    first refused entry. Every row is then its entries' numerators, scaled
-    to the least common denominator of the row's entries (1, with no look
-    at the rows, when every entry is an integer), looked up in C, so a row's
-    integers grow with its own denominators only, not with those of the
-    whole matrix. No Fraction is built. An exact matrix holding anything
-    but integers and strings has a refused entry, which the per-entry
-    reading names."""
+    the message naming the first bad entry."""
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ValueError("matrix must be a non-empty list of rows")
-    if not exact and (bool_free or _numbers_only(rows)):
+    if exact:
+        return _read_exact(rows)
+    if bool_free or _numbers_only(rows):
         try:
             data = np.array(rows)
         except (ValueError, TypeError, OverflowError):  # ragged rows, among others
@@ -300,22 +298,67 @@ def _read_matrix(rows, exact: bool, bool_free: bool = False):
             data = data.astype(float, copy=False)
             if np.isfinite(data).all():
                 return data
-    flat = list(itertools.chain.from_iterable(rows))
-    # a bool or float key would merge with an equal integer, so those are not
-    # read through the table
-    if exact and all(t is not bool and issubclass(t, (int, str)) for t in set(map(type, flat))):
-        index = dict.fromkeys(flat)
-        pairs = list(map(_exact_pair, index))
-    else:
-        values = [coerce_number(v, exact) for v in flat]
-    if len({len(r) for r in rows}) != 1:
+    values = [coerce_number(v, False) for v in itertools.chain.from_iterable(rows)]
+    return np.array(values, dtype=float).reshape(_shape(rows))
+
+
+def _shape(rows) -> tuple:
+    if len(set(map(len, rows))) != 1:
         raise ValueError("matrix rows must have equal length")
-    shape = len(rows), len(rows[0])
-    if not exact:
-        return np.array(values, dtype=float).reshape(shape)
-    # an exact matrix left without a table has had its refused entry named
+    return len(rows), len(rows[0])
+
+
+def _read_exact(rows) -> linalg.ExactMatrix:
+    """An exact matrix, read through the table of its distinct entries (one
+    `dict.fromkeys`): each is parsed once, to a numerator and a denominator
+    in lowest terms, in row-major order of first appearance, so the first
+    refused one is the first refused entry. Only the keys' types are
+    checked, unless one is not a str: 1, 1.0 and True are one key, so then
+    every entry's is. A matrix with an unhashable entry or a key of another
+    type has a refused entry, which the per-entry reading names.
+
+    A square matrix is a weighted permutation when each row holds n - 1
+    entries equal to a zero key (`list.count`) and its one nonzero entry
+    (one `filter`, `list.index`) lies in a column of its own: O(n) Python
+    steps, each a C pass over at most a row. Its rows are then a list of
+    zeros with each row's numerator put at its column, grouped into tuples
+    in C, each row over its entry's denominator, and its columns go to the
+    value as its weighted-permutation read, so nothing scans the integers
+    again. Every other row is its entries' numerators, scaled to the least
+    common denominator of the row's entries (1, with no look at the rows,
+    when every entry is an integer), looked up in C, so a row's integers
+    grow with its own denominators only. No Fraction is built but the
+    read's n weights."""
+    entries = itertools.chain.from_iterable
+    try:
+        index = dict.fromkeys(entries(rows))
+    except TypeError:  # an unhashable entry
+        index = None
+    else:
+        kinds = set(map(type, index))
+        if kinds - {str}:
+            kinds = set(map(type, entries(rows)))
+    if index is None or not all(t is not bool and issubclass(t, (int, str)) for t in kinds):
+        for x in entries(rows):
+            coerce_number(x, True)  # raises at the first refused entry
+    pairs = list(map(_exact_pair, index))
+    m, n = _shape(rows)
     nums = dict(zip(index, [p for p, _ in pairs]))
     dens = dict(zip(index, [q for _, q in pairs]))
+    if m == n:  # a weighted permutation: n - 1 zeros in each row, nonzeros in distinct columns
+        zero = list(itertools.filterfalse(nums.__getitem__, index))
+        # one C pass per zero key, as long as zero is written a few ways only
+        zeros_in = ((lambda r: sum(map(r.count, zero))) if len(zero) < 4 else
+                    (lambda r, z=frozenset(zero): sum(map(z.__contains__, r))))
+        if all(zeros_in(r) == n - 1 for r in rows):
+            weights = [next(filter(nums.__getitem__, r)) for r in rows]
+            cols = list(map(list.index, rows, weights))
+            if len(set(cols)) == n:
+                flat = [0] * (n * n)
+                for i, c, w in zip(range(0, n * n, n), cols, weights):
+                    flat[i + c] = nums[w]
+                return linalg.ExactMatrix(tuple(zip(*[iter(flat)] * n)),
+                                          tuple(map(dens.__getitem__, weights)), n, read=cols)
     integers = all(q == 1 for _, q in pairs)  # then every row is over 1
     int_rows, row_dens = [], []
     for r in rows:  # over the least common denominator of the row's distinct entries
@@ -324,7 +367,7 @@ def _read_matrix(rows, exact: bool, bool_free: bool = False):
         scaled = nums if d == 1 else {k: nums[k] * (d // dens[k]) for k in keys}
         int_rows.append(tuple(map(scaled.__getitem__, r)))
         row_dens.append(d)
-    return linalg.ExactMatrix(tuple(int_rows), tuple(row_dens), shape[1])
+    return linalg.ExactMatrix(tuple(int_rows), tuple(row_dens), n, read=None)
 
 
 def _real(x, what: str) -> float:

@@ -892,6 +892,18 @@ class TestExample:
         result = _report(proc.stdout)["result"]
         assert (result["succeeded"], result["reason"]) == (False, "inconclusive")
 
+    def test_clamp_over_an_overflowing_sum_is_inconclusive(self):
+        # the clamp's argument has no finite enclosure on [1, 2]: no case of
+        # the clamp can be certified, which is an outcome (exit 2), not an
+        # input error, and no numpy warning is printed
+        proc = _run_module("example", "local-form",
+                           "--expr", "(clamp (lin (1e308 1e308) (t t)))", "--interval", "1,2")
+        assert proc.returncode == EXIT_REJECTED
+        assert proc.stderr.startswith("elapsed ") and proc.stderr.count("\n") == 1
+        assert _report(proc.stdout)["result"] == {
+            "succeeded": False, "reason": "inconclusive",
+            "detail": "the enclosure on [1.0, 2.0] overflows"}
+
     def test_deeply_nested_expression_is_a_usage_error(self, capsys):
         expr = "(sinramp " * 2000 + "t" + ")" * 2000
         code, out, err = _run(capsys, ["example", "decay", "--expr", expr])

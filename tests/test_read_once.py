@@ -700,6 +700,25 @@ class TestStructuralCost:
         assert (cert.accept, cert.side, len(calls)) == (side is None, side,
                                                          solves if mode == "float" else 0)
 
+    @pytest.mark.parametrize("scale", [1, "5/3", 2 ** 70, f"3/{2 ** 70}"],
+                             ids=["identity", "fraction", "large", "small"])
+    def test_exact_proper_family_accept_settles_each_row_by_one_product(
+            self, monkeypatch, scale):
+        # span{1, t} on t = 0..3 under a positive multiple of I: each row's fit,
+        # taken to small rationals at the two matrices' own scales, is
+        # checked by one integer product, so no row is re-solved by
+        # elimination; the families' own rank checks are the only ones
+        doc = {"basis": "generator", "matrix": [[scale, 0], [0, scale]],
+               "domain": {"space": list("abcd"), "generators": [[1, 1, 1, 1], [0, 1, 2, 3]]}}
+        t = parse_operator({**doc, "codomain": doc["domain"]}, "exact")
+        calls = self._count(monkeypatch)
+        resolved = []
+        real = cones._resolves
+        monkeypatch.setattr(cones, "_resolves",
+                            lambda *args: resolved.append(1) or real(*args))
+        cert = is_order_isomorphism(t)
+        assert (cert.accept, resolved, calls["eliminations"]) == (True, [], 0)
+
     @pytest.mark.parametrize("mode", ["float", "exact"])
     def test_two_failing_rows_make_one_solve(self, monkeypatch, mode):
         # the golden GEN_PROPER_REJECT shear on span{1, t} over t = 0..3 fails
@@ -824,6 +843,24 @@ class TestStructuralCost:
         assert d.sigma == tuple(sigma.tolist())
         assert peak < 1.5 * matrix.nbytes
         assert _typed(t.domain.generators.ravel()) == _typed(np.eye(n).ravel())
+
+    def test_exact_weighted_permutation_read_parses_each_weight_once(self, monkeypatch):
+        # n = 256 weights written as "p/q" strings among "0"s: one parse per
+        # distinct entry, and the monomial read comes from the pattern the
+        # reader found, not from a scan of the n^2 integers
+        n = 256
+        sigma = np.random.default_rng(0).permutation(n)
+        rows = [["0"] * n for _ in range(n)]
+        for y, x in enumerate(sigma.tolist()):
+            rows[y][x] = f"{y + 1}/{2 * y + 3}"
+        pairs, scans = [], []
+        real_pair, real_scan = serialize._exact_pair, linalg._exact_monomial
+        monkeypatch.setattr(serialize, "_exact_pair", lambda x: pairs.append(x) or real_pair(x))
+        monkeypatch.setattr(linalg, "_exact_monomial", lambda a: scans.append(a) or real_scan(a))
+        cols, weights = linalg.monomial(serialize._read_matrix(rows, True))
+        assert len(pairs) <= n + 1 and scans == []
+        assert cols.tolist() == sigma.tolist()
+        assert weights.tolist() == [Fraction(y + 1, 2 * y + 3) for y in range(n)]
 
     @staticmethod
     def _float_document(tmp_path, monkeypatch, decoder, true_at=None):

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import re
 import struct
 import sys
 from enum import IntEnum
@@ -173,7 +174,81 @@ def _exact_documents(draw):
     return matrix
 
 
+# exact documents around the weighted-permutation pattern: zeros written
+# several ways, repeated weights, an extra nonzero, a zero row, two nonzeros
+# in one column, and now and then a refused entry or a ragged row
+_ZERO_TEXTS = (0, "0", "0/5", "-0", "00/7", "0/3", "-0/2")
+_WEIGHTS = st.one_of(
+    st.integers(-9, 9).filter(bool),
+    st.integers(2 ** 64, 2 ** 70),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-99, 99).filter(bool), st.integers(1, 99)),
+    st.sampled_from(("+2", " 3/4 ", "1.5", "5/10")),
+)
+_PATTERN_REFUSED = (True, False, 1.0, 0.0, -0.0, None, [0], "abc", "1/0")
+
+
+@st.composite
+def _pattern_documents(draw):
+    n = draw(st.integers(1, 6))
+    m = n if draw(st.integers(0, 3)) else draw(st.integers(1, 6))
+    zeros = draw(st.lists(st.sampled_from(_ZERO_TEXTS), min_size=1, max_size=6))
+    weights = draw(st.lists(_WEIGHTS, min_size=1, max_size=3))
+    rows = [[draw(st.sampled_from(zeros)) for _ in range(n)] for _ in range(m)]
+    perm = draw(st.permutations(range(n)))
+    for y in range(min(m, n)):
+        rows[y][perm[y]] = draw(st.sampled_from(weights))
+    cell = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
+    for y, x in draw(st.lists(cell, max_size=2)):  # extra nonzeros
+        rows[y][x] = draw(_WEIGHTS)
+    if draw(st.integers(0, 4)) == 0:  # a zero row
+        rows[draw(st.integers(0, m - 1))] = [draw(st.sampled_from(zeros)) for _ in range(n)]
+    if min(m, n) > 1 and draw(st.integers(0, 4)) == 0:  # row y's nonzero into row z's column
+        y, z = draw(st.permutations(range(min(m, n))))[:2]
+        rows[y] = [draw(st.sampled_from(zeros)) for _ in range(n)]
+        rows[y][perm[z]] = draw(st.sampled_from(weights))
+    if draw(st.integers(0, 4)) == 0:
+        y, x = draw(cell)
+        rows[y][x] = draw(st.sampled_from(_PATTERN_REFUSED))
+    if draw(st.integers(0, 9)) == 0:  # a ragged row
+        rows[draw(st.integers(0, m - 1))].append(draw(st.sampled_from(zeros)))
+    return rows
+
+
+def _reference_value(rows, exact):
+    """The per-entry reading as an ExactMatrix (`of_array`) and its monomial
+    read as the integer scan finds it (`_exact_monomial`)."""
+    value = linalg.ExactMatrix.of_array(_reference_matrix(rows, exact))
+    return value, linalg._exact_monomial(value)
+
+
+def _read_of(read):
+    return None if read is None else (read[0].tolist(), [(type(x), x) for x in read[1]])
+
+
 class TestCoerceMatrix:
+    @settings(max_examples=400, deadline=None)
+    @given(rows=_pattern_documents())
+    @example(rows=[["0", "2/3"], ["-5", 0]])
+    @example(rows=[["0", "2/3"], ["0", "0/5"]])
+    @example(rows=[[0, 1], [1, 1.0]])
+    @example(rows=[[0, "1"], [0.0, 0]])
+    @example(rows=[["1/2", 0, 0], [0, 0, "1/2"], [0, "1/2", [1]]])
+    @example(rows=[["7"], [0]])
+    @example(rows=[["0", "3"], ["4", "0"], ["0"]])
+    def test_weighted_permutation_read_matches_the_integer_scan(self, rows):
+        # the pattern found in the entries, and the rows built from it, equal
+        # the per-entry reading's value and the read its integers give; a
+        # refused document gives the per-entry reading's message
+        got = _outcome(serialize._read_matrix, rows, True)
+        want = _outcome(_reference_value, rows, True)
+        if isinstance(want, str):
+            assert got == want
+            return
+        value, read = want
+        assert (got.rows, got.dens, got.shape) == (value.rows, value.dens, value.shape)
+        assert all(type(x) is int for row in got.rows for x in row)
+        assert _read_of(linalg.monomial(got)) == _read_of(read)
+
     @settings(max_examples=400, deadline=None)
     @given(rows=_exact_documents())
     @example(rows=[[]])
@@ -248,7 +323,27 @@ class TestCoerceMatrix:
             _matrix(rows, False)
 
 
+# an integer literal of 19 digits or more: a run of digits that starts the
+# text or follows a byte other than a digit, ".", "e" or "E"
+_LONG_INTEGER = re.compile(rb"(?:^|[^0-9.eE])[0-9]{19}")
+_SCREEN_PIECES = st.one_of(
+    st.integers(1, 24).flatmap(lambda k: st.text("0123456789", min_size=k, max_size=k))
+    .map(str.encode),
+    st.sampled_from([b".", b"e", b"E", b" ", b"-", b'"', b"[", b",", b"x", b"\xff"]),
+)
+
+
 class TestLoadJson:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_SCREEN_PIECES, max_size=12).map(b"".join))
+    @example(b"1" * 19)
+    @example(b"[" + b"1" * 19)
+    @example(b"0." + b"1" * 19)
+    @example(b"1e" + b"1" * 19)
+    @example(b"-" + b"9" * 18)
+    def test_long_integer_screen_matches_the_pattern(self, data):
+        assert serialize._long_integer(data) == (_LONG_INTEGER.search(data) is not None)
+
     def test_round_trip(self, tmp_path):
         p = tmp_path / "doc.json"
         p.write_text(json.dumps({"schema": SCHEMA, "matrix": [[1]]}))
