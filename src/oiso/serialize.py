@@ -318,7 +318,9 @@ def _read_exact(rows) -> linalg.ExactMatrix:
     type has a refused entry, which the per-entry reading names.
 
     A square matrix is a weighted permutation when each row holds n - 1
-    entries equal to a zero key (`list.count`) and its one nonzero entry
+    entries equal to a zero key (a `list.count` per zero key, or one set
+    lookup per entry when zero is written four or more ways, so the count
+    stays one pass over the row) and its one nonzero entry
     (one `filter`, `list.index`) lies in a column of its own: O(n) Python
     steps, each a C pass over at most a row. Its rows are then a list of
     zeros with each row's numerator put at its column, grouped into tuples
