@@ -123,7 +123,7 @@ def _cmd_compactify(args, spec):
             interior = embed(space.samples, space.generators, name=space.name)
             added = limit_points(seqs, space.generators, interior=interior,
                                  conv_tol=args.conv_tol, dedupe_tol=args.dedupe_tol,
-                                 name=space.name)
+                                 name=space.name, domain=space.domain)
             result[key] = {"interior": [_point_dict(p) for p in interior],
                            "added": [_point_dict(p) for p in added]}
             if y_space is x_space:

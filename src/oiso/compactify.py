@@ -9,6 +9,16 @@ with +-infinity coordinates), deduplicated against the interior and against
 other candidates. An accepted weighted-composition operator then extends its
 recovered point bijection over interior plus added points by matching
 normalized image coordinates, never reading the symbolic map directly.
+
+A sequence's prefix of n terms is evaluated whole, once: each point is
+checked against the space's declared interval and each generator is called
+once on the whole prefix, whose values are scanned for nan. Everything after
+that reads only the tail window, the last max(8, ceil(n/4)) terms: it alone
+is compactified, screened for convergence and fitted, and the fit's design
+(window abscissae, their 128-point selection, the evaluation point, the
+degree) depends on n alone and is built once per sequence. Every coordinate
+of a sequence is screened before any is fitted, so a rejected sequence is
+never fitted.
 """
 from __future__ import annotations
 
@@ -39,11 +49,13 @@ __all__ = [
     "compactified_decompose",
     "CONVERGENCE_TOL",
     "DEDUPE_TOL",
+    "MAX_SEQUENCE_TERMS",
 ]
 
 CONVERGENCE_TOL = 1e-3
 DEDUPE_TOL = 1e-6
 TAIL_FRAC = 0.25  # share of a sequence prefix that the limit is read from
+MAX_SEQUENCE_TERMS = 10**7  # longest prefix a sequence may ask for (80 MB per array)
 MATCH_MARGIN_FACTOR = 10.0  # boundary matches must win by this many dedupe_tol
 
 
@@ -166,6 +178,9 @@ class SequenceSpec:
             raise ValueError("exactly one of rule/points required")
         if self.n < 16:
             raise ValueError("prefix too short to judge convergence")
+        if self.n > MAX_SEQUENCE_TERMS:
+            raise ValueError(f"sequence {self.name!r}: prefix longer than "
+                             f"{MAX_SEQUENCE_TERMS} terms")
         if self.rule is not None and not isinstance(self.rule, SymFn):
             object.__setattr__(self, "rule", _as_symfn(self.rule, var="k"))
         if self.points is not None:
@@ -184,16 +199,12 @@ def embed(samples: Sequence, generators: Sequence, name: str = "X") -> list:
     """One interior CompactPoint per sample (no deduplication: the embedding is
     injective exactly when the generators separate the samples)."""
     gens = [_as_symfn(g) for g in generators]
-    pts = []
-    for i, s in enumerate(samples):
-        coords = []
-        for g in gens:
-            v = g(float(s))
-            if math.isnan(v):
-                raise ValueError(f"generator {g.text!r} undefined at sample {s}")
-            coords.append(v)
-        pts.append(CompactPoint(tuple(coords), "interior", label=f"{name.lower()}{i}"))
-    return pts
+    xs = np.asarray(samples, dtype=float)
+    vals = np.array([g(xs) for g in gens]).reshape(len(gens), len(xs)).T
+    for i, j in np.argwhere(np.isnan(vals))[:1]:  # the first (sample, generator) pair
+        raise ValueError(f"generator {gens[j].text!r} undefined at sample {samples[i]}")
+    return [CompactPoint(tuple(row), "interior", label=f"{name.lower()}{i}")
+            for i, row in enumerate(vals.tolist())]
 
 
 class NonconvergentNetError(RuntimeError):
@@ -212,40 +223,47 @@ class AmbiguousBoundaryError(RuntimeError):
     """Added-point matching found no candidate or no clear margin."""
 
 
-def _tail_limit(comp: np.ndarray) -> float:
-    """Limit estimate for a convergent compactified coordinate sequence.
-
-    Fits a cubic in 1/k (k the 1-based sequence index) over the tail window
-    and evaluates at 1/k = 0. Algebraically convergent tails (c/k + ...) are
-    polynomial in 1/k, so the estimate is accurate to rounding; geometrically
-    convergent tails are constant at this window and come out exact. Iterated
-    difference-based acceleration was rejected: on harmonic tails it stalls at
-    float-noise level after one pass, far above the added-point tolerance.
-    """
-    n = comp.shape[0]
+def _fit_design(n: int) -> tuple:
+    """What the limit fit of a prefix of n terms reads, which depends on n
+    alone: the window length, the positions of at most 128 evenly spaced
+    window terms (None when the window is that short; past 128 terms the
+    rounded positions step by more than 1, so none repeats), the scaled
+    abscissae of those terms, the evaluation point and the degree."""
     kcount = max(8, int(math.ceil(TAIL_FRAC * n)))
-    idx = np.arange(n - kcount, n)
-    k = idx + 1.0
-    x = np.asarray(comp[idx], dtype=float)
-    if x.shape[0] > 128:
-        sel = np.unique(np.linspace(0, x.shape[0] - 1, 128).round().astype(int))
-        x, k = x[sel], k[sel]
-    if np.max(x) - np.min(x) == 0.0:
-        return float(x[-1])
+    k = np.arange(n - kcount, n) + 1.0
+    sel = None
+    if kcount > 128:
+        sel = np.linspace(0, kcount - 1, 128).round().astype(int)
+        k = k[sel]
     u = 1.0 / k
     center = u.mean()
     halfwidth = float(np.max(np.abs(u - center)))
-    s = (u - center) / halfwidth
-    deg = min(3, x.shape[0] - 1)
+    return kcount, sel, (u - center) / halfwidth, -center / halfwidth, min(3, k.shape[0] - 1)
+
+
+def _tail_limit(tail: np.ndarray, design: tuple) -> float:
+    """Limit estimate for a convergent compactified coordinate sequence.
+
+    Reads only `tail`, the compactified tail window of the prefix that
+    `design` (`_fit_design`) was built for. Fits a cubic in 1/k (k the
+    1-based sequence index) over the window and evaluates at 1/k = 0.
+    Algebraically convergent tails (c/k + ...) are polynomial in 1/k, so the
+    estimate is accurate to rounding; geometrically convergent tails are
+    constant at this window and come out exact. Iterated difference-based
+    acceleration was rejected: on harmonic tails it stalls at float-noise
+    level after one pass, far above the added-point tolerance.
+    """
+    _, sel, s, at, deg = design
+    x = tail if sel is None else tail[sel]
+    if np.max(x) - np.min(x) == 0.0:
+        return float(x[-1])
     coeffs = np.polynomial.polynomial.polyfit(s, x, deg)
-    limit = np.polynomial.polynomial.polyval(-center / halfwidth, coeffs)
+    limit = np.polynomial.polynomial.polyval(at, coeffs)
     return float(np.clip(limit, -1.0, 1.0))
 
 
-def _screen_tail(comp: np.ndarray, conv_tol: float, seq_name: str,
+def _screen_tail(tail: np.ndarray, conv_tol: float, seq_name: str,
                  coord_name: str) -> None:
-    k = max(8, int(math.ceil(TAIL_FRAC * comp.shape[0])))
-    tail = comp[-k:]
     variation = float(np.max(tail) - np.min(tail))
     if variation > conv_tol:
         raise NonconvergentNetError(seq_name, coord_name, variation, conv_tol)
@@ -253,22 +271,34 @@ def _screen_tail(comp: np.ndarray, conv_tol: float, seq_name: str,
 
 def _sequence_limit_coords(seq: SequenceSpec, pts: np.ndarray, gens,
                            conv_tol: float) -> tuple:
-    coords = []
+    """The compactified limit of each generator along the prefix `pts`.
+
+    Each generator is called once on the whole prefix, and a nan anywhere in
+    it is a rejection with variation inf. Only the tail window is then
+    compactified and screened. Every coordinate is screened before any is
+    fitted, so a rejected sequence is never fitted; the values that reach
+    the fit are finite, so the fit cannot raise and the reorder changes no
+    outcome. The fit's design is built once for the sequence.
+    """
+    design = _fit_design(pts.shape[0])
+    tails = []
     for g in gens:
         vals = np.asarray(g(pts), dtype=float)
         if np.any(np.isnan(vals)):
             raise NonconvergentNetError(seq.name, g.text, math.inf, conv_tol)
-        comp = _compactify_array(vals)
-        _screen_tail(comp, conv_tol, seq.name, g.text)
-        coords.append(_tail_limit(comp))
-    return tuple(coords)
+        tails.append(_compactify_array(vals[-design[0]:]))
+        _screen_tail(tails[-1], conv_tol, seq.name, g.text)
+    return tuple(_tail_limit(tail, design) for tail in tails)
 
 
 def limit_points(seqs: Sequence, generators: Sequence, interior: Sequence = (),
                  conv_tol: float = CONVERGENCE_TOL, dedupe_tol: float = DEDUPE_TOL,
-                 name: str = "X") -> list:
+                 name: str = "X", domain: Optional[tuple] = None) -> list:
     """Added boundary points discovered along the sequences.
 
+    Each prefix must lie in `domain` (lo, hi, lo_open, hi_open) when one is
+    given: the first term outside it is a ValueError naming the sequence,
+    the 1-based index k and the value (a nan term is left to the nan check).
     Each coordinate is compactified, screened for tail convergence,
     extrapolated, and snapped to +-infinity within dedupe_tol of +-1.
     Candidates within dedupe_tol (in compactified coordinates) of an interior
@@ -276,16 +306,24 @@ def limit_points(seqs: Sequence, generators: Sequence, interior: Sequence = (),
     onto the earliest sequence.
     """
     return [b for b, _, _ in _sourced_limit_points(seqs, generators, interior, conv_tol,
-                                                   dedupe_tol, name)]
+                                                   dedupe_tol, name, domain)]
 
 
-def _sourced_limit_points(seqs, generators, interior, conv_tol, dedupe_tol, name) -> list:
+def _sourced_limit_points(seqs, generators, interior, conv_tol, dedupe_tol, name,
+                          domain) -> list:
     """limit_points as (point, source sequence, its prefix) triples; each
     sequence's prefix is evaluated once."""
     gens = [_as_symfn(g) for g in generators]
     added = []
     for idx, seq in enumerate(seqs):
         pts = seq.prefix()
+        if domain is not None:
+            lo, hi, lo_open, hi_open = domain
+            out = np.flatnonzero((pts <= lo if lo_open else pts < lo)
+                                 | (pts >= hi if hi_open else pts > hi))
+            if out.size:
+                raise ValueError(f"sequence {seq.name!r}: term k={out[0] + 1} "
+                                 f"({float(pts[out[0]])}) is outside the declared interval")
         comp_coords = _sequence_limit_coords(seq, pts, gens, conv_tol)
         raw = []
         for c in comp_coords:
@@ -324,14 +362,14 @@ class WeightedCompositionSpec:
     def matrix_on(self, x_space: SampledSpace, y_space: SampledSpace,
                   tol: float = 1e-9) -> np.ndarray:
         xs = np.asarray(x_space.samples, dtype=float)
-        m = np.zeros((len(y_space.samples), len(x_space.samples)))
-        for i, y in enumerate(y_space.samples):
-            target = self.pullback(float(y))
-            j = int(np.argmin(np.abs(xs - target)))
-            if abs(xs[j] - target) > tol:
-                raise ValueError(
-                    f"pullback image {target} of sample {y} is not a domain sample")
-            m[i, j] = self.weight(float(y))
+        ys = np.asarray(y_space.samples, dtype=float)
+        targets = self.pullback(ys)
+        cols = np.argmin(np.abs(xs[None, :] - targets[:, None]), axis=1)
+        for i in np.flatnonzero(np.abs(xs[cols] - targets) > tol)[:1]:
+            raise ValueError(f"pullback image {float(targets[i])} of sample "
+                             f"{y_space.samples[i]} is not a domain sample")
+        m = np.zeros((len(ys), len(xs)))
+        m[np.arange(len(ys)), cols] = self.weight(ys)
         return m
 
     def image_values(self, f: SymFn, ys: np.ndarray) -> np.ndarray:
@@ -396,9 +434,10 @@ def compactified_decompose(op: WeightedCompositionSpec, x_space: SampledSpace,
             raise ValueError(f"interior point {p.label} has an unbounded coordinate")
 
     added_x = limit_points(seqs_x, x_space.generators, interior=interior_x,
-                           conv_tol=conv_tol, dedupe_tol=dedupe_tol, name=x_space.name)
+                           conv_tol=conv_tol, dedupe_tol=dedupe_tol, name=x_space.name,
+                           domain=x_space.domain)
     sourced_y = _sourced_limit_points(seqs_y, y_space.generators, interior_y,
-                                      conv_tol, dedupe_tol, y_space.name)
+                                      conv_tol, dedupe_tol, y_space.name, y_space.domain)
 
     # normalized image coordinates of each added codomain point, along its sequence
     matching = []
@@ -406,13 +445,13 @@ def compactified_decompose(op: WeightedCompositionSpec, x_space: SampledSpace,
     added_weights = []
     gens_x = [_as_symfn(g) for g in x_space.generators]
     for b, seq, ys in sourced_y:
+        design = _fit_design(ys.shape[0])
         tone = op.one_values(ys)
         norm_coords = []
-        for f in gens_x:
-            ratio = op.image_values(f, ys) / tone
-            comp = _compactify_array(ratio)
+        for f in gens_x:  # screen then fit, image by image: a nan ratio fails in its fit
+            comp = _compactify_array((op.image_values(f, ys) / tone)[-design[0]:])
             _screen_tail(comp, conv_tol, seq.name, f"T-image/{f.text}")
-            norm_coords.append(_tail_limit(comp))
+            norm_coords.append(_tail_limit(comp, design))
         dists = []
         for a in added_x:
             ac = a.compact_coords
@@ -431,7 +470,7 @@ def compactified_decompose(op: WeightedCompositionSpec, x_space: SampledSpace,
                 f"boundary point {b.label!r}: matching margin too small")
         matching.append((b.label, added_x[best].label))
         residual_added = max(residual_added, float(dists[best]))
-        wlim = _tail_limit(_compactify_array(tone))
+        wlim = _tail_limit(_compactify_array(tone[-design[0]:]), design)
         added_weights.append(uncompactify_value(wlim) if abs(abs(wlim) - 1.0) > dedupe_tol
                              else math.copysign(math.inf, wlim))
 

@@ -190,7 +190,7 @@ def _read(t: OperatorModel):
             "some zero-set intersection is not a single point: "
             "the point matrix is not monomial")
     sigma = np.argmax(t.matrix, axis=1)
-    if np.unique(sigma).shape[0] != sigma.shape[0]:
+    if len(set(sigma.tolist())) != sigma.shape[0]:
         raise AmbiguousIntersectionError(
             "the largest entries of the point matrix's rows share a column")
     return sigma, t.apply_values(t.domain.ones())

@@ -847,6 +847,71 @@ class TestCompactify:
         assert (code, out) == (EXIT_USAGE, "")
         assert "error: sequence document must be an object" in err
 
+    def test_sequence_outside_the_interval_is_a_usage_error(self, tmp_path, capsys):
+        # 2 + 1/k never enters (0, 1]; its first term, k = 1, is 3
+        spec = _write(tmp_path, "spec.json", {
+            "domain": {"samples": [0.25, 0.5], "generators": ["t"],
+                       "interval": [0, 1, True, False]},
+            "sequences": [{"name": "away", "n": 64, "rule": "2 + 1/k"}],
+        })
+        code, out, err = _run(capsys, ["compactify", spec])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.splitlines() == [
+            "error: sequence 'away': term k=1 (3.0) is outside the declared interval"]
+
+    def test_sequence_reaching_an_open_end_is_a_usage_error(self, tmp_path, capsys):
+        # the open end 0 itself is outside (0, 1]; the closed end 1 is inside
+        samples = [(i + 0.5) / 8 for i in range(8)]
+        pts = [1.0] + [1.0 / k for k in range(2, 40)] + [0.0] * 24
+        spec = _write(tmp_path, "spec.json", {
+            "domain": {"samples": samples, "generators": ["t"], "interval": [0, 1, True, False]},
+            "codomain": {"samples": samples, "generators": ["t"]},
+            "sequences": [{"name": "hit0", "n": 64, "points": pts}],
+            "sequences_codomain": [{"name": "to0", "n": 64, "rule": "1/k"}],
+            "operator": {"pullback": "t", "weight": "1"},
+        })
+        code, out, err = _run(capsys, ["compactify", spec])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.splitlines() == [
+            "error: sequence 'hit0': term k=40 (0.0) is outside the declared interval"]
+
+    def test_huge_prefix_is_a_usage_error(self, tmp_path, capsys):
+        # refused when the document is read: no prefix array is built
+        spec = _write(tmp_path, "spec.json", {
+            "domain": {"samples": [0.25, 0.5], "generators": ["t"]},
+            "sequences": [{"name": "long", "n": 10**12, "rule": "1/k"}],
+        })
+        code, out, err = _run(capsys, ["compactify", spec])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.splitlines() == [
+            "error: sequence 'long': prefix longer than 10000000 terms"]
+
+    def test_no_masked_arrays_on_cli_paths(self, tmp_path):
+        # numpy.ma costs a one-shot run about 10 ms to import; neither a
+        # float full-family generator decompose nor compactify needs it
+        op = _write(tmp_path, "op.json", {
+            "basis": "generator",
+            "domain": {"space": ["a", "b", "c"],
+                       "generators": [[1, 1, 1], [0, 1, 2], [0, 0, 1]]},
+            "codomain": {"space": ["p", "q", "r"],
+                         "generators": [[1, 0, 0], [1, 1, 0], [0, 0, 1]]},
+            "matrix": [["9/5", "8/5", "-1/5"], ["1/5", "2/5", "1/5"], ["3", "0", "0"]]})
+        spec = _write(tmp_path, "spec.json", {
+            "domain": {"samples": [0.25, 0.5], "generators": ["t", "sin(1/t)"],
+                       "interval": [0, 1, True, False]},
+            "sequences": [{"name": "s", "n": 10000, "rule": "1/(2*pi*k + 1)"},
+                          {"name": "osc", "n": 4096, "rule": "1/k"}]})
+        script = ("import io, sys, contextlib\n"
+                  "from oiso.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  f"    codes = (main(['decompose', {op!r}]), main(['compactify', {spec!r}]))\n"
+                  "print(codes, 'numpy.ma' in sys.modules)\n")
+        root = os.path.dirname(os.path.dirname(oiso.__file__))
+        path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=60)
+        assert proc.stdout.split("\n")[-2] == f"{(EXIT_OK, EXIT_REJECTED)} False"
+
 
 class TestExample:
     def test_local_form(self, capsys):

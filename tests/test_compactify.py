@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oiso import compactify
 from oiso.compactify import (
+    MAX_SEQUENCE_TERMS,
     AmbiguousBoundaryError,
     CompactPoint,
     NonconvergentNetError,
@@ -18,7 +22,7 @@ from oiso.compactify import (
     uncompactify_value,
 )
 from oiso.recovery import NotOrderIsomorphismError
-from oiso.symfn import parse_symfn
+from oiso.symfn import SymFn, parse_symfn
 
 
 class TestCoordinateMap:
@@ -121,6 +125,12 @@ class TestSequenceSpec:
             SequenceSpec(name="s", n=8, rule="1/k")
         with pytest.raises(ValueError, match="shorter"):
             SequenceSpec(name="s", n=16, points=(1.0,) * 8).prefix()
+
+    def test_maximum_prefix_length(self):
+        # refused on construction, before any prefix array is built
+        assert SequenceSpec(name="s", n=MAX_SEQUENCE_TERMS, rule="1/k").n == 10**7
+        with pytest.raises(ValueError, match="'s': prefix longer than 10000000 terms"):
+            SequenceSpec(name="s", n=10**12, rule="1/k")
 
 
 class TestEmbed:
@@ -305,3 +315,222 @@ class TestCompactifiedDecompose:
         assert bd.added_domain == () and bd.added_codomain == ()
         assert bd.residual_added == 0.0
         assert bd.interior.sigma == (0, 1, 2, 3)
+
+
+class TestDeclaredInterval:
+    def test_first_term_outside_is_named(self):
+        seqs = [SequenceSpec(name="in", n=4096, rule="1/k"),
+                SequenceSpec(name="out", n=4096, rule="1/(k - 3)")]
+        with pytest.raises(ValueError) as exc:
+            limit_points(seqs, ["t"], domain=(0.0, 1.0, True, False))
+        # k = 1, 2 give -1/2 and -1: the first term outside is k = 1
+        assert str(exc.value) == (
+            "sequence 'out': term k=1 (-0.5) is outside the declared interval")
+
+    def test_open_and_closed_ends(self):
+        pts = tuple(1.0 / k for k in range(1, 4097))
+        seqs = [SequenceSpec(name="from1", n=4096, points=pts)]
+        assert len(limit_points(seqs, ["t"], domain=(0.0, 1.0, True, False))) == 1
+        with pytest.raises(ValueError, match="term k=1 "):
+            limit_points(seqs, ["t"], domain=(0.0, 1.0, True, True))
+
+    def test_nan_term_is_left_to_the_nan_check(self):
+        seqs = [SequenceSpec(name="nan", n=64, rule="1/k + 0/0")]
+        with pytest.raises(NonconvergentNetError) as exc:
+            limit_points(seqs, ["t"], domain=(0.0, 1.0, True, False))
+        assert exc.value.variation == math.inf
+
+    def test_compactified_decompose_checks_both_spaces(self):
+        op, x_space, y_space, seqs_x, seqs_y = _swap_setup()
+        bad = [SequenceSpec(name="up", n=64, rule="1 + 1/k")]
+        with pytest.raises(ValueError, match="'up': term k=1 "):
+            compactified_decompose(op, x_space, y_space, bad, seqs_y)
+        with pytest.raises(ValueError, match="'up': term k=1 "):
+            compactified_decompose(op, x_space, y_space, seqs_x, bad)
+
+
+# The sequence path as it read whole prefixes: every value compactified,
+# screened and fitted coordinate by coordinate, the fit's 128 terms picked
+# through np.unique. The tail-window path must match it bit for bit.
+def _whole_prefix_compactify(vals):
+    vals = np.asarray(vals, dtype=float)
+    out = np.empty_like(vals)
+    finite = np.isfinite(vals)
+    out[finite] = vals[finite] / (1.0 + np.abs(vals[finite]))
+    out[~finite] = np.sign(vals[~finite])
+    return out
+
+
+def _whole_prefix_screen(comp, conv_tol, seq_name, coord_name):
+    k = max(8, int(math.ceil(0.25 * comp.shape[0])))
+    tail = comp[-k:]
+    variation = float(np.max(tail) - np.min(tail))
+    if variation > conv_tol:
+        raise NonconvergentNetError(seq_name, coord_name, variation, conv_tol)
+
+
+def _whole_prefix_limit(comp):
+    n = comp.shape[0]
+    kcount = max(8, int(math.ceil(0.25 * n)))
+    idx = np.arange(n - kcount, n)
+    k = idx + 1.0
+    x = np.asarray(comp[idx], dtype=float)
+    if x.shape[0] > 128:
+        sel = np.unique(np.linspace(0, x.shape[0] - 1, 128).round().astype(int))
+        x, k = x[sel], k[sel]
+    if np.max(x) - np.min(x) == 0.0:
+        return float(x[-1])
+    u = 1.0 / k
+    center = u.mean()
+    halfwidth = float(np.max(np.abs(u - center)))
+    s = (u - center) / halfwidth
+    deg = min(3, x.shape[0] - 1)
+    coeffs = np.polynomial.polynomial.polyfit(s, x, deg)
+    limit = np.polynomial.polynomial.polyval(-center / halfwidth, coeffs)
+    return float(np.clip(limit, -1.0, 1.0))
+
+
+def _whole_prefix_coords(seq_name, columns, conv_tol):
+    coords = []
+    for text, vals in columns:
+        if np.any(np.isnan(vals)):
+            raise NonconvergentNetError(seq_name, text, math.inf, conv_tol)
+        comp = _whole_prefix_compactify(vals)
+        _whole_prefix_screen(comp, conv_tol, seq_name, text)
+        coords.append(_whole_prefix_limit(comp))
+    return tuple(coords)
+
+
+def _outcome(fn):
+    """Coordinates as float bits, or the rejection's sequence, coordinate and
+    variation bits."""
+    try:
+        return [c.hex() for c in fn()]
+    except NonconvergentNetError as e:
+        return (e.seq_name, e.generator, e.variation.hex())
+
+
+@st.composite
+def _prefix_columns(draw):
+    n = draw(st.integers(16, 20_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = np.arange(1.0, n + 1.0)
+    columns = []
+    for j in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["algebraic", "constant", "oscillating", "geometric",
+                                     "divergent"]))
+        a, b, c = rng.uniform(-3.0, 3.0, size=3)
+        if kind == "algebraic":
+            vals = a + b / k + c / k**2
+        elif kind == "constant":  # noise, then a constant tail
+            vals = rng.normal(size=n)
+            vals[int(rng.integers(n // 2, n)):] = a
+        elif kind == "oscillating":  # amplitude on either side of the screen's tolerance
+            vals = a + 10.0 ** rng.uniform(-6, 0) * np.sin(k * rng.uniform(0.1, 3.0))
+        elif kind == "geometric":
+            vals = a + b * rng.uniform(0.5, 0.999) ** k
+        else:
+            vals = np.sign(b) * k ** rng.uniform(0.5, 3.0)
+        # a third of the columns get inf or nan, anywhere or inside the tail window
+        specials = st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), max_size=3)
+        for special in (draw(specials) if draw(st.integers(0, 2)) == 0 else []):
+            lo = n - n // 4 if draw(st.booleans()) else 0
+            vals[int(rng.integers(lo, n))] = special
+        columns.append((f"c{j}", vals))
+    return n, columns
+
+
+@settings(max_examples=120, deadline=None)
+@given(_prefix_columns(), st.sampled_from([compactify.CONVERGENCE_TOL, 0.5]))
+def test_tail_window_path_matches_the_whole_prefix_path(drawn, conv_tol):
+    n, columns = drawn
+    gens = [SymFn(text=text, var="t", _fn=lambda x, v=vals: v) for text, vals in columns]
+    seq = SequenceSpec(name="s", n=n, rule="k")
+    got = _outcome(lambda: compactify._sequence_limit_coords(
+        seq, np.arange(1.0, n + 1.0), gens, conv_tol))
+    assert got == _outcome(lambda: _whole_prefix_coords("s", columns, conv_tol))
+
+
+def test_only_the_tail_window_is_compactified_and_rejects_are_never_fitted(monkeypatch):
+    sizes, fits = [], []
+    real_compactify = compactify._compactify_array
+    real_polyfit = np.polynomial.polynomial.polyfit
+    monkeypatch.setattr(compactify, "_compactify_array",
+                        lambda v: sizes.append(len(v)) or real_compactify(v))
+    monkeypatch.setattr(np.polynomial.polynomial, "polyfit",
+                        lambda *a: fits.append(1) or real_polyfit(*a))
+    gens = ["t", "sin(1/t)"]
+    added = limit_points([SequenceSpec(name="s", n=10_000, rule="1/(2*pi*k + 1)")], gens)
+    assert len(added) == 1 and 0 < len(fits) <= 2
+    assert sizes and max(sizes) <= 2500  # ceil(n/4)
+    sizes.clear(), fits.clear()
+    # t = 1/k settles and is screened first; sin(1/t) = sin(k) fails the screen
+    with pytest.raises(NonconvergentNetError):
+        limit_points([SequenceSpec(name="osc", n=10_000, rule="1/k")], gens)
+    assert fits == [] and max(sizes) <= 2500
+
+
+# embed and WeightedCompositionSpec.matrix_on as they evaluated one sample at
+# a time; the one-call-per-generator forms must match them.
+def _per_sample_embed(samples, generators, name="X"):
+    gens = [parse_symfn(g) for g in generators]
+    pts = []
+    for i, s in enumerate(samples):
+        coords = []
+        for g in gens:
+            v = g(float(s))
+            if math.isnan(v):
+                raise ValueError(f"generator {g.text!r} undefined at sample {s}")
+            coords.append(v)
+        pts.append(([c.hex() for c in coords], f"{name.lower()}{i}"))
+    return pts
+
+
+def _per_sample_matrix(op, x_samples, y_samples, tol=1e-9):
+    xs = np.asarray(x_samples, dtype=float)
+    m = np.zeros((len(y_samples), len(x_samples)))
+    for i, y in enumerate(y_samples):
+        target = op.pullback(float(y))
+        j = int(np.argmin(np.abs(xs - target)))
+        if abs(xs[j] - target) > tol:
+            raise ValueError(f"pullback image {target} of sample {y} is not a domain sample")
+        m[i, j] = op.weight(float(y))
+    return m.tobytes()
+
+
+def _result_or_message(fn):
+    try:
+        return fn()
+    except ValueError as e:
+        return str(e)
+
+
+_LEAF = st.sampled_from(["t", "0", "1", "2.5", "pi", "(t - 0.5)", "(1 - t)"])
+_EXPR = st.recursive(_LEAF, lambda e: st.one_of(
+    st.tuples(e, st.sampled_from("+-*/"), e).map(lambda x: f"({x[0]} {x[1]} {x[2]})"),
+    e.map(lambda x: f"sin({x})"),
+    e.map(lambda x: f"-{x}")), max_leaves=6)
+_SAMPLES = st.one_of(
+    st.integers(1, 9).map(lambda m: [(i + 0.5) / m for i in range(m)]),
+    st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                       st.floats(-4.0, 4.0, allow_nan=False)), min_size=1, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SAMPLES, st.lists(_EXPR, min_size=1, max_size=3))
+def test_embed_matches_the_per_sample_reference(samples, generators):
+    got = _result_or_message(lambda: [([c.hex() for c in p.coords], p.label)
+                                      for p in embed(samples, generators)])
+    assert got == _result_or_message(lambda: _per_sample_embed(samples, generators))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SAMPLES, st.one_of(st.sampled_from(["t", "1 - t", "t + 0", "0.5"]), _EXPR), _EXPR,
+       st.booleans())
+def test_matrix_on_matches_the_per_sample_reference(samples, pullback, weight, same):
+    x_space = SampledSpace(samples, ("t",), name="X")
+    y_space = x_space if same else SampledSpace(samples[::-1] + [0.5], ("t",), name="Y")
+    op = WeightedCompositionSpec(pullback, weight)
+    got = _result_or_message(lambda: op.matrix_on(x_space, y_space).tobytes())
+    assert got == _result_or_message(
+        lambda: _per_sample_matrix(op, x_space.samples, y_space.samples))

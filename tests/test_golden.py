@@ -112,6 +112,23 @@ CASES = [
         "operator": {"pullback": "1 - t", "weight": "1 + t"}}, ["compactify"], 0,
      "150da916bab99808dfd40ca95c68c00869359ba3aebb0c93c693f93f0ee38157",
      "7d9a5808985b3ac9aba1698f7ebdb09f2254b41d9b1a43b4ab3f9f60106e0685"),
+    # boundary exploration on (0, 1]: two added points where sin(1/t) settles
+    # at sin(0.5) and sin(1.1), one from a prefix past the 128-term fit selection
+    ("compactify-boundary", {
+        "domain": {"samples": SAMPLES, "generators": ["t", "sin(1/t)"], "name": "X",
+                   "interval": [0, 1, True, False]},
+        "sequences": [{"name": "s0", "n": 4096, "rule": "1/(2*pi*k + 0.5)"},
+                      {"name": "s1", "n": 10000, "rule": "1/(2*pi*k + 1.1)"}]},
+     ["compactify"], 0,
+     "12d8ce34f35230acbdf74a2c6319eb49bceee523765ccfacd47ee2b43747d350",
+     "9ce0b15f9bca8f2ffb865df2e56bc6f33b422b2ec344df103d4588ecbdb7217c"),
+    # sin(1/t) along 0.75/k oscillates: a nonconvergent-net rejection
+    ("compactify-nonconvergent", {
+        "domain": {"samples": SAMPLES, "generators": ["t", "sin(1/t)"], "name": "X"},
+        "sequences": [{"name": "osc", "n": 4096, "rule": "0.75/k"}]},
+     ["compactify"], 2,
+     "59a7b7206bae85170ad1c6d08a810a33fa860dc2907aa3c0ba38919fd6bf5d88",
+     "5130b1633751a113aec19f49a8e7dbd91e0ab6be11762e4ca64505f9e83c84a0"),
     ("example-witness", None,
      ["example", "witness", "--a", "0.25", "--b", "0.5", "--at", "0.375"], 0,
      "dc7eb80cca294bb05d73389487bd7624fd91af0d3424faabc68ba2856177b005",
