@@ -265,8 +265,9 @@ def _tail_limit(tail: np.ndarray, design: tuple) -> float:
 def _screen_tail(tail: np.ndarray, conv_tol: float, seq_name: str,
                  coord_name: str) -> None:
     variation = float(np.max(tail) - np.min(tail))
-    if variation > conv_tol:
-        raise NonconvergentNetError(seq_name, coord_name, variation, conv_tol)
+    if not variation <= conv_tol:  # a nan in the tail is a rejection with variation inf
+        raise NonconvergentNetError(seq_name, coord_name,
+                                    math.inf if math.isnan(variation) else variation, conv_tol)
 
 
 def _sequence_limit_coords(seq: SequenceSpec, pts: np.ndarray, gens,
@@ -365,7 +366,8 @@ class WeightedCompositionSpec:
         ys = np.asarray(y_space.samples, dtype=float)
         targets = self.pullback(ys)
         cols = np.argmin(np.abs(xs[None, :] - targets[:, None]), axis=1)
-        for i in np.flatnonzero(np.abs(xs[cols] - targets) > tol)[:1]:
+        # negated, so a nan image (which no distance bounds) is refused too
+        for i in np.flatnonzero(~(np.abs(xs[cols] - targets) <= tol))[:1]:
             raise ValueError(f"pullback image {float(targets[i])} of sample "
                              f"{y_space.samples[i]} is not a domain sample")
         m = np.zeros((len(ys), len(xs)))
@@ -448,7 +450,7 @@ def compactified_decompose(op: WeightedCompositionSpec, x_space: SampledSpace,
         design = _fit_design(ys.shape[0])
         tone = op.one_values(ys)
         norm_coords = []
-        for f in gens_x:  # screen then fit, image by image: a nan ratio fails in its fit
+        for f in gens_x:  # screen then fit, image by image: a nan ratio fails the screen
             comp = _compactify_array((op.image_values(f, ys) / tone)[-design[0]:])
             _screen_tail(comp, conv_tol, seq.name, f"T-image/{f.text}")
             norm_coords.append(_tail_limit(comp, design))

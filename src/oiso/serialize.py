@@ -36,16 +36,18 @@ matrices, and those of the families inside it, without a per-entry type
 check.
 
 A matrix is converted as a whole, by `_read_matrix` alone. In float mode
-it is one inferring `np.array(rows)` call in C when no bool can be among its
-entries: its document is one `load_json` found free of booleans (above), in
-which case no entry is looked at in Python, or a check of each entry's
-Python type finds only ints and floats. The read is taken when it gives a
-finite 2-D float64 or int64 array, then `.astype(float)`. numpy would fold a
-bool into either dtype, but a string, None, a nested list, a ragged row or
-an integer outside [-2**63, 2**64) gives another dtype or shape, or raises.
-Any other matrix, and any read that is not taken, is read entry by entry
-through `coerce_number`, to the same values or to the message naming its
-first bad entry.
+each row is packed by one `struct` call, in C, straight into the float64
+array, allocated once, when no bool can be among its entries: its document
+is one `load_json` found free of booleans (above), in which case no entry is
+looked at in Python, or a check of each entry's Python type finds only ints
+and floats. A row of m doubles is packed by the format `f"{m}d"`, which
+`struct` compiles once and caches. Its "d" code converts an int or a float
+as `float(x)` does and refuses anything else: a string, None or a nested
+list, a row of another length, or an integer past the double range. The
+packed matrix is taken when it is finite. Any other matrix, and any pack
+that is refused or not taken, is read entry by entry through
+`coerce_number`, to the same values or to the message naming its first bad
+entry.
 
 In exact mode a matrix is read through the table of its distinct entries,
 one `dict.fromkeys` over the rows: each is parsed once, to a numerator and a
@@ -86,6 +88,7 @@ import itertools
 import json
 import math
 import re
+import struct
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
@@ -265,12 +268,9 @@ def _exact_pair(x):
     return f.numerator, f.denominator
 
 
-_INFERRED = (np.dtype(np.float64), np.dtype(np.int64))
-
-
 def _numbers_only(rows) -> bool:
     """Is every entry of the rows an int or a float? bool is its own type,
-    so numpy never reads True as 1.0 from rows that pass."""
+    so no True reaches the row pack from rows that pass."""
     return set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}
 
 
@@ -279,23 +279,27 @@ def _read_matrix(rows, exact: bool, bool_free: bool = False):
     `linalg.ExactMatrix` (`_read_exact`). `bool_free` says the rows come
     from a `_BoolFree` document.
 
-    A float matrix is one inferring `np.array(rows)` when its document is
-    bool-free or `_numbers_only` holds, so no bool reaches it; a 2-D float64
-    or int64 result that is finite is the matrix (an int64 rounds as
-    `float(int)` does). Any other result (uint64, object, a 3-D or ragged
-    read, a non-finite entry) is read entry by entry, to the same values or
-    the message naming the first bad entry."""
+    A float matrix is packed row by row (`struct.pack_into`) into its
+    array when its document is bool-free or `_numbers_only` holds, so no bool
+    reaches the pack, which would read True as 1.0; the pack converts each
+    entry as `float(x)`, so a finite result is the matrix. A refused pack (a
+    ragged row, an entry that is not an int or a float, an integer with no
+    double) or a non-finite entry is read entry by entry, to the same values
+    or the message naming the first bad entry."""
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ValueError("matrix must be a non-empty list of rows")
     if exact:
         return _read_exact(rows)
     if bool_free or _numbers_only(rows):
+        n, m = len(rows), len(rows[0])
+        data = np.empty((n, m))
+        row_format = f"{m}d"  # struct's own cache keeps its Struct, so no row rebuilds it
         try:
-            data = np.array(rows)
-        except (ValueError, TypeError, OverflowError):  # ragged rows, among others
-            data = None
-        if data is not None and data.ndim == 2 and data.dtype in _INFERRED:
-            data = data.astype(float, copy=False)
+            for at, r in zip(itertools.count(0, 8 * m), rows):
+                struct.pack_into(row_format, data, at, *r)
+        except (struct.error, OverflowError):  # a ragged row, a non-number, no double
+            pass
+        else:
             if np.isfinite(data).all():
                 return data
     values = [coerce_number(v, False) for v in itertools.chain.from_iterable(rows)]
@@ -381,8 +385,9 @@ def _real(x, what: str) -> float:
         raise ValueError(f"{what} must be finite, got an integer too large for a float") from None
 
 
-def parse_space(doc) -> PointSpace:
-    """A space document: a list of labels, or {"labels": [...], "metric": [[...]]}"""
+def parse_space(doc, bool_free: bool = False) -> PointSpace:
+    """A space document: a list of labels, or {"labels": [...], "metric": [[...]]}.
+    `bool_free` says the document lies inside a `_BoolFree` one."""
     if isinstance(doc, list):
         return PointSpace(tuple(str(x) for x in doc))
     if isinstance(doc, dict):
@@ -392,7 +397,7 @@ def parse_space(doc) -> PointSpace:
         metric = doc.get("metric")
         if metric is not None:
             try:  # the float matrix rule: no booleans, no non-finite entries
-                metric = _read_matrix(metric, False)
+                metric = _read_matrix(metric, False, bool_free)
             except ValueError as e:
                 raise ValueError(f"metric {e}") from None
         return PointSpace(tuple(str(x) for x in labels), metric=metric)
@@ -409,8 +414,8 @@ def _family_parts(doc, exact: bool, bool_free: bool):
     if not isinstance(doc, dict):
         raise ValueError("family document must be a list of labels or an object")
     if "space" not in doc and "labels" in doc:
-        return parse_space(doc), None, None
-    space = parse_space(doc["space"])
+        return parse_space(doc, bool_free), None, None
+    space = parse_space(doc["space"], bool_free)
     gens = doc.get("generators")
     if gens is None:
         return space, None, None

@@ -829,6 +829,35 @@ class TestCompactify:
         assert rep["result"]["sequence"] == "osc"
         assert rep["result"]["coordinate"] == "sin(1/t)"
 
+    def test_nan_pullback_image_is_no_domain_sample(self, tmp_path, capsys):
+        # argmin over an all-nan row is 0; the nan image must not match x0
+        spec = _write(tmp_path, "spec.json", {
+            "schema": "oiso/1", "domain": {"samples": [0.5], "generators": ["t"]},
+            "operator": {"pullback": "0/0", "weight": "1"}})
+        code, out, err = _run(capsys, ["compactify", spec])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.splitlines() == [
+            "error: pullback image nan of sample 0.5 is not a domain sample"]
+
+    def test_nan_image_ratio_in_the_tail_is_nonconvergent(self, tmp_path, capsys):
+        # T 1 = t/t is undefined at the last codomain term only, which lies in
+        # the tail window but off the fit's 128-point selection
+        samples = [(i + 1) / 8 for i in range(8)]
+        pts = [0.3 / (k + 1) for k in range(4096)]
+        pts[4095] = 0
+        spec = _write(tmp_path, "spec.json", {
+            "domain": {"samples": samples, "generators": ["t"], "name": "X"},
+            "codomain": {"samples": samples, "generators": ["t"], "name": "Y"},
+            "sequences": [{"name": "to0", "n": 4096, "rule": "1/(k+1)"}],
+            "sequences_codomain": [{"name": "c0", "n": 4096, "points": pts}],
+            "operator": {"pullback": "t", "weight": "t/t"},
+        })
+        code, out, _ = _run(capsys, ["compactify", spec])
+        assert code == EXIT_REJECTED
+        res = _report(out)["result"]
+        assert (res["reason"], res["sequence"], res["coordinate"], res["tail_variation"]) == (
+            "nonconvergent-net", "c0", "T-image/t", "inf")
+
     def test_deeply_nested_generator_is_a_usage_error(self, tmp_path, capsys):
         spec = _write(tmp_path, "spec.json", {
             "domain": {"samples": [0.25, 0.5], "generators": ["(" * 400 + "t" + ")" * 400]},

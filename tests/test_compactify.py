@@ -492,7 +492,7 @@ def _per_sample_matrix(op, x_samples, y_samples, tol=1e-9):
     for i, y in enumerate(y_samples):
         target = op.pullback(float(y))
         j = int(np.argmin(np.abs(xs - target)))
-        if abs(xs[j] - target) > tol:
+        if not abs(xs[j] - target) <= tol:  # a nan image is no domain sample
             raise ValueError(f"pullback image {target} of sample {y} is not a domain sample")
         m[i, j] = op.weight(float(y))
     return m.tobytes()

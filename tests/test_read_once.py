@@ -891,13 +891,30 @@ class TestStructuralCost:
     @pytest.mark.parametrize("decoder", ["orjson", "stdlib"])
     def test_bool_free_float_document_checks_no_entry_type(self, tmp_path, monkeypatch,
                                                            decoder):
-        # the bytes hold no true or false token, so the matrix is one inferring
-        # np.array and no entry's Python type is looked at
+        # the bytes hold no true or false token, so the matrix is packed row
+        # by row and no entry's Python type is looked at
         path, rows, sigma, scans = self._float_document(tmp_path, monkeypatch, decoder)
         t = parse_operator(serialize.load_json(path), "float")
         assert scans == []
         assert t.matrix.tobytes() == np.array(rows).tobytes()
         assert t.monomial[0].tolist() == sigma.tolist()
+
+    @pytest.mark.parametrize("flag", ["", "true"])
+    def test_metric_of_a_bool_free_family_checks_no_entry_type(self, tmp_path, monkeypatch,
+                                                                flag):
+        # a metric is read under its document's screen, as its generators are
+        metric = [[0, 1, 2.5], [1, 0, 1.5], [2.5, 1.5, 0]]
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"space": {"labels": ["a", "b", flag or "c"],
+                                              "metric": metric},
+                                    "generators": [[1, 1, 1], [0, 1, 2]]}))
+        scans = []
+        real = serialize._numbers_only
+        monkeypatch.setattr(serialize, "_numbers_only",
+                            lambda rows: scans.append(len(rows)) or real(rows))
+        fam = serialize.parse_family(serialize.load_json(str(path)))
+        assert scans == ([] if not flag else [3, 2])
+        assert fam.space.metric.tolist() == metric
 
     @pytest.mark.parametrize("decoder", ["orjson", "stdlib"])
     def test_boolean_entry_is_refused_after_the_type_check(self, tmp_path, capsys,

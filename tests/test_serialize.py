@@ -645,9 +645,13 @@ class TestFloatRead:
     @example(rows=[[1, 2], [3]])
     @example(rows=[[], []])
     @example(rows=[[float("nan"), 2 ** 1024], [1, 2]])
+    @example(rows=[["-0", 0.0], [0.0, 0.0]])  # a string read by float() gives -0.0
+    @example(rows=[[2 ** 64, 1e308], [-0.0, 1]])
+    @example(rows=[[0.5], [1.5, 2.5]])
+    @example(rows=[[1.5, 2.5], [None, 0.5]])
     @pytest.mark.parametrize("decoder", ["orjson", "stdlib"])
     def test_matches_the_per_entry_reading(self, decoder, rows):
-        # the one inferring read, taken or passed to the per-entry reading,
+        # the row pack, taken or passed to the per-entry reading,
         # against one coerce_number per entry: the same bits, the sign of a
         # zero included, or the same message
         if decoder == "orjson" and serialize.orjson is None:
@@ -678,6 +682,10 @@ class TestBoolFreeRead:
     @example(doc={"matrix": [[1, [2]], [3, 4]]})
     @example(doc={"matrix": [[1, 2], [3]]})
     @example(doc={"matrix": [[float("nan"), 10 ** 400], [1, 2]]})
+    @example(doc={"matrix": [["-0", 0.0], [0.0, 0.0]]})  # a string read by float() gives -0.0
+    @example(doc={"matrix": [[2 ** 64, 1e308], [-0.0, 1]]})
+    @example(doc={"matrix": [[0.5], [1.5, 2.5]]})
+    @example(doc={"matrix": [[1.5, 2.5], [None, 0.5]]})
     @pytest.mark.parametrize("decoder", ["orjson", "stdlib"])
     def test_matches_the_read_before_the_screen(self, tmp_path_factory, decoder, doc):
         if decoder == "orjson" and serialize.orjson is None:
